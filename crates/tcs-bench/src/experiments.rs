@@ -522,8 +522,12 @@ pub fn ablation_cost_model(scale: &Scale) {
         let mut eng: TimingEngine<MsTreeStore> =
             TimingEngine::new(QueryPlan::build(q, PlanOptions::timing()));
         let mut w = tcs_graph::window::SlidingWindow::new(window);
+        let start = std::time::Instant::now();
         for &e in stream.iter().take(window as usize + scale.measured_edges) {
             eng.advance(&w.advance(e));
+            if start.elapsed().as_secs_f64() > scale.run_budget_secs {
+                break;
+            }
         }
         let st = eng.stats();
         let measured = st.join_ops as f64 / st.edges_processed.max(1) as f64;
@@ -537,65 +541,19 @@ pub fn ablation_cost_model(scale: &Scale) {
     t.emit("ablation_cost_model");
 }
 
-/// Extra ablation for the hash-indexed expansion lists: per-edge insert
-/// throughput of keyed probes ([`tcs_core::JoinMode::Probe`]) vs the full
-/// item scans of Algorithm 1 as written ([`tcs_core::JoinMode::Scan`]) on
-/// a hub fan-out workload — `fanout` stored prefixes of which exactly one
-/// joins each arrival. Also measures the early-exit, expiry-compaction,
-/// multi-tenant-dispatch and batch-ingestion ablations on their sibling
-/// hub workloads (see `crate::hub`). Emits the speedup trajectories as
-/// `BENCH_join.json` so future PRs can track regressions.
+/// The two in-tree ratios that still have both sides in the library, on
+/// the hub workloads of `crate::hub`: front-drain vs eager-compaction
+/// expiry ([`tcs_core::ExpiryMode`]) and recorder-armed vs no-op
+/// telemetry seam. Emits them as `BENCH_join.json` for the CI gates.
 pub fn join_probe(scale: &Scale) {
     use crate::hub::{
-        batch_arrival, batch_engine, batch_seed_edges, expiry_edge, expiry_engine, expiry_warmup,
-        expiry_window, hub_arrival, hub_engine, multi_edge, multi_engine, multi_warmup, share_edge,
-        share_engine, share_store_bytes, share_warmup, skew_arrival, skew_engine, skew_seed_edges,
+        expiry_edge, expiry_engine, expiry_warmup, expiry_window, hub_arrival, hub_engine,
     };
     use std::time::{Duration, Instant};
-    use tcs_core::{BatchMode, ExpiryMode, JoinMode};
+    use tcs_core::ExpiryMode;
     use tcs_graph::window::SlidingWindow;
-    use tcs_multi::{DispatchMode, ShareMode};
 
     let budget = Duration::from_secs_f64(scale.run_budget_secs.min(2.0));
-    let run = |fanout: usize, mode: JoinMode| -> f64 {
-        let mut eng = hub_engine(fanout, mode);
-        let start = Instant::now();
-        let mut n = 0u64;
-        let mut id = fanout as u64;
-        'outer: loop {
-            for _ in 0..256 {
-                id += 1;
-                eng.insert(hub_arrival(fanout, id));
-                n += 1;
-            }
-            if start.elapsed() >= budget || n >= 1_500_000 {
-                break 'outer;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
-    // The early-exit variant: skewed-timestamp hub bucket where only the
-    // `valid` newest rows can pass the cross-subquery ≺ floor. Probe
-    // binary-searches past the stale prefix; ProbeAll (plain keyed
-    // probing, the PR-1 baseline) expands and rejects it row by row.
-    let run_skew = |fanout: usize, mode: JoinMode| -> f64 {
-        let valid = 8usize.min(fanout);
-        let mut eng = skew_engine(fanout, valid, mode);
-        let start = Instant::now();
-        let mut n = 0u64;
-        let mut id = skew_seed_edges(fanout);
-        'outer: loop {
-            for _ in 0..64 {
-                id += 1;
-                eng.insert(skew_arrival(fanout, id));
-                n += 1;
-            }
-            if start.elapsed() >= budget || n >= 400_000 {
-                break 'outer;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
     // The expiry-heavy workload: whole window ticks (one expiry cascade +
     // one insert each at steady state) against the shared ~fanout-row
     // leaf bucket. FrontDrain retires the bucket's oldest entry in O(1);
@@ -623,93 +581,12 @@ pub fn join_probe(scale: &Scale) {
         n as f64 / start.elapsed().as_secs_f64()
     };
 
-    // The multi-tenant workload: whole window ticks against `n`
-    // registered tenant queries. Signature dispatch routes each edge to
-    // the one query that can react; Broadcast delivers it to all `n`
-    // engines (each with its own private window copy — the
-    // N-independent-engines deployment this subsystem replaces).
-    let run_multi = |n_queries: usize, mode: DispatchMode| -> f64 {
-        let mut eng = multi_engine(n_queries, mode);
-        let mut ts = 0u64;
-        while ts < multi_warmup(n_queries) {
-            ts += 1;
-            eng.advance(multi_edge(n_queries, ts));
-        }
-        let start = Instant::now();
-        let mut n = 0u64;
-        'outer: loop {
-            for _ in 0..64 {
-                ts += 1;
-                eng.advance(multi_edge(n_queries, ts));
-                n += 1;
-            }
-            if start.elapsed() >= budget || n >= 1_500_000 {
-                break 'outer;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
-
-    // The batch-ingestion workload: `batch`-edge chunks of a run-heavy
-    // rejecting stream against one shared fanout-row bucket. Sorted
-    // ingestion derives each run's verdicts once per batch and replays
-    // them; PerEdge (the ablation baseline) re-derives all `fanout`
-    // rejections per arrival. Both modes ingest through `insert_batch`,
-    // so chunking overhead is identical and only the mode differs.
-    let run_batch = |fanout: usize, batch: usize, mode: BatchMode| -> f64 {
-        let mut eng = batch_engine(fanout, mode);
-        let mut id = batch_seed_edges(fanout);
-        let mut buf: Vec<tcs_graph::StreamEdge> = Vec::with_capacity(batch);
-        let start = Instant::now();
-        let mut n = 0u64;
-        loop {
-            buf.clear();
-            for _ in 0..batch {
-                id += 1;
-                buf.push(batch_arrival(fanout, id));
-            }
-            eng.insert_batch(&buf)
-                .unwrap_or_else(|e| unreachable!("batch workload arrivals are valid: {e}"));
-            n += batch as u64;
-            if start.elapsed() >= budget || n >= 1_500_000 {
-                break;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
-
-    // The duplicate-template workload: whole window ticks against
-    // `n_copies` registrations of ONE fraud template. Shared founds a
-    // single engine and fans matches out to every subscriber; Private
-    // (the pre-sharing ablation) runs `n_copies` engines, so every tick
-    // pays `n_copies` full inserts.
-    let run_share = |n_copies: usize, share: ShareMode| -> f64 {
-        let mut eng = share_engine(n_copies, share);
-        let mut ts = 0u64;
-        while ts < share_warmup() {
-            ts += 1;
-            eng.advance(share_edge(ts));
-        }
-        let start = Instant::now();
-        let mut n = 0u64;
-        'outer: loop {
-            for _ in 0..64 {
-                ts += 1;
-                eng.advance(share_edge(ts));
-                n += 1;
-            }
-            if start.elapsed() >= budget || n >= 1_500_000 {
-                break 'outer;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
     // Telemetry-overhead ablation: the keyed-probe hub workload with a
     // default-sampling recorder armed vs the no-op (`None`) seam. The CI
     // gate holds `overhead = noop / recorded` (throughput ratio, ≥ 1 when
     // recording costs anything) within 1.05× at fan-out 512.
     let run_tel = |fanout: usize, recorded: bool| -> f64 {
-        let mut eng = hub_engine(fanout, JoinMode::Probe);
+        let mut eng = hub_engine(fanout);
         if recorded {
             eng.set_recorder(std::sync::Arc::new(tcs_telemetry::Recorder::new()));
         }
@@ -731,62 +608,14 @@ pub fn join_probe(scale: &Scale) {
         n as f64 / start.elapsed().as_secs_f64()
     };
 
-    // Store footprint after a fixed (untimed) drive — the 10k-copy gate
-    // compares the shared registry's total store bytes against a single
-    // registration's.
-    let share_store = |n_copies: usize, share: ShareMode| -> usize {
-        let mut eng = share_engine(n_copies, share);
-        for ts in 1..=share_warmup() + 64 {
-            eng.advance(share_edge(ts));
-        }
-        share_store_bytes(&eng)
-    };
-
-    let mut t = Table::new(
-        "join_probe: per-edge insert throughput, hub fan-out (probe vs scan)",
-        &["fanout", "probe-edges/s", "scan-edges/s", "speedup"],
-    );
-    let mut rows = Vec::new();
-    for &fanout in &[64usize, 512] {
-        let probe = run(fanout, JoinMode::Probe);
-        let scan = run(fanout, JoinMode::Scan);
-        t.row(vec![
-            fanout.to_string(),
-            fmt_throughput(probe),
-            fmt_throughput(scan),
-            format!("{:.1}x", probe / scan),
-        ]);
-        rows.push((fanout, probe, scan));
-    }
-    t.emit("join_probe");
-
-    let mut ts = Table::new(
-        "join_probe/skew: early-exit (Probe) vs plain keyed (ProbeAll) on the skewed-ts hub",
-        &["fanout", "early-exit-edges/s", "keyed-edges/s", "speedup"],
-    );
-    let mut skew_rows = Vec::new();
-    for &fanout in &[64usize, 512] {
-        let early = run_skew(fanout, JoinMode::Probe);
-        let keyed = run_skew(fanout, JoinMode::ProbeAll);
-        ts.row(vec![
-            fanout.to_string(),
-            fmt_throughput(early),
-            fmt_throughput(keyed),
-            format!("{:.1}x", early / keyed),
-        ]);
-        skew_rows.push((fanout, early, keyed));
-    }
-    ts.emit("join_probe_skew");
-
     let mut te = Table::new(
         "join_probe/expiry: front-drain + tombstones vs eager hole-compaction, window ticks",
         &["fanout", "front-drain-edges/s", "eager-edges/s", "speedup"],
     );
     let mut expiry_rows = Vec::new();
     for &fanout in &[64usize, 512] {
-        // Best of two runs per mode: the CI gate on this ratio has the
-        // least headroom of the three, so shield it from transient
-        // runner throttling hitting one side's single run.
+        // Best of two runs per mode: shields the CI gate on this ratio
+        // from transient runner throttling hitting one side's single run.
         let best = |mode| run_expiry(fanout, mode).max(run_expiry(fanout, mode));
         let front = best(ExpiryMode::FrontDrain);
         let eager = best(ExpiryMode::EagerCompact);
@@ -799,74 +628,6 @@ pub fn join_probe(scale: &Scale) {
         expiry_rows.push((fanout, front, eager));
     }
     te.emit("join_probe_expiry");
-
-    let mut tm = Table::new(
-        "join_probe/multi: signature-routed dispatch vs broadcast-to-all-engines, window ticks",
-        &["queries", "dispatch-edges/s", "broadcast-edges/s", "speedup"],
-    );
-    let mut multi_rows = Vec::new();
-    for &n_queries in &[8usize, 64] {
-        // Best of two runs per mode: the dispatch-vs-broadcast gate
-        // shares the expiry gate's sensitivity to transient runner
-        // throttling hitting one side's single run.
-        let best = |mode| run_multi(n_queries, mode).max(run_multi(n_queries, mode));
-        let dispatch = best(DispatchMode::Signature);
-        let broadcast = best(DispatchMode::Broadcast);
-        tm.row(vec![
-            n_queries.to_string(),
-            fmt_throughput(dispatch),
-            fmt_throughput(broadcast),
-            format!("{:.1}x", dispatch / broadcast),
-        ]);
-        multi_rows.push((n_queries, dispatch, broadcast));
-    }
-    tm.emit("join_probe_multi");
-
-    let mut tb = Table::new(
-        "join_probe/batch: sorted batch ingestion (verdict replay) vs per-edge, fan-out 512",
-        &["batch", "batched-edges/s", "per-edge-edges/s", "speedup"],
-    );
-    let mut batch_rows = Vec::new();
-    for &batch in &[64usize, 1024] {
-        // Best of two runs per mode: the batch gate shares the expiry
-        // gate's sensitivity to transient runner throttling hitting one
-        // side's single run.
-        let best = |mode| run_batch(512, batch, mode).max(run_batch(512, batch, mode));
-        let batched = best(BatchMode::Sorted);
-        let per_edge = best(BatchMode::PerEdge);
-        tb.row(vec![
-            batch.to_string(),
-            fmt_throughput(batched),
-            fmt_throughput(per_edge),
-            format!("{:.1}x", batched / per_edge),
-        ]);
-        batch_rows.push((batch, batched, per_edge));
-    }
-    tb.emit("join_probe_batch");
-
-    let mut tsh = Table::new(
-        "join_probe/share: one shared template engine vs one engine per duplicate registration",
-        &["copies", "shared-edges/s", "private-edges/s", "speedup", "store-ratio"],
-    );
-    let single_store = share_store(1, ShareMode::Shared).max(1);
-    let mut share_rows = Vec::new();
-    for &copies in &[64usize, 10_000] {
-        // Best of two runs per mode, like the other gated ratios.
-        let best = |share| run_share(copies, share).max(run_share(copies, share));
-        let shared = best(ShareMode::Shared);
-        let private = best(ShareMode::Private);
-        let shared_store = share_store(copies, ShareMode::Shared);
-        let ratio = shared_store as f64 / single_store as f64;
-        tsh.row(vec![
-            copies.to_string(),
-            fmt_throughput(shared),
-            fmt_throughput(private),
-            format!("{:.1}x", shared / private),
-            format!("{ratio:.2}x"),
-        ]);
-        share_rows.push((copies, shared, private, shared_store, ratio));
-    }
-    tsh.emit("join_probe_share");
 
     let mut tt = Table::new(
         "join_probe/telemetry: recorder armed (1-in-16 sampling) vs no-op seam, keyed-probe hub",
@@ -912,30 +673,8 @@ pub fn join_probe(scale: &Scale) {
     // build — the JSON is assembled by hand; schema documented in
     // `crate::hub`'s module docs).
     let mut json = String::from(
-        "{\n  \"bench\": \"join_probe\",\n  \"unit\": \"edges_per_sec\",\n  \"rows\": [\n",
+        "{\n  \"bench\": \"join_probe\",\n  \"unit\": \"edges_per_sec\",\n  \"expiry_rows\": [\n",
     );
-    for (idx, (fanout, probe, scan)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"fanout\": {}, \"probe\": {:.0}, \"scan\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            fanout,
-            probe,
-            scan,
-            probe / scan,
-            if idx + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"skew_rows\": [\n");
-    for (idx, (fanout, early, keyed)) in skew_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"fanout\": {}, \"early_exit\": {:.0}, \"keyed\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            fanout,
-            early,
-            keyed,
-            early / keyed,
-            if idx + 1 < skew_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"expiry_rows\": [\n");
     for (idx, (fanout, front, eager)) in expiry_rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"fanout\": {}, \"front_drain\": {:.0}, \"eager\": {:.0}, \"speedup\": {:.2}}}{}\n",
@@ -944,43 +683,6 @@ pub fn join_probe(scale: &Scale) {
             eager,
             front / eager,
             if idx + 1 < expiry_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"multi_rows\": [\n");
-    for (idx, (n_queries, dispatch, broadcast)) in multi_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"queries\": {}, \"dispatch\": {:.0}, \"broadcast\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            n_queries,
-            dispatch,
-            broadcast,
-            dispatch / broadcast,
-            if idx + 1 < multi_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"batch_rows\": [\n");
-    for (idx, (batch, batched, per_edge)) in batch_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch\": {}, \"batched\": {:.0}, \"per_edge\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            batch,
-            batched,
-            per_edge,
-            batched / per_edge,
-            if idx + 1 < batch_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"share_rows\": [\n");
-    for (idx, (copies, shared, private, shared_store, ratio)) in share_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"copies\": {}, \"shared\": {:.0}, \"private\": {:.0}, \"speedup\": {:.2}, \
-             \"shared_store_bytes\": {}, \"single_store_bytes\": {}, \"store_ratio\": {:.3}}}{}\n",
-            copies,
-            shared,
-            private,
-            shared / private,
-            shared_store,
-            single_store,
-            ratio,
-            if idx + 1 < share_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n  \"telemetry_rows\": [\n");
@@ -1014,8 +716,6 @@ pub fn telemetry(scale: &Scale) {
     use crate::report::fmt_latency_ns;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-    use tcs_core::JoinMode;
-    use tcs_multi::DispatchMode;
     use tcs_telemetry::Recorder;
 
     let budget = Duration::from_secs_f64(scale.run_budget_secs.min(2.0));
@@ -1037,7 +737,7 @@ pub fn telemetry(scale: &Scale) {
     );
     for &fanout in &[64usize, 512] {
         let rec = Arc::new(Recorder::with_sampling(1));
-        let mut eng = hub_engine(fanout, JoinMode::Probe);
+        let mut eng = hub_engine(fanout);
         eng.set_recorder(Arc::clone(&rec));
         let start = Instant::now();
         let mut n = 0u64;
@@ -1073,11 +773,11 @@ pub fn telemetry(scale: &Scale) {
     }
     th.emit("telemetry_hub");
 
-    // Multi-tenant registry: per-query detection latency under signature
-    // dispatch — the per-query breakdown the acceptance gate asks for.
+    // Multi-tenant registry: per-query detection latency — the per-query
+    // breakdown the acceptance gate asks for.
     let n_queries = 8usize;
     let rec = Arc::new(Recorder::with_sampling(1));
-    let mut eng = multi_engine(n_queries, DispatchMode::Signature);
+    let mut eng = multi_engine(n_queries);
     eng.set_recorder(Arc::clone(&rec));
     let mut ts = 0u64;
     while ts < multi_warmup(n_queries) {
@@ -1100,8 +800,8 @@ pub fn telemetry(scale: &Scale) {
     let snap = rec.snapshot();
     let mut tq = Table::new(
         &format!(
-            "telemetry/multi: per-query detection latency, {n_queries} tenants, \
-             signature dispatch ({} edges/s)",
+            "telemetry/multi: per-query detection latency, {n_queries} tenants \
+             ({} edges/s)",
             fmt_throughput(eps)
         ),
         &["query", "matches", "det-p50", "det-p99", "det-p999", "det-max"],

@@ -1,20 +1,11 @@
-//! The shared hub fan-out workloads behind the `join_probe` measurements.
-//!
-//! Both the Criterion `join_probe` group (`benches/microbench.rs`) and the
-//! `repro join` experiment (which feeds the CI speedup gates through
-//! `BENCH_join.json`) must measure the *same* workloads, so they live here
-//! once:
+//! The shared hub fan-out workloads behind the `repro join` and `repro
+//! telemetry` measurements.
 //!
 //! * the **keyed-probe** workload ([`hub_query`] / [`hub_engine`] /
 //!   [`hub_arrival`]): a timed 2-path query, `fanout` level-0 prefixes
 //!   parked on distinct hub vertices, and an arrival stream where each
-//!   edge joins exactly one prefix — the scan baseline still
-//!   compatibility-checks all `fanout` of them, the keyed probe visits
-//!   one bucket;
-//! * the **early-exit** workload ([`skew_query`] / [`skew_engine`] /
-//!   [`skew_arrival`]): one shared hub bucket with skewed timestamps,
-//!   where the ordered-bucket binary search skips the stale prefix that
-//!   plain keyed probing must expand and reject per row;
+//!   edge joins exactly one prefix — the keyed probe visits one bucket
+//!   of one row however large `fanout` grows;
 //! * the **expiry-heavy** workload ([`expiry_engine`] / [`expiry_edge`] /
 //!   [`expiry_window`]): a sliding window retiring one chain per slide
 //!   out of one shared ~`fanout`-row leaf bucket, where front-drain
@@ -24,63 +15,29 @@
 //! * the **multi-tenant** workload ([`multi_engine`] / [`multi_edge`] /
 //!   [`multi_window`]): `n` standing tenant queries over disjoint label
 //!   spaces sharing one stream that round-robins a two-edge chain per
-//!   tenant, where signature-routed dispatch
-//!   ([`DispatchMode::Signature`]) touches exactly the one query an edge
-//!   can react to and the broadcast baseline
-//!   ([`DispatchMode::Broadcast`], N independent engines with private
-//!   window copies) pays every query on every tick;
-//! * the **batch-ingestion** workload ([`batch_query`] / [`batch_engine`]
-//!   / [`batch_arrival`]): a timed 3-path query with `fanout` 2-edge
-//!   prefixes parked in ONE shared hub bucket, and a run-heavy arrival
-//!   stream every bucket row rejects with a *binding* mismatch — the
-//!   sorted batch path ([`tcs_core::BatchMode::Sorted`]) derives the
-//!   verdict once per run per batch and replays it, while the per-edge
-//!   ablation ([`tcs_core::BatchMode::PerEdge`]) re-derives all `fanout`
-//!   rejections (prefix resolution + compatibility check) per arrival.
+//!   tenant, so signature-routed dispatch touches exactly the one query
+//!   an edge can react to.
 //!
 //! # `BENCH_join.json` schema
 //!
-//! The `repro join` experiment serializes all five workloads into
-//! `BENCH_join.json` (unit: edges/s; the hub workloads measure at
-//! fan-outs 64 and 512, the multi-tenant workload at 8 and 64 registered
-//! queries, the batch workload at batch sizes 64 and 1024 over fan-out
-//! 512; every `speedup` field is CI-gated):
+//! The `repro join` experiment serializes two ratios into
+//! `BENCH_join.json` (unit: edges/s, measured at fan-outs 64 and 512;
+//! both are CI-gated). Absolute throughput, latency and footprint of the
+//! whole pipeline are the frozen `bench/` package's job (`BENCHMARK.json`),
+//! not this file's:
 //!
 //! ```json
 //! {
 //!   "bench": "join_probe",
 //!   "unit": "edges_per_sec",
-//!   "rows":        [{"fanout", "probe", "scan", "speedup"}, ...],
-//!   "skew_rows":   [{"fanout", "early_exit", "keyed", "speedup"}, ...],
 //!   "expiry_rows": [{"fanout", "front_drain", "eager", "speedup"}, ...],
-//!   "multi_rows":  [{"queries", "dispatch", "broadcast", "speedup"}, ...],
-//!   "batch_rows":  [{"batch", "batched", "per_edge", "speedup"}, ...],
-//!   "share_rows":  [{"copies", "shared", "private", "speedup",
-//!                    "shared_store_bytes", "single_store_bytes",
-//!                    "store_ratio"}, ...],
 //!   "telemetry_rows": [{"fanout", "recorded", "noop", "overhead"}, ...]
 //! }
 //! ```
 //!
-//! * `rows` — keyed-probe vs full-scan joins on the keyed-probe workload
-//!   (`probe` / `scan` insert throughput; gate: ≥ 5× at 512);
-//! * `skew_rows` — ordered-bucket early exit vs plain keyed probing on
-//!   the skewed-timestamp workload (gate: ≥ 1.3× at 512);
 //! * `expiry_rows` — front-drain + tombstone expiry vs the eager
 //!   hole-compaction baseline on the expiry-heavy workload, measured over
 //!   whole window ticks (expiries + insert; gate: ≥ 2× at 512);
-//! * `multi_rows` — signature-routed dispatch vs broadcast-to-all-engines
-//!   on the multi-tenant workload, measured over whole window ticks
-//!   (gate: ≥ 3× at 64 registered queries);
-//! * `batch_rows` — sorted batch ingestion vs per-edge ingestion on the
-//!   batch workload, batches of `batch` arrivals each (gate: ≥ 2.5× at
-//!   batch size 1024);
-//! * `share_rows` — template sharing ([`tcs_multi::ShareMode::Shared`],
-//!   one engine + subscriber fan-out) vs one-engine-per-registration
-//!   ([`tcs_multi::ShareMode::Private`]) on the duplicate-template
-//!   workload, measured over whole window ticks (gates at 10k copies:
-//!   throughput ≥ 5×, and shared store bytes ≤ 2× a single
-//!   registration's);
 //! * `telemetry_rows` — the keyed-probe workload with a default-sampling
 //!   [`tcs_telemetry::Recorder`] armed (`recorded`) vs the no-op `None`
 //!   seam (`noop`, both best-of-rounds throughput); `overhead` is the
@@ -89,10 +46,10 @@
 //!   ratio so machine-speed drift cancels (gate: ≤ 1.05× at 512).
 
 use tcs_core::plan::{PlanOptions, QueryPlan};
-use tcs_core::{BatchMode, ExpiryMode, JoinMode, MsTreeStore, TimingEngine};
+use tcs_core::{ExpiryMode, MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::{ELabel, QueryGraph, StreamEdge, VLabel};
-use tcs_multi::{DispatchMode, MultiQueryEngine, ShareMode};
+use tcs_multi::MultiQueryEngine;
 
 /// The 2-path query `a→b ≺ b→c` (one TC-subquery of length 2).
 pub fn hub_query() -> QueryGraph {
@@ -108,11 +65,10 @@ pub fn hub_query() -> QueryGraph {
 }
 
 /// An engine pre-seeded with `fanout` level-0 prefixes `i → 10000+i`
-/// (the probed item), running under `mode`.
-pub fn hub_engine(fanout: usize, mode: JoinMode) -> TimingEngine<MsTreeStore> {
+/// (the probed item).
+pub fn hub_engine(fanout: usize) -> TimingEngine<MsTreeStore> {
     let mut eng: TimingEngine<MsTreeStore> =
         TimingEngine::new(QueryPlan::build(hub_query(), PlanOptions::timing()));
-    eng.set_join_mode(mode);
     for i in 0..fanout {
         eng.insert(StreamEdge::new(i as u64, i as u32, 0, 10_000 + i as u32, 1, 0, i as u64 + 1));
     }
@@ -127,85 +83,6 @@ pub fn hub_arrival(fanout: usize, id: u64) -> StreamEdge {
     debug_assert!(id >= fanout as u64);
     let j = (id % fanout as u64) as u32;
     StreamEdge::new(id, 10_000 + j, 1, 1_000_000 + id as u32, 2, 0, id + 1)
-}
-
-/// The skewed-timestamp workload behind the `join_probe` *early-exit*
-/// measurements: a 4-edge query decomposing into `Q¹ = {ε0: a→b ≺ ε1:
-/// b→c}` and `Q² = {ε2: d→a ≺ ε3: d→e}` with the cross-subquery
-/// constraint `ε2 ≺ ε1`. All `fanout` complete `Q¹` rows share the hub
-/// vertex `a` — one `L₀⁰` bucket — but only the `valid` newest postdate
-/// the pre-seeded σ2, so [`tcs_core::JoinMode::Probe`] binary-searches
-/// past `fanout − valid` rows that plain keyed probing
-/// ([`tcs_core::JoinMode::ProbeAll`]) must expand and reject one by one.
-pub fn skew_query() -> QueryGraph {
-    QueryGraph::new(
-        vec![VLabel(0), VLabel(1), VLabel(2), VLabel(3), VLabel(4)],
-        vec![
-            QueryEdge { src: 0, dst: 1, label: ELabel::NONE }, // ε0 a→b
-            QueryEdge { src: 1, dst: 2, label: ELabel::NONE }, // ε1 b→c
-            QueryEdge { src: 3, dst: 0, label: ELabel::NONE }, // ε2 d→a
-            QueryEdge { src: 3, dst: 4, label: ELabel::NONE }, // ε3 d→e
-        ],
-        &[(0, 1), (2, 3), (2, 1)],
-    )
-    .unwrap_or_else(|e| unreachable!("valid skew query: {e}"))
-}
-
-/// The hub vertex every stored row binds `a` to.
-const SKEW_HUB: u32 = 0;
-/// The shared `d` endpoint chaining σ2 to every measured σ3.
-const SKEW_D: u32 = 5_000_000;
-
-/// Seed edges consumed by [`skew_engine`]; measured arrival ids must
-/// start above this.
-pub fn skew_seed_edges(fanout: usize) -> u64 {
-    2 * fanout as u64 + 1
-}
-
-/// An engine pre-seeded with `fanout` complete `Q¹` rows on the hub
-/// bucket, `valid` of them newer than the σ2 the measured arrivals
-/// complete, running under `mode`.
-pub fn skew_engine(fanout: usize, valid: usize, mode: JoinMode) -> TimingEngine<MsTreeStore> {
-    assert!(valid <= fanout && valid >= 1);
-    let mut eng: TimingEngine<MsTreeStore> =
-        TimingEngine::new(QueryPlan::build(skew_query(), PlanOptions::timing()));
-    // The workload banks on this exact plan shape; fail loudly if the
-    // decomposition or join order ever drifts.
-    assert_eq!(eng.plan().k(), 2);
-    assert_eq!(eng.plan().subs[0].seq, vec![0, 1]);
-    assert_eq!(eng.plan().subs[1].seq, vec![2, 3]);
-    assert_eq!(eng.plan().l0_delta_floor_levels[1], vec![0]);
-    eng.set_join_mode(mode);
-    let mut id = 0u64;
-    let row = |eng: &mut TimingEngine<MsTreeStore>, i: usize, id: &mut u64| {
-        let b = 10_000 + i as u32;
-        let c = 2_000_000 + i as u32;
-        *id += 1;
-        eng.insert(StreamEdge::new(*id, SKEW_HUB, 0, b, 1, 0, *id));
-        *id += 1;
-        eng.insert(StreamEdge::new(*id, b, 1, c, 2, 0, *id));
-    };
-    for i in 0..fanout - valid {
-        row(&mut eng, i, &mut id);
-    }
-    // σ2 = d→a: the delta edge the ε2 ≺ ε1 floor is computed from — rows
-    // completed before it can never join.
-    id += 1;
-    eng.insert(StreamEdge::new(id, SKEW_D, 3, SKEW_HUB, 0, 0, id));
-    for i in fanout - valid..fanout {
-        row(&mut eng, i, &mut id);
-    }
-    debug_assert_eq!(id, skew_seed_edges(fanout));
-    eng
-}
-
-/// The `id`-th measured arrival: σ3 = d→e completes the delta {σ2, σ3}
-/// and probes the hub bucket of `fanout` rows, of which exactly the
-/// `valid` newest pass the ε2 ≺ ε1 floor (and the full compatibility
-/// check). `id` must start above [`skew_seed_edges`].
-pub fn skew_arrival(fanout: usize, id: u64) -> StreamEdge {
-    debug_assert!(id > skew_seed_edges(fanout));
-    StreamEdge::new(id, SKEW_D, 3, 6_000_000 + (id % 1_000_000) as u32, 4, 0, id)
 }
 
 /// An engine for the expiry-heavy workload: the 2-path [`hub_query`]
@@ -274,13 +151,10 @@ pub fn multi_warmup(n_queries: usize) -> u64 {
     multi_window(n_queries) + 2
 }
 
-/// A registry with `n_queries` tenant queries registered, under `mode`.
-/// [`DispatchMode::Signature`] is the measured path (shared window, one
-/// routed query per edge); [`DispatchMode::Broadcast`] is the
-/// N-independent-engines baseline every edge is delivered to.
-pub fn multi_engine(n_queries: usize, mode: DispatchMode) -> MultiQueryEngine<MsTreeStore> {
-    let mut multi: MultiQueryEngine<MsTreeStore> =
-        MultiQueryEngine::with_mode(multi_window(n_queries), mode);
+/// A registry with `n_queries` tenant queries registered (shared window,
+/// one routed query per edge).
+pub fn multi_engine(n_queries: usize) -> MultiQueryEngine<MsTreeStore> {
+    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(multi_window(n_queries));
     for t in 0..n_queries {
         multi.register(QueryPlan::build(multi_query(t as u16), PlanOptions::timing()));
     }
@@ -307,120 +181,6 @@ pub fn multi_edge(n_queries: usize, ts: u64) -> StreamEdge {
     }
 }
 
-/// The duplicate-template workload: `n_copies` registrations of ONE
-/// fraud template — tenant 0's [`multi_query`] — the fleet shape
-/// cross-tenant sharing exists for. Under [`ShareMode::Shared`] the
-/// registry founds a single engine and fans completed matches out to
-/// every subscriber; under [`ShareMode::Private`] (the pre-sharing
-/// ablation) each registration runs its own engine, so every tick pays
-/// `n_copies` full inserts and `n_copies` stores.
-pub fn share_engine(n_copies: usize, share: ShareMode) -> MultiQueryEngine<MsTreeStore> {
-    let mut multi: MultiQueryEngine<MsTreeStore> =
-        MultiQueryEngine::with_mode(share_window(), DispatchMode::Signature);
-    multi.set_share_mode(share);
-    for _ in 0..n_copies {
-        multi.register(QueryPlan::build(multi_query(0), PlanOptions::timing()));
-    }
-    multi
-}
-
-/// Window duration holding ~one live 2-edge chain — the workload is a
-/// single template, so [`multi_window`] at one query.
-pub fn share_window() -> u64 {
-    multi_window(1)
-}
-
-/// Ticks needed to fill the window before measuring (the warm-up).
-pub fn share_warmup() -> u64 {
-    multi_warmup(1)
-}
-
-/// The edge arriving at tick `ts`: tenant 0's chain edge (odd ticks
-/// open, even ticks close — one completed match per closing edge,
-/// fanned out to all `n_copies` subscribers under sharing).
-pub fn share_edge(ts: u64) -> StreamEdge {
-    multi_edge(1, ts)
-}
-
-/// Total partial-match store bytes across the registry — the quantity
-/// the 10k-copy store gate compares against a single registration's.
-pub fn share_store_bytes(multi: &MultiQueryEngine<MsTreeStore>) -> usize {
-    multi.stats().queries.iter().map(|q| q.store_bytes).sum()
-}
-
-/// The 3-path query `a→b ≺ b→c ≺ c→d` of the batch-ingestion workload
-/// (one TC-subquery of length 3 — deeper prefixes make the per-row
-/// rejection the per-edge path re-derives more expensive, which is
-/// exactly the work the batch path's verdict cache amortizes).
-pub fn batch_query() -> QueryGraph {
-    QueryGraph::new(
-        vec![VLabel(0), VLabel(1), VLabel(2), VLabel(3)],
-        vec![
-            QueryEdge { src: 0, dst: 1, label: ELabel::NONE },
-            QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
-            QueryEdge { src: 2, dst: 3, label: ELabel::NONE },
-        ],
-        &[(0, 1), (1, 2)],
-    )
-    .unwrap_or_else(|e| unreachable!("valid batch query: {e}"))
-}
-
-/// The shared source every stored prefix binds `a` to — and the vertex
-/// every rejecting arrival points `d` back at (injectivity breach).
-const BATCH_A: u32 = 1;
-/// The mid vertex every stored prefix binds `b` to.
-const BATCH_B: u32 = 2;
-/// The hub vertex every stored prefix binds `c` to — the one probe
-/// bucket all measured arrivals hit.
-const BATCH_HUB: u32 = 3;
-
-/// Seed edges consumed by [`batch_engine`]; measured arrival ids must
-/// start above this.
-pub fn batch_seed_edges(fanout: usize) -> u64 {
-    fanout as u64 + 1
-}
-
-/// An engine pre-seeded with `fanout` 2-edge prefixes `A→B ≺ B→HUB` in
-/// ONE bucket keyed on `F(c) = HUB` (the `fanout` parallel `a→b` edges
-/// all join the single shared `b→c` edge), ingesting under `mode`.
-pub fn batch_engine(fanout: usize, mode: BatchMode) -> TimingEngine<MsTreeStore> {
-    let mut eng: TimingEngine<MsTreeStore> =
-        TimingEngine::new(QueryPlan::build(batch_query(), PlanOptions::timing()));
-    // The workload banks on this exact plan shape; fail loudly if the
-    // decomposition or join order ever drifts.
-    assert_eq!(eng.plan().k(), 1);
-    assert_eq!(eng.plan().subs[0].seq, vec![0, 1, 2]);
-    eng.set_join_mode(JoinMode::Probe);
-    eng.set_batch_mode(mode);
-    for i in 1..=fanout as u64 {
-        eng.insert(StreamEdge::new(i, BATCH_A, 0, BATCH_B, 1, 0, i));
-    }
-    let last = fanout as u64 + 1;
-    eng.insert(StreamEdge::new(last, BATCH_B, 1, BATCH_HUB, 2, 0, last));
-    eng
-}
-
-/// The `id`-th measured arrival: `c→d` from the hub back to the shared
-/// source, so every bucket row rejects it with a binding mismatch
-/// (`F(d) = A` collides with `F(a) = A` — injectivity). All arrivals
-/// share endpoints and signature, so each batch is one run: the sorted
-/// batch path derives the `fanout` rejections once per batch and replays
-/// the cached verdicts, the per-edge path re-derives them per arrival.
-/// `id` must start above [`batch_seed_edges`].
-pub fn batch_arrival(fanout: usize, id: u64) -> StreamEdge {
-    debug_assert!(id > batch_seed_edges(fanout));
-    StreamEdge::new(id, BATCH_HUB, 2, BATCH_A, 3, 0, id)
-}
-
-/// An *accepting* arrival for the same bucket: `c→d` to a fresh vertex
-/// completes all `fanout` chains. Not part of the measured stream — the
-/// workload tests use it to pin down that both ingestion modes emit the
-/// identical matches when the bucket does accept.
-pub fn batch_accepting(fanout: usize, id: u64) -> StreamEdge {
-    debug_assert!(id > batch_seed_edges(fanout));
-    StreamEdge::new(id, BATCH_HUB, 2, 4_000_000 + id as u32, 3, 0, id)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic by design
 mod tests {
@@ -428,120 +188,36 @@ mod tests {
     use tcs_graph::window::SlidingWindow;
 
     #[test]
-    fn skew_arrival_matches_exactly_the_valid_rows() {
-        for mode in [JoinMode::Probe, JoinMode::ProbeAll, JoinMode::Scan] {
-            let mut eng = skew_engine(16, 3, mode);
-            let base = skew_seed_edges(16);
-            for id in base + 1..base + 9 {
-                let matches = eng.insert(skew_arrival(16, id));
-                assert_eq!(matches.len(), 3, "mode {mode:?} id {id}");
-            }
-            assert_eq!(eng.stats().matches_emitted, 24);
-            assert_eq!(eng.live_partials(), eng.store_rows(), "mode {mode:?}");
-        }
-    }
-
-    #[test]
-    fn skew_modes_emit_identical_streams_and_stats() {
-        let mut probe = skew_engine(12, 4, JoinMode::Probe);
-        let mut probe_all = skew_engine(12, 4, JoinMode::ProbeAll);
-        let mut scan = skew_engine(12, 4, JoinMode::Scan);
-        let base = skew_seed_edges(12);
-        for id in base + 1..base + 20 {
-            let mut a = probe.insert(skew_arrival(12, id));
-            let mut b = probe_all.insert(skew_arrival(12, id));
-            let mut c = scan.insert(skew_arrival(12, id));
-            a.sort();
-            b.sort();
-            c.sort();
-            assert_eq!(a, b, "id {id}");
-            assert_eq!(b, c, "id {id}");
-        }
-        assert_eq!(probe.stats(), probe_all.stats());
-        assert_eq!(probe_all.stats(), scan.stats());
-    }
-
-    #[test]
     fn each_arrival_joins_exactly_one_prefix() {
-        for mode in [JoinMode::Probe, JoinMode::Scan] {
-            let mut eng = hub_engine(8, mode);
-            for id in 8..24u64 {
-                let matches = eng.insert(hub_arrival(8, id));
-                assert_eq!(matches.len(), 1, "mode {mode:?} id {id}");
-            }
-            assert_eq!(eng.stats().matches_emitted, 16);
+        let mut eng = hub_engine(8);
+        for id in 8..24u64 {
+            let matches = eng.insert(hub_arrival(8, id));
+            assert_eq!(matches.len(), 1, "id {id}");
         }
+        assert_eq!(eng.stats().matches_emitted, 16);
     }
 
     #[test]
-    fn batch_workload_rejects_whole_bucket_identically_in_both_modes() {
-        let fanout = 16usize;
-        let mut sorted = batch_engine(fanout, BatchMode::Sorted);
-        let mut per_edge = batch_engine(fanout, BatchMode::PerEdge);
-        let mut id = batch_seed_edges(fanout);
-        for chunk in 0..4 {
-            // Three rejecting batches, then one ending with an accepting
-            // edge (a run break mid-batch) that completes every chain.
-            let batch: Vec<StreamEdge> = (0..8)
-                .map(|k| {
-                    id += 1;
-                    if chunk == 3 && k == 7 {
-                        batch_accepting(fanout, id)
-                    } else {
-                        batch_arrival(fanout, id)
-                    }
-                })
-                .collect();
-            let a = sorted.insert_batch(&batch).expect("valid batch");
-            let b = per_edge.insert_batch(&batch).expect("valid batch");
-            assert_eq!(a, b, "chunk {chunk}");
-            let want = if chunk == 3 { fanout } else { 0 };
-            assert_eq!(a.len(), want, "chunk {chunk}: rejecting batches emit nothing");
-        }
-        // Byte-identical counters: the sorted path replayed verdicts, the
-        // per-edge path re-derived them, and nothing else differs.
-        assert_eq!(sorted.stats(), per_edge.stats());
-        assert_eq!(sorted.ingest_stats(), per_edge.ingest_stats());
-        assert_eq!(sorted.stats().matches_emitted, fanout as u64);
-        sorted.assert_clean();
-        per_edge.assert_clean();
-    }
-
-    #[test]
-    fn multi_workload_emits_one_match_per_closing_edge_in_both_modes() {
+    fn multi_workload_emits_one_match_per_closing_edge() {
         let n = 12usize;
-        let mut dispatch = multi_engine(n, DispatchMode::Signature);
-        let mut broadcast = multi_engine(n, DispatchMode::Broadcast);
+        let mut multi = multi_engine(n);
         for ts in 1..=8 * multi_window(n) {
-            let e = multi_edge(n, ts);
-            let a = dispatch.advance(e);
-            let b = broadcast.advance(e);
-            assert_eq!(a, b, "ts {ts}");
-            assert_eq!(a.len(), usize::from(ts % 2 == 0), "one match per closing edge");
+            let out = multi.advance(multi_edge(n, ts));
+            assert_eq!(out.len(), usize::from(ts % 2 == 0), "one match per closing edge");
             if ts % 2 == 0 {
                 let t = ((ts / 2 - 1) % n as u64) as usize;
-                assert_eq!(a[0].0, dispatch.query_ids().nth(t).unwrap(), "the owning tenant");
+                assert_eq!(out[0].0, multi.query_ids().nth(t).unwrap(), "the owning tenant");
             }
         }
-        // Every tenant matched; dispatch touched exactly the owner per
-        // edge (normalized stats still agree across modes).
-        let (sa, sb) = (dispatch.stats(), broadcast.stats());
-        for (qa, qb) in sa.queries.iter().zip(&sb.queries) {
-            assert_eq!(qa.stats, qb.stats);
-            assert!(qa.stats.matches_emitted > 0);
-        }
-        // The shared window is accounted once (snapshot bytes appear in
-        // the registry total, never in any per-query share); broadcast
-        // buries its N private window copies in the per-query shares.
-        // (With fully disjoint tenant label spaces the private copies
-        // partition the stream, so there is no space *win* here — that
-        // shows up when signature sets overlap, as the 64-query
-        // equivalence test asserts.)
-        assert!(sa.snapshot_bytes > 0);
-        assert_eq!(sb.snapshot_bytes, 0);
+        // Every tenant matched, and the shared window is accounted once
+        // (snapshot bytes appear in the registry total, never in any
+        // per-query share).
+        let st = multi.stats();
+        assert!(st.queries.iter().all(|q| q.stats.matches_emitted > 0));
+        assert!(st.snapshot_bytes > 0);
         assert_eq!(
-            sa.space_bytes(),
-            sa.snapshot_bytes + sa.queries.iter().map(|q| q.store_bytes).sum::<usize>()
+            st.space_bytes(),
+            st.snapshot_bytes + st.queries.iter().map(|q| q.store_bytes).sum::<usize>()
         );
     }
 

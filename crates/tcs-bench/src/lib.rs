@@ -18,8 +18,8 @@
 //!   (§VII-G's protocol).
 //! * [`report`] — aligned stdout tables + TSV files.
 //! * [`experiments`] — one function per table/figure.
-//! * [`hub`] — the shared hub fan-out workload measured by both the
-//!   `join_probe` Criterion group and the `repro join` experiment.
+//! * [`hub`] — the hub fan-out workloads measured by the `repro join`
+//!   and `repro telemetry` experiments.
 
 #![forbid(unsafe_code)]
 

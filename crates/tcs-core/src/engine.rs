@@ -15,14 +15,28 @@
 //! trigger their own propagation. Hence every complete match of `Q` is
 //! emitted exactly once, at the arrival timestamp of its newest edge.
 //!
+//! # Join probes
+//!
+//! Every join reads one hash bucket — the arrival's join key — and, since
+//! buckets are timestamp-ordered (`store.rs` module docs), only the range
+//! of it that can pass the timing checks: the `last.ts < σ.ts` prefix on
+//! chain joins, the suffix above the cross-subquery constraint floor on
+//! `L₀` joins. Keys and timestamp bounds are prefilters; the full
+//! compatibility check still runs on every candidate visited.
+//!
+//! If [`TimingEngine::set_partial_cap`] is engaged and the cap saturates
+//! mid-join, which (equally incomplete) subset of partial matches is kept
+//! depends on bucket order — the cap is a benchmark-harness safety valve,
+//! not part of the semantics.
+//!
 //! # Batch-at-a-time ingestion
 //!
 //! [`TimingEngine::insert_batch`] and [`TimingEngine::advance_batch`]
-//! apply a whole batch per call under [`BatchMode::Sorted`] (the
-//! default). Effects still apply in strict input order — batching is
-//! *amortization*, never reordering, so the match stream and
-//! [`EngineStats`] are byte-identical to per-edge ingestion
-//! ([`BatchMode::PerEdge`], the ablation baseline):
+//! apply a whole batch per call. Effects still apply in strict input
+//! order — batching is *amortization*, never reordering, so the match
+//! stream and [`EngineStats`] are byte-identical to folding
+//! [`TimingEngine::try_insert`] / [`TimingEngine::advance`] over the same
+//! edges (the reference the batch tests compare against):
 //!
 //! * **One admission pass.** The whole batch is validated against the
 //!   watermark boundary up front, stopping at the first rejection; the
@@ -34,10 +48,10 @@
 //!   batch instead of once per edge.
 //! * **Run-level verdict reuse.** Within a *run* — maximal consecutive
 //!   admitted edges sharing (src, dst, signature) — a chain-join probe
-//!   under [`JoinMode::Probe`] visits the same bucket prefix with the
-//!   same endpoint bindings. The bucket cutoff already discharges every
-//!   timing constraint (a timing sequence is a chain: all stored prefix
-//!   timestamps precede σ's), so each stored prefix's verdict reduces to
+//!   visits the same bucket prefix with the same endpoint bindings. The
+//!   bucket cutoff already discharges every timing constraint (a timing
+//!   sequence is a chain: all stored prefix timestamps precede σ's), so
+//!   each stored prefix's verdict reduces to
 //!   endpoint bindings, which are *identical* across the run. The engine
 //!   caches per-prefix verdicts and replays them for later run members,
 //!   re-evaluating only bucket entries appended mid-run. Verdict
@@ -71,57 +85,12 @@ use tcs_telemetry::{EventKind, LatencyHistogram, Recorder};
 /// `TimingEngine::sig_slot`).
 type SigCandidates = ((VLabel, VLabel, ELabel), Vec<usize>);
 
-/// How the engine finds join partners in the stored items.
-///
-/// [`JoinMode::Probe`] (the default) looks up the hash bucket of the
-/// arrival's join key — O(bucket) per join instead of O(item) — and then
-/// exploits the bucket's timestamp order (`store.rs` module docs) to
-/// visit only the range that can pass the timing checks: the
-/// `last.ts < σ.ts` prefix on chain joins, and the suffix above the
-/// cross-subquery constraint floor on `L₀` joins. Keys and timestamp
-/// bounds are both prefilters: the full compatibility check still runs on
-/// every candidate, so all modes emit the *identical* match stream.
-/// [`JoinMode::ProbeAll`] visits the whole bucket (the plain keyed
-/// probing of the previous iteration — the baseline the early-exit bench
-/// gate compares against) and [`JoinMode::Scan`] keeps the original
-/// full-scan path as the reference.
-///
-/// Caveat: the identical-stream guarantee assumes exact evaluation. If
-/// [`TimingEngine::set_partial_cap`] is engaged and the cap saturates
-/// mid-join, the modes enumerate candidate pairs in different orders
-/// and therefore keep different (equally incomplete) subsets — the cap is
-/// a benchmark-harness safety valve, not part of the semantics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinMode {
-    /// Keyed hash-bucket probes with timestamp-ordered early exit
-    /// (fast path).
-    #[default]
-    Probe,
-    /// Keyed hash-bucket probes over whole buckets (early-exit ablation).
-    ProbeAll,
-    /// Full item scans (reference baseline).
-    Scan,
-}
-
-/// How [`TimingEngine::insert_batch`] applies a batch (see the module
-/// docs). Both modes emit byte-identical match streams and stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchMode {
-    /// Edge-at-a-time: each arrival runs the full per-edge path (the
-    /// ablation baseline the batch bench gate compares against).
-    PerEdge,
-    /// Batch-at-a-time (default): whole-batch admission, per-signature
-    /// candidate caching and run-level probe-verdict reuse.
-    #[default]
-    Sorted,
-}
-
 /// One cached chain-join probe verdict, aligned with the bucket's live
 /// iteration order. `Accept` carries everything a replay needs (the
 /// stored join key depends only on endpoint bindings, which are constant
 /// across a run); `Retest` marks entries whose verdict is not known to be
-/// binding-only (defensive — unreachable under [`JoinMode::Probe`]'s
-/// cutoff, but cheap insurance) and is re-evaluated on every replay.
+/// binding-only (defensive — unreachable under the probe's cutoff, but
+/// cheap insurance) and is re-evaluated on every replay.
 #[derive(Clone, Copy, Debug)]
 enum Verdict {
     Accept(Handle, JoinKey),
@@ -133,8 +102,7 @@ enum Verdict {
 /// same-(src, dst, signature) arrivals (module docs: batch ingestion).
 #[derive(Default)]
 struct ProbeCache {
-    /// Caching engaged for the current batch (Sorted mode, Probe joins,
-    /// id-stable batch).
+    /// Caching engaged for the current batch (it is id-stable).
     active: bool,
     /// Identity of the current run; any change is a run break.
     run_key: Option<(VertexId, VertexId, (VLabel, VLabel, ELabel))>,
@@ -247,7 +215,7 @@ pub struct TimingEngine<S: MatchStore> {
     /// Private live window edges (no adjacency — just id → record so
     /// stored edge ids can be resolved during joins). Only the standalone
     /// [`TimingEngine::insert`]/[`TimingEngine::expire`] path maintains
-    /// it; [`TimingEngine::insert_at`] resolves through a caller-owned
+    /// it; [`TimingEngine::insert_batch_at`] resolves through a caller-owned
     /// [`LiveEdgeView`] instead and leaves this map empty.
     live: HashMap<EdgeId, StreamEdge>,
     stats: EngineStats,
@@ -256,7 +224,6 @@ pub struct TimingEngine<S: MatchStore> {
     /// explicitly opts in; see [`TimingEngine::set_partial_cap`]).
     partial_cap: u64,
     saturated: bool,
-    join_mode: JoinMode,
     /// Reusable prefix-side assignment (cleared per candidate; avoids a
     /// heap allocation per stored prefix in the hot join path).
     scratch_prefix: PartialAssignment,
@@ -280,12 +247,10 @@ pub struct TimingEngine<S: MatchStore> {
     /// counters stay byte-identical to an oracle fed the sanitized
     /// stream.
     ingest: IngestStats,
-    /// How `insert_batch` applies a batch (module docs).
-    batch_mode: BatchMode,
     /// Maintenance fuel granted to the store per batch (`None` = fuel
     /// metering off, compactions run eagerly).
     batch_fuel: Option<u64>,
-    /// Per-run probe-verdict cache, live only inside a Sorted batch.
+    /// Per-run probe-verdict cache, live only inside a batch.
     probe_cache: ProbeCache,
     /// Columnar scratch for `propagate` (reused across arrivals).
     arena: RowArena,
@@ -331,7 +296,7 @@ struct EmissionSeam {
     /// expiry, so the map tracks the window, not the stream).
     edge_seqs: HashMap<EdgeId, u64>,
     /// Floors of the records returned by the last
-    /// [`TimingEngine::insert_at`] / [`TimingEngine::insert_batch_at`]
+    /// [`TimingEngine::insert_batch_at`]
     /// call, index-parallel to its return value.
     floors: Vec<u64>,
 }
@@ -347,7 +312,6 @@ impl<S: MatchStore> TimingEngine<S> {
             stats: EngineStats::default(),
             partial_cap: u64::MAX,
             saturated: false,
-            join_mode: JoinMode::default(),
             scratch_prefix: PartialAssignment::default(),
             scratch_sigma: PartialAssignment::default(),
             scratch_parents: Vec::new(),
@@ -355,7 +319,6 @@ impl<S: MatchStore> TimingEngine<S> {
             watermark: None,
             order_policy: OrderPolicy::default(),
             ingest: IngestStats::default(),
-            batch_mode: BatchMode::default(),
             batch_fuel: None,
             probe_cache: ProbeCache::default(),
             arena: RowArena::default(),
@@ -387,9 +350,8 @@ impl<S: MatchStore> TimingEngine<S> {
     /// readable through [`TimingEngine::last_emission_floors`]. Meant
     /// for window-sharing front-ends that fan one engine's matches out
     /// to subscribers with different registration epochs; the floors
-    /// are maintained on the [`TimingEngine::insert_at`] /
-    /// [`TimingEngine::insert_batch_at`] paths (the standalone
-    /// `insert` family is not part of the seam contract). Edges stored
+    /// are maintained on the [`TimingEngine::insert_batch_at`] path (the
+    /// standalone `insert` family is not part of the seam contract). Edges stored
     /// before arming have no arrival number and give their matches
     /// floor `0` — correctly invisible to any subscriber registered at
     /// or after the arming epoch.
@@ -408,23 +370,11 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// Emission floors of the records returned by the last
-    /// [`TimingEngine::insert_at`] / [`TimingEngine::insert_batch_at`]
+    /// [`TimingEngine::insert_batch_at`]
     /// call, index-parallel to its return value; empty while the seam
     /// is disarmed.
     pub fn last_emission_floors(&self) -> &[u64] {
         self.seam.as_ref().map_or(&[], |s| s.floors.as_slice())
-    }
-
-    /// Selects batch-at-a-time (default) or edge-at-a-time batch
-    /// application. Both emit identical streams and stats; `PerEdge`
-    /// exists as the equivalence-test oracle and bench baseline.
-    pub fn set_batch_mode(&mut self, mode: BatchMode) {
-        self.batch_mode = mode;
-    }
-
-    /// The active batch application strategy.
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
     }
 
     /// Arms per-batch maintenance fuel: every `insert_batch` /
@@ -479,24 +429,12 @@ impl<S: MatchStore> TimingEngine<S> {
         }
     }
 
-    /// Selects keyed probing (default) or the full-scan reference path.
-    /// Both emit the identical match stream; Scan exists for equivalence
-    /// tests and as the microbenchmark baseline.
-    pub fn set_join_mode(&mut self, mode: JoinMode) {
-        self.join_mode = mode;
-    }
-
     /// Selects the store's expiry compaction policy (default
     /// [`ExpiryMode::FrontDrain`]); [`ExpiryMode::EagerCompact`] keeps the
     /// compact-every-cascade behavior as the benchmark ablation baseline.
     /// Semantically invisible either way.
     pub fn set_expiry_mode(&mut self, mode: ExpiryMode) {
         self.store.set_expiry_mode(mode);
-    }
-
-    /// The active join strategy.
-    pub fn join_mode(&self) -> JoinMode {
-        self.join_mode
     }
 
     /// Caps the number of *live* partial matches. Beyond the cap the engine
@@ -648,7 +586,7 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// Bytes held by the partial-match store plus the private live-edge
-    /// table. Engines driven through [`TimingEngine::insert_at`] keep the
+    /// table. Engines driven through [`TimingEngine::insert_batch_at`] keep the
     /// private table empty, so this equals
     /// [`TimingEngine::store_space_bytes`] there — the shared window is
     /// accounted once by its owner, not once per query.
@@ -674,7 +612,7 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// Applies one batched window event: each step's expiries, then its
-    /// arrival run through the active [`BatchMode`]. Equivalent to folding
+    /// arrival run through the batch path. Equivalent to folding
     /// [`TimingEngine::advance`] over the per-edge events the batch was
     /// built from, but the shared window advanced once and maintenance is
     /// metered per batch (one [`TimingEngine::set_batch_fuel`] grant
@@ -689,18 +627,9 @@ impl<S: MatchStore> TimingEngine<S> {
             for e in &step.expired {
                 self.expire(e);
             }
-            match self.batch_mode {
-                BatchMode::PerEdge => {
-                    for &a in &step.arrivals {
-                        out.extend(self.insert(a));
-                    }
-                }
-                BatchMode::Sorted => {
-                    out.extend(self.insert_batch_sorted(&step.arrivals).unwrap_or_else(|err| {
-                        panic!("TimingEngine::advance_batch fed invalid input: {err}")
-                    }));
-                }
-            }
+            out.extend(self.insert_batch_body(&step.arrivals).unwrap_or_else(|err| {
+                panic!("TimingEngine::advance_batch fed invalid input: {err}")
+            }));
         }
         #[cfg(feature = "debug-audit")]
         self.debug_audit("end-of-batch");
@@ -791,7 +720,7 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Algorithm 1: processes an arrival; returns new complete matches.
     ///
     /// Standalone form: maintains the engine's private live-edge table and
-    /// shares its body with [`TimingEngine::insert_at`]. Edges matching no
+    /// shares its body with [`TimingEngine::insert_batch_at`]. Edges matching no
     /// query edge are discarded without ever entering the table. Panics on
     /// invalid input ([`IngestError`]) — callers that must survive a
     /// misbehaving source use [`TimingEngine::try_insert`] instead.
@@ -824,26 +753,16 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Applies a whole batch of arrivals, stopping at the first rejected
     /// arrival (matches emitted before the failure are lost to the caller
     /// but remain live in the store — the error names the offending edge,
-    /// so resuming past it is well-defined). Under [`BatchMode::Sorted`]
-    /// (default) the batch path amortizes admission, candidate lookup and
-    /// probe verdicts across the batch (module docs); under
-    /// [`BatchMode::PerEdge`] each edge runs the full per-edge path. Both
-    /// modes produce byte-identical streams, stats and store contents.
+    /// so resuming past it is well-defined). Admission, candidate lookup
+    /// and probe verdicts are amortized across the batch (module docs);
+    /// streams, stats and store contents are byte-identical to folding
+    /// [`TimingEngine::try_insert`] over it.
     pub fn insert_batch(&mut self, batch: &[StreamEdge]) -> Result<Vec<MatchRecord>, IngestError> {
         let debt = self.debt_watch();
         self.refuel_batch();
-        let result = match self.batch_mode {
-            BatchMode::PerEdge => {
-                let mut out = Vec::new();
-                for &e in batch {
-                    out.extend(self.try_insert(e)?);
-                }
-                Ok(out)
-            }
-            BatchMode::Sorted => self.insert_batch_sorted(batch),
-        };
-        // End-of-batch boundary sweep (a rejected batch returns above
-        // with the engine untouched past the offending arrival).
+        let result = self.insert_batch_body(batch);
+        // End-of-batch boundary sweep (a rejected batch leaves the engine
+        // untouched past the offending arrival).
         #[cfg(feature = "debug-audit")]
         if result.is_ok() {
             self.debug_audit("end-of-batch");
@@ -852,43 +771,40 @@ impl<S: MatchStore> TimingEngine<S> {
         result
     }
 
-    /// The Sorted batch body: one admission pass over the whole batch,
-    /// then in-order processing of the admitted prefix with candidate and
-    /// probe-verdict caching. Returns the first rejection *after*
-    /// processing the edges admitted before it, leaving the engine in
-    /// exactly the state the per-edge path would.
-    fn insert_batch_sorted(
-        &mut self,
-        batch: &[StreamEdge],
-    ) -> Result<Vec<MatchRecord>, IngestError> {
+    /// One admission pass over a whole batch: the admitted (possibly
+    /// clamped) arrivals up to the first rejection, and that rejection.
+    /// Admission touches only the watermark and ingest counters, so
+    /// running it ahead of processing is invisible to join semantics.
+    fn admit_batch(&mut self, batch: &[StreamEdge]) -> (Vec<StreamEdge>, Option<IngestError>) {
         let mut admitted: Vec<StreamEdge> = Vec::with_capacity(batch.len());
-        let mut failure: Option<IngestError> = None;
         for &e in batch {
             let mut sigma = e;
             match self.admit(&mut sigma) {
                 Ok(true) => admitted.push(sigma),
                 Ok(false) => {}
-                Err(err) => {
-                    failure = Some(err);
-                    break;
-                }
+                Err(err) => return (admitted, Some(err)),
             }
         }
+        (admitted, None)
+    }
+
+    /// The batch body: one admission pass over the whole batch, then
+    /// in-order processing of the admitted prefix with candidate and
+    /// probe-verdict caching. Returns the first rejection *after*
+    /// processing the edges admitted before it, leaving the engine in
+    /// exactly the state the per-edge path would.
+    fn insert_batch_body(&mut self, batch: &[StreamEdge]) -> Result<Vec<MatchRecord>, IngestError> {
+        let (admitted, failure) = self.admit_batch(batch);
         // Verdict reuse requires id-stability (module docs): a duplicate
         // edge id — against the live table or within the batch — could
         // flip a binding verdict between run members, so such a batch
         // runs uncached (it is invalid input anyway; this keeps even the
-        // failure behavior byte-identical to per-edge ingestion).
-        let mut cache_ok = self.join_mode == JoinMode::Probe;
-        if cache_ok {
+        // failure behavior byte-identical to per-edge ingestion). A lone
+        // arrival has no run to replay verdicts across.
+        let cache_ok = admitted.len() > 1 && {
             let mut ids: HashSet<EdgeId> = HashSet::with_capacity(admitted.len());
-            for e in &admitted {
-                if self.live.contains_key(&e.id) || !ids.insert(e.id) {
-                    cache_ok = false;
-                    break;
-                }
-            }
-        }
+            admitted.iter().all(|e| !self.live.contains_key(&e.id) && ids.insert(e.id))
+        };
         // Per-batch signature → candidate-list cache: the plan lookup and
         // its defensive copy happen once per distinct signature.
         let mut sigs: Vec<SigCandidates> = Vec::new();
@@ -942,50 +858,21 @@ impl<S: MatchStore> TimingEngine<S> {
         }
     }
 
-    /// Algorithm 1 against an externally owned window: processes an
-    /// arrival, resolving every stored edge id through `live`. The caller
-    /// must have admitted `sigma` to `live` already (the multi-query
-    /// front-end admits each arrival to the shared snapshot once, then
-    /// routes it to every engine whose plan can react). The engine's
-    /// private table is neither read nor written on this path.
+    /// Algorithm 1 against an externally owned window: applies a routed
+    /// sub-batch, resolving every stored edge id through `live` and
+    /// stopping at the first rejection exactly like
+    /// [`TimingEngine::insert_batch`]. The caller must have admitted every
+    /// batch edge to `live` already (the multi-query front-end admits each
+    /// arrival to the shared snapshot once, then routes it to every engine
+    /// whose plan can react) and guarantees stream-wide id uniqueness (its
+    /// [`IngestGate`](crate::ingest::IngestGate) enforces both), so the
+    /// verdict cache only re-checks batch-internal duplicates. The
+    /// engine's private table is neither read nor written on this path.
     ///
     /// The boundary check runs here too: a front-end that pre-sanitizes
-    /// its stream (an [`IngestGate`](crate::ingest::IngestGate)) never
-    /// trips it — routed substreams of a nondecreasing stream are
-    /// nondecreasing — so the check is a pure guard against owner bugs.
-    pub fn insert_at<L: LiveEdgeView>(
-        &mut self,
-        sigma: StreamEdge,
-        live: &L,
-    ) -> Result<Vec<MatchRecord>, IngestError> {
-        if let Some(seam) = &mut self.seam {
-            seam.floors.clear();
-        }
-        self.insert_at_unfloored(sigma, live)
-    }
-
-    /// [`TimingEngine::insert_at`] without resetting the emission-floor
-    /// buffer — the batch path calls this per edge so the floors of the
-    /// whole batch stay index-parallel to its accumulated records.
-    fn insert_at_unfloored<L: LiveEdgeView>(
-        &mut self,
-        mut sigma: StreamEdge,
-        live: &L,
-    ) -> Result<Vec<MatchRecord>, IngestError> {
-        if !self.admit(&mut sigma)? {
-            return Ok(Vec::new());
-        }
-        let candidates: Vec<usize> = self.plan.candidates(sigma.signature()).to_vec();
-        Ok(self.insert_candidates(sigma, live, &candidates))
-    }
-
-    /// Batch form of [`TimingEngine::insert_at`]: applies a routed
-    /// sub-batch against the externally owned window, stopping at the
-    /// first rejection exactly like [`TimingEngine::insert_batch`]. The
-    /// caller must have admitted every batch edge to `live` already and
-    /// guarantees stream-wide id uniqueness (the multi-query front-end's
-    /// [`IngestGate`](crate::ingest::IngestGate) enforces both), so the
-    /// verdict cache only re-checks batch-internal duplicates.
+    /// its stream never trips it — routed substreams of a nondecreasing
+    /// stream are nondecreasing — so the check is a pure guard against
+    /// owner bugs.
     pub fn insert_batch_at<L: LiveEdgeView>(
         &mut self,
         batch: &[StreamEdge],
@@ -996,48 +883,25 @@ impl<S: MatchStore> TimingEngine<S> {
         if let Some(seam) = &mut self.seam {
             seam.floors.clear();
         }
-        let result = match self.batch_mode {
-            BatchMode::PerEdge => {
-                let mut out = Vec::new();
-                for &e in batch {
-                    out.extend(self.insert_at_unfloored(e, live)?);
-                }
-                Ok(out)
-            }
-            BatchMode::Sorted => {
-                let mut admitted: Vec<StreamEdge> = Vec::with_capacity(batch.len());
-                let mut failure: Option<IngestError> = None;
-                for &e in batch {
-                    let mut sigma = e;
-                    match self.admit(&mut sigma) {
-                        Ok(true) => admitted.push(sigma),
-                        Ok(false) => {}
-                        Err(err) => {
-                            failure = Some(err);
-                            break;
-                        }
-                    }
-                }
-                let mut cache_ok = self.join_mode == JoinMode::Probe;
-                if cache_ok {
-                    let mut ids: HashSet<EdgeId> = HashSet::with_capacity(admitted.len());
-                    cache_ok = admitted.iter().all(|e| ids.insert(e.id));
-                }
-                let mut sigs: Vec<SigCandidates> = Vec::new();
-                let mut out = Vec::new();
-                self.probe_cache.active = cache_ok;
-                for &sigma in &admitted {
-                    let ci = Self::sig_slot(&mut sigs, &self.plan, sigma.signature());
-                    self.note_run(&sigma, sigs[ci].0);
-                    let candidates = &sigs[ci].1;
-                    out.extend(self.insert_candidates(sigma, live, candidates));
-                }
-                self.probe_cache.deactivate();
-                match failure {
-                    Some(err) => Err(err),
-                    None => Ok(out),
-                }
-            }
+        let (admitted, failure) = self.admit_batch(batch);
+        // As in `insert_batch`, minus the live-table check.
+        let cache_ok = admitted.len() > 1 && {
+            let mut ids: HashSet<EdgeId> = HashSet::with_capacity(admitted.len());
+            admitted.iter().all(|e| ids.insert(e.id))
+        };
+        let mut sigs: Vec<SigCandidates> = Vec::new();
+        let mut out = Vec::new();
+        self.probe_cache.active = cache_ok;
+        for &sigma in &admitted {
+            let ci = Self::sig_slot(&mut sigs, &self.plan, sigma.signature());
+            self.note_run(&sigma, sigs[ci].0);
+            let candidates = &sigs[ci].1;
+            out.extend(self.insert_candidates(sigma, live, candidates));
+        }
+        self.probe_cache.deactivate();
+        let result = match failure {
+            Some(err) => Err(err),
+            None => Ok(out),
         };
         #[cfg(feature = "debug-audit")]
         if result.is_ok() {
@@ -1166,10 +1030,9 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Finds the handles in `L^{j-1}_i` whose partial match `σ` extends,
     /// paired with the join key the extended (level-`j`) match must be
     /// stored under, appended to `parents` (the engine's reusable scratch
-    /// buffer — the whole probe path is allocation-free per arrival). In
-    /// [`JoinMode::Probe`] only the bucket of σ's endpoint bindings is
-    /// visited; the timing and full compatibility checks run either way
-    /// (the key is a prefilter).
+    /// buffer — the whole probe path is allocation-free per arrival).
+    /// Only the bucket of σ's endpoint bindings is visited; the timing and
+    /// full compatibility checks still run (the key is a prefilter).
     fn join_sub_prefixes<L: LiveEdgeView>(
         &mut self,
         i: usize,
@@ -1187,7 +1050,7 @@ impl<S: MatchStore> TimingEngine<S> {
         // visit sequence for an earlier run member is an exact prefix of a
         // later member's (append-only mid-run, monotone cutoff), so cached
         // verdicts align slot-for-slot with the entries visited here.
-        let caching = self.probe_cache.active && self.join_mode == JoinMode::Probe;
+        let caching = self.probe_cache.active;
         let mut verdicts = if caching { self.probe_cache.take_for(qe) } else { Vec::new() };
         {
             let plan = &self.plan;
@@ -1212,9 +1075,9 @@ impl<S: MatchStore> TimingEngine<S> {
                 // verdict when it is binding-only and thus run-stable.
                 let fresh = caching && slot >= verdicts.len();
                 // Timing chain: the prefix's last (newest) edge must
-                // precede σ. In Probe mode the store already cut the
-                // bucket at σ.ts (ordered-bucket invariant), so this is a
-                // no-op there; ProbeAll/Scan filter per candidate.
+                // precede σ. The store already cut the bucket at σ.ts
+                // (ordered-bucket invariant), so this only guards against
+                // a store that over-delivers.
                 let last_edge = resolve(live, edges[j - 1]);
                 if last_edge.ts >= sigma.ts {
                     if fresh {
@@ -1250,7 +1113,7 @@ impl<S: MatchStore> TimingEngine<S> {
                         }
                     }
                     // Timing depends on σ.ts, which varies within a run:
-                    // never cached (unreachable under Probe's cutoff, but
+                    // never cached (unreachable under the probe's cutoff, but
                     // the defensive arm keeps the cache sound even if a
                     // store over-delivers).
                     Compat::TimingViolation => {
@@ -1260,19 +1123,10 @@ impl<S: MatchStore> TimingEngine<S> {
                     }
                 }
             };
-            match self.join_mode {
-                JoinMode::Probe => {
-                    // Binary-search the bucket for the `last.ts < σ.ts`
-                    // cutoff and iterate only the valid prefix.
-                    let probe = plan.chain_probe_key(i, j, sigma);
-                    self.store.for_each_sub_keyed_before(i, j - 1, probe, sigma.ts.0, &mut visit);
-                }
-                JoinMode::ProbeAll => {
-                    let probe = plan.chain_probe_key(i, j, sigma);
-                    self.store.for_each_sub_keyed(i, j - 1, probe, &mut visit);
-                }
-                JoinMode::Scan => self.store.for_each_sub(i, j - 1, &mut visit),
-            }
+            // Binary-search the bucket for the `last.ts < σ.ts` cutoff and
+            // iterate only the valid prefix.
+            let probe = plan.chain_probe_key(i, j, sigma);
+            self.store.for_each_sub_keyed_before(i, j - 1, probe, sigma.ts.0, &mut visit);
         }
         if caching {
             self.probe_cache.put_back(qe, verdicts);
@@ -1282,13 +1136,12 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// Algorithm 1 lines 11–24: joins fresh complete matches of subquery
-    /// `i` through the `L₀` chain, reporting complete query matches. In
-    /// [`JoinMode::Probe`] every `L₀`/leaf read is a keyed bucket probe
-    /// instead of a full item scan, restricted by binary search to the
-    /// timestamp range that can satisfy the cross-subquery ≺ constraints —
-    /// rows outside it are skipped *before* their merged assignment is
-    /// built. `now` is the triggering arrival's timestamp (every `L₀` row
-    /// created here completes at `now`).
+    /// `i` through the `L₀` chain, reporting complete query matches.
+    /// Every `L₀`/leaf read is a keyed bucket probe, restricted by binary
+    /// search to the timestamp range that can satisfy the cross-subquery ≺
+    /// constraints — rows outside it are skipped *before* their merged
+    /// assignment is built. `now` is the triggering arrival's timestamp
+    /// (every `L₀` row created here completes at `now`).
     fn propagate<L: LiveEdgeView>(
         &mut self,
         i: usize,
@@ -1336,47 +1189,25 @@ impl<S: MatchStore> TimingEngine<S> {
             self.stats.join_ops += 1;
             cur = i;
             entries = Vec::new();
-            match self.join_mode {
-                JoinMode::Scan => {
-                    let rows = self.read_l0_rows_arena(i - 1, live, &mut arena);
-                    'outer: for &row in &rows {
-                        for &d in &delta_rows {
-                            if self.spans_compatible(&arena, row, d) {
-                                if self.cap_reached() {
-                                    break 'outer;
-                                }
-                                self.push_l0_entry(i, row, d, now, &mut arena, &mut entries);
-                            }
+            // Probe Ω(L₀^{i-1}) by Δ's shared-vertex bindings (Δ spans
+            // hold subquery i's edges in level order, so level ↦ span
+            // offset directly).
+            'outer: for &d in &delta_rows {
+                let key = self.plan.l0_delta_key(i, |lvl| {
+                    let e = arena.edges[d.e0 as usize + lvl].1;
+                    (e.src, e.dst)
+                });
+                // Rows below the constraint floor cannot join Δ; the
+                // keyed read binary-searches past them.
+                let min_ts =
+                    self.plan.l0_row_ts_floor(i, |lvl| arena.edges[d.e0 as usize + lvl].1.ts.0);
+                let rows = self.read_l0_rows_keyed_arena(i - 1, key, min_ts, live, &mut arena);
+                for &row in &rows {
+                    if self.spans_compatible(&arena, row, d) {
+                        if self.cap_reached() {
+                            break 'outer;
                         }
-                    }
-                }
-                JoinMode::Probe | JoinMode::ProbeAll => {
-                    // Probe Ω(L₀^{i-1}) by Δ's shared-vertex bindings
-                    // (Δ spans hold subquery i's edges in level order, so
-                    // level ↦ span offset directly).
-                    'outer: for &d in &delta_rows {
-                        let key = self.plan.l0_delta_key(i, |lvl| {
-                            let e = arena.edges[d.e0 as usize + lvl].1;
-                            (e.src, e.dst)
-                        });
-                        // Rows below the constraint floor cannot join Δ;
-                        // the keyed read binary-searches past them.
-                        let min_ts = if self.join_mode == JoinMode::Probe {
-                            self.plan
-                                .l0_row_ts_floor(i, |lvl| arena.edges[d.e0 as usize + lvl].1.ts.0)
-                        } else {
-                            0
-                        };
-                        let rows =
-                            self.read_l0_rows_keyed_arena(i - 1, key, min_ts, live, &mut arena);
-                        for &row in &rows {
-                            if self.spans_compatible(&arena, row, d) {
-                                if self.cap_reached() {
-                                    break 'outer;
-                                }
-                                self.push_l0_entry(i, row, d, now, &mut arena, &mut entries);
-                            }
-                        }
+                        self.push_l0_entry(i, row, d, now, &mut arena, &mut entries);
                     }
                 }
             }
@@ -1386,47 +1217,25 @@ impl<S: MatchStore> TimingEngine<S> {
             let next_sub = cur + 1;
             self.stats.join_ops += 1;
             let mut next = Vec::new();
-            match self.join_mode {
-                JoinMode::Scan => {
-                    let leaves = self.read_leaves_arena(next_sub, live, &mut arena);
-                    'outer2: for &row in &entries {
-                        for &leaf in &leaves {
-                            if self.spans_compatible(&arena, row, leaf) {
-                                if self.cap_reached() {
-                                    break 'outer2;
-                                }
-                                self.push_l0_entry(next_sub, row, leaf, now, &mut arena, &mut next);
-                            }
+            // Probe subquery `next_sub`'s leaves by each row's
+            // shared-vertex bindings.
+            'outer2: for &row in &entries {
+                let key = self.plan.l0_row_key(next_sub, |sub, lvl| {
+                    let e = Self::span_edge_of(&self.plan, &arena, row, sub, lvl);
+                    (e.src, e.dst)
+                });
+                // Leaves below the row's constraint floor cannot join;
+                // skip them before expanding assignments.
+                let min_ts = self.plan.leaf_ts_floor(next_sub, |sub, lvl| {
+                    Self::span_edge_of(&self.plan, &arena, row, sub, lvl).ts.0
+                });
+                let leaves = self.read_leaves_keyed_arena(next_sub, key, min_ts, live, &mut arena);
+                for &leaf in &leaves {
+                    if self.spans_compatible(&arena, row, leaf) {
+                        if self.cap_reached() {
+                            break 'outer2;
                         }
-                    }
-                }
-                JoinMode::Probe | JoinMode::ProbeAll => {
-                    // Probe subquery `next_sub`'s leaves by each row's
-                    // shared-vertex bindings.
-                    'outer3: for &row in &entries {
-                        let key = self.plan.l0_row_key(next_sub, |sub, lvl| {
-                            let e = Self::span_edge_of(&self.plan, &arena, row, sub, lvl);
-                            (e.src, e.dst)
-                        });
-                        // Leaves below the row's constraint floor cannot
-                        // join; skip them before expanding assignments.
-                        let min_ts = if self.join_mode == JoinMode::Probe {
-                            self.plan.leaf_ts_floor(next_sub, |sub, lvl| {
-                                Self::span_edge_of(&self.plan, &arena, row, sub, lvl).ts.0
-                            })
-                        } else {
-                            0
-                        };
-                        let leaves =
-                            self.read_leaves_keyed_arena(next_sub, key, min_ts, live, &mut arena);
-                        for &leaf in &leaves {
-                            if self.spans_compatible(&arena, row, leaf) {
-                                if self.cap_reached() {
-                                    break 'outer3;
-                                }
-                                self.push_l0_entry(next_sub, row, leaf, now, &mut arena, &mut next);
-                            }
-                        }
+                        self.push_l0_entry(next_sub, row, leaf, now, &mut arena, &mut next);
                     }
                 }
             }
@@ -1503,34 +1312,11 @@ impl<S: MatchStore> TimingEngine<S> {
         entries.push(ArenaRow { h: nh, e0, e1, c0, c1: arena.comps.len() as u32 });
     }
 
-    /// Reads `Ω(L₀^m)` into arena spans; `m == 0` is the aliased
-    /// `Ω(Q^1)` (subquery-0 leaves).
-    fn read_l0_rows_arena<L: LiveEdgeView>(
-        &self,
-        m: usize,
-        live: &L,
-        arena: &mut RowArena,
-    ) -> Vec<ArenaRow> {
-        if m == 0 {
-            return self.read_leaves_arena(0, live, arena);
-        }
-        let mut rows: Vec<ArenaRow> = Vec::new();
-        {
-            let comps_col = &mut arena.comps;
-            self.store.for_each_l0(m, &mut |h, comps| {
-                let c0 = comps_col.len() as u32;
-                comps_col.extend_from_slice(comps);
-                rows.push(ArenaRow { h, e0: 0, e1: 0, c0, c1: comps_col.len() as u32 });
-            });
-        }
-        self.expand_row_spans(&mut rows, live, arena);
-        rows
-    }
-
-    /// Keyed counterpart of [`TimingEngine::read_l0_rows_arena`]: only the
-    /// rows filed under `key` with completion timestamp `≥ min_ts` — rows
-    /// below the floor are skipped by binary search *before* any merged
-    /// assignment is built (`min_ts == 0` reads the whole bucket).
+    /// Reads `Ω(L₀^m)` into arena spans (`m == 0` is the aliased `Ω(Q^1)`,
+    /// subquery 0's leaves): only the rows filed under `key` with
+    /// completion timestamp `≥ min_ts` — rows below the floor are skipped
+    /// by binary search *before* any merged assignment is built
+    /// (`min_ts == 0` reads the whole bucket).
     fn read_l0_rows_keyed_arena<L: LiveEdgeView>(
         &self,
         m: usize,
@@ -1575,38 +1361,9 @@ impl<S: MatchStore> TimingEngine<S> {
         }
     }
 
-    /// Reads the complete matches of subquery `sub` into arena spans.
-    fn read_leaves_arena<L: LiveEdgeView>(
-        &self,
-        sub: usize,
-        live: &L,
-        arena: &mut RowArena,
-    ) -> Vec<ArenaRow> {
-        let seq = &self.plan.subs[sub].seq;
-        let last = seq.len() - 1;
-        let mut rows = Vec::new();
-        let edges_col = &mut arena.edges;
-        let comps_col = &mut arena.comps;
-        self.store.for_each_sub(sub, last, &mut |h, ids| {
-            let e0 = edges_col.len() as u32;
-            edges_col
-                .extend(ids.iter().enumerate().map(|(lvl, &id)| (seq[lvl], resolve(live, id))));
-            let c0 = comps_col.len() as u32;
-            comps_col.push(h);
-            rows.push(ArenaRow {
-                h,
-                e0,
-                e1: edges_col.len() as u32,
-                c0,
-                c1: comps_col.len() as u32,
-            });
-        });
-        rows
-    }
-
-    /// Keyed counterpart of [`TimingEngine::read_leaves_arena`]: only
-    /// leaves with completion timestamp `≥ min_ts` (binary-searched; `0`
-    /// reads the whole bucket).
+    /// Reads the complete matches of subquery `sub` filed under `key` into
+    /// arena spans: only leaves with completion timestamp `≥ min_ts`
+    /// (binary-searched; `0` reads the whole bucket).
     fn read_leaves_keyed_arena<L: LiveEdgeView>(
         &self,
         sub: usize,
@@ -1720,6 +1477,10 @@ mod tests {
             out_ms.extend(ms.advance(&w1.advance(e)));
             out_ind.extend(ind.advance(&w2.advance(e)));
         }
+        // The balanced insert/delete counters equal the stores' actual
+        // row counts at every point; spot-check the end.
+        assert_eq!(ms.live_partials(), ms.store_rows());
+        assert_eq!(ind.live_partials(), ind.store_rows());
         out_ms.sort();
         out_ind.sort();
         (out_ms, out_ind)
@@ -1888,81 +1649,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn probe_and_scan_modes_are_equivalent() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        // The keyed index must be semantically invisible: identical match
-        // streams AND identical partial-match/emission counters on random
-        // streams, for both stores, with and without timing orders.
-        for seed in 0..4u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-            let edges: Vec<StreamEdge> = (0..300)
-                .map(|i| {
-                    let src = rng.gen_range(0..6u32);
-                    let mut dst = rng.gen_range(0..6u32);
-                    while dst == src {
-                        dst = rng.gen_range(0..6u32);
-                    }
-                    StreamEdge::new(i, src, (src % 3) as u16, dst, (dst % 3) as u16, 0, i + 1)
-                })
-                .collect();
-            for pairs in [vec![], vec![(0, 1)], vec![(1, 0)]] {
-                let q = QueryGraph::new(
-                    vec![VLabel(0), VLabel(1), VLabel(2)],
-                    vec![
-                        QueryEdge { src: 0, dst: 1, label: ELabel::NONE },
-                        QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
-                    ],
-                    &pairs,
-                )
-                .unwrap();
-                let mut probe: TimingEngine<MsTreeStore> = mk(q.clone());
-                let mut probe_all: TimingEngine<MsTreeStore> = mk(q.clone());
-                probe_all.set_join_mode(JoinMode::ProbeAll);
-                let mut scan: TimingEngine<MsTreeStore> = mk(q.clone());
-                scan.set_join_mode(JoinMode::Scan);
-                let mut ind_probe: TimingEngine<IndependentStore> = mk(q.clone());
-                let mut ind_scan: TimingEngine<IndependentStore> = mk(q);
-                ind_scan.set_join_mode(JoinMode::Scan);
-                let mut ws = [
-                    SlidingWindow::new(50),
-                    SlidingWindow::new(50),
-                    SlidingWindow::new(50),
-                    SlidingWindow::new(50),
-                    SlidingWindow::new(50),
-                ];
-                for &e in &edges {
-                    let mut a = probe.advance(&ws[0].advance(e));
-                    let mut b = scan.advance(&ws[1].advance(e));
-                    let mut c = ind_probe.advance(&ws[2].advance(e));
-                    let mut d = ind_scan.advance(&ws[3].advance(e));
-                    let mut pa = probe_all.advance(&ws[4].advance(e));
-                    a.sort();
-                    b.sort();
-                    c.sort();
-                    d.sort();
-                    pa.sort();
-                    assert_eq!(a, b, "seed {seed} pairs {pairs:?} (mstree)");
-                    assert_eq!(a, pa, "seed {seed} pairs {pairs:?} (mstree probe-all)");
-                    assert_eq!(c, d, "seed {seed} pairs {pairs:?} (independent)");
-                    assert_eq!(a, c, "seed {seed} pairs {pairs:?} (cross-store)");
-                }
-                assert_eq!(probe.stats(), scan.stats(), "seed {seed} pairs {pairs:?}");
-                assert_eq!(probe.stats(), probe_all.stats(), "seed {seed} pairs {pairs:?}");
-                assert_eq!(ind_probe.stats(), ind_scan.stats(), "seed {seed} pairs {pairs:?}");
-                assert_eq!(probe.stats().matches_emitted, ind_probe.stats().matches_emitted);
-                // The balanced insert/delete counters equal the stores'
-                // actual row counts at every point; spot-check the end.
-                assert_eq!(probe.live_partials(), probe.store_rows());
-                assert_eq!(ind_probe.live_partials(), ind_probe.store_rows());
-            }
-        }
-    }
-
-    /// The skew query of the early-exit bench: `Q¹ = {ε0: a→b ≺ ε1: b→c}`,
-    /// `Q² = {ε2: d→a ≺ ε3: d→e}`, cross constraint `ε2 ≺ ε1` — the shape
-    /// whose `L₀` probes carry a nonzero timestamp floor.
+    /// `Q¹ = {ε0: a→b ≺ ε1: b→c}`, `Q² = {ε2: d→a ≺ ε3: d→e}`, cross
+    /// constraint `ε2 ≺ ε1` — the shape whose `L₀` probes carry a nonzero
+    /// timestamp floor (`tests/oracle_equivalence.rs` runs it against the
+    /// oracle).
     fn cross_constraint_query() -> QueryGraph {
         QueryGraph::new(
             vec![VLabel(0), VLabel(1), VLabel(2), VLabel(3), VLabel(4)],
@@ -1989,59 +1679,6 @@ mod tests {
         assert_eq!(plan.l0_row_ts_floor(1, |lvl| [7, 9][lvl]), 8);
         assert!(plan.leaf_floor_positions[1].is_empty());
         assert_eq!(plan.leaf_ts_floor(1, |_, _| unreachable!("no positions")), 0);
-    }
-
-    #[test]
-    fn floor_skipping_is_invisible_under_cross_constraints() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        // Random streams against the cross-constraint query: the Probe
-        // mode's nonzero L₀ floor must not change the match stream or any
-        // counter vs ProbeAll (no floor) and Scan (no keys at all), on
-        // both stores, through window expiry.
-        let q = cross_constraint_query();
-        for seed in 0..4u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
-            let edges: Vec<StreamEdge> = (0..300)
-                .map(|i| {
-                    let src = rng.gen_range(0..10u32);
-                    let mut dst = rng.gen_range(0..10u32);
-                    while dst == src {
-                        dst = rng.gen_range(0..10u32);
-                    }
-                    StreamEdge::new(i, src, (src % 5) as u16, dst, (dst % 5) as u16, 0, i + 1)
-                })
-                .collect();
-            let mut probe: TimingEngine<MsTreeStore> = mk(q.clone());
-            let mut probe_all: TimingEngine<MsTreeStore> = mk(q.clone());
-            probe_all.set_join_mode(JoinMode::ProbeAll);
-            let mut scan: TimingEngine<MsTreeStore> = mk(q.clone());
-            scan.set_join_mode(JoinMode::Scan);
-            let mut ind_probe: TimingEngine<IndependentStore> = mk(q.clone());
-            let mut ws = [
-                SlidingWindow::new(80),
-                SlidingWindow::new(80),
-                SlidingWindow::new(80),
-                SlidingWindow::new(80),
-            ];
-            for &e in &edges {
-                let mut a = probe.advance(&ws[0].advance(e));
-                let mut b = probe_all.advance(&ws[1].advance(e));
-                let mut c = scan.advance(&ws[2].advance(e));
-                let mut d = ind_probe.advance(&ws[3].advance(e));
-                a.sort();
-                b.sort();
-                c.sort();
-                d.sort();
-                assert_eq!(a, b, "seed {seed} (probe vs probe-all)");
-                assert_eq!(b, c, "seed {seed} (probe-all vs scan)");
-                assert_eq!(a, d, "seed {seed} (cross-store)");
-            }
-            assert_eq!(probe.stats(), probe_all.stats(), "seed {seed}");
-            assert_eq!(probe.stats(), scan.stats(), "seed {seed}");
-            assert_eq!(probe.live_partials(), probe.store_rows(), "seed {seed}");
-            assert_eq!(ind_probe.live_partials(), ind_probe.store_rows(), "seed {seed}");
-        }
     }
 
     #[test]
@@ -2160,11 +1797,11 @@ mod tests {
         assert!(eng.space_bytes() <= peak);
     }
 
-    /// Random streams chunked at random batch boundaries: the Sorted batch
-    /// path must emit byte-identical match streams AND stats vs PerEdge,
-    /// for both stores, all join modes, with window expiry in play.
+    /// Random streams chunked at random batch boundaries: the batch path
+    /// must emit byte-identical match streams AND stats vs the per-edge
+    /// fold, for both stores, with window expiry in play.
     #[test]
-    fn batch_modes_are_equivalent() {
+    fn batch_path_equals_per_edge_fold() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for seed in 0..4u64 {
@@ -2191,53 +1828,39 @@ mod tests {
                     &pairs,
                 )
                 .unwrap();
-                for mode in [JoinMode::Probe, JoinMode::ProbeAll, JoinMode::Scan] {
-                    let mut per: TimingEngine<MsTreeStore> = mk(q.clone());
-                    per.set_batch_mode(BatchMode::PerEdge);
-                    per.set_join_mode(mode);
-                    let mut srt: TimingEngine<MsTreeStore> = mk(q.clone());
-                    srt.set_join_mode(mode);
-                    let mut ind_per: TimingEngine<IndependentStore> = mk(q.clone());
-                    ind_per.set_batch_mode(BatchMode::PerEdge);
-                    ind_per.set_join_mode(mode);
-                    let mut ind_srt: TimingEngine<IndependentStore> = mk(q.clone());
-                    ind_srt.set_join_mode(mode);
-                    let mut ws = [
-                        SlidingWindow::new(40),
-                        SlidingWindow::new(40),
-                        SlidingWindow::new(40),
-                        SlidingWindow::new(40),
-                    ];
-                    let mut rest = edges.as_slice();
-                    while !rest.is_empty() {
-                        let n = rng.gen_range(1..=rest.len().min(64));
-                        let (chunk, tail) = rest.split_at(n);
-                        rest = tail;
-                        let a: Vec<MatchRecord> =
-                            chunk.iter().flat_map(|&e| per.advance(&ws[0].advance(e))).collect();
-                        let b = srt.advance_batch(&ws[1].advance_batch(chunk));
-                        let c: Vec<MatchRecord> = chunk
-                            .iter()
-                            .flat_map(|&e| ind_per.advance(&ws[2].advance(e)))
-                            .collect();
-                        let d = ind_srt.advance_batch(&ws[3].advance_batch(chunk));
-                        // Byte-identical per store; set-identical across
-                        // stores (their scan orders legitimately differ).
-                        assert_eq!(a, b, "seed {seed} pairs {pairs:?} mode {mode:?}");
-                        assert_eq!(c, d, "seed {seed} pairs {pairs:?} mode {mode:?} (ind)");
-                        let (mut sa, mut sc) = (a, c);
-                        sa.sort();
-                        sc.sort();
-                        assert_eq!(sa, sc, "seed {seed} pairs {pairs:?} {mode:?} (cross)");
-                    }
-                    assert_eq!(per.stats(), srt.stats(), "seed {seed} pairs {pairs:?} {mode:?}");
-                    assert_eq!(
-                        ind_per.stats(),
-                        ind_srt.stats(),
-                        "seed {seed} pairs {pairs:?} {mode:?} (ind)"
-                    );
-                    assert_eq!(per.ingest_stats(), srt.ingest_stats());
+                let mut per: TimingEngine<MsTreeStore> = mk(q.clone());
+                let mut bat: TimingEngine<MsTreeStore> = mk(q.clone());
+                let mut ind_per: TimingEngine<IndependentStore> = mk(q.clone());
+                let mut ind_bat: TimingEngine<IndependentStore> = mk(q.clone());
+                let mut ws = [
+                    SlidingWindow::new(40),
+                    SlidingWindow::new(40),
+                    SlidingWindow::new(40),
+                    SlidingWindow::new(40),
+                ];
+                let mut rest = edges.as_slice();
+                while !rest.is_empty() {
+                    let n = rng.gen_range(1..=rest.len().min(64));
+                    let (chunk, tail) = rest.split_at(n);
+                    rest = tail;
+                    let a: Vec<MatchRecord> =
+                        chunk.iter().flat_map(|&e| per.advance(&ws[0].advance(e))).collect();
+                    let b = bat.advance_batch(&ws[1].advance_batch(chunk));
+                    let c: Vec<MatchRecord> =
+                        chunk.iter().flat_map(|&e| ind_per.advance(&ws[2].advance(e))).collect();
+                    let d = ind_bat.advance_batch(&ws[3].advance_batch(chunk));
+                    // Byte-identical per store; set-identical across
+                    // stores (their scan orders legitimately differ).
+                    assert_eq!(a, b, "seed {seed} pairs {pairs:?}");
+                    assert_eq!(c, d, "seed {seed} pairs {pairs:?} (ind)");
+                    let (mut sa, mut sc) = (a, c);
+                    sa.sort();
+                    sc.sort();
+                    assert_eq!(sa, sc, "seed {seed} pairs {pairs:?} (cross)");
                 }
+                assert_eq!(per.stats(), bat.stats(), "seed {seed} pairs {pairs:?}");
+                assert_eq!(ind_per.stats(), ind_bat.stats(), "seed {seed} pairs {pairs:?} (ind)");
+                assert_eq!(per.ingest_stats(), bat.ingest_stats());
             }
         }
     }
@@ -2249,8 +1872,11 @@ mod tests {
     fn batch_run_cache_is_invisible() {
         let q = path2_query(&[(0, 1)]);
         let mut per: TimingEngine<MsTreeStore> = mk(q.clone());
-        per.set_batch_mode(BatchMode::PerEdge);
-        let mut srt: TimingEngine<MsTreeStore> = mk(q);
+        let mut bat: TimingEngine<MsTreeStore> = mk(q);
+        // The reference: the same edges folded through the per-edge path.
+        let fold = |eng: &mut TimingEngine<MsTreeStore>, edges: &[StreamEdge]| {
+            edges.iter().flat_map(|&e| eng.try_insert(e).unwrap()).collect::<Vec<MatchRecord>>()
+        };
         let mut batch = Vec::new();
         let mut id = 0u64;
         // One a→b parent, then a run of parallel b→c arrivals that all
@@ -2267,20 +1893,20 @@ mod tests {
             id += 1;
             batch.push(StreamEdge::new(id, 11, 1, 12, 2, 0, t));
         }
-        let a = per.insert_batch(&batch).unwrap();
-        let b = srt.insert_batch(&batch).unwrap();
+        let a = fold(&mut per, &batch);
+        let b = bat.insert_batch(&batch).unwrap();
         assert_eq!(a, b);
-        assert_eq!(per.stats(), srt.stats());
+        assert_eq!(per.stats(), bat.stats());
         assert!(!a.is_empty());
         // Duplicate id within a batch: caching is disabled, results still
         // match the per-edge path exactly (the duplicate is processed
         // like any other arrival — id uniqueness is the gate's job).
         let dup =
             [StreamEdge::new(900, 11, 1, 12, 2, 0, 60), StreamEdge::new(900, 11, 1, 12, 2, 0, 60)];
-        let a2 = per.insert_batch(&dup).unwrap();
-        let b2 = srt.insert_batch(&dup).unwrap();
+        let a2 = fold(&mut per, &dup);
+        let b2 = bat.insert_batch(&dup).unwrap();
         assert_eq!(a2, b2);
-        assert_eq!(per.stats(), srt.stats());
+        assert_eq!(per.stats(), bat.stats());
     }
 
     /// Engine-level fuel: a tiny per-batch budget defers compactions
@@ -2319,7 +1945,7 @@ mod tests {
         // Disarmed engines expose no floors and pay no bookkeeping.
         let e1 = StreamEdge::new(1, 10, 0, 11, 1, 0, 1);
         live.insert(e1.id, e1);
-        assert!(eng.insert_at(e1, &live).unwrap().is_empty());
+        assert!(eng.insert_batch_at(&[e1], &live).unwrap().is_empty());
         assert!(eng.last_emission_floors().is_empty());
         assert_eq!(eng.emission_epoch(), 0);
 
@@ -2333,18 +1959,18 @@ mod tests {
         // edges predates the subscription.
         let e2 = StreamEdge::new(2, 11, 1, 12, 2, 0, 2);
         live.insert(e2.id, e2);
-        assert_eq!(eng.insert_at(e2, &live).unwrap().len(), 1);
+        assert_eq!(eng.insert_batch_at(&[e2], &live).unwrap().len(), 1);
         assert_eq!(eng.last_emission_floors(), &[0]);
         assert!(eng.last_emission_floors()[0] <= joiner_epoch);
 
         // A chain fully after the joiner's epoch floors above it.
         let e3 = StreamEdge::new(3, 20, 0, 21, 1, 0, 3);
         live.insert(e3.id, e3);
-        assert!(eng.insert_at(e3, &live).unwrap().is_empty());
+        assert!(eng.insert_batch_at(&[e3], &live).unwrap().is_empty());
         let late_epoch = eng.emission_epoch();
         let e4 = StreamEdge::new(4, 21, 1, 22, 2, 0, 4);
         live.insert(e4.id, e4);
-        assert_eq!(eng.insert_at(e4, &live).unwrap().len(), 1);
+        assert_eq!(eng.insert_batch_at(&[e4], &live).unwrap().len(), 1);
         let floors = eng.last_emission_floors();
         assert!(floors[0] > joiner_epoch, "post-subscription match is the joiner's");
         assert!(floors[0] <= late_epoch, "but not a later subscriber's: its prefix predates it");
@@ -2352,26 +1978,23 @@ mod tests {
 
     #[test]
     fn emission_floors_stay_parallel_to_batch_records() {
-        for mode in [BatchMode::Sorted, BatchMode::PerEdge] {
-            let q = path2_query(&[(0, 1)]);
-            let mut eng: TimingEngine<MsTreeStore> = mk(q);
-            eng.set_batch_mode(mode);
-            eng.arm_emission_floors();
-            let batch = [
-                StreamEdge::new(1, 10, 0, 11, 1, 0, 1),
-                StreamEdge::new(2, 11, 1, 12, 2, 0, 2),
-                StreamEdge::new(3, 20, 0, 21, 1, 0, 3),
-                StreamEdge::new(4, 21, 1, 22, 2, 0, 4),
-            ];
-            let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
-            for e in batch {
-                live.insert(e.id, e);
-            }
-            let ms = eng.insert_batch_at(&batch, &live).unwrap();
-            assert_eq!(ms.len(), 2);
-            // One floor per record, in emission order: each match floors
-            // at its opening edge's arrival number (1-based).
-            assert_eq!(eng.last_emission_floors(), &[1, 3], "mode {mode:?}");
+        let q = path2_query(&[(0, 1)]);
+        let mut eng: TimingEngine<MsTreeStore> = mk(q);
+        eng.arm_emission_floors();
+        let batch = [
+            StreamEdge::new(1, 10, 0, 11, 1, 0, 1),
+            StreamEdge::new(2, 11, 1, 12, 2, 0, 2),
+            StreamEdge::new(3, 20, 0, 21, 1, 0, 3),
+            StreamEdge::new(4, 21, 1, 22, 2, 0, 4),
+        ];
+        let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
+        for e in batch {
+            live.insert(e.id, e);
         }
+        let ms = eng.insert_batch_at(&batch, &live).unwrap();
+        assert_eq!(ms.len(), 2);
+        // One floor per record, in emission order: each match floors at
+        // its opening edge's arrival number (1-based).
+        assert_eq!(eng.last_emission_floors(), &[1, 3]);
     }
 }

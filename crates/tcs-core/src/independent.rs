@@ -610,23 +610,6 @@ impl MatchStore for IndependentStore {
         }
     }
 
-    fn for_each_sub_keyed(
-        &self,
-        sub: usize,
-        level: usize,
-        key: JoinKey,
-        f: &mut dyn FnMut(Handle, &[EdgeId]),
-    ) {
-        let item = self.sub_item_id(sub, level);
-        let Some(bucket) = self.sub_idx[sub][level].get(&key) else {
-            return;
-        };
-        for slot in bucket.live_slots() {
-            let row = self.sub_row(sub, level, slot);
-            f(encode(item, slot), &row.edges);
-        }
-    }
-
     fn for_each_sub_keyed_before(
         &self,
         sub: usize,
@@ -708,17 +691,6 @@ impl MatchStore for IndependentStore {
     fn for_each_l0(&self, i: usize, f: &mut dyn FnMut(Handle, &[Handle])) {
         let item = self.l0_item_id(i);
         for (slot, row) in self.l0[i - 1].iter() {
-            f(encode(item, slot), &row.comps);
-        }
-    }
-
-    fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(Handle, &[Handle])) {
-        let item = self.l0_item_id(i);
-        let Some(bucket) = self.l0_idx[i - 1].get(&key) else {
-            return;
-        };
-        for slot in bucket.live_slots() {
-            let row = self.l0[i - 1].get(slot).unwrap_or_else(|| unreachable!("live L0 row"));
             f(encode(item, slot), &row.comps);
         }
     }

@@ -36,7 +36,7 @@ pub mod store;
 
 pub use binding::{compat_sides, Compat};
 pub use decompose::{decompose, tc_subqueries, Decomposition, TcSubquery};
-pub use engine::{BatchMode, EngineStats, JoinMode, TimingEngine};
+pub use engine::{EngineStats, TimingEngine};
 pub use independent::IndependentStore;
 pub use ingest::{IngestError, IngestGate, IngestStats, OrderPolicy};
 pub use mstree::MsTreeStore;

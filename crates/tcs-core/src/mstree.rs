@@ -749,23 +749,6 @@ impl MatchStore for MsTreeStore {
         }
     }
 
-    fn for_each_sub_keyed(
-        &self,
-        sub: usize,
-        level: usize,
-        key: JoinKey,
-        f: &mut dyn FnMut(Handle, &[EdgeId]),
-    ) {
-        let item = self.sub_item(sub, level);
-        let Some(bucket) = self.bucket(item, key) else {
-            return;
-        };
-        let mut buf = vec![EdgeId(0); level + 1];
-        for n in bucket.live_slots() {
-            self.emit_sub_path(n, level, &mut buf, f);
-        }
-    }
-
     fn for_each_sub_keyed_before(
         &self,
         sub: usize,
@@ -823,17 +806,6 @@ impl MatchStore for MsTreeStore {
         while n != NIL {
             self.emit_l0_row(n, i, &mut comps, f);
             n = self.nodes[n as usize].next;
-        }
-    }
-
-    fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(Handle, &[Handle])) {
-        let item = self.l0_item(i);
-        let Some(bucket) = self.bucket(item, key) else {
-            return;
-        };
-        let mut comps = vec![0 as Handle; i + 1];
-        for n in bucket.live_slots() {
-            self.emit_l0_row(n, i, &mut comps, f);
         }
     }
 

@@ -539,7 +539,9 @@ pub trait MatchStore: StoreAudit {
         level: usize,
         key: JoinKey,
         f: &mut dyn FnMut(Handle, &[EdgeId]),
-    );
+    ) {
+        self.for_each_sub_keyed_from(sub, level, key, 0, f);
+    }
 
     /// Like [`MatchStore::for_each_sub_keyed`], but visits only the bucket
     /// prefix of matches strictly older than `cutoff_ts`: the bucket is
@@ -590,7 +592,9 @@ pub trait MatchStore: StoreAudit {
 
     /// Iterates only the `L₀` item-`i` rows inserted under join key `key`
     /// (keyed counterpart of [`MatchStore::for_each_l0`]).
-    fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(Handle, &[Handle]));
+    fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(Handle, &[Handle])) {
+        self.for_each_l0_keyed_from(i, key, 0, f);
+    }
 
     /// Like [`MatchStore::for_each_l0_keyed`], but visits only the bucket
     /// suffix of rows with timestamp `≥ min_ts` (binary search on the

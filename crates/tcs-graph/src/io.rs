@@ -47,6 +47,13 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Parses one integer field into the width of the id or label it becomes,
+/// so a value too large for that type is a [`ParseError::Int`] rather
+/// than a silently truncated (different) vertex or label.
+fn field<T: std::str::FromStr<Err = ParseIntError>>(s: &str, line: usize) -> Result<T, ParseError> {
+    s.parse().map_err(|source| ParseError::Int { line, source })
+}
+
 /// Serializes a stream to the line format.
 pub fn stream_to_string(edges: &[StreamEdge]) -> String {
     let mut s = String::with_capacity(edges.len() * 32);
@@ -74,17 +81,14 @@ pub fn stream_from_str(text: &str) -> Result<Vec<StreamEdge>, ParseError> {
         if fields.len() != 7 {
             return Err(ParseError::Arity { line: ln + 1, expected: 7, got: fields.len() });
         }
-        let p = |s: &str| -> Result<u64, ParseError> {
-            s.parse().map_err(|source| ParseError::Int { line: ln + 1, source })
-        };
         out.push(StreamEdge::new(
-            p(fields[0])?,
-            p(fields[1])? as u32,
-            p(fields[2])? as u16,
-            p(fields[3])? as u32,
-            p(fields[4])? as u16,
-            p(fields[5])? as u16,
-            p(fields[6])?,
+            field(fields[0], ln + 1)?,
+            field(fields[1], ln + 1)?,
+            field(fields[2], ln + 1)?,
+            field(fields[3], ln + 1)?,
+            field(fields[4], ln + 1)?,
+            field(fields[5], ln + 1)?,
+            field(fields[6], ln + 1)?,
         ));
     }
     Ok(out)
@@ -142,8 +146,7 @@ pub fn edge_stream_from_str(text: &str, n_vertex_labels: u16) -> Result<TextStre
         let src = intern(fields[0], &mut vertex_ids, &mut out.vertices) as u32;
         let dst = intern(fields[1], &mut vertex_ids, &mut out.vertices) as u32;
         let label = intern(fields[2], &mut label_ids, &mut out.edge_labels) as u16;
-        let ts: u64 =
-            fields[3].parse().map_err(|source| ParseError::Int { line: ln + 1, source })?;
+        let ts: u64 = field(fields[3], ln + 1)?;
         out.edges.push(StreamEdge::new(
             out.edges.len() as u64 + 1,
             src,
@@ -183,31 +186,28 @@ pub fn query_from_str(text: &str) -> Result<QueryGraph, ParseError> {
             continue;
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let p = |s: &str| -> Result<usize, ParseError> {
-            s.parse().map_err(|source| ParseError::Int { line: ln + 1, source })
-        };
         match fields[0] {
             "v" => {
                 if fields.len() != 3 {
                     return Err(ParseError::Arity { line: ln + 1, expected: 3, got: fields.len() });
                 }
-                labels.push((p(fields[1])?, VLabel(p(fields[2])? as u16)));
+                labels.push((field(fields[1], ln + 1)?, VLabel(field(fields[2], ln + 1)?)));
             }
             "e" => {
                 if fields.len() != 4 {
                     return Err(ParseError::Arity { line: ln + 1, expected: 4, got: fields.len() });
                 }
                 edges.push(QueryEdge {
-                    src: p(fields[1])?,
-                    dst: p(fields[2])?,
-                    label: ELabel(p(fields[3])? as u16),
+                    src: field(fields[1], ln + 1)?,
+                    dst: field(fields[2], ln + 1)?,
+                    label: ELabel(field(fields[3], ln + 1)?),
                 });
             }
             "t" => {
                 if fields.len() != 3 {
                     return Err(ParseError::Arity { line: ln + 1, expected: 3, got: fields.len() });
                 }
-                pairs.push((p(fields[1])?, p(fields[2])?));
+                pairs.push((field(fields[1], ln + 1)?, field(fields[2], ln + 1)?));
             }
             tag => {
                 return Err(ParseError::UnknownTag { line: ln + 1, tag: tag.to_string() });
@@ -289,7 +289,13 @@ mod tests {
 
     #[test]
     fn bad_int_rejected() {
-        let err = stream_from_str("a 0 0 1 0 0 1").unwrap_err();
+        // Not a number; a vertex id past u32; a vertex label past u16 —
+        // the last two must not wrap into vertex 0 / label 0.
+        for text in ["a 0 0 1 0 0 1", "1 4294967296 0 1 0 0 1"] {
+            let err = stream_from_str(text).unwrap_err();
+            assert!(matches!(err, ParseError::Int { line: 1, .. }), "{text:?}");
+        }
+        let err = query_from_str("v 0 65536").unwrap_err();
         assert!(matches!(err, ParseError::Int { line: 1, .. }));
     }
 }

@@ -6,7 +6,7 @@
 //! fingerprint into *shared templates* — one [`TimingEngine`] per
 //! distinct template, fanned out to every subscriber — and each template
 //! runs against the shared snapshot through the
-//! `insert_at`/`expire_partials` split (see the crate docs for the
+//! `insert_batch_at`/`expire_partials` split (see the crate docs for the
 //! sharing model, the dispatch-index lifecycle and registration
 //! semantics, and `tcs_core::engine` for the split itself).
 
@@ -20,8 +20,8 @@ use tcs_core::fail_point;
 use tcs_core::failpoints::sites;
 use tcs_core::store::MatchStore;
 use tcs_core::{
-    BatchMode, IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint,
-    QueryPlan, TimingEngine,
+    IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
+    TimingEngine,
 };
 use tcs_graph::{ELabel, EdgeId, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
 use tcs_telemetry::{EventKind, Recorder};
@@ -38,47 +38,6 @@ pub struct QueryId(pub u64);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct TemplateId(u64);
 
-/// How arriving/expiring edges reach the registered queries.
-///
-/// [`DispatchMode::Signature`] (the default) routes each edge through the
-/// leaf-signature dispatch index and maintains the shared snapshot —
-/// per-edge work is O(templates that can react).
-/// [`DispatchMode::Broadcast`] is the ablation baseline the speedup gate
-/// measures against: every edge is delivered to every registered engine
-/// through the standalone `insert`/`expire` path, so each engine keeps
-/// its own private window copy — exactly N independent [`TimingEngine`]s
-/// sharing nothing, the only deployment shape available before this
-/// subsystem. Template sharing requires the shared snapshot, so
-/// Broadcast mode always runs one engine per query. Both modes emit
-/// identical per-query match streams and stats (test-enforced).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Signature-routed dispatch over the shared snapshot (fast path).
-    #[default]
-    Signature,
-    /// Broadcast to all engines, private windows (N-independent-engines
-    /// ablation baseline).
-    Broadcast,
-}
-
-/// Whether registrations of fingerprint-identical plans share one
-/// engine.
-///
-/// [`ShareMode::Shared`] (the default) keys the registry by canonical
-/// [`PlanFingerprint`]: N registrations of one template cost ~one query
-/// (one engine, one store), with per-subscriber fan-out at the emission
-/// point. [`ShareMode::Private`] is the one-engine-per-query ablation —
-/// the pre-sharing deployment shape the `share_rows` gate measures
-/// against. The mode is fixed before the first registration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShareMode {
-    /// One engine per distinct canonical plan, subscriber fan-out.
-    #[default]
-    Shared,
-    /// One engine per registration (ablation baseline).
-    Private,
-}
-
 /// Per-query counters and space share reported by
 /// [`MultiQueryEngine::stats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +48,8 @@ pub struct QueryStats {
     /// same stream (from this query's registration on) would report:
     /// arrivals the dispatch index filtered out are counted as processed
     /// and discarded, because that is what the engine itself would have
-    /// done with them. Under sharing the counters are the shared
-    /// engine's deltas since this subscriber registered, with
+    /// done with them. The counters are the shared engine's deltas
+    /// since this subscriber registered, with
     /// `matches_emitted` replaced by the subscriber's own emission count
     /// (the epoch filter can withhold matches a warm engine completes).
     pub stats: EngineStats,
@@ -100,12 +59,9 @@ pub struct QueryStats {
     /// Matches delivered to *this* subscriber after epoch filtering.
     pub emitted: u64,
     /// Bytes attributable to this query alone: its template's
-    /// partial-match store in [`DispatchMode::Signature`], reported once
-    /// per template on the template's earliest live subscriber and 0 on
-    /// the others (the shared snapshot is reported once, in
-    /// [`MultiStats::snapshot_bytes`]); its store *plus* its private
-    /// window copy in [`DispatchMode::Broadcast`] — the N× duplication
-    /// dispatch mode eliminates.
+    /// partial-match store, reported once per template on the template's
+    /// earliest live subscriber and 0 on the others (the shared snapshot
+    /// is reported once, in [`MultiStats::snapshot_bytes`]).
     pub store_bytes: usize,
 }
 
@@ -113,8 +69,7 @@ pub struct QueryStats {
 /// entry per shared engine, the unit the sharing gates measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TemplateStats {
-    /// Digest of the template's canonical fingerprint (0 when sharing is
-    /// inactive and the template is a private singleton).
+    /// Digest of the template's canonical fingerprint.
     pub digest: u64,
     /// Live subscribers fanned out from this template's engine.
     pub subscribers: usize,
@@ -134,9 +89,7 @@ pub struct MultiStats {
     /// One entry per shared template, in template-creation order.
     pub templates: Vec<TemplateStats>,
     /// Bytes of the shared snapshot — the whole point of the shared
-    /// window is that this appears once here instead of once per query
-    /// (0 in [`DispatchMode::Broadcast`], where each engine pays for its
-    /// own copy inside [`QueryStats::store_bytes`]).
+    /// window is that this appears once here instead of once per query.
     pub snapshot_bytes: usize,
     /// Arrivals the engine has seen since construction.
     pub edges_seen: u64,
@@ -156,7 +109,7 @@ pub struct MultiStats {
 
 impl MultiStats {
     /// Total bytes: the shared snapshot once plus every query's own
-    /// store (under sharing each template's store appears exactly once).
+    /// store (each template's store appears exactly once).
     pub fn space_bytes(&self) -> usize {
         self.snapshot_bytes + self.queries.iter().map(|q| q.store_bytes).sum::<usize>()
     }
@@ -180,13 +133,11 @@ impl MultiStats {
 /// registration fans out from.
 struct SharedTemplate<S: MatchStore> {
     engine: TimingEngine<S>,
-    /// The canonical fingerprint this template is keyed under (`None`
-    /// when sharing is inactive — Private/Broadcast templates skip the
-    /// canonicalization cost entirely, keeping the ablation honest).
-    fp: Option<PlanFingerprint>,
+    /// The canonical fingerprint this template is keyed under.
+    fp: PlanFingerprint,
     /// canonical edge index → this engine's (the founder plan's) edge
-    /// index; `None` alongside `fp: None`.
-    inv_perm: Option<Vec<usize>>,
+    /// index.
+    inv_perm: Vec<usize>,
     /// Live subscribers in registration order (ascending id).
     subs: Vec<QueryId>,
 }
@@ -251,18 +202,15 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     window: SlidingWindow,
     /// The shared live window `G_t`, one copy for all queries.
     snapshot: Snapshot,
-    /// One engine per distinct canonical plan (per registration under
-    /// [`ShareMode::Private`] or [`DispatchMode::Broadcast`]).
+    /// One engine per distinct canonical plan.
     templates: BTreeMap<TemplateId, SharedTemplate<S>>,
     /// Every registered query, in id order.
     subscribers: BTreeMap<QueryId, Subscriber>,
-    /// canonical fingerprint → its live template (sharing active only).
+    /// canonical fingerprint → its live template.
     by_fp: HashMap<PlanFingerprint, TemplateId>,
     /// signature → templates with a query edge of that signature, each
     /// bucket in template-creation order.
     dispatch: HashMap<(VLabel, VLabel, ELabel), Vec<TemplateId>>,
-    mode: DispatchMode,
-    share: ShareMode,
     edges_seen: u64,
     next_id: u64,
     id_stride: u64,
@@ -274,9 +222,6 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     fault_policy: FaultPolicy,
     /// Quarantined queries, in fault order.
     faults: Vec<QueryFault>,
-    /// How [`MultiQueryEngine::advance_batch`] applies routed sub-batches
-    /// inside each engine (propagated to engines at registration).
-    batch_mode: BatchMode,
     /// The telemetry seam: `None` (default) until a harness arms a
     /// recorder — see [`MultiQueryEngine::set_recorder`]. Recording
     /// never touches [`MultiStats`] or any per-query counters.
@@ -339,24 +284,15 @@ fn fan_out(
 }
 
 impl<S: MatchStore> MultiQueryEngine<S> {
-    /// An empty registry over a window of the given duration, in
-    /// [`DispatchMode::Signature`] and [`ShareMode::Shared`].
+    /// An empty registry over a window of the given duration.
     pub fn new(window: u64) -> Self {
-        Self::with_mode(window, DispatchMode::Signature)
-    }
-
-    /// An empty registry with an explicit dispatch mode. The mode is
-    /// fixed for the engine's lifetime: the two modes keep window state
-    /// in different places (shared snapshot vs private engine maps), so
-    /// switching mid-stream would strand one of them.
-    pub fn with_mode(window: u64, mode: DispatchMode) -> Self {
-        Self::with_id_stride(window, mode, 0, 1)
+        Self::with_id_stride(window, 0, 1)
     }
 
     /// An empty registry whose [`QueryId`]s are `first, first + stride,
     /// first + 2·stride, …` — shard `i` of an `n`-shard front-end uses
     /// `(i, n)` so ids stay globally unique without coordination.
-    pub fn with_id_stride(window: u64, mode: DispatchMode, first: u64, stride: u64) -> Self {
+    pub fn with_id_stride(window: u64, first: u64, stride: u64) -> Self {
         assert!(stride >= 1, "id stride must be positive");
         MultiQueryEngine {
             window: SlidingWindow::new(window),
@@ -365,8 +301,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             subscribers: BTreeMap::new(),
             by_fp: HashMap::new(),
             dispatch: HashMap::new(),
-            mode,
-            share: ShareMode::default(),
             edges_seen: 0,
             next_id: first,
             id_stride: stride,
@@ -374,7 +308,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             gate: IngestGate::new(window, OrderPolicy::default()),
             fault_policy: FaultPolicy::default(),
             faults: Vec::new(),
-            batch_mode: BatchMode::default(),
             tel: None,
         }
     }
@@ -463,8 +396,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 .subscribers
                 .get(qid)
                 .and_then(|s| self.templates.get(&s.template))
-                .and_then(|t| t.fp.as_ref())
-                .map_or(0, PlanFingerprint::digest);
+                .map_or(0, |t| t.fp.digest());
             tel.rec.record_detection_template(digest, ns, 1);
         }
     }
@@ -473,46 +405,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     fn tel_event(&self, kind: EventKind) {
         if let Some(tel) = &self.tel {
             tel.rec.event(kind);
-        }
-    }
-
-    /// The active sharing mode.
-    pub fn share_mode(&self) -> ShareMode {
-        self.share
-    }
-
-    /// Sets the sharing mode — [`ShareMode::Private`] is the
-    /// one-engine-per-query ablation of the `share_rows` gate. Must be
-    /// called before the first registration: the two modes key the
-    /// registry differently, so switching with live queries would strand
-    /// half the index.
-    pub fn set_share_mode(&mut self, share: ShareMode) {
-        assert!(
-            self.subscribers.is_empty(),
-            "share mode is fixed at first registration; set it on an empty registry"
-        );
-        self.share = share;
-    }
-
-    /// Whether registrations are being deduplicated by fingerprint:
-    /// requires [`ShareMode::Shared`] *and* the shared snapshot
-    /// ([`DispatchMode::Signature`]).
-    fn sharing_active(&self) -> bool {
-        self.share == ShareMode::Shared && self.mode == DispatchMode::Signature
-    }
-
-    /// How routed sub-batches are applied inside each query's engine.
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
-    }
-
-    /// Sets the per-engine batch mode — [`BatchMode::PerEdge`] is the
-    /// ablation baseline of the batch bench gate. Applies to every
-    /// registered engine and to future registrations.
-    pub fn set_batch_mode(&mut self, mode: BatchMode) {
-        self.batch_mode = mode;
-        for t in self.templates.values_mut() {
-            t.engine.set_batch_mode(mode);
         }
     }
 
@@ -552,19 +444,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         &self.faults
     }
 
-    /// The dispatch mode fixed at construction.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
-    }
-
     /// Number of registered queries (subscribers).
     pub fn n_queries(&self) -> usize {
         self.subscribers.len()
     }
 
-    /// Number of live shared templates (engines actually running) —
-    /// under sharing this is the number of *distinct* canonical plans,
-    /// the denominator of the cost-per-registration gate.
+    /// Number of live shared templates (engines actually running): the
+    /// number of *distinct* canonical plans registered.
     pub fn n_templates(&self) -> usize {
         self.templates.len()
     }
@@ -589,12 +475,12 @@ impl<S: MatchStore> MultiQueryEngine<S> {
 
     /// Registers a compiled plan as a standing query, effective from the
     /// next arrival; returns its id. Edges already inside the window are
-    /// not replayed (crate docs, "Registration semantics") — under
-    /// sharing a late subscriber to a warm template is epoch-filtered at
-    /// the emission point so it behaves exactly like a fresh private
-    /// engine. Ids are never reused — in particular not those of
-    /// quarantined queries, so a registration after a fault can never
-    /// inherit stale dispatch entries (regression-tested).
+    /// not replayed (crate docs, "Registration semantics") — a late
+    /// subscriber to a warm template is epoch-filtered at the emission
+    /// point so it behaves exactly like a fresh private engine. Ids are
+    /// never reused — in particular not those of quarantined queries, so a
+    /// registration after a fault can never inherit stale dispatch entries
+    /// (regression-tested).
     pub fn register(&mut self, plan: QueryPlan) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id = match self.next_id.checked_add(self.id_stride) {
@@ -613,43 +499,35 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     pub(crate) fn register_as(&mut self, id: QueryId, plan: QueryPlan) {
         debug_assert!(!self.subscribers.contains_key(&id), "query id {id:?} already registered");
         self.tel_event(EventKind::Register { qid: id.0 });
-        if self.sharing_active() {
-            let (fp, perm) = PlanFingerprint::canonicalize(&plan.query);
-            if let Some(&tid) = self.by_fp.get(&fp) {
-                let Some(t) = self.templates.get_mut(&tid) else {
-                    unreachable!("fingerprint index targets a live template");
-                };
-                // A late joiner: arm the emission seam (idempotent) and
-                // record the epoch so only post-registration matches
-                // reach this subscriber.
-                t.engine.arm_emission_floors();
-                let epoch = Some(t.engine.emission_epoch());
-                let remap: Vec<usize> = match &t.inv_perm {
-                    Some(inv) => perm.iter().map(|&c| inv[c]).collect(),
-                    None => perm.clone(),
-                };
-                let identity = remap.iter().enumerate().all(|(s, &f)| s == f);
-                t.subs.push(id);
-                self.subscribers.insert(
-                    id,
-                    Subscriber {
-                        template: tid,
-                        epoch,
-                        seen_base: self.edges_seen,
-                        stats_base: t.engine.stats(),
-                        routed: 0,
-                        emitted: 0,
-                        remap: if identity { None } else { Some(remap) },
-                        plan: if identity { None } else { Some(plan) },
-                    },
-                );
-                return;
-            }
-            let tid = self.fresh_template(plan, Some((fp, perm)));
-            self.insert_founder(id, tid);
+        let (fp, perm) = PlanFingerprint::canonicalize(&plan.query);
+        if let Some(&tid) = self.by_fp.get(&fp) {
+            let Some(t) = self.templates.get_mut(&tid) else {
+                unreachable!("fingerprint index targets a live template");
+            };
+            // A late joiner: arm the emission seam (idempotent) and
+            // record the epoch so only post-registration matches reach
+            // this subscriber.
+            t.engine.arm_emission_floors();
+            let epoch = Some(t.engine.emission_epoch());
+            let remap: Vec<usize> = perm.iter().map(|&c| t.inv_perm[c]).collect();
+            let identity = remap.iter().enumerate().all(|(s, &f)| s == f);
+            t.subs.push(id);
+            self.subscribers.insert(
+                id,
+                Subscriber {
+                    template: tid,
+                    epoch,
+                    seen_base: self.edges_seen,
+                    stats_base: t.engine.stats(),
+                    routed: 0,
+                    emitted: 0,
+                    remap: if identity { None } else { Some(remap) },
+                    plan: if identity { None } else { Some(plan) },
+                },
+            );
             return;
         }
-        let tid = self.fresh_template(plan, None);
+        let tid = self.fresh_template(plan, fp, &perm);
         self.insert_founder(id, tid);
     }
 
@@ -675,12 +553,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// Builds a new template around this plan's engine and indexes it:
-    /// dispatch entries per leaf signature, fingerprint entry when
-    /// sharing is active.
+    /// dispatch entries per leaf signature, one fingerprint entry. `perm`
+    /// maps the plan's edge indices to canonical ones.
     fn fresh_template(
         &mut self,
         plan: QueryPlan,
-        canon: Option<(PlanFingerprint, Vec<usize>)>,
+        fp: PlanFingerprint,
+        perm: &[usize],
     ) -> TemplateId {
         let tid = TemplateId(self.next_template);
         self.next_template = match self.next_template.checked_add(1) {
@@ -692,19 +571,12 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             debug_assert!(!bucket.contains(&tid));
             bucket.push(tid);
         }
-        let (fp, inv_perm) = match canon {
-            Some((fp, perm)) => {
-                let mut inv = vec![0usize; perm.len()];
-                for (e, &c) in perm.iter().enumerate() {
-                    inv[c] = e;
-                }
-                self.by_fp.insert(fp.clone(), tid);
-                (Some(fp), Some(inv))
-            }
-            None => (None, None),
-        };
-        let mut engine = TimingEngine::new(plan);
-        engine.set_batch_mode(self.batch_mode);
+        let mut inv_perm = vec![0usize; perm.len()];
+        for (e, &c) in perm.iter().enumerate() {
+            inv_perm[c] = e;
+        }
+        self.by_fp.insert(fp.clone(), tid);
+        let engine = TimingEngine::new(plan);
         self.templates.insert(tid, SharedTemplate { engine, fp, inv_perm, subs: Vec::new() });
         tid
     }
@@ -775,10 +647,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let Some(t) = self.templates.remove(&tid) else {
             unreachable!("template present above");
         };
-        if let Some(fp) = &t.fp {
-            if self.by_fp.get(fp) == Some(&tid) {
-                self.by_fp.remove(fp);
-            }
+        if self.by_fp.get(&t.fp) == Some(&tid) {
+            self.by_fp.remove(&t.fp);
         }
         for sig in t.engine.plan().signatures() {
             let std::collections::hash_map::Entry::Occupied(mut bucket) = self.dispatch.entry(sig)
@@ -816,143 +686,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// panic inside one template's work quarantines that template — every
     /// subscriber gets one [`QueryFault`] (recorded in
     /// [`MultiQueryEngine::faults`]) — and the remaining templates still
-    /// process the arrival.
+    /// process the arrival. This is the one-edge case of
+    /// [`MultiQueryEngine::try_advance_batch`].
     pub fn try_advance(
         &mut self,
         e: StreamEdge,
     ) -> Result<Vec<(QueryId, MatchRecord)>, IngestError> {
-        let Some(e) = self.gate.admit(e)? else {
-            return Ok(Vec::new()); // dropped per OrderPolicy::DropSilently
-        };
-        let tel_t0 = self.tel_stamp();
-        if tel_t0.is_some() {
-            self.tel_record_keys(std::slice::from_ref(&e));
-        }
-        let ev = self.window.advance(e);
-        // Templates that panicked while handling THIS arrival: skipped
-        // for the rest of the event, torn down after it.
-        let mut faulted: Vec<(TemplateId, String)> = Vec::new();
-        let out = match self.mode {
-            DispatchMode::Signature => {
-                for x in &ev.expired {
-                    if let Some(targets) = self.dispatch.get(&x.signature()) {
-                        for tid in targets {
-                            if faulted.iter().any(|(f, _)| f == tid) {
-                                continue;
-                            }
-                            let Some(t) = self.templates.get_mut(tid) else {
-                                debug_assert!(false, "dispatch targets a live template");
-                                continue;
-                            };
-                            let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                            let mut work = || {
-                                for q in subs {
-                                    fail_point!(sites::PRE_EXPIRY, q.0);
-                                }
-                                engine.expire_partials(x);
-                            };
-                            match self.fault_policy {
-                                FaultPolicy::Propagate => work(),
-                                FaultPolicy::Quarantine => {
-                                    if let Err(p) = catch_unwind(AssertUnwindSafe(work)) {
-                                        faulted.push((*tid, payload_str(&*p)));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.snapshot.remove(x.id);
-                }
-                self.edges_seen += 1;
-                self.snapshot.insert(e);
-                let mut out = Vec::new();
-                if let Some(targets) = self.dispatch.get(&e.signature()) {
-                    for tid in targets {
-                        if faulted.iter().any(|(f, _)| f == tid) {
-                            continue;
-                        }
-                        let Some(t) = self.templates.get_mut(tid) else {
-                            debug_assert!(false, "dispatch targets a live template");
-                            continue;
-                        };
-                        let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                        let snapshot = &self.snapshot;
-                        let mut work = || {
-                            for q in subs {
-                                fail_point!(sites::PRE_PROBE, q.0);
-                            }
-                            let ms = match engine.insert_at(e, snapshot) {
-                                Ok(ms) => ms,
-                                // The gate sanitized the stream, so an
-                                // engine-level rejection is a bug in THIS
-                                // template's plumbing: under Quarantine it
-                                // condemns only the template.
-                                Err(err) => panic!("sanitized stream rejected: {err}"),
-                            };
-                            for q in subs {
-                                fail_point!(sites::POST_RECORD, q.0);
-                            }
-                            ms
-                        };
-                        let ms = match self.fault_policy {
-                            FaultPolicy::Propagate => Some(work()),
-                            FaultPolicy::Quarantine => match catch_unwind(AssertUnwindSafe(work)) {
-                                Ok(ms) => Some(ms),
-                                Err(p) => {
-                                    faulted.push((*tid, payload_str(&*p)));
-                                    None
-                                }
-                            },
-                        };
-                        if let Some(ms) = ms {
-                            let floors = engine.last_emission_floors();
-                            fan_out(&mut self.subscribers, subs, &ms, floors, 1, &mut out);
-                        }
-                    }
-                }
-                out
-            }
-            DispatchMode::Broadcast => {
-                self.edges_seen += 1;
-                let mut out = Vec::new();
-                for (tid, t) in self.templates.iter_mut() {
-                    let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                    let mut work = || {
-                        for q in subs {
-                            fail_point!(sites::PRE_EXPIRY, q.0);
-                        }
-                        for x in &ev.expired {
-                            engine.expire(x);
-                        }
-                        for q in subs {
-                            fail_point!(sites::PRE_PROBE, q.0);
-                        }
-                        let ms = engine.insert(e);
-                        for q in subs {
-                            fail_point!(sites::POST_RECORD, q.0);
-                        }
-                        ms
-                    };
-                    let ms = match self.fault_policy {
-                        FaultPolicy::Propagate => Some(work()),
-                        FaultPolicy::Quarantine => match catch_unwind(AssertUnwindSafe(work)) {
-                            Ok(ms) => Some(ms),
-                            Err(p) => {
-                                faulted.push((*tid, payload_str(&*p)));
-                                None
-                            }
-                        },
-                    };
-                    if let Some(ms) = ms {
-                        fan_out(&mut self.subscribers, subs, &ms, &[], 1, &mut out);
-                    }
-                }
-                out
-            }
-        };
-        self.quarantine(faulted);
-        self.tel_finish(tel_t0, tel_t0, 1, &out);
-        Ok(out)
+        self.try_advance_batch_stamped(std::slice::from_ref(&e), None)
     }
 
     /// Tears down every faulted template: all its subscribers are
@@ -1052,161 +792,12 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             self.tel_record_keys(&admitted);
         }
         let ev = self.window.advance_batch(&admitted);
+        // Templates that panicked during THIS call: skipped for the rest
+        // of it, torn down after it.
         let mut faulted: Vec<(TemplateId, String)> = Vec::new();
         let mut out: Vec<(QueryId, MatchRecord)> = Vec::new();
         for step in &ev.steps {
-            match self.mode {
-                DispatchMode::Signature => {
-                    for x in &step.expired {
-                        if let Some(targets) = self.dispatch.get(&x.signature()) {
-                            for tid in targets {
-                                if faulted.iter().any(|(f, _)| f == tid) {
-                                    continue;
-                                }
-                                let Some(t) = self.templates.get_mut(tid) else {
-                                    debug_assert!(false, "dispatch targets a live template");
-                                    continue;
-                                };
-                                let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                                let mut work = || {
-                                    for q in subs {
-                                        fail_point!(sites::PRE_EXPIRY, q.0);
-                                    }
-                                    engine.expire_partials(x);
-                                };
-                                match self.fault_policy {
-                                    FaultPolicy::Propagate => work(),
-                                    FaultPolicy::Quarantine => {
-                                        if let Err(p) = catch_unwind(AssertUnwindSafe(work)) {
-                                            faulted.push((*tid, payload_str(&*p)));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        self.snapshot.remove(x.id);
-                    }
-                    self.edges_seen += step.arrivals.len() as u64;
-                    // The whole step enters the snapshot before dispatch:
-                    // engines only resolve ids they have stored, so edges
-                    // admitted ahead of their own processing are invisible
-                    // until their run is delivered.
-                    for &a in &step.arrivals {
-                        self.snapshot.insert(a);
-                    }
-                    let mut s = 0usize;
-                    while s < step.arrivals.len() {
-                        let sig = step.arrivals[s].signature();
-                        let mut t = s + 1;
-                        while t < step.arrivals.len() && step.arrivals[t].signature() == sig {
-                            t += 1;
-                        }
-                        let run = &step.arrivals[s..t];
-                        s = t;
-                        let Some(targets) = self.dispatch.get(&sig) else {
-                            continue;
-                        };
-                        for tid in targets {
-                            if faulted.iter().any(|(f, _)| f == tid) {
-                                continue;
-                            }
-                            let Some(t) = self.templates.get_mut(tid) else {
-                                debug_assert!(false, "dispatch targets a live template");
-                                continue;
-                            };
-                            let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                            let snapshot = &self.snapshot;
-                            let mut work = || {
-                                for q in subs {
-                                    fail_point!(sites::PRE_PROBE, q.0);
-                                }
-                                let ms = match engine.insert_batch_at(run, snapshot) {
-                                    Ok(ms) => ms,
-                                    // The gate sanitized the stream: an
-                                    // engine-level rejection is a bug in
-                                    // THIS template's plumbing.
-                                    Err(err) => panic!("sanitized stream rejected: {err}"),
-                                };
-                                for q in subs {
-                                    fail_point!(sites::POST_RECORD, q.0);
-                                }
-                                ms
-                            };
-                            let ms = match self.fault_policy {
-                                FaultPolicy::Propagate => Some(work()),
-                                FaultPolicy::Quarantine => {
-                                    match catch_unwind(AssertUnwindSafe(work)) {
-                                        Ok(ms) => Some(ms),
-                                        Err(p) => {
-                                            faulted.push((*tid, payload_str(&*p)));
-                                            None
-                                        }
-                                    }
-                                }
-                            };
-                            if let Some(ms) = ms {
-                                let floors = engine.last_emission_floors();
-                                fan_out(
-                                    &mut self.subscribers,
-                                    subs,
-                                    &ms,
-                                    floors,
-                                    run.len() as u64,
-                                    &mut out,
-                                );
-                            }
-                        }
-                    }
-                }
-                DispatchMode::Broadcast => {
-                    self.edges_seen += step.arrivals.len() as u64;
-                    for (tid, t) in self.templates.iter_mut() {
-                        if faulted.iter().any(|(f, _)| f == tid) {
-                            continue;
-                        }
-                        let SharedTemplate { ref mut engine, ref subs, .. } = *t;
-                        let mut work = || {
-                            for q in subs {
-                                fail_point!(sites::PRE_EXPIRY, q.0);
-                            }
-                            for x in &step.expired {
-                                engine.expire(x);
-                            }
-                            for q in subs {
-                                fail_point!(sites::PRE_PROBE, q.0);
-                            }
-                            let ms = match engine.insert_batch(&step.arrivals) {
-                                Ok(ms) => ms,
-                                Err(err) => panic!("sanitized stream rejected: {err}"),
-                            };
-                            for q in subs {
-                                fail_point!(sites::POST_RECORD, q.0);
-                            }
-                            ms
-                        };
-                        let ms = match self.fault_policy {
-                            FaultPolicy::Propagate => Some(work()),
-                            FaultPolicy::Quarantine => match catch_unwind(AssertUnwindSafe(work)) {
-                                Ok(ms) => Some(ms),
-                                Err(p) => {
-                                    faulted.push((*tid, payload_str(&*p)));
-                                    None
-                                }
-                            },
-                        };
-                        if let Some(ms) = ms {
-                            fan_out(
-                                &mut self.subscribers,
-                                subs,
-                                &ms,
-                                &[],
-                                step.arrivals.len() as u64,
-                                &mut out,
-                            );
-                        }
-                    }
-                }
-            }
+            self.step(&step.expired, &step.arrivals, &mut faulted, &mut out);
         }
         self.quarantine(faulted);
         self.tel_finish(tel_t0, tel_arr, admitted.len() as u64, &out);
@@ -1214,6 +805,99 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             Some(err) => Err(err),
             None => Ok(out),
         }
+    }
+
+    /// One window step: routes `expired` to the templates holding
+    /// deletion positions for each signature, admits `arrivals` to the
+    /// shared snapshot, then delivers them as same-signature runs to the
+    /// templates that can react and fans each emission burst out to the
+    /// template's subscribers.
+    fn step(
+        &mut self,
+        expired: &[StreamEdge],
+        arrivals: &[StreamEdge],
+        faulted: &mut Vec<(TemplateId, String)>,
+        out: &mut Vec<(QueryId, MatchRecord)>,
+    ) {
+        for x in expired {
+            for &tid in self.dispatch.get(&x.signature()).map_or(&[][..], Vec::as_slice) {
+                let work = |engine: &mut TimingEngine<S>, subs: &[QueryId]| {
+                    for q in subs {
+                        fail_point!(sites::PRE_EXPIRY, q.0);
+                    }
+                    engine.expire_partials(x);
+                };
+                Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work);
+            }
+            self.snapshot.remove(x.id);
+        }
+        self.edges_seen += arrivals.len() as u64;
+        // The whole step enters the snapshot before dispatch: engines only
+        // resolve ids they have stored, so edges admitted ahead of their
+        // own processing are invisible until their run is delivered.
+        for &a in arrivals {
+            self.snapshot.insert(a);
+        }
+        let snapshot = &self.snapshot;
+        for run in arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
+            for &tid in self.dispatch.get(&run[0].signature()).map_or(&[][..], Vec::as_slice) {
+                let work = |engine: &mut TimingEngine<S>, subs: &[QueryId]| {
+                    for q in subs {
+                        fail_point!(sites::PRE_PROBE, q.0);
+                    }
+                    let ms = match engine.insert_batch_at(run, snapshot) {
+                        Ok(ms) => ms,
+                        // The gate sanitized the stream, so an engine-level
+                        // rejection is a bug in THIS template's plumbing:
+                        // under Quarantine it condemns only the template.
+                        Err(err) => panic!("sanitized stream rejected: {err}"),
+                    };
+                    for q in subs {
+                        fail_point!(sites::POST_RECORD, q.0);
+                    }
+                    ms
+                };
+                if let Some((t, ms)) =
+                    Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work)
+                {
+                    let floors = t.engine.last_emission_floors();
+                    fan_out(&mut self.subscribers, &t.subs, &ms, floors, run.len() as u64, out);
+                }
+            }
+        }
+    }
+
+    /// The one fault boundary: runs `work` on template `tid`'s engine
+    /// under `policy`, skipping templates that already faulted during this
+    /// call. Under [`FaultPolicy::Quarantine`] a panic in `work` is caught
+    /// and logged in `faulted` (the caller tears the template down once
+    /// the call's dispatch is done); `None` means skipped or faulted.
+    fn isolated<'t, R>(
+        templates: &'t mut BTreeMap<TemplateId, SharedTemplate<S>>,
+        policy: FaultPolicy,
+        faulted: &mut Vec<(TemplateId, String)>,
+        tid: TemplateId,
+        work: impl FnOnce(&mut TimingEngine<S>, &[QueryId]) -> R,
+    ) -> Option<(&'t SharedTemplate<S>, R)> {
+        if faulted.iter().any(|(f, _)| *f == tid) {
+            return None;
+        }
+        let Some(t) = templates.get_mut(&tid) else {
+            debug_assert!(false, "dispatch targets a live template");
+            return None;
+        };
+        let work = AssertUnwindSafe(|| work(&mut t.engine, &t.subs));
+        let r = match policy {
+            FaultPolicy::Propagate => work(),
+            FaultPolicy::Quarantine => match catch_unwind(work) {
+                Ok(r) => r,
+                Err(p) => {
+                    faulted.push((tid, payload_str(&*p)));
+                    return None;
+                }
+            },
+        };
+        Some((t, r))
     }
 
     /// Per-query counters (normalized — see [`QueryStats::stats`]) and
@@ -1241,14 +925,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 let unrouted = since - sub.routed;
                 stats.edges_processed += unrouted;
                 stats.edges_discarded += unrouted;
-                let store_bytes = if t.subs.first() == Some(&id) {
-                    match self.mode {
-                        DispatchMode::Signature => t.engine.store_space_bytes(),
-                        DispatchMode::Broadcast => t.engine.space_bytes(),
-                    }
-                } else {
-                    0
-                };
+                let store_bytes =
+                    if t.subs.first() == Some(&id) { t.engine.store_space_bytes() } else { 0 };
                 QueryStats { id, stats, routed: sub.routed, emitted: sub.emitted, store_bytes }
             })
             .collect();
@@ -1256,22 +934,16 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             .templates
             .values()
             .map(|t| TemplateStats {
-                digest: t.fp.as_ref().map_or(0, PlanFingerprint::digest),
+                digest: t.fp.digest(),
                 subscribers: t.subs.len(),
                 stats: t.engine.stats(),
-                store_bytes: match self.mode {
-                    DispatchMode::Signature => t.engine.store_space_bytes(),
-                    DispatchMode::Broadcast => t.engine.space_bytes(),
-                },
+                store_bytes: t.engine.store_space_bytes(),
             })
             .collect();
         MultiStats {
             queries,
             templates,
-            snapshot_bytes: match self.mode {
-                DispatchMode::Signature => self.snapshot.space_bytes(),
-                DispatchMode::Broadcast => 0,
-            },
+            snapshot_bytes: self.snapshot.space_bytes(),
             edges_seen: self.edges_seen,
             faults: self.faults.clone(),
             ingest: self.gate.stats(),
@@ -1299,7 +971,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// Live complete matches of one query's template engine, if
-    /// registered (template-wide under sharing: a late subscriber's
+    /// registered (template-wide: a late subscriber's
     /// epoch filter applies to emission, not to the store).
     pub fn live_match_count(&self, id: QueryId) -> Option<usize> {
         let sub = self.subscribers.get(&id)?;
@@ -1453,122 +1125,59 @@ mod tests {
         assert!(st.queries[0].stats.partials_deleted >= 2);
     }
 
-    #[test]
-    fn broadcast_mode_matches_signature_mode() {
-        let mut sig: MultiQueryEngine = MultiQueryEngine::new(6);
-        let mut bc: MultiQueryEngine = MultiQueryEngine::with_mode(6, DispatchMode::Broadcast);
-        for t in 0..3u16 {
-            sig.register(plan(t));
-            bc.register(plan(t));
-        }
-        let mut id = 0u64;
-        let mut ts = 0u64;
-        for round in 0..40u64 {
-            let t = (round % 3) as u16;
-            id += 1;
-            ts += 1;
-            let e = if round % 2 == 0 { open_edge(id, t, ts) } else { close_edge(id, t, ts) };
-            let a = sig.advance(e);
-            let b = bc.advance(e);
-            assert_eq!(a, b, "round {round}");
-        }
-        let (sa, sb) = (sig.stats(), bc.stats());
-        assert_eq!(sa.queries.len(), sb.queries.len());
-        for (qa, qb) in sa.queries.iter().zip(&sb.queries) {
-            assert_eq!(qa.id, qb.id);
-            assert_eq!(qa.stats, qb.stats, "normalized stats agree across modes");
-        }
-        // Broadcast pays for 3 private windows; signature mode holds the
-        // snapshot once and only per-query stores on top.
-        assert_eq!(sb.snapshot_bytes, 0);
-        assert!(sa.snapshot_bytes > 0);
-    }
-
     /// Batched dispatch must match the per-edge fold per query — same
-    /// per-query match subsequences, same normalized stats — in both
-    /// dispatch modes, with a registration landing between batches.
+    /// per-query match subsequences, same normalized stats — with a
+    /// registration landing between batches.
     #[test]
     fn advance_batch_matches_per_edge_fold() {
-        for mode in [DispatchMode::Signature, DispatchMode::Broadcast] {
-            let mut per: MultiQueryEngine = MultiQueryEngine::with_mode(12, mode);
-            let mut bat: MultiQueryEngine = MultiQueryEngine::with_mode(12, mode);
-            for t in 0..2u16 {
-                per.register(plan(t));
-                bat.register(plan(t));
-            }
-            let mut edges = Vec::new();
-            let mut id = 0u64;
-            for round in 0..60u64 {
-                let t = (round % 2) as u16;
-                id += 1;
-                // Consecutive same-signature arrivals (runs) and window
-                // expiries both occur on this stream.
-                let e = if round % 4 < 2 {
-                    open_edge(id, t, round + 1)
-                } else {
-                    close_edge(id, t, round + 1)
-                };
-                edges.push(e);
-            }
-            let mut out_per: Vec<(QueryId, MatchRecord)> = Vec::new();
-            let mut out_bat: Vec<(QueryId, MatchRecord)> = Vec::new();
-            for (bi, chunk) in edges.chunks(7).enumerate() {
-                if bi == 3 {
-                    // A registration between batches must behave like one
-                    // at the same stream position of the per-edge fold.
-                    per.register(plan(2));
-                    bat.register(plan(2));
-                }
-                for &e in chunk {
-                    out_per.extend(per.advance(e));
-                }
-                out_bat.extend(bat.advance_batch(chunk));
-            }
-            // Per-query subsequences are byte-identical (cross-query
-            // interleaving legitimately differs: run × query grouping).
-            for qid in per.query_ids() {
-                let a: Vec<&MatchRecord> =
-                    out_per.iter().filter(|(q, _)| *q == qid).map(|(_, m)| m).collect();
-                let b: Vec<&MatchRecord> =
-                    out_bat.iter().filter(|(q, _)| *q == qid).map(|(_, m)| m).collect();
-                assert_eq!(a, b, "query {qid:?} mode {mode:?}");
-                assert_eq!(per.stats_of(qid), bat.stats_of(qid), "stats {qid:?} {mode:?}");
-            }
-            assert!(!out_per.is_empty());
-            assert_eq!(per.ingest_stats(), bat.ingest_stats());
-            per.assert_clean();
-            bat.assert_clean();
+        let mut per: MultiQueryEngine = MultiQueryEngine::new(12);
+        let mut bat: MultiQueryEngine = MultiQueryEngine::new(12);
+        for t in 0..2u16 {
+            per.register(plan(t));
+            bat.register(plan(t));
         }
-    }
-
-    /// The PerEdge ablation of the batched path is equivalent too, and
-    /// switching it on mid-stream (between batches) is safe.
-    #[test]
-    fn advance_batch_per_edge_mode_equivalent() {
-        let mut srt: MultiQueryEngine = MultiQueryEngine::new(20);
-        let mut per: MultiQueryEngine = MultiQueryEngine::new(20);
-        per.set_batch_mode(BatchMode::PerEdge);
-        assert_eq!(per.batch_mode(), BatchMode::PerEdge);
-        srt.register(plan(0));
-        per.register(plan(0));
-        let mut id = 0;
         let mut edges = Vec::new();
-        for round in 0..30u64 {
+        let mut id = 0u64;
+        for round in 0..60u64 {
+            let t = (round % 2) as u16;
             id += 1;
-            let e = if round % 3 == 0 {
-                open_edge(id, 0, round + 1)
+            // Consecutive same-signature arrivals (runs) and window
+            // expiries both occur on this stream.
+            let e = if round % 4 < 2 {
+                open_edge(id, t, round + 1)
             } else {
-                close_edge(id, 0, round + 1)
+                close_edge(id, t, round + 1)
             };
             edges.push(e);
         }
-        for chunk in edges.chunks(5) {
-            let a = srt.advance_batch(chunk);
-            let b = per.advance_batch(chunk);
-            assert_eq!(a, b);
+        let mut out_per: Vec<(QueryId, MatchRecord)> = Vec::new();
+        let mut out_bat: Vec<(QueryId, MatchRecord)> = Vec::new();
+        for (bi, chunk) in edges.chunks(7).enumerate() {
+            if bi == 3 {
+                // A registration between batches must behave like one at
+                // the same stream position of the per-edge fold.
+                per.register(plan(2));
+                bat.register(plan(2));
+            }
+            for &e in chunk {
+                out_per.extend(per.advance(e));
+            }
+            out_bat.extend(bat.advance_batch(chunk));
         }
-        let (sa, sb) = (srt.stats(), per.stats());
-        assert_eq!(sa.queries[0].stats, sb.queries[0].stats);
+        // Per-query subsequences are byte-identical (cross-query
+        // interleaving legitimately differs: run × query grouping).
+        for qid in per.query_ids() {
+            let a: Vec<&MatchRecord> =
+                out_per.iter().filter(|(q, _)| *q == qid).map(|(_, m)| m).collect();
+            let b: Vec<&MatchRecord> =
+                out_bat.iter().filter(|(q, _)| *q == qid).map(|(_, m)| m).collect();
+            assert_eq!(a, b, "query {qid:?}");
+            assert_eq!(per.stats_of(qid), bat.stats_of(qid), "stats {qid:?}");
+        }
+        assert!(!out_per.is_empty());
+        assert_eq!(per.ingest_stats(), bat.ingest_stats());
+        per.assert_clean();
+        bat.assert_clean();
     }
 
     /// Two registrations of a fingerprint-identical plan share one
@@ -1651,44 +1260,6 @@ mod tests {
         assert_eq!(s1.matches_emitted, 1);
         assert_eq!(s1.edges_processed, 3);
         assert_eq!(shared.counters_of(q1), Some((3, 1)));
-    }
-
-    /// `ShareMode::Private` is the true one-engine-per-query ablation:
-    /// same match streams, N× the templates and the store bytes.
-    #[test]
-    fn private_share_mode_runs_one_engine_per_query() {
-        let mut shared: MultiQueryEngine = MultiQueryEngine::new(100);
-        let mut private: MultiQueryEngine = MultiQueryEngine::new(100);
-        private.set_share_mode(ShareMode::Private);
-        assert_eq!(private.share_mode(), ShareMode::Private);
-        for _ in 0..4 {
-            shared.register(plan(0));
-            private.register(plan(0));
-        }
-        assert_eq!(shared.n_templates(), 1);
-        assert_eq!(private.n_templates(), 4);
-        let mut id = 0u64;
-        for round in 0..20u64 {
-            id += 1;
-            let e = if round % 2 == 0 {
-                open_edge(id, 0, round + 1)
-            } else {
-                close_edge(id, 0, round + 1)
-            };
-            let a = shared.advance(e);
-            let b = private.advance(e);
-            assert_eq!(a, b, "round {round}");
-        }
-        let (sa, sb) = (shared.stats(), private.stats());
-        for (qa, qb) in sa.queries.iter().zip(&sb.queries) {
-            assert_eq!(qa.stats, qb.stats);
-        }
-        let shared_store: usize = sa.queries.iter().map(|q| q.store_bytes).sum();
-        let private_store: usize = sb.queries.iter().map(|q| q.store_bytes).sum();
-        assert!(
-            private_store >= 3 * shared_store,
-            "4 private stores ({private_store}B) dwarf 1 shared store ({shared_store}B)"
-        );
     }
 
     /// A plan with duplicate leaf signatures (two query edges sharing one

@@ -41,11 +41,9 @@
 //!
 //! The keys are a prefilter exactly like the plans' own signature index:
 //! a routed engine still runs its full candidate/self-loop/compatibility
-//! checks, so dispatch is semantically invisible —
-//! [`DispatchMode::Broadcast`] (route everything to everyone, i.e. N
-//! independent engines each owning a private window copy) emits the
-//! identical per-query match streams, and the equivalence tests enforce
-//! it.
+//! checks, so dispatch is semantically invisible: N independent engines
+//! each fed the whole stream through a private window emit the identical
+//! per-query match streams, and `tests/multi_equivalence.rs` enforces it.
 //!
 //! # Registration semantics
 //!
@@ -63,9 +61,8 @@
 //! # Sharing model
 //!
 //! A tenant fleet is dominated by *near-identical* standing queries —
-//! the same fraud template registered thousands of times. Under
-//! [`ShareMode::Shared`] (the default when dispatch is signature-routed)
-//! the registry keys engines by **plan identity**, not registration:
+//! the same fraud template registered thousands of times. The registry
+//! therefore keys engines by **plan identity**, not registration:
 //!
 //! * **Identity** is the canonical
 //!   [`PlanFingerprint`](tcs_core::plan::PlanFingerprint) — WL colour
@@ -96,14 +93,9 @@
 //!   the last subscriber drops the template and its store.
 //! * **Blast radius.** Quarantine is per *template*: a fault while a
 //!   shared template works unregisters every subscriber of that
-//!   template (one [`QueryFault`] each, same payload and position) —
-//!   wider than the private per-query radius, and the chaos tests pin
-//!   both. The plan stays re-registerable; the next registration founds
-//!   a fresh template.
-//! * **Ablation.** [`ShareMode::Private`] (and broadcast dispatch,
-//!   which implies it) keeps one engine per registration — the
-//!   pre-sharing behaviour, kept as a measurable baseline; the
-//!   `share_rows` benchmark gates the 10k-duplicate win against it.
+//!   template (one [`QueryFault`] each, same payload and position), and
+//!   the chaos tests pin it. The plan stays re-registerable; the next
+//!   registration founds a fresh template.
 //!
 //! The sharded front-end homes registrations by fingerprint, so all
 //! subscribers of a template land on the template's shard and the
@@ -150,14 +142,14 @@
 //!    Under [`FaultPolicy::Quarantine`] (the default for shards of a
 //!    [`ShardedMultiEngine`]; bare engines default to
 //!    [`FaultPolicy::Propagate`]) the registry catches the panic at a
-//!    per-query `catch_unwind` boundary, unregisters the offender and
+//!    per-template `catch_unwind` boundary (one helper wraps every
+//!    expiry and arrival delivery), unregisters the offender and
 //!    records a [`QueryFault`] (id, stringified payload, stream
 //!    position) in a fault log surfaced through `stats()`. Blast
-//!    radius: the faulting query's *template* — under sharing that is
-//!    every subscriber of the shared engine (see the sharing model
-//!    above), under [`ShareMode::Private`] exactly the one query. The
-//!    shard, worker thread and channel keep serving, and the
-//!    dispatcher never observes a dead channel for this class.
+//!    radius: the faulting query's *template* — every subscriber of
+//!    the shared engine (see the sharing model above). The shard,
+//!    worker thread and channel keep serving, and the dispatcher never
+//!    observes a dead channel for this class.
 //! 3. **Worker faults and overload** — a panic outside the per-query
 //!    boundary kills a shard worker; the dispatcher skips the dead
 //!    channel for the rest of the batch and the supervisor then rebuilds
@@ -238,9 +230,7 @@ pub mod engine;
 pub mod fault;
 pub mod shard;
 
-pub use engine::{
-    DispatchMode, MultiQueryEngine, MultiStats, QueryId, QueryStats, ShareMode, TemplateStats,
-};
+pub use engine::{MultiQueryEngine, MultiStats, QueryId, QueryStats, TemplateStats};
 pub use fault::{FaultPolicy, OverloadPolicy, QueryFault, ShardHealth};
 pub use shard::ShardedMultiEngine;
 pub use tcs_core::{IngestError, IngestStats, OrderPolicy};

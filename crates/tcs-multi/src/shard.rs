@@ -55,7 +55,7 @@
 //! full-stream semantics (what N independent engines fed every admitted
 //! edge would report).
 
-use crate::engine::{MultiQueryEngine, MultiStats, QueryId, ShareMode};
+use crate::engine::{MultiQueryEngine, MultiStats, QueryId};
 use crate::fault::{payload_str, FaultPolicy, OverloadPolicy, ShardHealth};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -162,21 +162,18 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     /// supervisor rebuild, never individually).
     home: HashMap<QueryId, usize>,
     /// Engines homed per shard, for least-loaded placement: one unit per
-    /// *template* under [`ShareMode::Shared`] (duplicate registrations
-    /// ride their template's shard for free), one per query under
-    /// [`ShareMode::Private`].
+    /// *template* (duplicate registrations ride their template's shard
+    /// for free).
     loads: Vec<usize>,
-    /// canonical fingerprint → the shard its shared template lives on
-    /// ([`ShareMode::Shared`] only): duplicate registrations must land
-    /// on the same shard or they cannot share an engine.
+    /// canonical fingerprint → the shard its shared template lives on:
+    /// duplicate registrations must land on the same shard or they
+    /// cannot share an engine.
     template_home: HashMap<PlanFingerprint, usize>,
     /// canonical fingerprint → live subscriber count (the refcount that
     /// retires a [`ShardedMultiEngine::template_home`] entry).
     template_refs: HashMap<PlanFingerprint, usize>,
-    /// query → its canonical fingerprint ([`ShareMode::Shared`] only).
+    /// query → its canonical fingerprint.
     fp_of: HashMap<QueryId, PlanFingerprint>,
-    /// Whether fingerprint-identical registrations share one engine.
-    share: ShareMode,
     /// Admitted arrivals fed through [`ShardedMultiEngine::process`] —
     /// the front-end's own count, since per-shard counts only cover
     /// routed substreams (and overlap when shards share a signature).
@@ -219,12 +216,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         assert!(n_shards >= 1, "need at least one shard");
         let shards = (0..n_shards)
             .map(|i| {
-                let mut sh = MultiQueryEngine::with_id_stride(
-                    window,
-                    crate::DispatchMode::Signature,
-                    i as u64,
-                    n_shards as u64,
-                );
+                let mut sh = MultiQueryEngine::with_id_stride(window, i as u64, n_shards as u64);
                 sh.set_fault_policy(FaultPolicy::Quarantine);
                 sh
             })
@@ -237,7 +229,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             template_home: HashMap::new(),
             template_refs: HashMap::new(),
             fp_of: HashMap::new(),
-            share: ShareMode::default(),
             edges_fed: 0,
             window,
             gate: IngestGate::new(window, OrderPolicy::default()),
@@ -295,25 +286,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         self.shards.iter().map(MultiQueryEngine::n_templates).sum()
     }
 
-    /// The active sharing mode.
-    pub fn share_mode(&self) -> ShareMode {
-        self.share
-    }
-
-    /// Sets the sharing mode on the front-end and every shard — see
-    /// [`MultiQueryEngine::set_share_mode`]. Must be called before the
-    /// first registration.
-    pub fn set_share_mode(&mut self, share: ShareMode) {
-        assert!(
-            self.home.is_empty(),
-            "share mode is fixed at first registration; set it on an empty front-end"
-        );
-        self.share = share;
-        for sh in &mut self.shards {
-            sh.set_share_mode(share);
-        }
-    }
-
     /// The home shard of a registered query.
     pub fn shard_of(&self, id: QueryId) -> Option<usize> {
         self.home.get(&id).copied()
@@ -368,36 +340,24 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     }
 
     /// Homes a compiled plan and registers it; returns its globally
-    /// unique id. Under [`ShareMode::Shared`] a plan whose canonical
-    /// fingerprint already has a live template lands on that template's
-    /// shard (duplicates must cohabit to share an engine) and adds no
-    /// load; a new template goes to the least-loaded shard and counts
-    /// one load unit.
+    /// unique id. A plan whose canonical fingerprint already has a live
+    /// template lands on that template's shard (duplicates must cohabit
+    /// to share an engine) and adds no load; a new template goes to the
+    /// least-loaded shard and counts one load unit.
     pub fn register(&mut self, plan: QueryPlan) -> QueryId {
-        let fp = match self.share {
-            ShareMode::Shared => Some(PlanFingerprint::of(&plan.query)),
-            ShareMode::Private => None,
-        };
-        let shard = fp
-            .as_ref()
-            .and_then(|fp| self.template_home.get(fp).copied())
-            .unwrap_or_else(|| self.least_loaded());
+        let fp = PlanFingerprint::of(&plan.query);
+        let shard = self.template_home.get(&fp).copied().unwrap_or_else(|| self.least_loaded());
         let sigs: Vec<_> = plan.signatures().collect();
         let id = self.shards[shard].register(plan);
         self.home.insert(id, shard);
         self.fed_base.insert(id, self.edges_fed);
-        match fp {
-            Some(fp) => {
-                let refs = self.template_refs.entry(fp.clone()).or_insert(0);
-                *refs += 1;
-                if *refs == 1 {
-                    self.template_home.insert(fp.clone(), shard);
-                    self.loads[shard] += 1;
-                }
-                self.fp_of.insert(id, fp);
-            }
-            None => self.loads[shard] += 1,
+        let refs = self.template_refs.entry(fp.clone()).or_insert(0);
+        *refs += 1;
+        if *refs == 1 {
+            self.template_home.insert(fp.clone(), shard);
+            self.loads[shard] += 1;
         }
+        self.fp_of.insert(id, fp);
         for sig in sigs {
             let bucket = self.route.entry(sig).or_default();
             if !bucket.contains(&shard) {
@@ -407,24 +367,22 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         id
     }
 
-    /// Releases one query's load accounting: under sharing, the last
-    /// subscriber of a template frees its load unit and its homing entry;
-    /// a private query frees its own.
+    /// Releases one query's load accounting: the last subscriber of a
+    /// template frees its load unit and its homing entry.
     fn release_load(&mut self, id: QueryId, shard: usize) {
-        match self.fp_of.remove(&id) {
-            Some(fp) => {
-                let Some(refs) = self.template_refs.get_mut(&fp) else {
-                    debug_assert!(false, "fingerprinted query has a template refcount");
-                    return;
-                };
-                *refs -= 1;
-                if *refs == 0 {
-                    self.template_refs.remove(&fp);
-                    self.template_home.remove(&fp);
-                    self.loads[shard] -= 1;
-                }
-            }
-            None => self.loads[shard] -= 1,
+        let Some(fp) = self.fp_of.remove(&id) else {
+            debug_assert!(false, "registered query has a fingerprint");
+            return;
+        };
+        let Some(refs) = self.template_refs.get_mut(&fp) else {
+            debug_assert!(false, "fingerprinted query has a template refcount");
+            return;
+        };
+        *refs -= 1;
+        if *refs == 0 {
+            self.template_refs.remove(&fp);
+            self.template_home.remove(&fp);
+            self.loads[shard] -= 1;
         }
     }
 
@@ -630,13 +588,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     fn rebuild_shard(&mut self, i: usize, _payload: &str) {
         let stride = self.shards.len() as u64;
         let old = &self.shards[i];
-        let mut fresh = MultiQueryEngine::with_id_stride(
-            self.window,
-            crate::DispatchMode::Signature,
-            old.next_raw_id(),
-            stride,
-        );
-        fresh.set_share_mode(self.share);
+        let mut fresh = MultiQueryEngine::with_id_stride(self.window, old.next_raw_id(), stride);
         fresh.set_fault_policy(FaultPolicy::Quarantine);
         fresh.set_order_policy(old.order_policy());
         fresh.adopt_faults(old.faults().to_vec());
@@ -853,7 +805,6 @@ mod tests {
     #[test]
     fn duplicate_registrations_home_on_the_template_shard() {
         let mut sharded: ShardedMultiEngine = ShardedMultiEngine::new(10, 4);
-        assert_eq!(sharded.share_mode(), ShareMode::Shared);
         // 12 copies of tenant 0's template plus 3 distinct tenants.
         let copies: Vec<_> = (0..12).map(|_| sharded.register(plan(0))).collect();
         let others: Vec<_> = (1..4u16).map(|t| sharded.register(plan(t))).collect();
@@ -879,21 +830,6 @@ mod tests {
         let replacement = sharded.register(plan(0));
         assert!(sharded.shard_of(replacement).is_some());
         assert_eq!(sharded.n_templates(), 4);
-    }
-
-    /// `ShareMode::Private` on the front-end keeps one engine per query
-    /// and per-query load accounting.
-    #[test]
-    fn private_front_end_spreads_duplicate_queries() {
-        let mut sharded: ShardedMultiEngine = ShardedMultiEngine::new(10, 4);
-        sharded.set_share_mode(ShareMode::Private);
-        let ids: Vec<_> = (0..8).map(|_| sharded.register(plan(0))).collect();
-        assert_eq!(sharded.n_templates(), 8, "no sharing: one engine each");
-        let mut per_shard = vec![0usize; 4];
-        for &id in &ids {
-            per_shard[sharded.shard_of(id).unwrap()] += 1;
-        }
-        assert_eq!(per_shard, vec![2, 2, 2, 2]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use timingsubg::core::{PlanOptions, QueryPlan};
 use timingsubg::graph::query::QueryEdge;
 use timingsubg::graph::{ELabel, QueryGraph, StreamEdge, VLabel};
-use timingsubg::multi::{DispatchMode, MultiQueryEngine, QueryId, ShardedMultiEngine, ShareMode};
+use timingsubg::multi::{MultiQueryEngine, QueryId, ShardedMultiEngine};
 
 // Vertex types (shared by every tenant).
 const ACCOUNT: VLabel = VLabel(0);
@@ -275,24 +275,22 @@ fn main() {
     // --- Template sharing at fleet scale -------------------------------
     // A platform-wide template is not 17 queries, it is thousands of
     // copies of ONE pattern: every bank deploys the vendor's stock fraud
-    // template. Register 10k copies of bank 0's fraud query and compare
-    // ShareMode::Shared (one engine per canonical plan, subscriber
-    // fan-out) against ShareMode::Private (the pre-sharing deployment:
-    // one engine per registration) on the same traffic.
+    // template. Register 10k copies of bank 0's fraud query: the registry
+    // runs one engine for the canonical plan and fans its alerts out to
+    // every subscriber, so the fleet costs one query's store.
     println!("\n10k-copy template fleet (bank 0's fraud pattern):");
     let copies = 10_000usize;
-    // A short slice and a tight window keep the deliberately-quadratic
-    // Private baseline (10k engines × every edge) inside a CI budget.
     let fleet_window = 100u64;
     let mut fleet_rng = SmallRng::seed_from_u64(77);
     let mut planted = Vec::new();
     let (mut id, mut ts) = (0u64, 0u64);
     let fleet_traffic = traffic(&mut fleet_rng, 1, 500, &mut id, &mut ts, &mut planted);
-    let run = |share: ShareMode| -> (f64, usize, u64) {
-        let mut multi: MultiQueryEngine =
-            MultiQueryEngine::with_mode(fleet_window, DispatchMode::Signature);
-        multi.set_share_mode(share);
-        let ids: Vec<QueryId> = (0..copies).map(|_| multi.register(plan(fraud_query(0)))).collect();
+    // Drives `n` registrations of the template over the fleet traffic:
+    // (edges/s, total store bytes, alerts delivered).
+    let run = |n: usize| -> (f64, usize, u64) {
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(fleet_window);
+        let ids: Vec<QueryId> = (0..n).map(|_| multi.register(plan(fraud_query(0)))).collect();
+        assert_eq!(multi.n_templates(), 1, "identical plans share one engine");
         let start = std::time::Instant::now();
         let mut alerts = 0u64;
         for &e in &fleet_traffic {
@@ -302,53 +300,30 @@ fn main() {
         let st = multi.stats();
         let store: usize = st.queries.iter().map(|q| q.store_bytes).sum();
         // Every subscriber saw every alert: fan-out is exact.
-        let per_sub = alerts / copies as u64;
+        let per_sub = alerts / n as u64;
         for &q in &ids {
             assert_eq!(
                 multi.stats_of(q).map(|s| s.matches_emitted),
                 Some(per_sub),
-                "all {copies} subscribers see the same alerts"
+                "all {n} subscribers see the same alerts"
             );
         }
         (rate, store, alerts)
     };
-    // One registration's store footprint — the yardstick for the gate.
-    let single_store = {
-        let mut one: MultiQueryEngine =
-            MultiQueryEngine::with_mode(fleet_window, DispatchMode::Signature);
-        one.register(plan(fraud_query(0)));
-        for &e in &fleet_traffic {
-            one.advance(e);
-        }
-        one.stats().queries.iter().map(|q| q.store_bytes).sum::<usize>()
-    };
-    let (shared_rate, shared_store, shared_alerts) = run(ShareMode::Shared);
-    let (private_rate, private_store, private_alerts) = run(ShareMode::Private);
-    assert_eq!(shared_alerts, private_alerts, "sharing changes cost, never results");
+    // One registration is the yardstick for both results and footprint.
+    let (_, single_store, single_alerts) = run(1);
+    let (fleet_rate, fleet_store, fleet_alerts) = run(copies);
+    assert_eq!(fleet_alerts, copies as u64 * single_alerts, "sharing changes cost, never results");
     println!(
-        "  shared : {:>10.0} edges/s, {:>8} B store ({}x one query's)",
-        shared_rate,
-        shared_store,
-        shared_store / single_store.max(1)
+        "  {:>10.0} edges/s, {:>8} B store ({}x one query's), {} alerts fanned out to all {copies} tenants",
+        fleet_rate,
+        fleet_store,
+        fleet_store / single_store.max(1),
+        single_alerts
     );
-    println!(
-        "  private: {:>10.0} edges/s, {:>8} B store ({}x one query's)",
-        private_rate,
-        private_store,
-        private_store / single_store.max(1)
-    );
-    println!(
-        "  speedup: {:.1}x, planted frauds fanned out to all {copies} tenants",
-        shared_rate / private_rate
-    );
-    // The ROADMAP gate: 10k copies within 2x of one query's store bytes
-    // and strictly less per-edge work than one-engine-per-registration.
+    // The ROADMAP gate: 10k copies within 2x of one query's store bytes.
     assert!(
-        shared_store <= 2 * single_store,
-        "shared store {shared_store} B exceeds 2x single-query {single_store} B"
-    );
-    assert!(
-        shared_rate > private_rate,
-        "sharing must beat one-engine-per-registration ({shared_rate:.0} vs {private_rate:.0} edges/s)"
+        fleet_store <= 2 * single_store,
+        "fleet store {fleet_store} B exceeds 2x single-query {single_store} B"
     );
 }

@@ -6,11 +6,12 @@
 //! it must never change what is emitted, in what order, or what the
 //! counters say.
 //!
-//! Coverage: both serial stores (MS-tree and Timing-IND) under
-//! `BatchMode::Sorted` with and without a maintenance fuel meter, the
-//! concurrent engine's CmsTree as the third store (sorted-set equality,
-//! its documented contract), and the multi-query registry with
-//! register/unregister churn landing exactly on batch boundaries.
+//! Coverage: both serial stores (MS-tree and Timing-IND) with and without
+//! a maintenance fuel meter, the concurrent engine's CmsTree as the third
+//! store (sorted-set equality, its documented contract), and the
+//! multi-query registry with register/unregister churn landing exactly on
+//! batch boundaries. The reference is always the per-edge fold
+//! `advance(&w.advance(e))` of a standalone engine.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,11 +19,11 @@ use rand::{Rng, SeedableRng};
 use tcs_concurrent::{ConcurrentEngine, LockingMode};
 use tcs_core::plan::{PlanOptions, QueryPlan};
 use tcs_core::store::MatchStore;
-use tcs_core::{BatchMode, IndependentStore, MsTreeStore, TimingEngine};
+use tcs_core::{IndependentStore, MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
-use tcs_multi::{DispatchMode, MultiQueryEngine, QueryId};
+use tcs_multi::{MultiQueryEngine, QueryId};
 
 /// A small connected random query (the `tests/property_tests.rs` recipe).
 fn random_query(rng: &mut SmallRng, n_labels: u16) -> QueryGraph {
@@ -102,8 +103,8 @@ fn boundaries(rng: &mut SmallRng, len: usize, kind: u8) -> Vec<usize> {
     }
 }
 
-/// Per-edge reference run: `BatchMode::PerEdge`, one window event at a
-/// time — the ablation baseline the batch path must reproduce exactly.
+/// Per-edge reference run: one window event at a time through
+/// `TimingEngine::advance` — what the batch path must reproduce exactly.
 fn per_edge_run<S: MatchStore>(
     q: &QueryGraph,
     stream: &[StreamEdge],
@@ -111,7 +112,6 @@ fn per_edge_run<S: MatchStore>(
 ) -> (Vec<MatchRecord>, TimingEngine<S>) {
     let mut eng: TimingEngine<S> =
         TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
-    eng.set_batch_mode(BatchMode::PerEdge);
     let mut w = SlidingWindow::new(window);
     let mut out = Vec::new();
     for &e in stream {
@@ -120,9 +120,9 @@ fn per_edge_run<S: MatchStore>(
     (out, eng)
 }
 
-/// Batched run over the given boundaries: `BatchMode::Sorted`, one
-/// `BatchEvent` per chunk, optionally with a per-batch maintenance fuel
-/// allowance (settled at end of stream so the final state is debt-free).
+/// Batched run over the given boundaries: one `BatchEvent` per chunk,
+/// optionally with a per-batch maintenance fuel allowance (settled at end
+/// of stream so the final state is debt-free).
 fn batched_run<S: MatchStore>(
     q: &QueryGraph,
     stream: &[StreamEdge],
@@ -165,29 +165,29 @@ fn check_serial<S: MatchStore>(
     want
 }
 
-/// Multi-query run with churn at batch boundaries: `schedule[i]` holds
-/// the episode indices whose registration (start) or removal (end) lands
-/// at stream position `i`. The per-edge fold applies the same schedule at
-/// the same positions, so per-query subsequences must be byte-identical.
+/// One registration episode of a query: registered just before stream
+/// position `start`, unregistered just before `end` (both on batch
+/// boundaries).
 struct Episode {
     query: QueryGraph,
     start: usize,
     end: usize,
 }
 
+/// Multi-query run with churn at batch boundaries: one `advance_batch`
+/// call per chunk, each episode's registration and removal applied at its
+/// stream position. Returns every episode's match stream in order.
 fn multi_run(
     episodes: &[Episode],
     stream: &[StreamEdge],
     window: u64,
-    mode: DispatchMode,
-    cuts: Option<&[usize]>,
+    cuts: &[usize],
 ) -> (Vec<Vec<MatchRecord>>, MultiQueryEngine<MsTreeStore>) {
-    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::with_mode(window, mode);
+    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(window);
     let mut ids: Vec<Option<QueryId>> = vec![None; episodes.len()];
     let mut out: Vec<Vec<MatchRecord>> = (0..episodes.len()).map(|_| Vec::new()).collect();
-    let churn = |multi: &mut MultiQueryEngine<MsTreeStore>,
-                 ids: &mut Vec<Option<QueryId>>,
-                 at: usize| {
+    let mut at = 0;
+    for &end in cuts {
         for (ei, ep) in episodes.iter().enumerate() {
             if ep.end == at {
                 assert!(multi.unregister(ids[ei].expect("episode was registered")));
@@ -199,32 +199,11 @@ fn multi_run(
                     Some(multi.register(QueryPlan::build(ep.query.clone(), PlanOptions::timing())));
             }
         }
-    };
-    let emit = |out: &mut Vec<Vec<MatchRecord>>,
-                ids: &[Option<QueryId>],
-                batch: Vec<(QueryId, MatchRecord)>| {
-        for (qid, m) in batch {
+        for (qid, m) in multi.advance_batch(&stream[at..end]) {
             let ei = ids.iter().position(|&x| x == Some(qid)).expect("emitting query is live");
             out[ei].push(m);
         }
-    };
-    match cuts {
-        None => {
-            for (i, &e) in stream.iter().enumerate() {
-                churn(&mut multi, &mut ids, i);
-                let got = multi.advance(e);
-                emit(&mut out, &ids, got);
-            }
-        }
-        Some(cuts) => {
-            let mut at = 0;
-            for &end in cuts {
-                churn(&mut multi, &mut ids, at);
-                let got = multi.advance_batch(&stream[at..end]);
-                emit(&mut out, &ids, got);
-                at = end;
-            }
-        }
+        at = end;
     }
     (out, multi)
 }
@@ -257,8 +236,8 @@ fn check_case(seed: u64, kind: u8) {
     conc.assert_clean();
 
     // Multi-query registry with register/unregister churn on batch
-    // boundaries: per-query subsequences are byte-identical to the
-    // per-edge fold applying the same schedule.
+    // boundaries: each episode's subsequence is byte-identical to a fresh
+    // standalone engine folding `advance` over the episode's range.
     let starts: Vec<usize> = std::iter::once(0).chain(cuts.iter().copied()).collect();
     let n_eps = rng.gen_range(1..4usize);
     let episodes: Vec<Episode> = (0..n_eps)
@@ -273,15 +252,13 @@ fn check_case(seed: u64, kind: u8) {
             Episode { query: random_query(&mut rng, n_labels), start, end }
         })
         .collect();
-    for mode in [DispatchMode::Signature, DispatchMode::Broadcast] {
-        let (want, per_edge) = multi_run(&episodes, &stream, window, mode, None);
-        let (got, batched) = multi_run(&episodes, &stream, window, mode, Some(&cuts));
-        for (ei, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(g, w, "episode {ei} ({mode:?}) diverges from the per-edge fold");
-        }
-        per_edge.assert_clean();
-        batched.assert_clean();
+    let (got, batched) = multi_run(&episodes, &stream, window, &cuts);
+    for (ei, ep) in episodes.iter().enumerate() {
+        let range = &stream[ep.start..ep.end.min(stream.len())];
+        let (want, _) = per_edge_run::<MsTreeStore>(&ep.query, range, window);
+        assert_eq!(got[ei], want, "episode {ei} diverges from its independent per-edge engine");
     }
+    batched.assert_clean();
 }
 
 proptest! {

@@ -2,10 +2,10 @@
 //! The multi-query subsystem's defining guarantee, test-enforced: a
 //! [`MultiQueryEngine`] with N registered plans emits, per query, exactly
 //! the match stream of N independent [`TimingEngine`]s consuming the same
-//! edge sequence — through signature-routed dispatch, broadcast mode, the
-//! sharded front-end, window expiry, and mid-stream register/unregister
-//! churn (a query registered at stream position `p` behaves like an
-//! independent engine that starts consuming at `p`).
+//! edge sequence — through signature-routed dispatch, template sharing,
+//! the sharded front-end, window expiry, and mid-stream
+//! register/unregister churn (a query registered at stream position `p`
+//! behaves like an independent engine that starts consuming at `p`).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -15,7 +15,7 @@ use tcs_core::{MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
-use tcs_multi::{DispatchMode, MultiQueryEngine, QueryId, ShardedMultiEngine, ShareMode};
+use tcs_multi::{MultiQueryEngine, QueryId, ShardedMultiEngine};
 
 /// A small connected random query over `n_labels` vertex labels: a random
 /// tree plus optional extra edges and a sparse random timing DAG (the
@@ -100,11 +100,8 @@ fn multi_run(
     episodes: &[Episode],
     stream: &[StreamEdge],
     window: u64,
-    mode: DispatchMode,
-    share: ShareMode,
 ) -> (Vec<Vec<MatchRecord>>, MultiQueryEngine<MsTreeStore>, Vec<Option<QueryId>>) {
-    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::with_mode(window, mode);
-    multi.set_share_mode(share);
+    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(window);
     let mut ids: Vec<Option<QueryId>> = vec![None; episodes.len()];
     let mut out: Vec<Vec<MatchRecord>> = (0..episodes.len()).map(|_| Vec::new()).collect();
     for (i, e) in stream.iter().enumerate() {
@@ -147,20 +144,13 @@ fn check_schedule(seed: u64) {
         }
         episodes.push(Episode { query, start, end });
     }
-    let (shr_out, shr_multi, shr_ids) =
-        multi_run(&episodes, &stream, window, DispatchMode::Signature, ShareMode::Shared);
-    let (prv_out, prv_multi, prv_ids) =
-        multi_run(&episodes, &stream, window, DispatchMode::Signature, ShareMode::Private);
-    let (bc_out, bc_multi, bc_ids) =
-        multi_run(&episodes, &stream, window, DispatchMode::Broadcast, ShareMode::Shared);
+    let (out, multi, ids) = multi_run(&episodes, &stream, window);
     for (ei, ep) in episodes.iter().enumerate() {
         let want = independent_run(ep, &stream, window);
-        assert_eq!(shr_out[ei], want, "seed {seed} episode {ei} (signature, shared)");
-        assert_eq!(prv_out[ei], want, "seed {seed} episode {ei} (signature, private)");
-        assert_eq!(bc_out[ei], want, "seed {seed} episode {ei} (broadcast)");
+        assert_eq!(out[ei], want, "seed {seed} episode {ei}");
         // Episodes alive at stream end also agree on normalized stats
-        // with their independent reference. Under sharing a late joiner
-        // runs on a warm engine, so the internal work counters
+        // with their independent reference. A late joiner to a shared
+        // template runs on a warm engine, so the internal work counters
         // (partials, joins) legitimately differ — the emission-visible
         // ones must not.
         if ep.end == stream.len() {
@@ -170,20 +160,16 @@ fn check_schedule(seed: u64) {
             for e in &stream[ep.start..] {
                 reference.advance(&w.advance(*e));
             }
-            let prv_stats = prv_multi.stats_of(prv_ids[ei].unwrap()).unwrap();
-            let bc_stats = bc_multi.stats_of(bc_ids[ei].unwrap()).unwrap();
-            assert_eq!(prv_stats, reference.stats(), "seed {seed} episode {ei} stats (private)");
-            assert_eq!(bc_stats, reference.stats(), "seed {seed} episode {ei} stats (broadcast)");
-            let shr_stats = shr_multi.stats_of(shr_ids[ei].unwrap()).unwrap();
+            let stats = multi.stats_of(ids[ei].unwrap()).unwrap();
             assert_eq!(
-                shr_stats.matches_emitted,
+                stats.matches_emitted,
                 reference.stats().matches_emitted,
-                "seed {seed} episode {ei} emissions (shared)"
+                "seed {seed} episode {ei} emissions"
             );
             assert_eq!(
-                shr_stats.edges_processed,
+                stats.edges_processed,
                 reference.stats().edges_processed,
-                "seed {seed} episode {ei} processed (shared)"
+                "seed {seed} episode {ei} processed"
             );
         }
     }
@@ -193,9 +179,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// N random plans under random register/unregister schedules: every
-    /// episode's match stream and end-of-stream stats equal an
-    /// independent engine consuming the same arrival range, in both
-    /// dispatch modes.
+    /// episode's match stream and end-of-stream emission counters equal
+    /// an independent engine consuming the same arrival range.
     #[test]
     fn registry_equals_independent_engines_under_churn(seed in any::<u64>()) {
         check_schedule(seed);
@@ -204,8 +189,8 @@ proptest! {
 
 /// The acceptance bar: 64 registered queries, one stream, per-query
 /// match streams identical to 64 independent engines — for the serial
-/// registry in both dispatch modes AND the sharded front-end — plus the
-/// shared-window space win the subsystem exists for.
+/// registry AND the sharded front-end — plus the shared-window space win
+/// the subsystem exists for.
 #[test]
 fn sixty_four_queries_match_sixty_four_independent_engines() {
     let mut rng = SmallRng::seed_from_u64(0x64);
@@ -232,37 +217,28 @@ fn sixty_four_queries_match_sixty_four_independent_engines() {
         }
     }
 
-    // The serial registry, both modes.
-    for mode in [DispatchMode::Signature, DispatchMode::Broadcast] {
-        let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::with_mode(window, mode);
-        let ids: Vec<QueryId> = queries
-            .iter()
-            .map(|q| multi.register(QueryPlan::build(q.clone(), PlanOptions::timing())))
-            .collect();
-        let mut per_query: Vec<Vec<MatchRecord>> = vec![Vec::new(); 64];
-        for e in &stream {
-            for (qid, m) in multi.advance(*e) {
-                per_query[ids.iter().position(|&x| x == qid).unwrap()].push(m);
-            }
-        }
-        for (i, (eng, _, want)) in independent.iter().enumerate() {
-            assert_eq!(&per_query[i], want, "query {i} stream ({mode:?})");
-            assert_eq!(multi.stats_of(ids[i]).unwrap(), eng.stats(), "query {i} stats ({mode:?})");
-        }
-        if mode == DispatchMode::Signature {
-            // The shared snapshot is counted once: the registry holds
-            // strictly less than 64 engines each paying for a window
-            // copy (= broadcast-mode accounting).
-            let shared = multi.stats();
-            let private: usize = independent.iter().map(|(eng, _, _)| eng.space_bytes()).sum();
-            assert!(shared.queries.iter().all(|q| q.stats.edges_processed == stream.len() as u64));
-            assert!(
-                shared.space_bytes() < private,
-                "shared {} !< private {private}",
-                shared.space_bytes()
-            );
+    // The serial registry.
+    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(window);
+    let ids: Vec<QueryId> = queries
+        .iter()
+        .map(|q| multi.register(QueryPlan::build(q.clone(), PlanOptions::timing())))
+        .collect();
+    let mut per_query: Vec<Vec<MatchRecord>> = vec![Vec::new(); 64];
+    for e in &stream {
+        for (qid, m) in multi.advance(*e) {
+            per_query[ids.iter().position(|&x| x == qid).unwrap()].push(m);
         }
     }
+    for (i, (eng, _, want)) in independent.iter().enumerate() {
+        assert_eq!(&per_query[i], want, "query {i} stream");
+        assert_eq!(multi.stats_of(ids[i]).unwrap(), eng.stats(), "query {i} stats");
+    }
+    // The shared snapshot is counted once: the registry holds strictly
+    // less than 64 engines each paying for a window copy.
+    let shared = multi.stats();
+    let private: usize = independent.iter().map(|(eng, _, _)| eng.space_bytes()).sum();
+    assert!(shared.queries.iter().all(|q| q.stats.edges_processed == stream.len() as u64));
+    assert!(shared.space_bytes() < private, "shared {} !< private {private}", shared.space_bytes());
 
     // The sharded front-end on 4 workers.
     let mut sharded: ShardedMultiEngine<MsTreeStore> = ShardedMultiEngine::new(window, 4);

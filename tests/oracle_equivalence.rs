@@ -101,6 +101,39 @@ fn independent_engine_equals_oracle_on_dense_streams() {
 }
 
 #[test]
+fn cross_constraint_floors_equal_oracle() {
+    // `Q¹ = {ε0: a→b ≺ ε1: b→c}`, `Q² = {ε2: d→a ≺ ε3: d→e}` with the
+    // cross-subquery constraint `ε2 ≺ ε1`: the shape whose `L₀` probes
+    // carry a nonzero timestamp floor, so rows skipped below the floor
+    // must be exactly the rows the oracle rejects on timing.
+    use tcs_graph::query::QueryEdge;
+    use tcs_graph::{ELabel, VLabel};
+    let q = QueryGraph::new(
+        vec![VLabel(0), VLabel(1), VLabel(2), VLabel(3), VLabel(4)],
+        vec![
+            QueryEdge { src: 0, dst: 1, label: ELabel::NONE },
+            QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
+            QueryEdge { src: 3, dst: 0, label: ELabel::NONE },
+            QueryEdge { src: 3, dst: 4, label: ELabel::NONE },
+        ],
+        &[(0, 1), (2, 3), (2, 1)],
+    )
+    .unwrap();
+    for seed in 0..4u64 {
+        let edges = dense_stream(300, 10, 5, seed ^ 0x5eed);
+        let label = format!("cross-constraint seed={seed}");
+        assert_engine_matches_oracle::<MsTreeStore>(&q, &edges, 80, PlanOptions::timing(), &label);
+        assert_engine_matches_oracle::<IndependentStore>(
+            &q,
+            &edges,
+            80,
+            PlanOptions::timing(),
+            &label,
+        );
+    }
+}
+
+#[test]
 fn randomized_plans_equal_oracle() {
     // Timing-RD / Timing-RJ / Timing-RDJ change performance, never results.
     let edges = dense_stream(250, 6, 2, 11);

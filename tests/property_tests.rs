@@ -246,44 +246,33 @@ proptest! {
 
     /// The tentpole invariant of the join-key indexes: the indexed
     /// (probing) engine emits the exact same match stream as the naive
-    /// subiso oracle on hub-heavy Zipf streams, tick by tick, and its
-    /// counters are identical to the full-scan reference path — the index
-    /// must be semantically invisible.
+    /// subiso oracle on hub-heavy Zipf streams, tick by tick, on both
+    /// stores — the index must be semantically invisible.
     #[test]
     fn indexed_engine_equals_oracle_on_zipf_streams(
         stream in arb_zipf_stream(),
         q in arb_query(),
         window in 10u64..50,
     ) {
-        use tcs_core::engine::JoinMode;
         let mut oracle = SnapshotOracle::new(q.clone());
         let mut probe: TimingEngine<MsTreeStore> =
             TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
-        let mut scan: TimingEngine<MsTreeStore> =
-            TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
-        scan.set_join_mode(JoinMode::Scan);
         let mut ind: TimingEngine<IndependentStore> =
             TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
         let mut w0 = SlidingWindow::new(window);
         let mut w1 = SlidingWindow::new(window);
         let mut w2 = SlidingWindow::new(window);
-        let mut w3 = SlidingWindow::new(window);
         for &e in &stream {
             let expected = oracle.advance(&w0.advance(e));
             let mut got = probe.advance(&w1.advance(e));
             got.sort();
             prop_assert_eq!(&got, &expected, "probe vs oracle at tick {}", e.ts);
-            let mut ref_scan = scan.advance(&w2.advance(e));
-            ref_scan.sort();
-            prop_assert_eq!(&got, &ref_scan, "probe vs scan at tick {}", e.ts);
-            let mut ind_got = ind.advance(&w3.advance(e));
+            let mut ind_got = ind.advance(&w2.advance(e));
             ind_got.sort();
             prop_assert_eq!(&ind_got, &expected, "independent probe vs oracle at tick {}", e.ts);
-            assert_audit_clean(&probe.audit(), "mstree(probe)", e.ts.0);
-            assert_audit_clean(&scan.audit(), "mstree(scan)", e.ts.0);
+            assert_audit_clean(&probe.audit(), "mstree", e.ts.0);
             assert_audit_clean(&ind.audit(), "independent", e.ts.0);
         }
-        prop_assert_eq!(probe.stats(), scan.stats(), "probe and scan counters diverged");
         prop_assert_eq!(probe.live_match_count(), oracle.all_matches().len());
     }
 }

@@ -3,25 +3,24 @@
 //!
 //! 1. **Equivalence** (default build): under random register/unregister
 //!    churn of *duplicated* plans — the workload sharing exists for —
-//!    [`ShareMode::Shared`] emits, per subscriber, byte-identical match
-//!    streams to [`ShareMode::Private`], while running strictly fewer
-//!    engines; the routed/emitted counters account for every fan-out
-//!    decision.
+//!    every subscriber's match stream is byte-identical to a fresh
+//!    standalone [`TimingEngine`] fed its registration episode, while
+//!    the registry runs one engine per distinct live plan; the
+//!    routed/emitted counters account for every fan-out decision.
 //! 2. **Blast radius** (`--features failpoints`): a fault injected while
 //!    a shared template works hits *exactly* that template's subscribers
-//!    — all of them, and nobody else. Under `Private` the same fault
-//!    costs only the one faulted twin; its duplicates keep running. The
-//!    wider shared blast radius is the price of sharing, and it is
-//!    test-pinned, not folklore.
+//!    — all of them, and nobody else. The whole-template blast radius is
+//!    the price of sharing, and it is test-pinned, not folklore.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tcs_core::plan::{PlanOptions, QueryPlan};
-use tcs_core::MsTreeStore;
+use tcs_core::{MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
+use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
-use tcs_multi::{DispatchMode, MultiQueryEngine, QueryId, ShareMode};
+use tcs_multi::{MultiQueryEngine, QueryId};
 
 /// Tenant `t`'s two-hop path over its private label alphabet
 /// `{3t, 3t+1, 3t+2}` — tenant edges route only to tenant queries, so
@@ -68,22 +67,29 @@ struct Episode {
     end: usize,
 }
 
-/// Drives a registry through the stream under the episode schedule;
-/// returns per-episode match streams plus each live episode's final
-/// (routed, emitted) counters.
+/// The per-registration reference (the same as `multi_equivalence`'s):
+/// a fresh standalone engine consuming exactly `range` through its own
+/// window.
+fn independent_run(tenant: u16, range: &[StreamEdge], window: u64) -> Vec<MatchRecord> {
+    let mut eng: TimingEngine<MsTreeStore> =
+        TimingEngine::new(QueryPlan::build(tenant_query(tenant), PlanOptions::timing()));
+    let mut w = SlidingWindow::new(window);
+    range.iter().flat_map(|&e| eng.advance(&w.advance(e))).collect()
+}
+
+/// Drives a registry through the stream under the episode schedule,
+/// checking at every position that it runs exactly one engine per
+/// distinct live plan; returns per-episode match streams plus each live
+/// episode's final (routed, emitted) counters.
 #[allow(clippy::type_complexity)]
 fn run(
     episodes: &[Episode],
     stream: &[StreamEdge],
     window: u64,
-    share: ShareMode,
-) -> (Vec<Vec<MatchRecord>>, Vec<Option<(u64, u64)>>, usize) {
-    let mut multi: MultiQueryEngine<MsTreeStore> =
-        MultiQueryEngine::with_mode(window, DispatchMode::Signature);
-    multi.set_share_mode(share);
+) -> (Vec<Vec<MatchRecord>>, Vec<Option<(u64, u64)>>) {
+    let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(window);
     let mut ids: Vec<Option<QueryId>> = vec![None; episodes.len()];
     let mut out: Vec<Vec<MatchRecord>> = (0..episodes.len()).map(|_| Vec::new()).collect();
-    let mut peak_templates = 0usize;
     for (i, e) in stream.iter().enumerate() {
         for (ei, ep) in episodes.iter().enumerate() {
             if ep.end == i {
@@ -98,7 +104,16 @@ fn run(
                 );
             }
         }
-        peak_templates = peak_templates.max(multi.n_templates());
+        let live: Vec<u16> =
+            episodes.iter().filter(|ep| ep.start <= i && i < ep.end).map(|ep| ep.tenant).collect();
+        let mut distinct = live.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(multi.n_queries(), live.len(), "position {i}");
+        assert_eq!(multi.n_templates(), distinct.len(), "position {i}: one engine per plan");
+        if distinct.len() < live.len() {
+            assert!(multi.n_templates() < multi.n_queries(), "position {i}: duplicates share");
+        }
         for (qid, m) in multi.advance(*e) {
             let ei = ids.iter().position(|&x| x == Some(qid)).expect("emitting query is live");
             out[ei].push(m);
@@ -117,7 +132,7 @@ fn run(
             },
         )
         .collect();
-    (out, counters, peak_templates)
+    (out, counters)
 }
 
 fn check_duplicated_churn(seed: u64) {
@@ -139,66 +154,55 @@ fn check_duplicated_churn(seed: u64) {
             episodes.push(Episode { tenant: t, start, end });
         }
     }
-    let (shr, shr_counters, shr_peak) = run(&episodes, &stream, window, ShareMode::Shared);
-    let (prv, prv_counters, prv_peak) = run(&episodes, &stream, window, ShareMode::Private);
-    for ei in 0..episodes.len() {
-        assert_eq!(shr[ei], prv[ei], "seed {seed} episode {ei}: shared vs private streams");
+    let (got, counters) = run(&episodes, &stream, window);
+    for (ei, ep) in episodes.iter().enumerate() {
+        let want = independent_run(ep.tenant, &stream[ep.start..ep.end], window);
+        assert_eq!(got[ei], want, "seed {seed} episode {ei}: shared vs independent engine");
         // Counters reconcile exactly: `emitted` is the subscriber's match
         // count, and `routed` is its dispatched-edge count — every tenant
         // edge in the live range matches exactly one of the two-hop
-        // query's signatures, so both registries must report the same
-        // figure (sharing must not double- or under-dispatch).
-        if let (Some((s_routed, s_emitted)), Some((p_routed, p_emitted))) =
-            (shr_counters[ei], prv_counters[ei])
-        {
-            assert_eq!(s_emitted, shr[ei].len() as u64, "seed {seed} episode {ei} emitted");
-            assert_eq!(s_emitted, p_emitted, "seed {seed} episode {ei} emitted vs private");
-            let ep = &episodes[ei];
+        // query's signatures (sharing must not double- or under-dispatch).
+        if let Some((routed, emitted)) = counters[ei] {
+            assert_eq!(emitted, want.len() as u64, "seed {seed} episode {ei} emitted");
             let tenant_edges =
                 stream[ep.start..ep.end].iter().filter(|e| e.src_label.0 / 3 == ep.tenant).count()
                     as u64;
-            assert_eq!(s_routed, tenant_edges, "seed {seed} episode {ei} routed (shared)");
-            assert_eq!(p_routed, tenant_edges, "seed {seed} episode {ei} routed (private)");
+            assert_eq!(routed, tenant_edges, "seed {seed} episode {ei} routed");
         }
     }
-    // Sharing never runs more engines than Private, and duplication is
-    // real: peak templates are bounded by the distinct-plan count.
-    assert!(shr_peak <= prv_peak, "seed {seed}: shared peak {shr_peak} > private {prv_peak}");
-    assert!(
-        shr_peak <= n_tenants as usize,
-        "seed {seed}: {shr_peak} shared templates for {n_tenants} distinct plans"
-    );
+}
+
+/// The failpoint registry is process-global, so with `--features
+/// failpoints` every test in this file serializes on one lock — an armed
+/// site must never fire inside a concurrently running test's engines.
+#[cfg(feature = "failpoints")]
+fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Duplicated plans under random churn: Shared and Private emit
-    /// identical per-subscriber streams, counters reconcile, and the
-    /// shared registry never holds more templates than distinct plans.
+    /// Duplicated plans under random churn: every subscriber's stream
+    /// equals its independent engine's, counters reconcile, and the
+    /// registry holds exactly one template per distinct live plan.
     #[test]
-    fn shared_equals_private_under_duplicated_churn(seed in any::<u64>()) {
+    fn shared_equals_independent_engines_under_duplicated_churn(seed in any::<u64>()) {
+        #[cfg(feature = "failpoints")]
+        let _g = chaos_lock();
         check_duplicated_churn(seed);
     }
 }
 
 /// Fault-injection half: compiled only with `--features failpoints`
-/// (CI's chaos step runs it). Serializes on a local mutex — the
-/// failpoint registry is process-global.
+/// (CI's chaos step runs it).
 #[cfg(feature = "failpoints")]
 mod blast_radius {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::OnceLock;
     use tcs_core::failpoints::{self, sites, Action};
     use tcs_multi::FaultPolicy;
-
-    fn chaos_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        match LOCK.get_or_init(|| Mutex::new(())).lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 
     fn quiet() {
         static ONCE: OnceLock<()> = OnceLock::new();
@@ -207,10 +211,8 @@ mod blast_radius {
 
     /// Three tenants; tenant 0's query registered three times. A panic
     /// armed on one tenant-0 subscriber while its shared template works.
-    fn build(share: ShareMode) -> (MultiQueryEngine<MsTreeStore>, Vec<QueryId>) {
-        let mut multi: MultiQueryEngine<MsTreeStore> =
-            MultiQueryEngine::with_mode(60, DispatchMode::Signature);
-        multi.set_share_mode(share);
+    fn build() -> (MultiQueryEngine<MsTreeStore>, Vec<QueryId>) {
+        let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(60);
         multi.set_fault_policy(FaultPolicy::Quarantine);
         let mut ids = Vec::new();
         for t in [0u16, 0, 0, 1, 2] {
@@ -219,28 +221,31 @@ mod blast_radius {
         (multi, ids)
     }
 
+    fn stream() -> Vec<StreamEdge> {
+        tenant_stream(&mut SmallRng::seed_from_u64(0xb1a57), 3, 120)
+    }
+
     fn drive(
         multi: &mut MultiQueryEngine<MsTreeStore>,
         per_q: &mut [Vec<MatchRecord>],
         ids: &[QueryId],
     ) {
-        let mut rng = SmallRng::seed_from_u64(0xb1a57);
-        for e in tenant_stream(&mut rng, 3, 120) {
+        for e in stream() {
             for (qid, m) in multi.advance(e) {
                 per_q[ids.iter().position(|&x| x == qid).unwrap()].push(m);
             }
         }
     }
 
-    /// Shared: the fault takes down the whole template — all three
-    /// tenant-0 subscribers — and exactly them. Tenants 1 and 2 keep
+    /// The fault takes down the whole template — all three tenant-0
+    /// subscribers — and exactly them. Tenants 1 and 2 keep
     /// their full streams.
     #[test]
     fn shared_fault_quarantines_every_template_subscriber() {
         let _g = chaos_lock();
         quiet();
         failpoints::reset();
-        let (mut multi, ids) = build(ShareMode::Shared);
+        let (mut multi, ids) = build();
         assert_eq!(multi.n_templates(), 3);
         failpoints::arm(
             sites::PRE_PROBE,
@@ -256,34 +261,12 @@ mod blast_radius {
         assert_eq!(multi.n_templates(), 2, "faulted template is gone, survivors kept");
         assert!(per_q[0].is_empty() && per_q[1].is_empty() && per_q[2].is_empty());
         // Survivors saw every one of their matches: byte-identical to a
-        // clean private run of the same schedule.
-        let (mut oracle, oids) = build(ShareMode::Private);
-        let mut want: Vec<Vec<MatchRecord>> = vec![Vec::new(); oids.len()];
-        drive(&mut oracle, &mut want, &oids);
-        assert!(oracle.faults().is_empty());
-        assert_eq!(per_q[3], want[3], "tenant 1 unaffected");
-        assert_eq!(per_q[4], want[4], "tenant 2 unaffected");
-        assert!(!want[3].is_empty() && !want[4].is_empty(), "oracle streams are non-trivial");
-    }
-
-    /// Private: the same fault costs exactly one twin; the other two
-    /// copies of the identical plan keep emitting.
-    #[test]
-    fn private_fault_quarantines_only_the_faulted_twin() {
-        let _g = chaos_lock();
-        quiet();
-        failpoints::reset();
-        let (mut multi, ids) = build(ShareMode::Private);
-        assert_eq!(multi.n_templates(), 5, "private: one engine per registration");
-        failpoints::arm(sites::PRE_PROBE, Some(ids[1].0), Action::Panic("failpoint: twin".into()));
-        let mut per_q: Vec<Vec<MatchRecord>> = vec![Vec::new(); ids.len()];
-        drive(&mut multi, &mut per_q, &ids);
-        failpoints::reset();
-        let faulted: Vec<QueryId> = multi.faults().iter().map(|f| f.qid).collect();
-        assert_eq!(faulted, vec![ids[1]], "exactly the armed twin");
-        assert!(per_q[1].is_empty());
-        assert_eq!(per_q[0], per_q[2], "surviving twins agree");
-        assert!(!per_q[0].is_empty(), "surviving twins kept emitting");
+        // standalone engine per surviving tenant over the same stream.
+        let want1 = independent_run(1, &stream(), 60);
+        let want2 = independent_run(2, &stream(), 60);
+        assert_eq!(per_q[3], want1, "tenant 1 unaffected");
+        assert_eq!(per_q[4], want2, "tenant 2 unaffected");
+        assert!(!want1.is_empty() && !want2.is_empty(), "reference streams are non-trivial");
     }
 
     /// A template quarantined by a fault is re-registerable fresh: the
@@ -294,7 +277,7 @@ mod blast_radius {
         let _g = chaos_lock();
         quiet();
         failpoints::reset();
-        let (mut multi, ids) = build(ShareMode::Shared);
+        let (mut multi, ids) = build();
         failpoints::arm(sites::PRE_PROBE, Some(ids[0].0), Action::Panic("failpoint: dead".into()));
         let mut per_q: Vec<Vec<MatchRecord>> = vec![Vec::new(); ids.len()];
         drive(&mut multi, &mut per_q, &ids);

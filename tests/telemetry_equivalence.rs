@@ -3,20 +3,19 @@
 //! [`Recorder`] — at exact sampling or the default serving cadence —
 //! never changes observable behavior. Match streams and the
 //! oracle-comparable `EngineStats` counters are byte-identical with the
-//! recorder on vs off, across join modes, batch-ingestion modes,
-//! dispatch × share modes under register/unregister churn, and the
-//! sharded front-end.
+//! recorder on vs off, on the per-edge and batch-ingestion paths, the
+//! registry under register/unregister churn, and the sharded front-end.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tcs_core::plan::{PlanOptions, QueryPlan};
-use tcs_core::{BatchMode, JoinMode, MsTreeStore, TimingEngine};
+use tcs_core::{MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
-use tcs_multi::{DispatchMode, MultiQueryEngine, QueryId, ShardedMultiEngine, ShareMode};
+use tcs_multi::{MultiQueryEngine, QueryId, ShardedMultiEngine};
 use tcs_telemetry::Recorder;
 
 /// A small connected random query (the `tests/multi_equivalence.rs`
@@ -88,50 +87,38 @@ fn check_timing_engine(seed: u64) {
     let stream = random_stream(&mut rng, 160, 3, window);
     let plan = || QueryPlan::build(query.clone(), PlanOptions::timing());
 
-    // Windowed per-edge path, every join mode.
-    for mode in [JoinMode::Probe, JoinMode::ProbeAll, JoinMode::Scan] {
-        for rec in recorders() {
-            let mut off: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
-            let mut on: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
-            off.set_join_mode(mode);
-            on.set_join_mode(mode);
-            on.set_recorder(Arc::clone(&rec));
-            let mut w_off = SlidingWindow::new(window);
-            let mut w_on = SlidingWindow::new(window);
-            for e in &stream {
-                let a = off.advance(&w_off.advance(*e));
-                let b = on.advance(&w_on.advance(*e));
-                assert_eq!(a, b, "seed {seed} mode {mode:?} edge {}", e.id.0);
-            }
-            assert_eq!(off.stats(), on.stats(), "seed {seed} mode {mode:?} stats");
+    // Windowed per-edge path.
+    for rec in recorders() {
+        let mut off: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
+        let mut on: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
+        on.set_recorder(Arc::clone(&rec));
+        let mut w_off = SlidingWindow::new(window);
+        let mut w_on = SlidingWindow::new(window);
+        for e in &stream {
+            let a = off.advance(&w_off.advance(*e));
+            let b = on.advance(&w_on.advance(*e));
+            assert_eq!(a, b, "seed {seed} edge {}", e.id.0);
         }
+        assert_eq!(off.stats(), on.stats(), "seed {seed} stats");
     }
 
-    // Batch-ingestion path, both modes, random chunking.
-    for mode in [BatchMode::Sorted, BatchMode::PerEdge] {
-        for rec in recorders() {
-            let mut off: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
-            let mut on: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
-            off.set_batch_mode(mode);
-            on.set_batch_mode(mode);
-            on.set_recorder(Arc::clone(&rec));
-            let mut chunk_rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
-            let mut i = 0usize;
-            while i < stream.len() {
-                let n = chunk_rng.gen_range(1..8usize).min(stream.len() - i);
-                let batch = &stream[i..i + n];
-                let a = off.insert_batch(batch).expect("stream batches are valid");
-                let b = on.insert_batch(batch).expect("stream batches are valid");
-                assert_eq!(a, b, "seed {seed} batch mode {mode:?} at {i}");
-                i += n;
-            }
-            assert_eq!(off.stats(), on.stats(), "seed {seed} batch mode {mode:?} stats");
-            assert_eq!(
-                off.ingest_stats(),
-                on.ingest_stats(),
-                "seed {seed} batch mode {mode:?} ingest stats"
-            );
+    // Batch-ingestion path, random chunking.
+    for rec in recorders() {
+        let mut off: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
+        let mut on: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
+        on.set_recorder(Arc::clone(&rec));
+        let mut chunk_rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
+        let mut i = 0usize;
+        while i < stream.len() {
+            let n = chunk_rng.gen_range(1..8usize).min(stream.len() - i);
+            let batch = &stream[i..i + n];
+            let a = off.insert_batch(batch).expect("stream batches are valid");
+            let b = on.insert_batch(batch).expect("stream batches are valid");
+            assert_eq!(a, b, "seed {seed} batch at {i}");
+            i += n;
         }
+        assert_eq!(off.stats(), on.stats(), "seed {seed} batch stats");
+        assert_eq!(off.ingest_stats(), on.ingest_stats(), "seed {seed} batch ingest stats");
     }
 }
 
@@ -155,12 +142,11 @@ fn check_multi_engine(seed: u64) {
         })
         .collect();
 
-    let run = |mode: DispatchMode,
-               share: ShareMode,
-               rec: Option<Arc<Recorder>>|
-     -> (Vec<(usize, MatchRecord)>, Vec<Option<tcs_core::EngineStats>>) {
-        let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::with_mode(window, mode);
-        multi.set_share_mode(share);
+    let run = |rec: Option<Arc<Recorder>>| -> (
+        Vec<(usize, MatchRecord)>,
+        Vec<Option<tcs_core::EngineStats>>,
+    ) {
+        let mut multi: MultiQueryEngine<MsTreeStore> = MultiQueryEngine::new(window);
         if let Some(rec) = rec {
             multi.set_recorder(rec);
         }
@@ -187,15 +173,11 @@ fn check_multi_engine(seed: u64) {
         (out, stats)
     };
 
-    for mode in [DispatchMode::Signature, DispatchMode::Broadcast] {
-        for share in [ShareMode::Shared, ShareMode::Private] {
-            let (base_out, base_stats) = run(mode, share, None);
-            for rec in recorders() {
-                let (out, stats) = run(mode, share, Some(rec));
-                assert_eq!(base_out, out, "seed {seed} {mode:?}/{share:?} match stream");
-                assert_eq!(base_stats, stats, "seed {seed} {mode:?}/{share:?} stats");
-            }
-        }
+    let (base_out, base_stats) = run(None);
+    for rec in recorders() {
+        let (out, stats) = run(Some(rec));
+        assert_eq!(base_out, out, "seed {seed} match stream");
+        assert_eq!(base_stats, stats, "seed {seed} stats");
     }
 }
 
@@ -203,7 +185,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A standalone engine emits byte-identical matches and stats with
-    /// the recorder on vs off, across join and batch-ingestion modes.
+    /// the recorder on vs off, per edge and batch at a time.
     #[test]
     fn timing_engine_is_invariant_under_recording(seed in any::<u64>()) {
         check_timing_engine(seed);
@@ -214,8 +196,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The registry emits byte-identical per-query streams and stats
-    /// with the recorder on vs off, across dispatch × share modes under
-    /// register/unregister churn.
+    /// with the recorder on vs off under register/unregister churn.
     #[test]
     fn multi_engine_is_invariant_under_recording(seed in any::<u64>()) {
         check_multi_engine(seed);
