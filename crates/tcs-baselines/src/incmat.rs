@@ -1,6 +1,6 @@
 //! IncMat: incremental matching by affected-area recomputation
 //! (Fan, Wang, Wu — "Incremental graph pattern matching", TODS 2013; the
-//! paper's [11]).
+//! paper's \[11\]).
 //!
 //! IncMat keeps no partial results. It maintains the window's graph
 //! structure and, for every inserted edge, runs a *static* subgraph

@@ -1,6 +1,6 @@
 //! SJ-tree: continuous subgraph search without timing pruning
 //! (Choudhury et al., "A selectivity based approach to continuous pattern
-//! detection in streaming graphs", EDBT 2015 — the paper's [1]).
+//! detection in streaming graphs", EDBT 2015 — the paper's \[1\]).
 //!
 //! The SJ-tree is a left-deep join tree whose leaves are single query edges
 //! and whose internal node `i` stores all partial matches of the first

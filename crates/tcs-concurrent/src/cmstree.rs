@@ -52,7 +52,10 @@
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
-use tcs_core::store::{AuditViolation, DrainBucket, ExpiryMode, JoinKey, StoreAudit, StoreLayout};
+use tcs_core::store::{
+    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, JoinKey, StoreAudit,
+    StoreLayout,
+};
 use tcs_graph::EdgeId;
 
 const NIL: u32 = u32::MAX;
@@ -606,21 +609,11 @@ impl CmsTree {
         // timestamp sortedness, is preserved), empty-bucket removal. No
         // reader can observe intermediate states: we hold X(item).
         if !touched_keys.is_empty() {
-            touched_keys.sort_unstable();
-            touched_keys.dedup();
             let mode = self.expiry_mode();
             let mut list = self.lists[item].lock();
-            for key in touched_keys {
-                let bucket = list
-                    .index
-                    .get_mut(&key)
-                    .unwrap_or_else(|| unreachable!("touched bucket exists"));
-                let done = bucket
-                    .finish_cascade(mode, |slot, pos| self.node(slot).key_pos.store(pos, STORE));
-                if done {
-                    list.index.remove(&key);
-                }
-            }
+            finish_touched_buckets(&mut list.index, &mut touched_keys, mode, |slot, pos| {
+                self.node(slot).key_pos.store(pos, STORE)
+            });
         }
         removed
     }

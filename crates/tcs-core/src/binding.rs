@@ -53,9 +53,7 @@ impl PartialAssignment {
     }
 }
 
-/// Why a join check passed or failed — the batch path caches rejection
-/// *reasons*, not just booleans, because only binding verdicts are stable
-/// across a run of same-endpoint arrivals (see `engine.rs`).
+/// Why a join check passed or failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Compat {
     /// The union is a valid partial match.
@@ -71,7 +69,7 @@ pub enum Compat {
 /// [`PartialAssignment::compatible_with`]): classifies `a ∪ b` without
 /// requiring either side to be wrapped in a `PartialAssignment`.
 ///
-/// One [`cross_timing_ok`] call suffices: it scans `a.chain(b)` for both
+/// One `cross_timing_ok` call suffices: it scans `a.chain(b)` for both
 /// the constrained edge and its predecessors, so every cross- and
 /// intra-side constraint is covered in a single pass.
 pub fn compat_sides(

@@ -31,127 +31,39 @@
 //!
 //! # Batch-at-a-time ingestion
 //!
-//! [`TimingEngine::insert_batch`] and [`TimingEngine::advance_batch`]
-//! apply a whole batch per call. Effects still apply in strict input
-//! order — batching is *amortization*, never reordering, so the match
-//! stream and [`EngineStats`] are byte-identical to folding
-//! [`TimingEngine::try_insert`] / [`TimingEngine::advance`] over the same
-//! edges (the reference the batch tests compare against):
+//! [`TimingEngine::insert_batch_at`] applies a routed sub-batch against a
+//! caller-owned [`LiveEdgeView`] (the multi-query front-end's shared
+//! snapshot). It is one admission loop — admit an arrival, run the same
+//! insert body [`TimingEngine::try_insert`] runs, stop at the first
+//! rejection — so the match stream, [`EngineStats`] and [`IngestStats`]
+//! are byte-identical to folding the per-edge path over the same edges
+//! (the reference the batch tests compare against). What a batch saves:
 //!
-//! * **One admission pass.** The whole batch is validated against the
-//!   watermark boundary up front, stopping at the first rejection; the
-//!   admitted prefix is then processed without further boundary checks
-//!   (admission touches only the watermark and ingest counters, so
-//!   admitting ahead of processing is invisible to join semantics).
 //! * **Signature-grouped candidate lookup.** The signature → candidate
-//!   query edges resolution happens once per distinct signature in the
-//!   batch instead of once per edge.
-//! * **Run-level verdict reuse.** Within a *run* — maximal consecutive
-//!   admitted edges sharing (src, dst, signature) — a chain-join probe
-//!   visits the same bucket prefix with the same endpoint bindings. The
-//!   bucket cutoff already discharges every timing constraint (a timing
-//!   sequence is a chain: all stored prefix timestamps precede σ's), so
-//!   each stored prefix's verdict reduces to
-//!   endpoint bindings, which are *identical* across the run. The engine
-//!   caches per-prefix verdicts and replays them for later run members,
-//!   re-evaluating only bucket entries appended mid-run. Verdict
-//!   stability needs id-stability: a batch with duplicate edge ids
-//!   (against the live table or within itself) disables the cache for
-//!   that batch rather than risk a flipped binding verdict.
-//! * **Fueled maintenance.** [`TimingEngine::set_batch_fuel`] grants the
-//!   store a fuel budget per batch; expiry compactions beyond the budget
-//!   are deferred as declared debt and paid down by later batches
-//!   (unspent fuel carries forward). Reads never observe the deferral.
+//!   query edges resolution (`sig_slot`) happens once per distinct
+//!   signature in the batch instead of once per edge; a routed run is
+//!   single-signature, so that is once per call.
 //! * **Columnar row arena.** Propagation builds merged assignments in a
 //!   per-engine arena (`extend_from_within` over span indices) instead of
-//!   cloning a `PartialAssignment` per inserted `L₀` row.
+//!   cloning a `PartialAssignment` per inserted `L₀` row; its capacity is
+//!   reused across the arrivals of a batch and across batches.
 
 use crate::binding::{compat_sides, Compat, PartialAssignment};
 use crate::ingest::{IngestError, IngestStats, OrderPolicy};
 use crate::plan::QueryPlan;
 use crate::store::{AuditViolation, ExpiryMode, Handle, JoinKey, MatchStore, StoreLayout, ROOT};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tcs_graph::window::{BatchEvent, WindowEvent};
-use tcs_graph::{
-    ELabel, EdgeId, LiveEdgeView, MatchRecord, StreamEdge, Timestamp, VLabel, VertexId,
-};
-use tcs_telemetry::{EventKind, LatencyHistogram, Recorder};
+use tcs_graph::window::WindowEvent;
+use tcs_graph::{ELabel, EdgeId, LiveEdgeView, MatchRecord, StreamEdge, Timestamp, VLabel};
+use tcs_telemetry::{LatencyHistogram, Recorder};
 
 /// One per-batch candidate-cache entry: a distinct arrival signature and
 /// the plan's candidate query-edge positions for it (see
 /// `TimingEngine::sig_slot`).
 type SigCandidates = ((VLabel, VLabel, ELabel), Vec<usize>);
-
-/// One cached chain-join probe verdict, aligned with the bucket's live
-/// iteration order. `Accept` carries everything a replay needs (the
-/// stored join key depends only on endpoint bindings, which are constant
-/// across a run); `Retest` marks entries whose verdict is not known to be
-/// binding-only (defensive — unreachable under the probe's cutoff, but
-/// cheap insurance) and is re-evaluated on every replay.
-#[derive(Clone, Copy, Debug)]
-enum Verdict {
-    Accept(Handle, JoinKey),
-    Reject,
-    Retest,
-}
-
-/// Per-batch probe-verdict cache for the current run of consecutive
-/// same-(src, dst, signature) arrivals (module docs: batch ingestion).
-#[derive(Default)]
-struct ProbeCache {
-    /// Caching engaged for the current batch (it is id-stable).
-    active: bool,
-    /// Identity of the current run; any change is a run break.
-    run_key: Option<(VertexId, VertexId, (VLabel, VLabel, ELabel))>,
-    /// Verdicts per candidate query edge, in bucket iteration order.
-    per_qe: Vec<(usize, Vec<Verdict>)>,
-}
-
-impl ProbeCache {
-    /// Starts a new run, discarding every cached verdict but keeping the
-    /// allocated verdict buffers for reuse.
-    fn reset_run(&mut self, run_key: (VertexId, VertexId, (VLabel, VLabel, ELabel))) {
-        self.run_key = Some(run_key);
-        for (qe, v) in &mut self.per_qe {
-            *qe = usize::MAX;
-            v.clear();
-        }
-    }
-
-    /// Detaches the verdict list for `qe` (empty on a run's first edge);
-    /// [`ProbeCache::put_back`] must restore it after the probe.
-    fn take_for(&mut self, qe: usize) -> Vec<Verdict> {
-        if let Some(p) = self.per_qe.iter().position(|&(q, _)| q == qe) {
-            return std::mem::take(&mut self.per_qe[p].1);
-        }
-        if let Some(p) = self.per_qe.iter().position(|&(q, _)| q == usize::MAX) {
-            self.per_qe[p].0 = qe;
-            return std::mem::take(&mut self.per_qe[p].1);
-        }
-        self.per_qe.push((qe, Vec::new()));
-        Vec::new()
-    }
-
-    /// Restores (possibly grown) verdicts for `qe` after a probe.
-    fn put_back(&mut self, qe: usize, verdicts: Vec<Verdict>) {
-        if let Some(p) = self.per_qe.iter().position(|&(q, _)| q == qe) {
-            self.per_qe[p].1 = verdicts;
-        }
-    }
-
-    /// Leaves batch scope: no verdict survives into the next batch.
-    fn deactivate(&mut self) {
-        self.active = false;
-        self.run_key = None;
-        for (qe, v) in &mut self.per_qe {
-            *qe = usize::MAX;
-            v.clear();
-        }
-    }
-}
 
 /// The columnar arena behind `propagate`: merged row assignments and
 /// component-handle lists live in two flat vectors; rows are index spans
@@ -247,11 +159,6 @@ pub struct TimingEngine<S: MatchStore> {
     /// counters stay byte-identical to an oracle fed the sanitized
     /// stream.
     ingest: IngestStats,
-    /// Maintenance fuel granted to the store per batch (`None` = fuel
-    /// metering off, compactions run eagerly).
-    batch_fuel: Option<u64>,
-    /// Per-run probe-verdict cache, live only inside a batch.
-    probe_cache: ProbeCache,
     /// Columnar scratch for `propagate` (reused across arrivals).
     arena: RowArena,
     /// The subscriber seam: `None` (default) until a window-sharing
@@ -319,8 +226,6 @@ impl<S: MatchStore> TimingEngine<S> {
             watermark: None,
             order_policy: OrderPolicy::default(),
             ingest: IngestStats::default(),
-            batch_fuel: None,
-            probe_cache: ProbeCache::default(),
             arena: RowArena::default(),
             seam: None,
             tel: None,
@@ -329,10 +234,10 @@ impl<S: MatchStore> TimingEngine<S> {
 
     /// Arms the telemetry seam: from now on per-edge processing latency,
     /// detection latency (scope 0 — a standalone engine has no query
-    /// id), endpoint hot-key traffic and maintenance-debt events flow
-    /// into `rec` under its sampling contract. Telemetry never perturbs
-    /// [`EngineStats`] or the match stream (the telemetry-equivalence
-    /// suite pins this byte-for-byte). Engines embedded in the
+    /// id) and endpoint hot-key traffic flow into `rec` under its
+    /// sampling contract. Telemetry never perturbs [`EngineStats`] or the
+    /// match stream (the telemetry-equivalence suite pins this
+    /// byte-for-byte). Engines embedded in the
     /// multi-query stack are instrumented by their front-end instead —
     /// arming both layers would double-count.
     pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
@@ -377,58 +282,6 @@ impl<S: MatchStore> TimingEngine<S> {
         self.seam.as_ref().map_or(&[], |s| s.floors.as_slice())
     }
 
-    /// Arms per-batch maintenance fuel: every `insert_batch` /
-    /// `advance_batch` call grants the store `per_batch` fuel units for
-    /// expiry compaction; work beyond the budget is deferred as declared
-    /// debt and paid by later batches (unspent fuel carries forward).
-    /// `None` (the default) disarms metering, settling any outstanding
-    /// debt first. Reads never observe deferral either way.
-    pub fn set_batch_fuel(&mut self, per_batch: Option<u64>) {
-        let debt = self.debt_watch();
-        self.batch_fuel = per_batch;
-        self.store.set_maintenance_fuel(per_batch.map(|_| 0));
-        self.note_debt_settled(debt);
-    }
-
-    /// Deferred compaction entries currently declared by the store.
-    pub fn deferred_maintenance(&self) -> usize {
-        self.store.deferred_maintenance()
-    }
-
-    /// Pays all outstanding maintenance debt immediately, fuel-free.
-    pub fn settle_maintenance(&mut self) {
-        let debt = self.debt_watch();
-        self.store.settle_maintenance();
-        self.note_debt_settled(debt);
-    }
-
-    /// Telemetry: the deferred-maintenance balance, read only while a
-    /// recorder is armed (free otherwise).
-    fn debt_watch(&self) -> usize {
-        if self.tel.is_some() {
-            self.store.deferred_maintenance()
-        } else {
-            0
-        }
-    }
-
-    /// Telemetry: emits one [`EventKind::DebtSettled`] when an operation
-    /// paid a positive deferred-maintenance balance down to zero.
-    fn note_debt_settled(&self, before: usize) {
-        if before > 0 && self.store.deferred_maintenance() == 0 {
-            if let Some(tel) = &self.tel {
-                tel.rec.event(EventKind::DebtSettled { entries: before as u64 });
-            }
-        }
-    }
-
-    /// Grants the per-batch fuel allowance (no-op when disarmed).
-    fn refuel_batch(&mut self) {
-        if let Some(f) = self.batch_fuel {
-            self.store.refuel(f);
-        }
-    }
-
     /// Selects the store's expiry compaction policy (default
     /// [`ExpiryMode::FrontDrain`]); [`ExpiryMode::EagerCompact`] keeps the
     /// compact-every-cascade behavior as the benchmark ablation baseline.
@@ -469,8 +322,9 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// One sweep over every documented invariant: the store's own
-    /// [`StoreAudit`] pass (ordered buckets, tombstone lifecycle, index
-    /// coherence, no dangling references, allocator accounting) plus the
+    /// [`StoreAudit`](crate::store::StoreAudit) pass (ordered buckets,
+    /// tombstone lifecycle, index coherence, no dangling references,
+    /// allocator accounting) plus the
     /// engine-level cross-check that the balanced insert/delete counters
     /// equal the store's actual row count
     /// ([`TimingEngine::live_partials`] == [`TimingEngine::store_rows`]).
@@ -611,32 +465,6 @@ impl<S: MatchStore> TimingEngine<S> {
         self.insert(ev.arrival)
     }
 
-    /// Applies one batched window event: each step's expiries, then its
-    /// arrival run through the batch path. Equivalent to folding
-    /// [`TimingEngine::advance`] over the per-edge events the batch was
-    /// built from, but the shared window advanced once and maintenance is
-    /// metered per batch (one [`TimingEngine::set_batch_fuel`] grant
-    /// covers the whole call). Panics on invalid input like
-    /// [`TimingEngine::insert`] — the window owner already sanitized the
-    /// stream, so a rejection here is an owner bug, not an input error.
-    pub fn advance_batch(&mut self, ev: &BatchEvent) -> Vec<MatchRecord> {
-        let debt = self.debt_watch();
-        self.refuel_batch();
-        let mut out = Vec::new();
-        for step in &ev.steps {
-            for e in &step.expired {
-                self.expire(e);
-            }
-            out.extend(self.insert_batch_body(&step.arrivals).unwrap_or_else(|err| {
-                panic!("TimingEngine::advance_batch fed invalid input: {err}")
-            }));
-        }
-        #[cfg(feature = "debug-audit")]
-        self.debug_audit("end-of-batch");
-        self.note_debt_settled(debt);
-        out
-    }
-
     /// Algorithm 2: removes every partial match containing the expired
     /// edge, and drops it from the engine's private live-edge table.
     ///
@@ -750,88 +578,10 @@ impl<S: MatchStore> TimingEngine<S> {
         Ok(out)
     }
 
-    /// Applies a whole batch of arrivals, stopping at the first rejected
-    /// arrival (matches emitted before the failure are lost to the caller
-    /// but remain live in the store — the error names the offending edge,
-    /// so resuming past it is well-defined). Admission, candidate lookup
-    /// and probe verdicts are amortized across the batch (module docs);
-    /// streams, stats and store contents are byte-identical to folding
-    /// [`TimingEngine::try_insert`] over it.
-    pub fn insert_batch(&mut self, batch: &[StreamEdge]) -> Result<Vec<MatchRecord>, IngestError> {
-        let debt = self.debt_watch();
-        self.refuel_batch();
-        let result = self.insert_batch_body(batch);
-        // End-of-batch boundary sweep (a rejected batch leaves the engine
-        // untouched past the offending arrival).
-        #[cfg(feature = "debug-audit")]
-        if result.is_ok() {
-            self.debug_audit("end-of-batch");
-        }
-        self.note_debt_settled(debt);
-        result
-    }
-
-    /// One admission pass over a whole batch: the admitted (possibly
-    /// clamped) arrivals up to the first rejection, and that rejection.
-    /// Admission touches only the watermark and ingest counters, so
-    /// running it ahead of processing is invisible to join semantics.
-    fn admit_batch(&mut self, batch: &[StreamEdge]) -> (Vec<StreamEdge>, Option<IngestError>) {
-        let mut admitted: Vec<StreamEdge> = Vec::with_capacity(batch.len());
-        for &e in batch {
-            let mut sigma = e;
-            match self.admit(&mut sigma) {
-                Ok(true) => admitted.push(sigma),
-                Ok(false) => {}
-                Err(err) => return (admitted, Some(err)),
-            }
-        }
-        (admitted, None)
-    }
-
-    /// The batch body: one admission pass over the whole batch, then
-    /// in-order processing of the admitted prefix with candidate and
-    /// probe-verdict caching. Returns the first rejection *after*
-    /// processing the edges admitted before it, leaving the engine in
-    /// exactly the state the per-edge path would.
-    fn insert_batch_body(&mut self, batch: &[StreamEdge]) -> Result<Vec<MatchRecord>, IngestError> {
-        let (admitted, failure) = self.admit_batch(batch);
-        // Verdict reuse requires id-stability (module docs): a duplicate
-        // edge id — against the live table or within the batch — could
-        // flip a binding verdict between run members, so such a batch
-        // runs uncached (it is invalid input anyway; this keeps even the
-        // failure behavior byte-identical to per-edge ingestion). A lone
-        // arrival has no run to replay verdicts across.
-        let cache_ok = admitted.len() > 1 && {
-            let mut ids: HashSet<EdgeId> = HashSet::with_capacity(admitted.len());
-            admitted.iter().all(|e| !self.live.contains_key(&e.id) && ids.insert(e.id))
-        };
-        // Per-batch signature → candidate-list cache: the plan lookup and
-        // its defensive copy happen once per distinct signature.
-        let mut sigs: Vec<SigCandidates> = Vec::new();
-        let mut out = Vec::new();
-        let mut live = std::mem::take(&mut self.live);
-        self.probe_cache.active = cache_ok;
-        for &sigma in &admitted {
-            let ci = Self::sig_slot(&mut sigs, &self.plan, sigma.signature());
-            self.note_run(&sigma, sigs[ci].0);
-            let candidates = &sigs[ci].1;
-            if !candidates.is_empty() {
-                live.insert(sigma.id, sigma);
-            }
-            out.extend(self.insert_candidates(sigma, &live, candidates));
-        }
-        self.probe_cache.deactivate();
-        self.live = live;
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
-    }
-
     /// Per-batch candidate cache lookup: position of `sig` in `sigs`,
     /// resolving (and defensively copying) the plan's candidate list only
     /// on first sight. Linear search — batches rarely carry more than a
-    /// handful of distinct signatures, and a run-heavy batch hits slot 0.
+    /// handful of distinct signatures, and a routed run hits slot 0.
     fn sig_slot(
         sigs: &mut Vec<SigCandidates>,
         plan: &QueryPlan,
@@ -846,27 +596,20 @@ impl<S: MatchStore> TimingEngine<S> {
         }
     }
 
-    /// Run-break detection for the probe-verdict cache: a new (src, dst,
-    /// signature) triple invalidates every cached verdict — bindings and
-    /// probe keys both change with the endpoints.
-    fn note_run(&mut self, sigma: &StreamEdge, sig: (VLabel, VLabel, ELabel)) {
-        if self.probe_cache.active {
-            let run_key = (sigma.src, sigma.dst, sig);
-            if self.probe_cache.run_key != Some(run_key) {
-                self.probe_cache.reset_run(run_key);
-            }
-        }
-    }
-
     /// Algorithm 1 against an externally owned window: applies a routed
-    /// sub-batch, resolving every stored edge id through `live` and
-    /// stopping at the first rejection exactly like
-    /// [`TimingEngine::insert_batch`]. The caller must have admitted every
-    /// batch edge to `live` already (the multi-query front-end admits each
-    /// arrival to the shared snapshot once, then routes it to every engine
-    /// whose plan can react) and guarantees stream-wide id uniqueness (its
-    /// [`IngestGate`](crate::ingest::IngestGate) enforces both), so the
-    /// verdict cache only re-checks batch-internal duplicates. The
+    /// sub-batch, resolving every stored edge id through `live`. One loop
+    /// — admit the arrival, run the insert body — that stops at the first
+    /// rejected arrival: matches emitted before the failure are lost to
+    /// the caller but remain live in the store, and the error names the
+    /// offending edge, so resuming past it is well-defined. Streams, stats
+    /// and store contents are byte-identical to folding
+    /// [`TimingEngine::try_insert`] over the batch.
+    ///
+    /// The caller must have admitted every batch edge to `live` already
+    /// (the multi-query front-end admits each arrival to the shared
+    /// snapshot once, then routes it to every engine whose plan can react)
+    /// and guarantees stream-wide id uniqueness (its
+    /// [`IngestGate`](crate::ingest::IngestGate) enforces both). The
     /// engine's private table is neither read nor written on this path.
     ///
     /// The boundary check runs here too: a front-end that pre-sanitizes
@@ -878,37 +621,22 @@ impl<S: MatchStore> TimingEngine<S> {
         batch: &[StreamEdge],
         live: &L,
     ) -> Result<Vec<MatchRecord>, IngestError> {
-        let debt = self.debt_watch();
-        self.refuel_batch();
         if let Some(seam) = &mut self.seam {
             seam.floors.clear();
         }
-        let (admitted, failure) = self.admit_batch(batch);
-        // As in `insert_batch`, minus the live-table check.
-        let cache_ok = admitted.len() > 1 && {
-            let mut ids: HashSet<EdgeId> = HashSet::with_capacity(admitted.len());
-            admitted.iter().all(|e| ids.insert(e.id))
-        };
         let mut sigs: Vec<SigCandidates> = Vec::new();
         let mut out = Vec::new();
-        self.probe_cache.active = cache_ok;
-        for &sigma in &admitted {
+        for mut sigma in batch.iter().copied() {
+            if !self.admit(&mut sigma)? {
+                continue;
+            }
             let ci = Self::sig_slot(&mut sigs, &self.plan, sigma.signature());
-            self.note_run(&sigma, sigs[ci].0);
-            let candidates = &sigs[ci].1;
-            out.extend(self.insert_candidates(sigma, live, candidates));
+            out.extend(self.insert_candidates(sigma, live, &sigs[ci].1));
         }
-        self.probe_cache.deactivate();
-        let result = match failure {
-            Some(err) => Err(err),
-            None => Ok(out),
-        };
+        // End-of-batch boundary sweep (a rejected batch returned above).
         #[cfg(feature = "debug-audit")]
-        if result.is_ok() {
-            self.debug_audit("end-of-batch");
-        }
-        self.note_debt_settled(debt);
-        result
+        self.debug_audit("end-of-batch");
+        Ok(out)
     }
 
     /// The shared insert body: both entry points resolve the signature →
@@ -1046,90 +774,38 @@ impl<S: MatchStore> TimingEngine<S> {
         let mut sigma_side = std::mem::take(&mut self.scratch_sigma);
         sigma_side.edges.clear();
         sigma_side.edges.push((qe, *sigma));
-        // Run-level verdict reuse (module docs): within a run the bucket's
-        // visit sequence for an earlier run member is an exact prefix of a
-        // later member's (append-only mid-run, monotone cutoff), so cached
-        // verdicts align slot-for-slot with the entries visited here.
-        let caching = self.probe_cache.active;
-        let mut verdicts = if caching { self.probe_cache.take_for(qe) } else { Vec::new() };
         {
             let plan = &self.plan;
             let seq = &plan.subs[i].seq;
-            let mut replay = 0usize;
             let mut visit = |h: Handle, edges: &[EdgeId]| {
-                let slot = replay;
-                replay += 1;
-                if caching && slot < verdicts.len() {
-                    match verdicts[slot] {
-                        Verdict::Accept(h2, key) => {
-                            debug_assert_eq!(h2, h, "verdict cache misaligned with bucket");
-                            parents.push((h2, key));
-                            return;
-                        }
-                        Verdict::Reject => return,
-                        Verdict::Retest => {}
-                    }
-                }
-                // First visit of this entry in the current run (or a
-                // Retest slot): run the full evaluation, recording the
-                // verdict when it is binding-only and thus run-stable.
-                let fresh = caching && slot >= verdicts.len();
                 // Timing chain: the prefix's last (newest) edge must
                 // precede σ. The store already cut the bucket at σ.ts
                 // (ordered-bucket invariant), so this only guards against
                 // a store that over-delivers.
                 let last_edge = resolve(live, edges[j - 1]);
                 if last_edge.ts >= sigma.ts {
-                    if fresh {
-                        verdicts.push(Verdict::Retest);
-                    }
                     return;
                 }
                 prefix.edges.clear();
                 prefix.edges.extend(
                     edges.iter().enumerate().map(|(lvl, &id)| (seq[lvl], resolve(live, id))),
                 );
-                match compat_sides(&plan.query, &prefix.edges, &sigma_side.edges) {
-                    Compat::Ok => {
-                        let key = plan.stored_sub_key(i, j, |lvl| {
-                            if lvl == j {
-                                (sigma.src, sigma.dst)
-                            } else {
-                                let e = prefix.edges[lvl].1;
-                                (e.src, e.dst)
-                            }
-                        });
-                        parents.push((h, key));
-                        if fresh {
-                            verdicts.push(Verdict::Accept(h, key));
+                if compat_sides(&plan.query, &prefix.edges, &sigma_side.edges) == Compat::Ok {
+                    let key = plan.stored_sub_key(i, j, |lvl| {
+                        if lvl == j {
+                            (sigma.src, sigma.dst)
+                        } else {
+                            let e = prefix.edges[lvl].1;
+                            (e.src, e.dst)
                         }
-                    }
-                    // Binding verdicts depend only on ids and endpoint
-                    // bindings — constant across the run — so a rejection
-                    // replays as a rejection.
-                    Compat::BindingMismatch => {
-                        if fresh {
-                            verdicts.push(Verdict::Reject);
-                        }
-                    }
-                    // Timing depends on σ.ts, which varies within a run:
-                    // never cached (unreachable under the probe's cutoff, but
-                    // the defensive arm keeps the cache sound even if a
-                    // store over-delivers).
-                    Compat::TimingViolation => {
-                        if fresh {
-                            verdicts.push(Verdict::Retest);
-                        }
-                    }
+                    });
+                    parents.push((h, key));
                 }
             };
             // Binary-search the bucket for the `last.ts < σ.ts` cutoff and
             // iterate only the valid prefix.
             let probe = plan.chain_probe_key(i, j, sigma);
             self.store.for_each_sub_keyed_before(i, j - 1, probe, sigma.ts.0, &mut visit);
-        }
-        if caching {
-            self.probe_cache.put_back(qe, verdicts);
         }
         self.scratch_prefix = prefix;
         self.scratch_sigma = sigma_side;
@@ -1759,13 +1435,14 @@ mod tests {
             StreamEdge::new(3, 10, 0, 11, 1, 0, 1), // behind watermark 2
             StreamEdge::new(4, 11, 1, 12, 2, 0, 3),
         ];
-        let err = eng.insert_batch(&batch).unwrap_err();
+        let live: HashMap<EdgeId, StreamEdge> = batch.iter().map(|e| (e.id, *e)).collect();
+        let err = eng.insert_batch_at(&batch, &live).unwrap_err();
         assert_eq!(err, IngestError::OutOfOrder { ts: 1, watermark: 2 });
         // Edges before the failure were processed and remain live.
         assert_eq!(eng.stats().edges_processed, 2);
         assert_eq!(eng.live_match_count(), 1);
         // Resuming past the offender is well-defined.
-        let m = eng.insert_batch(&batch[3..]).unwrap();
+        let m = eng.insert_batch_at(&batch[3..], &live).unwrap();
         assert_eq!(m.len(), 1);
     }
 
@@ -1797,13 +1474,43 @@ mod tests {
         assert!(eng.space_bytes() <= peak);
     }
 
-    /// Random streams chunked at random batch boundaries: the batch path
-    /// must emit byte-identical match streams AND stats vs the per-edge
-    /// fold, for both stores, with window expiry in play.
+    /// Drives the batch entry the way `MultiQueryEngine::step` does: the
+    /// chunk's expiries leave the external live view, a step's arrivals
+    /// enter it, then every contiguous same-signature run is one
+    /// `insert_batch_at` call.
+    fn step_batch<S: MatchStore>(
+        eng: &mut TimingEngine<S>,
+        w: &mut SlidingWindow,
+        live: &mut HashMap<EdgeId, StreamEdge>,
+        chunk: &[StreamEdge],
+    ) -> Vec<MatchRecord> {
+        let mut out = Vec::new();
+        for step in w.advance_batch(chunk).steps {
+            for x in &step.expired {
+                eng.expire_partials(x);
+                live.remove(&x.id);
+            }
+            live.extend(step.arrivals.iter().map(|a| (a.id, *a)));
+            for run in step.arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
+                out.extend(eng.insert_batch_at(run, live).unwrap());
+            }
+        }
+        out
+    }
+
+    /// Streams chunked at random batch boundaries (and as one whole-stream
+    /// batch): the batch path must emit byte-identical match streams AND
+    /// stats vs the per-edge fold, for both stores, with window expiry in
+    /// play. Besides random streams, one run-heavy input: 64 consecutive
+    /// arrivals sharing (src, dst, signature) probe one 32-row bucket in a
+    /// single call, the run continues across expiries, and a batch of two
+    /// arrivals under one id ends the stream (id uniqueness is the gate's
+    /// job; the engine processes a duplicate like any other arrival).
     #[test]
     fn batch_path_equals_per_edge_fold() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        let mut inputs: Vec<(String, QueryGraph, Vec<StreamEdge>)> = Vec::new();
         for seed in 0..4u64 {
             let mut rng = SmallRng::seed_from_u64(seed ^ 0x6a7c);
             let edges: Vec<StreamEdge> = (0..300)
@@ -1819,15 +1526,24 @@ mod tests {
                 })
                 .collect();
             for pairs in [vec![], vec![(0, 1)]] {
-                let q = QueryGraph::new(
-                    vec![VLabel(0), VLabel(1), VLabel(2)],
-                    vec![
-                        QueryEdge { src: 0, dst: 1, label: ELabel::NONE },
-                        QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
-                    ],
-                    &pairs,
-                )
-                .unwrap();
+                let label = format!("seed {seed} pairs {pairs:?}");
+                inputs.push((label, path2_query(&pairs), edges.clone()));
+            }
+        }
+        // Run-heavy: 32 parents a_i→b filed in b's bucket (ts 1..=32), a
+        // run of b→c arrivals — 64 before the first expiry (ts 33..=40,
+        // eight per tick), 40 more each retiring one parent — then the
+        // duplicate-id batch.
+        let mut hub: Vec<StreamEdge> =
+            (0..32).map(|i| StreamEdge::new(i, 100 + i as u32, 0, 11, 1, 0, i + 1)).collect();
+        hub.extend((0..64).map(|i| StreamEdge::new(32 + i, 11, 1, 12, 2, 0, 33 + i / 8)));
+        hub.extend((0..40).map(|i| StreamEdge::new(96 + i, 11, 1, 12, 2, 0, 41 + i)));
+        hub.extend([StreamEdge::new(900, 11, 1, 12, 2, 0, 81); 2]);
+        inputs.push(("run-heavy".to_string(), path2_query(&[(0, 1)]), hub));
+
+        for (label, q, edges) in &inputs {
+            for whole in [false, true] {
+                let mut rng = SmallRng::seed_from_u64(0xc0de);
                 let mut per: TimingEngine<MsTreeStore> = mk(q.clone());
                 let mut bat: TimingEngine<MsTreeStore> = mk(q.clone());
                 let mut ind_per: TimingEngine<IndependentStore> = mk(q.clone());
@@ -1838,103 +1554,39 @@ mod tests {
                     SlidingWindow::new(40),
                     SlidingWindow::new(40),
                 ];
+                let (mut live_ms, mut live_ind) = (HashMap::new(), HashMap::new());
+                let mut emitted = 0;
                 let mut rest = edges.as_slice();
                 while !rest.is_empty() {
-                    let n = rng.gen_range(1..=rest.len().min(64));
+                    let n = if whole { rest.len() } else { rng.gen_range(1..=rest.len().min(64)) };
                     let (chunk, tail) = rest.split_at(n);
                     rest = tail;
                     let a: Vec<MatchRecord> =
                         chunk.iter().flat_map(|&e| per.advance(&ws[0].advance(e))).collect();
-                    let b = bat.advance_batch(&ws[1].advance_batch(chunk));
+                    let b = step_batch(&mut bat, &mut ws[1], &mut live_ms, chunk);
                     let c: Vec<MatchRecord> =
                         chunk.iter().flat_map(|&e| ind_per.advance(&ws[2].advance(e))).collect();
-                    let d = ind_bat.advance_batch(&ws[3].advance_batch(chunk));
+                    let d = step_batch(&mut ind_bat, &mut ws[3], &mut live_ind, chunk);
                     // Byte-identical per store; set-identical across
                     // stores (their scan orders legitimately differ).
-                    assert_eq!(a, b, "seed {seed} pairs {pairs:?}");
-                    assert_eq!(c, d, "seed {seed} pairs {pairs:?} (ind)");
+                    assert_eq!(a, b, "{label} whole={whole}");
+                    assert_eq!(c, d, "{label} whole={whole} (ind)");
+                    emitted += a.len();
                     let (mut sa, mut sc) = (a, c);
                     sa.sort();
                     sc.sort();
-                    assert_eq!(sa, sc, "seed {seed} pairs {pairs:?} (cross)");
+                    assert_eq!(sa, sc, "{label} whole={whole} (cross)");
                 }
-                assert_eq!(per.stats(), bat.stats(), "seed {seed} pairs {pairs:?}");
-                assert_eq!(ind_per.stats(), ind_bat.stats(), "seed {seed} pairs {pairs:?} (ind)");
+                assert_eq!(per.stats(), bat.stats(), "{label} whole={whole}");
+                assert_eq!(ind_per.stats(), ind_bat.stats(), "{label} whole={whole} (ind)");
                 assert_eq!(per.ingest_stats(), bat.ingest_stats());
+                bat.assert_clean();
+                ind_bat.assert_clean();
+                if label == "run-heavy" {
+                    assert!(emitted >= 64 * 32, "every run member joined the whole bucket");
+                }
             }
         }
-    }
-
-    /// A run of same-(src, dst, signature) arrivals exercises the verdict
-    /// cache; interleaving run breaks and a mid-stream duplicate id (which
-    /// disables caching for its batch) must not change anything.
-    #[test]
-    fn batch_run_cache_is_invisible() {
-        let q = path2_query(&[(0, 1)]);
-        let mut per: TimingEngine<MsTreeStore> = mk(q.clone());
-        let mut bat: TimingEngine<MsTreeStore> = mk(q);
-        // The reference: the same edges folded through the per-edge path.
-        let fold = |eng: &mut TimingEngine<MsTreeStore>, edges: &[StreamEdge]| {
-            edges.iter().flat_map(|&e| eng.try_insert(e).unwrap()).collect::<Vec<MatchRecord>>()
-        };
-        let mut batch = Vec::new();
-        let mut id = 0u64;
-        // One a→b parent, then a run of parallel b→c arrivals that all
-        // probe the same bucket prefix.
-        batch.push(StreamEdge::new(id, 10, 0, 11, 1, 0, 1));
-        for t in 2..40u64 {
-            id += 1;
-            batch.push(StreamEdge::new(id, 11, 1, 12, 2, 0, t));
-        }
-        // Run break: a second level-0 parent, then more of the run.
-        id += 1;
-        batch.push(StreamEdge::new(id, 10, 0, 11, 1, 0, 40));
-        for t in 41..60u64 {
-            id += 1;
-            batch.push(StreamEdge::new(id, 11, 1, 12, 2, 0, t));
-        }
-        let a = fold(&mut per, &batch);
-        let b = bat.insert_batch(&batch).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(per.stats(), bat.stats());
-        assert!(!a.is_empty());
-        // Duplicate id within a batch: caching is disabled, results still
-        // match the per-edge path exactly (the duplicate is processed
-        // like any other arrival — id uniqueness is the gate's job).
-        let dup =
-            [StreamEdge::new(900, 11, 1, 12, 2, 0, 60), StreamEdge::new(900, 11, 1, 12, 2, 0, 60)];
-        let a2 = fold(&mut per, &dup);
-        let b2 = bat.insert_batch(&dup).unwrap();
-        assert_eq!(a2, b2);
-        assert_eq!(per.stats(), bat.stats());
-    }
-
-    /// Engine-level fuel: a tiny per-batch budget defers compactions
-    /// (visible as declared debt), later batches pay it down, and
-    /// settling or disarming clears it — all without changing results.
-    #[test]
-    fn batch_fuel_defers_and_settles_via_engine() {
-        let q = path2_query(&[]);
-        let mut eng: TimingEngine<MsTreeStore> = mk(q);
-        eng.set_batch_fuel(Some(0));
-        let mut w = SlidingWindow::new(30);
-        let mut deferred_seen = false;
-        for t in 1..400u64 {
-            let (s, sl, d, dl) = if t % 2 == 1 { (10, 0, 11, 1) } else { (11, 1, 12, 2) };
-            let ev = w.advance_batch(&[StreamEdge::new(t, s, sl, d, dl, 0, t)]);
-            eng.advance_batch(&ev);
-            deferred_seen |= eng.deferred_maintenance() > 0;
-        }
-        assert!(deferred_seen, "zero-fuel batches never deferred a compaction");
-        // A generous refuel (carried forward across batches) pays debt.
-        eng.set_batch_fuel(Some(1_000_000));
-        let ev = w.advance_batch(&[StreamEdge::new(400, 10, 0, 11, 1, 0, 400)]);
-        eng.advance_batch(&ev);
-        assert_eq!(eng.deferred_maintenance(), 0);
-        // Settle is idempotent; disarming restores eager maintenance.
-        eng.settle_maintenance();
-        eng.set_batch_fuel(None);
-        assert_eq!(eng.deferred_maintenance(), 0);
     }
 
     #[test]

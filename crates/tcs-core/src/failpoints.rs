@@ -28,7 +28,7 @@
 //! `None`). Because dispatch order is deterministic, "panic query 3 the
 //! next time it probes" is an exact schedule, not a race. The registry is
 //! process-global — tests that arm sites must serialize themselves (the
-//! chaos suite holds a mutex) and [`reset`] when done.
+//! chaos suite holds a mutex) and `reset` when done.
 
 /// The named sites instrumented by the fault-tolerance layer. Constants
 /// (not free strings) so tests and call sites cannot drift apart.

@@ -29,15 +29,9 @@
 //! section of the `store.rs` docs. Timing-IND still has no child pointers
 //! to cascade through — the `L₀` phase keeps its row scan, which *is* the
 //! ablation — but item maintenance costs O(deaths), never O(item).
-//!
-//! Like the MS-tree, the store supports *fueled* maintenance: arming a
-//! tank via [`MatchStore::set_maintenance_fuel`] meters compaction work
-//! per cascade (key buckets and timelines both), deferring
-//! over-threshold buckets as declared debt that [`MatchStore::refuel`]
-//! pays down in deterministic (item, key) order.
 
 use crate::store::{
-    AuditViolation, CascadeOutcome, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
+    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
     StoreAudit, StoreLayout, ROOT,
 };
 use std::collections::{HashMap, HashSet};
@@ -145,12 +139,6 @@ pub struct IndependentStore {
     l0_idx: Vec<KeyIndex>,
     /// Expiry compaction policy.
     mode: ExpiryMode,
-    /// Maintenance fuel tank; `None` means unmetered (compact eagerly).
-    fuel: Option<u64>,
-    /// Declared compaction debt on key buckets, as (item id, key).
-    deferred: HashSet<(u32, JoinKey)>,
-    /// Declared compaction debt on item timelines, as (sub, level).
-    deferred_tl: HashSet<(usize, usize)>,
 }
 
 #[inline]
@@ -182,90 +170,6 @@ impl IndependentStore {
     fn sub_row(&self, sub: usize, level: usize, slot: u32) -> &SubRow {
         self.subs[sub][level].get(slot).unwrap_or_else(|| unreachable!("live sub row"))
     }
-
-    /// Inverse of [`IndependentStore::sub_item_id`] / `l0_item_id`.
-    fn locate_item(&self, item: u32) -> ItemLoc {
-        let mut acc = 0u32;
-        for (sub, &len) in self.layout.sub_lens.iter().enumerate() {
-            if item < acc + len as u32 {
-                return ItemLoc::Sub(sub, (item - acc) as usize);
-            }
-            acc += len as u32;
-        }
-        ItemLoc::L0((item - acc) as usize + 1)
-    }
-
-    /// Pays deferred compaction debt from `tank`, in deterministic order:
-    /// key buckets sorted by (item, key), then timelines by (sub, level).
-    /// Entries whose bucket still cannot afford its compaction stay
-    /// deferred; stale entries (bucket since drained) are dropped.
-    fn pay_debt(&mut self, tank: &mut u64) {
-        let mode = self.mode;
-        let mut entries: Vec<(u32, JoinKey)> = self.deferred.iter().copied().collect();
-        entries.sort_unstable();
-        for (item, key) in entries {
-            let outcome = match self.locate_item(item) {
-                ItemLoc::Sub(sub, level) => {
-                    let slab = &mut self.subs[sub][level];
-                    let index = &mut self.sub_idx[sub][level];
-                    let Some(bucket) = index.get_mut(&key) else {
-                        self.deferred.remove(&(item, key));
-                        continue;
-                    };
-                    let outcome = bucket.finish_cascade_fueled(mode, tank, |s, pos| {
-                        slab.get_mut(s)
-                            .unwrap_or_else(|| unreachable!("survivor is live"))
-                            .key_pos = pos;
-                    });
-                    if outcome == CascadeOutcome::Drained {
-                        index.remove(&key);
-                    }
-                    outcome
-                }
-                ItemLoc::L0(i) => {
-                    let slab = &mut self.l0[i - 1];
-                    let index = &mut self.l0_idx[i - 1];
-                    let Some(bucket) = index.get_mut(&key) else {
-                        self.deferred.remove(&(item, key));
-                        continue;
-                    };
-                    let outcome = bucket.finish_cascade_fueled(mode, tank, |s, pos| {
-                        slab.get_mut(s)
-                            .unwrap_or_else(|| unreachable!("survivor is live"))
-                            .key_pos = pos;
-                    });
-                    if outcome == CascadeOutcome::Drained {
-                        index.remove(&key);
-                    }
-                    outcome
-                }
-            };
-            if outcome != CascadeOutcome::Deferred {
-                self.deferred.remove(&(item, key));
-            }
-        }
-        let mut tls: Vec<(usize, usize)> = self.deferred_tl.iter().copied().collect();
-        tls.sort_unstable();
-        for (sub, level) in tls {
-            let timelines = &mut self.timelines;
-            let subs = &mut self.subs;
-            let outcome = timelines[sub][level].finish_cascade_fueled(mode, tank, |s, pos| {
-                subs[sub][level]
-                    .get_mut(s)
-                    .unwrap_or_else(|| unreachable!("survivor is live"))
-                    .tl_pos = pos;
-            });
-            if outcome != CascadeOutcome::Deferred {
-                self.deferred_tl.remove(&(sub, level));
-            }
-        }
-    }
-}
-
-/// Which container an item id resolves to (see `locate_item`).
-enum ItemLoc {
-    Sub(usize, usize),
-    L0(usize),
 }
 
 /// Audits one slab + key-index pair: slab accounting, every row's bucket
@@ -278,7 +182,6 @@ fn audit_slab_index<T>(
     index: &KeyIndex,
     what: &str,
     row_info: impl Fn(&T) -> (JoinKey, u32, u64),
-    is_deferred: impl Fn(&JoinKey) -> bool,
     out: &mut Vec<AuditViolation>,
 ) {
     const S: &str = "independent";
@@ -338,7 +241,7 @@ fn audit_slab_index<T>(
                 detail: format!("{what}: key {key} bucket has no live entry"),
             });
         }
-        bucket.audit_with_debt(S, &format!("{what} key {key}"), is_deferred(key), out);
+        bucket.audit(S, &format!("{what} key {key}"), out);
     }
 }
 
@@ -349,13 +252,11 @@ impl StoreAudit for IndependentStore {
         for (sub, levels) in self.subs.iter().enumerate() {
             for (level, slab) in levels.iter().enumerate() {
                 let what = format!("sub {sub} level {level}");
-                let item = self.sub_item_id(sub, level);
                 audit_slab_index(
                     slab,
                     &self.sub_idx[sub][level],
                     &what,
                     |r: &SubRow| (r.key, r.key_pos, r.ts),
-                    |key| self.deferred.contains(&(item, *key)),
                     &mut out,
                 );
                 // Rows carry the full prefix: arity is the level + 1, and
@@ -378,12 +279,7 @@ impl StoreAudit for IndependentStore {
                 // must hold exactly the live slots, in timestamp order,
                 // and every row's stored position must round-trip.
                 let timeline = &self.timelines[sub][level];
-                timeline.audit_with_debt(
-                    S,
-                    &format!("{what} timeline"),
-                    self.deferred_tl.contains(&(sub, level)),
-                    &mut out,
-                );
+                timeline.audit(S, &format!("{what} timeline"), &mut out);
                 let spine: HashSet<u32> = timeline.live_slots().collect();
                 let rows: HashSet<u32> = slab.iter().map(|(slot, _)| slot).collect();
                 if spine != rows {
@@ -461,13 +357,11 @@ impl StoreAudit for IndependentStore {
         }
         for i in 1..self.layout.k() {
             let what = format!("L0 item {i}");
-            let item = self.l0_item_id(i);
             audit_slab_index(
                 &self.l0[i - 1],
                 &self.l0_idx[i - 1],
                 &what,
                 |r: &L0Row| (r.key, r.key_pos, r.ts),
-                |key| self.deferred.contains(&(item, *key)),
                 &mut out,
             );
             for (slot, row) in self.l0[i - 1].iter() {
@@ -501,30 +395,6 @@ impl StoreAudit for IndependentStore {
                         });
                     }
                 }
-            }
-        }
-        // Every declared debt entry must still name an existing bucket —
-        // drains and settles are responsible for clearing their entries.
-        for &(item, key) in &self.deferred {
-            let exists = match self.locate_item(item) {
-                ItemLoc::Sub(sub, level) => self.sub_idx[sub][level].contains_key(&key),
-                ItemLoc::L0(i) => self.l0_idx[i - 1].contains_key(&key),
-            };
-            if !exists {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "stale-debt",
-                    detail: format!("item {item} key {key} is deferred but has no bucket"),
-                });
-            }
-        }
-        for &(sub, level) in &self.deferred_tl {
-            if self.timelines.get(sub).and_then(|ls| ls.get(level)).is_none() {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "stale-debt",
-                    detail: format!("timeline ({sub}, {level}) is deferred but does not exist"),
-                });
             }
         }
         out
@@ -564,43 +434,11 @@ impl MatchStore for IndependentStore {
             l0,
             l0_idx,
             mode: ExpiryMode::default(),
-            fuel: None,
-            deferred: HashSet::new(),
-            deferred_tl: HashSet::new(),
         }
     }
 
     fn set_expiry_mode(&mut self, mode: ExpiryMode) {
         self.mode = mode;
-    }
-
-    fn set_maintenance_fuel(&mut self, tank: Option<u64>) {
-        if tank.is_none() {
-            self.settle_maintenance();
-        }
-        self.fuel = tank;
-    }
-
-    fn refuel(&mut self, budget: u64) {
-        let Some(tank) = self.fuel else {
-            return;
-        };
-        let mut tank = tank.saturating_add(budget);
-        self.pay_debt(&mut tank);
-        self.fuel = Some(tank);
-    }
-
-    fn settle_maintenance(&mut self) {
-        let mut tank = u64::MAX;
-        self.pay_debt(&mut tank);
-        debug_assert!(
-            self.deferred.is_empty() && self.deferred_tl.is_empty(),
-            "unmetered debt payment must settle everything"
-        );
-    }
-
-    fn deferred_maintenance(&self) -> usize {
-        self.deferred.len() + self.deferred_tl.len()
     }
 
     fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(Handle, &[EdgeId])) {
@@ -759,7 +597,6 @@ impl MatchStore for IndependentStore {
 
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize {
         let mode = self.mode;
-        let mut tank = self.fuel.unwrap_or(u64::MAX);
         let mut deleted = 0usize;
         let mut dead_handles: HashSet<Handle> = HashSet::new();
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
@@ -825,52 +662,27 @@ impl MatchStore for IndependentStore {
                         dead_handles.insert(encode(item, slot));
                     }
                 }
-                touched.sort_unstable();
-                touched.dedup();
                 let slab = &mut self.subs[sub][level];
-                let index = &mut self.sub_idx[sub][level];
-                for key in touched {
-                    let bucket = index
-                        .get_mut(&key)
-                        .unwrap_or_else(|| unreachable!("touched bucket exists"));
-                    match bucket.finish_cascade_fueled(mode, &mut tank, |s, pos| {
+                finish_touched_buckets(
+                    &mut self.sub_idx[sub][level],
+                    &mut touched,
+                    mode,
+                    |s, pos| {
                         slab.get_mut(s)
                             .unwrap_or_else(|| unreachable!("survivor is live"))
                             .key_pos = pos;
-                    }) {
-                        CascadeOutcome::Drained => {
-                            index.remove(&key);
-                            self.deferred.remove(&(item, key));
-                        }
-                        CascadeOutcome::Settled => {
-                            self.deferred.remove(&(item, key));
-                        }
-                        CascadeOutcome::Deferred => {
-                            self.deferred.insert((item, key));
-                        }
-                    }
-                }
-                // Timeline survivors re-record their position on compaction.
-                let timelines = &mut self.timelines;
-                let subs = &mut self.subs;
-                match timelines[sub][level].finish_cascade_fueled(mode, &mut tank, |s, pos| {
-                    subs[sub][level]
-                        .get_mut(s)
-                        .unwrap_or_else(|| unreachable!("survivor is live"))
-                        .tl_pos = pos;
-                }) {
-                    CascadeOutcome::Deferred => {
-                        self.deferred_tl.insert((sub, level));
-                    }
-                    _ => {
-                        self.deferred_tl.remove(&(sub, level));
-                    }
-                }
+                    },
+                );
+                // Timeline survivors re-record their position on
+                // compaction; a drained timeline resets and stays.
+                self.timelines[sub][level].finish_cascade(mode, |s, pos| {
+                    slab.get_mut(s).unwrap_or_else(|| unreachable!("survivor is live")).tl_pos =
+                        pos;
+                });
             }
         }
         if !dead_handles.is_empty() {
             for i in 1..self.layout.k() {
-                let item = self.l0_item_id(i);
                 // Timing-IND keeps full-row scans here: with no child
                 // pointers from leaves into L₀ rows, finding dependents
                 // means inspecting row contents — that scan is the
@@ -895,35 +707,12 @@ impl MatchStore for IndependentStore {
                     touched.push(key);
                     deleted += 1;
                 }
-                touched.sort_unstable();
-                touched.dedup();
                 let slab = &mut self.l0[i - 1];
-                let index = &mut self.l0_idx[i - 1];
-                for key in touched {
-                    let bucket = index
-                        .get_mut(&key)
-                        .unwrap_or_else(|| unreachable!("touched bucket exists"));
-                    match bucket.finish_cascade_fueled(mode, &mut tank, |s, pos| {
-                        slab.get_mut(s)
-                            .unwrap_or_else(|| unreachable!("survivor is live"))
-                            .key_pos = pos;
-                    }) {
-                        CascadeOutcome::Drained => {
-                            index.remove(&key);
-                            self.deferred.remove(&(item, key));
-                        }
-                        CascadeOutcome::Settled => {
-                            self.deferred.remove(&(item, key));
-                        }
-                        CascadeOutcome::Deferred => {
-                            self.deferred.insert((item, key));
-                        }
-                    }
-                }
+                finish_touched_buckets(&mut self.l0_idx[i - 1], &mut touched, mode, |s, pos| {
+                    slab.get_mut(s).unwrap_or_else(|| unreachable!("survivor is live")).key_pos =
+                        pos;
+                });
             }
-        }
-        if self.fuel.is_some() {
-            self.fuel = Some(tank);
         }
         deleted
     }
@@ -1043,10 +832,6 @@ mod tests {
     #[test]
     fn conformance_tombstones_match_model() {
         conformance::tombstoned_buckets_match_model_store::<IndependentStore>();
-    }
-    #[test]
-    fn conformance_fueled_maintenance() {
-        conformance::fueled_maintenance_defers_and_settles::<IndependentStore>();
     }
 
     #[test]

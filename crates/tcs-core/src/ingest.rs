@@ -213,11 +213,34 @@ impl IngestGate {
                 }
             }
         }
-        // Retire bookkeeping for edges the (possibly clamped) arrival
-        // expires, so a re-used id of a long-gone edge is NOT a
-        // duplicate and a relabelled long-gone vertex is NOT dangling.
-        if e.ts.0 >= self.duration {
-            let bound = e.ts.0 - self.duration;
+        // The arrivals this (possibly clamped) one expires. Their ids and
+        // vertex labels are still on the books — retirement waits for
+        // admission, so a rejection leaves every structure untouched —
+        // but a re-used id of such an edge is NOT a duplicate and a
+        // relabelled vertex with no younger incident edge is NOT
+        // dangling: a hit below is checked against this prefix.
+        let bound = e.ts.0.checked_sub(self.duration);
+        let arrivals = &self.arrivals;
+        let expiring = || arrivals.iter().take_while(|a| bound.is_some_and(|b| a.0 <= b));
+        if self.live_ids.contains(&e.id) && !expiring().any(|a| a.1 == e.id) {
+            self.stats.rejected_duplicate += 1;
+            return Err(IngestError::DuplicateEdgeId { id: e.id });
+        }
+        if e.src == e.dst && e.src_label != e.dst_label {
+            self.stats.rejected_dangling += 1;
+            return Err(IngestError::DanglingEndpoint { id: e.id, vertex: e.src });
+        }
+        for (v, l) in [(e.src, e.src_label), (e.dst, e.dst_label)] {
+            if let Some(&(have, live)) = self.labels.get(&v) {
+                if have != l && expiring().filter(|a| a.2 == v || a.3 == v).count() < live as usize
+                {
+                    self.stats.rejected_dangling += 1;
+                    return Err(IngestError::DanglingEndpoint { id: e.id, vertex: v });
+                }
+            }
+        }
+        // Admitted: retire what it expires, then record it.
+        if let Some(bound) = bound {
             while let Some(&(ts, id, src, dst)) = self.arrivals.front() {
                 if ts > bound {
                     break;
@@ -230,23 +253,6 @@ impl IngestGate {
                 }
             }
         }
-        if self.live_ids.contains(&e.id) {
-            self.stats.rejected_duplicate += 1;
-            return Err(IngestError::DuplicateEdgeId { id: e.id });
-        }
-        if e.src == e.dst && e.src_label != e.dst_label {
-            self.stats.rejected_dangling += 1;
-            return Err(IngestError::DanglingEndpoint { id: e.id, vertex: e.src });
-        }
-        for (v, l) in [(e.src, e.src_label), (e.dst, e.dst_label)] {
-            if let Some(&(have, _)) = self.labels.get(&v) {
-                if have != l {
-                    self.stats.rejected_dangling += 1;
-                    return Err(IngestError::DanglingEndpoint { id: e.id, vertex: v });
-                }
-            }
-        }
-        // Admitted: record it.
         self.watermark = Some(self.watermark.map_or(e.ts.0, |w| w.max(e.ts.0)));
         self.live_ids.insert(e.id);
         self.arrivals.push_back((e.ts.0, e.id, e.src, e.dst));
@@ -300,6 +306,41 @@ mod tests {
         assert!(g.admit(edge(2, 0, 0, 1, 1, 6)).unwrap().is_some());
         assert_eq!(g.stats().rejected_out_of_order, 1);
         assert_eq!(g.stats().admitted, 2);
+
+        // A rejection far ahead of the watermark retires nothing either:
+        // id 1 and v0's label stay bound while their edge is in window.
+        let mut g = IngestGate::new(10, OrderPolicy::Reject);
+        g.admit(edge(1, 0, 0, 1, 1, 1)).unwrap();
+        assert_eq!(
+            g.admit(edge(99, 5, 0, 5, 1, 1000)).unwrap_err(),
+            IngestError::DanglingEndpoint { id: EdgeId(99), vertex: VertexId(5) }
+        );
+        assert_eq!(g.watermark(), Some(1));
+        assert_eq!(
+            g.admit(edge(1, 2, 2, 3, 3, 2)).unwrap_err(),
+            IngestError::DuplicateEdgeId { id: EdgeId(1) }
+        );
+        assert_eq!(
+            g.admit(edge(2, 0, 7, 3, 3, 2)).unwrap_err(),
+            IngestError::DanglingEndpoint { id: EdgeId(2), vertex: VertexId(0) }
+        );
+        assert_eq!(g.stats().admitted, 1);
+        // Same for a duplicate rejected at a timestamp that would have
+        // expired an older edge: id 2 (ts 5) is live at ts 11, id 1 (ts 1)
+        // is not — but the watermark stays 5, where id 1 still is.
+        g.admit(edge(2, 1, 1, 2, 2, 5)).unwrap();
+        assert_eq!(
+            g.admit(edge(2, 1, 1, 2, 2, 11)).unwrap_err(),
+            IngestError::DuplicateEdgeId { id: EdgeId(2) }
+        );
+        assert_eq!(
+            g.admit(edge(1, 1, 1, 2, 2, 6)).unwrap_err(),
+            IngestError::DuplicateEdgeId { id: EdgeId(1) }
+        );
+        assert_eq!(g.stats().admitted, 2);
+        // The arrival that does expire both may reuse an id and relabel
+        // their vertices (v1 is bound by both edges).
+        assert!(g.admit(edge(1, 0, 7, 1, 8, 100)).unwrap().is_some());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! Subgraph Search over Streaming Graphs"* (Li, Zou, Özsu, Zhao — ICDE
 //! 2019):
 //!
-//! 1. [`decompose`] — TC-subquery enumeration (`TCsub(Q)`, Algorithm 5) and
+//! 1. [`mod@decompose`] — TC-subquery enumeration (`TCsub(Q)`, Algorithm 5) and
 //!    the greedy minimum-cardinality TC decomposition (Algorithm 6).
 //! 2. [`joinorder`] — the joint-number heuristic (Definition 12) choosing a
 //!    prefix-connected join order over the decomposition (§VI-C).
 //! 3. [`cost`] — the expected-join-operations cost model (Theorem 7).
-//! 4. [`plan`] — a compiled [`QueryPlan`](plan::QueryPlan) binding query
+//! 4. [`plan`] — a compiled [`QueryPlan`] binding query
 //!    edges to (subquery, level) positions; also the randomized plan
 //!    variants Timing-RD / Timing-RJ / Timing-RDJ used in Figure 21.
 //! 5. [`store`] — the storage abstraction over expansion-list items, with

@@ -43,16 +43,9 @@
 //! are always a bucket's oldest prefix), and interior holes from cascaded
 //! descendants are physically compacted only once they outnumber the live
 //! entries (see the tombstone-lifecycle section of the `store.rs` docs).
-//!
-//! Under *fueled maintenance* ([`MatchStore::set_maintenance_fuel`], used
-//! by the engine's batch path) those threshold compactions additionally
-//! draw from a per-batch fuel tank; a compaction the tank cannot cover is
-//! recorded as deferred debt and paid down by later refuels (or an
-//! unconditional [`MatchStore::settle_maintenance`]). Deferral never
-//! changes what readers observe — tombstones are skipped either way.
 
 use crate::store::{
-    AuditViolation, CascadeOutcome, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
+    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
     StoreAudit, StoreLayout, ROOT,
 };
 use std::collections::{HashMap, HashSet};
@@ -118,11 +111,6 @@ pub struct MsTreeStore {
     /// Expiry compaction policy (the EagerCompact ablation reproduces the
     /// previous compact-every-cascade behavior).
     mode: ExpiryMode,
-    /// Fueled-maintenance tank; `None` (the default) compacts immediately.
-    fuel: Option<u64>,
-    /// Buckets whose threshold compaction was deferred for lack of fuel —
-    /// the declared debt the audit exempts from the dead-space check.
-    deferred: HashSet<(usize, JoinKey)>,
 }
 
 impl MsTreeStore {
@@ -257,68 +245,22 @@ impl MsTreeStore {
     /// End-of-cascade bucket maintenance: front-drain the leading
     /// tombstones of every touched bucket, compact past the tombstone
     /// threshold (or always, under [`ExpiryMode::EagerCompact`]), and drop
-    /// buckets with no live entry. Survivors keep their relative
-    /// (timestamp) order and get their positions re-recorded on compaction.
-    fn finish_buckets(&mut self, touched: &mut Vec<(usize, JoinKey)>) {
+    /// buckets with no live entry — one [`finish_touched_buckets`] call
+    /// per touched item. Survivors keep their relative (timestamp) order
+    /// and get their positions re-recorded on compaction.
+    fn finish_buckets(&mut self, touched: &mut [(usize, JoinKey)]) {
         touched.sort_unstable();
-        touched.dedup();
-        let mode = self.mode;
-        let mut tank = self.fuel.unwrap_or(u64::MAX);
-        for &(item, key) in touched.iter() {
+        let mut keys: Vec<JoinKey> = Vec::new();
+        for of_item in touched.chunk_by(|a, b| a.0 == b.0) {
+            keys.clear();
+            keys.extend(of_item.iter().map(|&(_, key)| key));
             let nodes = &mut self.nodes;
-            let index = &mut self.indexes[item];
-            let bucket =
-                index.get_mut(&key).unwrap_or_else(|| unreachable!("touched bucket exists"));
-            match bucket.finish_cascade_fueled(mode, &mut tank, |slot, pos| {
-                nodes[slot as usize].key_pos = pos
-            }) {
-                CascadeOutcome::Drained => {
-                    index.remove(&key);
-                    self.deferred.remove(&(item, key));
-                }
-                CascadeOutcome::Settled => {
-                    self.deferred.remove(&(item, key));
-                }
-                CascadeOutcome::Deferred => {
-                    self.deferred.insert((item, key));
-                }
-            }
-        }
-        if self.fuel.is_some() {
-            self.fuel = Some(tank);
-        }
-    }
-
-    /// Revisits every deferred bucket with `tank` fuel, paying down as much
-    /// debt as the tank covers (in ascending `(item, key)` order, so
-    /// payment is deterministic).
-    fn pay_debt(&mut self, tank: &mut u64) {
-        if self.deferred.is_empty() {
-            return;
-        }
-        let mut entries: Vec<(usize, JoinKey)> = self.deferred.iter().copied().collect();
-        entries.sort_unstable();
-        let mode = self.mode;
-        for (item, key) in entries {
-            let nodes = &mut self.nodes;
-            let index = &mut self.indexes[item];
-            let Some(bucket) = index.get_mut(&key) else {
-                // The bucket fully drained after the debt was recorded.
-                self.deferred.remove(&(item, key));
-                continue;
-            };
-            match bucket
-                .finish_cascade_fueled(mode, tank, |slot, pos| nodes[slot as usize].key_pos = pos)
-            {
-                CascadeOutcome::Drained => {
-                    index.remove(&key);
-                    self.deferred.remove(&(item, key));
-                }
-                CascadeOutcome::Settled => {
-                    self.deferred.remove(&(item, key));
-                }
-                CascadeOutcome::Deferred => {}
-            }
+            finish_touched_buckets(
+                &mut self.indexes[of_item[0].0],
+                &mut keys,
+                self.mode,
+                |slot, pos| nodes[slot as usize].key_pos = pos,
+            );
         }
     }
 
@@ -524,12 +466,7 @@ impl MsTreeStore {
                     detail: format!("item {i}: key {key} bucket has no live entry"),
                 });
             }
-            bucket.audit_with_debt(
-                S,
-                &format!("item {i} key {key}"),
-                self.deferred.contains(&(i, *key)),
-                out,
-            );
+            bucket.audit(S, &format!("item {i} key {key}"), out);
         }
         live
     }
@@ -635,17 +572,6 @@ impl StoreAudit for MsTreeStore {
                 });
             }
         }
-        // Declared maintenance debt must point at real buckets (a stale
-        // entry could mask an undeclared over-threshold bucket later).
-        for &(item, key) in &self.deferred {
-            if item >= self.indexes.len() || !self.indexes[item].contains_key(&key) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "stale-debt",
-                    detail: format!("deferred entry (item {item}, key {key}) has no bucket"),
-                });
-            }
-        }
         // Allocator accounting: linked + free covers the arena exactly.
         let free: HashSet<u32> = self.free.iter().copied().collect();
         if free.len() != self.free.len() {
@@ -702,41 +628,11 @@ impl MatchStore for MsTreeStore {
             sub_offsets,
             l0_base,
             mode: ExpiryMode::default(),
-            fuel: None,
-            deferred: HashSet::new(),
         }
     }
 
     fn set_expiry_mode(&mut self, mode: ExpiryMode) {
         self.mode = mode;
-    }
-
-    fn set_maintenance_fuel(&mut self, tank: Option<u64>) {
-        if tank.is_none() {
-            // Disarming returns to strict immediate compaction: pay off
-            // every deferral so no undeclared dead space lingers.
-            self.settle_maintenance();
-        }
-        self.fuel = tank;
-    }
-
-    fn refuel(&mut self, budget: u64) {
-        let Some(tank) = self.fuel else {
-            return;
-        };
-        let mut tank = tank.saturating_add(budget);
-        self.pay_debt(&mut tank);
-        self.fuel = Some(tank);
-    }
-
-    fn settle_maintenance(&mut self) {
-        let mut unlimited = u64::MAX;
-        self.pay_debt(&mut unlimited);
-        debug_assert!(self.deferred.is_empty());
-    }
-
-    fn deferred_maintenance(&self) -> usize {
-        self.deferred.len()
     }
 
     fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(Handle, &[EdgeId])) {
@@ -1027,10 +923,6 @@ mod tests {
     #[test]
     fn conformance_tombstones_match_model() {
         conformance::tombstoned_buckets_match_model_store::<MsTreeStore>();
-    }
-    #[test]
-    fn conformance_fueled_maintenance() {
-        conformance::fueled_maintenance_defers_and_settles::<MsTreeStore>();
     }
 
     #[test]

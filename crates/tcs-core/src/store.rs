@@ -129,6 +129,10 @@
 //!    amortizes to O(1) per death and bounds a bucket's memory at ~2×
 //!    its live size. A bucket with no live entries is dropped whole.
 //!
+//! Steps 2–3 and the empty-bucket drop run unconditionally at the end of
+//! every cascade, through one routine all three stores call per touched
+//! item: [`finish_touched_buckets`].
+//!
 //! Iterators skip tombstones, so readers never observe them; `len_sub` /
 //! `len_l0` count live rows only, which keeps the engines'
 //! `live_partials == store_rows()` accounting exact under tombstones.
@@ -137,6 +141,7 @@
 //! hole-compaction behavior) and exists as the benchmark ablation
 //! baseline behind `BENCH_join.json`'s `expiry_rows` gate.
 
+use std::collections::HashMap;
 use tcs_graph::EdgeId;
 
 /// Opaque reference to a stored partial match.
@@ -238,22 +243,6 @@ pub enum ExpiryMode {
 
 /// Slot value marking a punched (tombstoned) [`DrainBucket`] entry.
 pub const TOMBSTONE: u32 = u32::MAX;
-
-/// Result of a fueled end-of-cascade maintenance step
-/// ([`DrainBucket::finish_cascade_fueled`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CascadeOutcome {
-    /// No live entry remains; the caller drops the bucket.
-    Drained,
-    /// The bucket is within its maintenance bounds (compacted if needed).
-    Settled,
-    /// Dead space crossed the compaction threshold but the fuel tank could
-    /// not cover the compaction; the caller must record the bucket as
-    /// *deferred maintenance debt* and settle it later (fueled batches
-    /// carry the debt forward, [`MatchStore::settle_maintenance`] pays it
-    /// off unconditionally).
-    Deferred,
-}
 
 /// One slot of a [`DrainBucket`]: a store-specific row reference (node
 /// index / slab slot) plus the row's newest-edge timestamp. The timestamp
@@ -366,28 +355,6 @@ impl DrainBucket {
     /// `reindex(slot, new_pos)`. Returns `true` when no live entry remains
     /// (the caller drops the bucket).
     pub fn finish_cascade(&mut self, mode: ExpiryMode, reindex: impl FnMut(u32, u32)) -> bool {
-        // Fully drained buckets reset so long-lived buckets (the per-item
-        // timelines) start clean instead of accumulating dead space.
-        let mut fuel = u64::MAX;
-        self.finish_cascade_fueled(mode, &mut fuel, reindex) == CascadeOutcome::Drained
-    }
-
-    /// Fueled variant of [`DrainBucket::finish_cascade`], the unit of the
-    /// batch path's maintenance metering (after differential dataflow's
-    /// `spine_fueled` idea): front-drain is always immediate (O(drained),
-    /// the steady-state path), but a threshold (or eager) compaction costs
-    /// `live_len()` fuel units. When the tank can't cover it the compaction
-    /// is *deferred*: the bucket stays over threshold, the caller records
-    /// it as debt, and a later refueled cascade — or an unconditional
-    /// [`MatchStore::settle_maintenance`] — pays it off. Deferral is
-    /// semantically invisible (tombstones are never observable), it only
-    /// trades transient dead space for smoother tail latency.
-    pub fn finish_cascade_fueled(
-        &mut self,
-        mode: ExpiryMode,
-        fuel: &mut u64,
-        reindex: impl FnMut(u32, u32),
-    ) -> CascadeOutcome {
         while let Some(e) = self.entries.get(self.start as usize) {
             if e.slot != TOMBSTONE {
                 break;
@@ -396,23 +363,20 @@ impl DrainBucket {
             self.tombs -= 1;
         }
         debug_assert!(self.start as usize <= self.entries.len());
+        // Fully drained buckets reset so long-lived buckets (the per-item
+        // timelines) start clean instead of accumulating dead space.
         if self.live_len() == 0 {
             self.entries.clear();
             self.start = 0;
             self.tombs = 0;
-            return CascadeOutcome::Drained;
+            return true;
         }
         let dead = self.start + self.tombs;
         let threshold = dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len();
         if mode == ExpiryMode::EagerCompact || threshold {
-            let cost = self.live_len() as u64;
-            if *fuel < cost {
-                return CascadeOutcome::Deferred;
-            }
-            *fuel -= cost;
             self.compact(reindex);
         }
-        CascadeOutcome::Settled
+        false
     }
 
     /// Physically removes drained space and tombstones, re-recording
@@ -440,23 +404,6 @@ impl DrainBucket {
     /// space below the compaction threshold. `store`/`what` label the
     /// violations (e.g. `"ms-tree"`, `"item 3 key 7"`).
     pub fn audit(&self, store: &'static str, what: &str, out: &mut Vec<AuditViolation>) {
-        self.audit_with_debt(store, what, false, out);
-    }
-
-    /// Like [`DrainBucket::audit`], but `deferred` marks the bucket as
-    /// *declared maintenance debt* (a fueled cascade ran out of fuel before
-    /// compacting it, see [`CascadeOutcome::Deferred`]): dead space over
-    /// the compaction threshold is then legal — but only because declared.
-    /// An over-threshold bucket that is **not** in its store's deferred
-    /// set is still a violation, which keeps the audit meaningful under
-    /// fuel carry-forward.
-    pub fn audit_with_debt(
-        &self,
-        store: &'static str,
-        what: &str,
-        deferred: bool,
-        out: &mut Vec<AuditViolation>,
-    ) {
         let ix = self.indexed();
         for (pos, w) in ix.windows(2).enumerate() {
             if w[0].ts > w[1].ts {
@@ -487,16 +434,37 @@ impl DrainBucket {
             });
         }
         let dead = self.start + self.tombs;
-        if !deferred && dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len() {
+        if dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len() {
             out.push(AuditViolation {
                 store,
                 invariant: "dead-space-threshold",
                 detail: format!(
-                    "{what}: {dead} dead entries vs {} live crossed the compaction threshold \
-                     without being declared as deferred maintenance debt",
+                    "{what}: {dead} dead entries vs {} live crossed the compaction threshold",
                     self.live_len()
                 ),
             });
+        }
+    }
+}
+
+/// The end-of-cascade routine every store runs over one item's key index
+/// once a cascade has punched its tombstones: each touched bucket (named
+/// once, however many of its rows died) gets its
+/// [`DrainBucket::finish_cascade`], survivors of a compaction re-record
+/// their position through `reindex(slot, new_pos)`, and buckets left with
+/// no live entry are dropped from the index.
+pub fn finish_touched_buckets(
+    index: &mut HashMap<JoinKey, DrainBucket>,
+    touched: &mut Vec<JoinKey>,
+    mode: ExpiryMode,
+    mut reindex: impl FnMut(u32, u32),
+) {
+    touched.sort_unstable();
+    touched.dedup();
+    for key in touched.iter() {
+        let bucket = index.get_mut(key).unwrap_or_else(|| unreachable!("touched bucket exists"));
+        if bucket.finish_cascade(mode, &mut reindex) {
+            index.remove(key);
         }
     }
 }
@@ -643,30 +611,20 @@ pub trait MatchStore: StoreAudit {
     /// benchmark ablation baseline. Semantically invisible either way.
     fn set_expiry_mode(&mut self, mode: ExpiryMode);
 
-    /// Arms (`Some`) or disarms (`None`, the default) *fueled maintenance*:
-    /// when armed, threshold/eager bucket compactions inside
-    /// [`MatchStore::expire_edge`] draw from a fuel tank instead of running
-    /// unconditionally, and compactions the tank cannot cover are recorded
-    /// as deferred debt (see [`CascadeOutcome`]). Front-drain and the
-    /// removals themselves are never deferred — only the semantically
-    /// invisible re-packing is. Arming with `Some(0)` starts with an empty
-    /// tank; [`MatchStore::refuel`] adds per-batch budget on top of
-    /// whatever is left (carry-forward). Stores without bucket maintenance
-    /// may ignore the calls (the defaults are no-ops).
+    /// Inert since PR 14 (bucket compaction is never metered or deferred:
+    /// every cascade ends with [`finish_touched_buckets`]), kept only
+    /// because the frozen benchmark's `TracedStore` implements it. Queued,
+    /// with [`MatchStore::set_expiry_mode`], for the benchmark PR that
+    /// drops it there. No store overrides it.
     fn set_maintenance_fuel(&mut self, _tank: Option<u64>) {}
 
-    /// Adds `budget` fuel units to the tank when fueled maintenance is
-    /// armed (no-op otherwise). Called by the engine once per batch;
-    /// unspent fuel carries forward. Newly available fuel first pays down
-    /// existing deferred debt (oldest first), so debt is bounded whenever
-    /// the per-batch budget covers the average compaction demand.
+    /// Inert since PR 14; see [`MatchStore::set_maintenance_fuel`].
     fn refuel(&mut self, _budget: u64) {}
 
-    /// Unconditionally pays off all deferred maintenance debt (compacts
-    /// every deferred bucket, fuel-free). A no-op when nothing is deferred.
+    /// Inert since PR 14; see [`MatchStore::set_maintenance_fuel`].
     fn settle_maintenance(&mut self) {}
 
-    /// Number of buckets currently carrying deferred maintenance debt.
+    /// Always `0` since PR 14; see [`MatchStore::set_maintenance_fuel`].
     fn deferred_maintenance(&self) -> usize {
         0
     }
@@ -1424,60 +1382,6 @@ pub(crate) mod conformance {
         }
     }
 
-    /// Fueled maintenance: with an armed-but-empty tank, interior deaths
-    /// that cross the compaction threshold must *defer* (declared debt,
-    /// audit stays clean, reads unaffected), refueling must pay the debt
-    /// down, and `settle_maintenance` must clear it unconditionally.
-    pub fn fueled_maintenance_defers_and_settles<S: MatchStore>() {
-        let mut s = S::new(StoreLayout { sub_lens: vec![1] });
-        s.set_maintenance_fuel(Some(0));
-        for t in 1..=20u64 {
-            s.insert_sub(0, 0, ROOT, e(t), t, 5);
-        }
-        // Kill 10 interior rows (front row 1 stays live, so nothing
-        // front-drains): dead = 10 >= live = 10 crosses the threshold on
-        // the last death, but the tank is empty — the compaction defers.
-        for t in 2..=11u64 {
-            s.expire_edge(e(t), t, &[(0, 0)]);
-        }
-        assert!(s.deferred_maintenance() >= 1, "threshold crossing must be declared as debt");
-        s.assert_clean();
-        let survivors: Vec<Vec<u64>> =
-            std::iter::once(1u64).chain(12..=20).map(|t| vec![t]).collect();
-        assert_eq!(collect_sub_keyed(&s, 0, 0, 5), survivors, "reads never observe deferral");
-        // Too little fuel: the 10-live-entry compaction still cannot run.
-        s.refuel(5);
-        assert!(s.deferred_maintenance() >= 1);
-        s.assert_clean();
-        // Enough fuel: refueling pays existing debt down immediately.
-        s.refuel(100);
-        assert_eq!(s.deferred_maintenance(), 0, "refuel must pay deferred debt");
-        s.assert_clean();
-        assert_eq!(collect_sub_keyed(&s, 0, 0, 5), survivors);
-        // Build fresh debt (re-armed with an empty tank), then settle
-        // unconditionally (fuel-free).
-        s.set_maintenance_fuel(Some(0));
-        for t in 21..=40u64 {
-            s.insert_sub(0, 0, ROOT, e(t), t, 5);
-        }
-        for t in 21..=35u64 {
-            s.expire_edge(e(t), t, &[(0, 0)]);
-        }
-        assert!(s.deferred_maintenance() >= 1);
-        s.settle_maintenance();
-        assert_eq!(s.deferred_maintenance(), 0);
-        s.assert_clean();
-        // Disarming returns to immediate compaction semantics.
-        s.set_maintenance_fuel(None);
-        let mut all: Vec<Vec<u64>> = Vec::new();
-        s.for_each_sub(0, 0, &mut |_, edges| all.push(edges.iter().map(|x| x.0).collect()));
-        all.sort();
-        let mut expect: Vec<Vec<u64>> =
-            std::iter::once(1u64).chain(12..=20).chain(36..=40).map(|t| vec![t]).collect();
-        expect.sort();
-        assert_eq!(all, expect);
-    }
-
     pub fn keyed_l0_read_equals_filtered_scan<S: MatchStore>() {
         let mut s = S::new(StoreLayout { sub_lens: vec![1, 1, 1] });
         let c0 = s.insert_sub(0, 0, ROOT, e(1), 1, 7);
@@ -1504,74 +1408,40 @@ pub(crate) mod conformance {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic by design
-mod bucket_fuel_tests {
+mod bucket_tests {
     use super::*;
 
-    fn bucket(n: u32) -> (DrainBucket, Vec<u32>) {
-        let mut b = DrainBucket::default();
-        let pos = (0..n).map(|t| b.push(t, u64::from(t))).collect();
-        (b, pos)
-    }
-
+    /// The audit's dead-space check is unconditional, so `finish_cascade`
+    /// must compact every bucket that reaches the threshold: whatever
+    /// interior subset dies (the front stays live, so nothing front-drains
+    /// the dead space away), the bucket audits clean afterwards, and from
+    /// the threshold on no tombstone survives.
     #[test]
-    fn fueled_finish_defers_then_compacts() {
-        let (mut b, pos) = bucket(20);
-        // Punch 10 interior entries (front stays live): threshold crossed.
-        for i in 1..=10u32 {
-            b.punch(pos[i as usize], i);
+    fn finish_cascade_always_compacts_past_the_threshold() {
+        for n in [9u32, 16, 20, 64] {
+            for dead in 1..n {
+                let mut b = DrainBucket::default();
+                let pos: Vec<u32> = (0..n).map(|t| b.push(t, u64::from(t))).collect();
+                for i in 1..=dead {
+                    b.punch(pos[i as usize], i);
+                }
+                let mut remap = Vec::new();
+                let drained = b.finish_cascade(ExpiryMode::FrontDrain, |s, p| remap.push((s, p)));
+                assert!(!drained, "entry 0 is live");
+                let live = (n - dead) as usize;
+                assert_eq!(b.live_len(), live);
+                if dead >= COMPACT_MIN_DEAD && dead as usize >= live {
+                    assert_eq!(b.tombstones(), 0, "n {n} dead {dead}: over threshold, kept");
+                    assert_eq!(remap.len(), live, "every survivor re-recorded");
+                    assert_eq!(b.front(), 0);
+                } else {
+                    assert_eq!(b.tombstones(), dead, "n {n} dead {dead}: compacted early");
+                    assert!(remap.is_empty());
+                }
+                let mut found = Vec::new();
+                b.audit("test", "bucket", &mut found);
+                assert!(found.is_empty(), "n {n} dead {dead}: {found:?}");
+            }
         }
-        let mut fuel = 0u64;
-        let out = b.finish_cascade_fueled(ExpiryMode::FrontDrain, &mut fuel, |_, _| {});
-        assert_eq!(out, CascadeOutcome::Deferred);
-        assert_eq!(b.live_len(), 10);
-        assert_eq!(b.tombstones(), 10);
-        // The deferred bucket is audit-clean only as declared debt.
-        let mut dirty = Vec::new();
-        b.audit("test", "bucket", &mut dirty);
-        assert!(dirty.iter().any(|v| v.invariant == "dead-space-threshold"));
-        let mut clean = Vec::new();
-        b.audit_with_debt("test", "bucket", true, &mut clean);
-        assert!(clean.is_empty(), "declared debt must audit clean: {clean:?}");
-        // One unit short of the compaction cost (= live_len): still defers
-        // and leaves the tank untouched.
-        let mut fuel = 9u64;
-        let out = b.finish_cascade_fueled(ExpiryMode::FrontDrain, &mut fuel, |_, _| {});
-        assert_eq!(out, CascadeOutcome::Deferred);
-        assert_eq!(fuel, 9);
-        // Exactly enough: compacts, charges the tank, re-records survivors.
-        let mut fuel = 10u64;
-        let mut remap = Vec::new();
-        let out =
-            b.finish_cascade_fueled(ExpiryMode::FrontDrain, &mut fuel, |s, p| remap.push((s, p)));
-        assert_eq!(out, CascadeOutcome::Settled);
-        assert_eq!(fuel, 0);
-        assert_eq!(b.tombstones(), 0);
-        assert_eq!(remap.len(), 10, "all survivors re-recorded");
-        assert_eq!(b.live_slots().collect::<Vec<_>>(), vec![0, 11, 12, 13, 14, 15, 16, 17, 18, 19]);
-    }
-
-    #[test]
-    fn front_drain_and_full_drain_need_no_fuel() {
-        let (mut b, pos) = bucket(20);
-        // A dead oldest prefix below the compaction threshold drains for
-        // free even with an empty tank (the drained space still counts as
-        // dead, so a *threshold-crossing* prefix would defer instead).
-        for i in 0..5u32 {
-            b.punch(pos[i as usize], i);
-        }
-        let mut fuel = 0u64;
-        let out = b.finish_cascade_fueled(ExpiryMode::FrontDrain, &mut fuel, |_, _| {});
-        assert_eq!(out, CascadeOutcome::Settled);
-        assert_eq!(b.live_len(), 15);
-        assert_eq!(b.tombstones(), 0);
-        // Killing everything drains the bucket outright, never deferring.
-        let front = b.front();
-        for (off, e) in b.indexed().to_vec().iter().enumerate() {
-            b.punch(front + off as u32, e.slot);
-        }
-        let out = b.finish_cascade_fueled(ExpiryMode::FrontDrain, &mut fuel, |_, _| {});
-        assert_eq!(out, CascadeOutcome::Drained);
-        assert_eq!(b.live_len(), 0);
     }
 }

@@ -207,9 +207,8 @@
 //!   lifecycle events: `Register`/`Unregister` (registration churn),
 //!   `Quarantine` (query fault: id, stream position, truncated
 //!   payload), `Shed` (overload: shard, edge count, which end),
-//!   `WorkerRestart` (shard rebuild), `DebtSettled` (deferred
-//!   maintenance drained). A quarantined query logs exactly one
-//!   `Quarantine` event, not an `Unregister`.
+//!   `WorkerRestart` (shard rebuild). A quarantined query logs exactly
+//!   one `Quarantine` event, not an `Unregister`.
 //!
 //! `Recorder::snapshot()` exports everything as a
 //! [`TelemetrySnapshot`](tcs_telemetry::TelemetrySnapshot);

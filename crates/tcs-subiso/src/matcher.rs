@@ -3,11 +3,10 @@
 //! The matcher enumerates all assignments of distinct data edges to query
 //! edges such that the induced vertex mapping is consistent and injective
 //! and all labels match (Definition 4's structure constraint). It walks
-//! query edges in a *prefix-connected* order supplied by a
-//! [`Strategy`](crate::strategy::Strategy), so from the second step onwards
-//! at least one endpoint of the current query edge is already bound and
-//! candidates come from adjacency lists instead of the global signature
-//! index.
+//! query edges in a *prefix-connected* order supplied by a [`Strategy`],
+//! so from the second step onwards at least one endpoint of the current
+//! query edge is already bound and candidates come from adjacency lists
+//! instead of the global signature index.
 
 use crate::strategy::Strategy;
 use tcs_graph::snapshot::Snapshot;

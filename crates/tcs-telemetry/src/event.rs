@@ -64,11 +64,6 @@ pub enum EventKind {
         /// The rebuilt shard.
         shard: u64,
     },
-    /// Deferred (fueled) maintenance debt was settled to zero.
-    DebtSettled {
-        /// Expiry entries that were owed before the settle.
-        entries: u64,
-    },
 }
 
 impl EventKind {
@@ -80,7 +75,6 @@ impl EventKind {
             EventKind::Quarantine { .. } => "quarantine",
             EventKind::Shed { .. } => "shed",
             EventKind::WorkerRestart { .. } => "worker_restart",
-            EventKind::DebtSettled { .. } => "debt_settled",
         }
     }
 }
@@ -167,12 +161,8 @@ mod tests {
             EventKind::Quarantine { qid: 0, edge_seq: 0, payload: String::new() },
             EventKind::Shed { shard: 0, edges: 0, newest: true },
             EventKind::WorkerRestart { shard: 0 },
-            EventKind::DebtSettled { entries: 0 },
         ];
         let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(
-            names,
-            ["register", "unregister", "quarantine", "shed", "worker_restart", "debt_settled"]
-        );
+        assert_eq!(names, ["register", "unregister", "quarantine", "shed", "worker_restart"]);
     }
 }

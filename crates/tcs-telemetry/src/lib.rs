@@ -16,8 +16,7 @@
 //!   gauges ([`ShardLoad`]) and degree-bucketed hot-key counters, the
 //!   inputs the future shard rebalancer needs;
 //! * **Events** — a bounded ring of sequence-numbered lifecycle
-//!   [`Event`]s (register/unregister, quarantine, shed, worker restart,
-//!   debt settle).
+//!   [`Event`]s (register/unregister, quarantine, shed, worker restart).
 //!
 //! Everything exports through [`TelemetrySnapshot`]: Prometheus text
 //! ([`TelemetrySnapshot::to_prometheus`]) and a lossless JSON

@@ -135,9 +135,6 @@ fn json_event(e: &Event) -> String {
         EventKind::WorkerRestart { shard } => {
             format!("{{\"seq\": {seq}, \"kind\": \"worker_restart\", \"shard\": {shard}}}")
         }
-        EventKind::DebtSettled { entries } => {
-            format!("{{\"seq\": {seq}, \"kind\": \"debt_settled\", \"entries\": {entries}}}")
-        }
     }
 }
 
@@ -157,7 +154,6 @@ fn event_from_json(v: &Value) -> Result<Event, json::ParseError> {
             newest: v.req("newest")?.as_bool()?,
         },
         "worker_restart" => EventKind::WorkerRestart { shard: v.req("shard")?.as_u64()? },
-        "debt_settled" => EventKind::DebtSettled { entries: v.req("entries")?.as_u64()? },
         other => return Err(json::ParseError(format!("unknown event kind {other:?}"))),
     };
     Ok(Event { seq, kind })
@@ -351,7 +347,6 @@ mod tests {
         });
         rec.event(EventKind::Shed { shard: 1, edges: 16, newest: false });
         rec.event(EventKind::WorkerRestart { shard: 1 });
-        rec.event(EventKind::DebtSettled { entries: 99 });
         rec.event(EventKind::Unregister { qid: 3 });
         rec.set_shard_load(ShardLoad {
             shard: 0,
@@ -395,7 +390,7 @@ mod tests {
             "tcs_shard_queue_depth_hwm{shard=\"0\"} 3",
             "tcs_shard_shed_total{shard=\"0\"} 16",
             "tcs_shard_restarts_total{shard=\"0\"} 1",
-            "tcs_events_total 6",
+            "tcs_events_total 5",
             "tcs_events_dropped_total 0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

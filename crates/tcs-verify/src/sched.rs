@@ -482,7 +482,7 @@ pub(crate) fn yield_point(ctx: &Ctx) {
     drop(core);
 }
 
-/// Public form of [`yield_point`] for instrumented atomics: a no-op off
+/// Public form of `yield_point` for instrumented atomics: a no-op off
 /// model threads.
 pub fn maybe_yield() {
     if let Some(ctx) = current() {

@@ -4,7 +4,7 @@
 //! (`lock()` returns a guard directly, `Condvar::wait(&mut guard)`), plus
 //! atomics mirroring `std::sync::atomic`. Each type carries a weak link
 //! to the model run it was created under; operations on a model thread
-//! route through the deterministic scheduler in [`crate::sched`], while
+//! route through the deterministic scheduler in `crate::sched`, while
 //! the same objects used off model threads (or after their run ended)
 //! silently behave as the real primitives. That fallback is what lets a
 //! whole crate be compiled against these types (`--cfg tcs_model`) while

@@ -6,23 +6,24 @@
 //! it must never change what is emitted, in what order, or what the
 //! counters say.
 //!
-//! Coverage: both serial stores (MS-tree and Timing-IND) with and without
-//! a maintenance fuel meter, the concurrent engine's CmsTree as the third
-//! store (sorted-set equality, its documented contract), and the
-//! multi-query registry with register/unregister churn landing exactly on
-//! batch boundaries. The reference is always the per-edge fold
-//! `advance(&w.advance(e))` of a standalone engine.
+//! Coverage: both serial stores (MS-tree and Timing-IND), the concurrent
+//! engine's CmsTree as the third store (sorted-set equality, its
+//! documented contract), and the multi-query registry with
+//! register/unregister churn landing exactly on batch boundaries. The
+//! reference is always the per-edge fold `advance(&w.advance(e))` of a
+//! standalone engine.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use tcs_concurrent::{ConcurrentEngine, LockingMode};
 use tcs_core::plan::{PlanOptions, QueryPlan};
 use tcs_core::store::MatchStore;
 use tcs_core::{IndependentStore, MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
-use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
+use tcs_graph::{ELabel, EdgeId, MatchRecord, QueryGraph, StreamEdge, VLabel};
 use tcs_multi::{MultiQueryEngine, QueryId};
 
 /// A small connected random query (the `tests/property_tests.rs` recipe).
@@ -55,8 +56,8 @@ fn random_query(rng: &mut SmallRng, n_labels: u16) -> QueryGraph {
 }
 
 /// A random stream with nondecreasing timestamps, repeated endpoints (so
-/// same-signature runs form and the verdict cache engages) and occasional
-/// jumps that force multi-edge expiry cascades mid-batch.
+/// same-signature runs form) and occasional jumps that force multi-edge
+/// expiry cascades mid-batch.
 fn random_stream(rng: &mut SmallRng, len: usize, n_labels: u16, window: u64) -> Vec<StreamEdge> {
     let mut ts = 0u64;
     (0..len)
@@ -120,29 +121,36 @@ fn per_edge_run<S: MatchStore>(
     (out, eng)
 }
 
-/// Batched run over the given boundaries: one `BatchEvent` per chunk,
-/// optionally with a per-batch maintenance fuel allowance (settled at end
-/// of stream so the final state is debt-free).
+/// Batched run over the given boundaries through the engine's batch entry
+/// (`insert_batch_at` over a `HashMap` live view), driven the way
+/// `MultiQueryEngine::step` drives it: per `BatchEvent` step the expiries
+/// leave the view, the arrivals enter it, and each contiguous
+/// same-signature run is one call.
 fn batched_run<S: MatchStore>(
     q: &QueryGraph,
     stream: &[StreamEdge],
     window: u64,
     cuts: &[usize],
-    fuel: Option<u64>,
 ) -> (Vec<MatchRecord>, TimingEngine<S>) {
     let mut eng: TimingEngine<S> =
         TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
-    eng.set_batch_fuel(fuel);
     let mut w = SlidingWindow::new(window);
+    let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
     let mut out = Vec::new();
     let mut at = 0;
     for &end in cuts {
-        let ev = w.advance_batch(&stream[at..end]);
-        out.extend(eng.advance_batch(&ev));
+        for step in w.advance_batch(&stream[at..end]).steps {
+            for x in &step.expired {
+                eng.expire_partials(x);
+                live.remove(&x.id);
+            }
+            live.extend(step.arrivals.iter().map(|a| (a.id, *a)));
+            for run in step.arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
+                out.extend(eng.insert_batch_at(run, &live).expect("stream is in order"));
+            }
+        }
         at = end;
     }
-    eng.settle_maintenance();
-    eng.set_batch_fuel(None);
     (out, eng)
 }
 
@@ -154,14 +162,12 @@ fn check_serial<S: MatchStore>(
     label: &str,
 ) -> Vec<MatchRecord> {
     let (want, ref_eng) = per_edge_run::<S>(q, stream, window);
-    for fuel in [None, Some(32)] {
-        let (got, eng) = batched_run::<S>(q, stream, window, cuts, fuel);
-        assert_eq!(got, want, "{label} fuel={fuel:?}: match streams diverge");
-        assert_eq!(eng.stats(), ref_eng.stats(), "{label} fuel={fuel:?}: stats diverge");
-        assert_eq!(eng.ingest_stats(), ref_eng.ingest_stats(), "{label} fuel={fuel:?}");
-        assert_eq!(eng.live_match_count(), ref_eng.live_match_count(), "{label} fuel={fuel:?}");
-        eng.assert_clean();
-    }
+    let (got, eng) = batched_run::<S>(q, stream, window, cuts);
+    assert_eq!(got, want, "{label}: match streams diverge");
+    assert_eq!(eng.stats(), ref_eng.stats(), "{label}: stats diverge");
+    assert_eq!(eng.ingest_stats(), ref_eng.ingest_stats(), "{label}");
+    assert_eq!(eng.live_match_count(), ref_eng.live_match_count(), "{label}");
+    eng.assert_clean();
     want
 }
 

@@ -9,12 +9,13 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tcs_core::plan::{PlanOptions, QueryPlan};
 use tcs_core::{MsTreeStore, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
-use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, VLabel};
+use tcs_graph::{ELabel, EdgeId, MatchRecord, QueryGraph, StreamEdge, VLabel};
 use tcs_multi::{MultiQueryEngine, QueryId, ShardedMultiEngine};
 use tcs_telemetry::Recorder;
 
@@ -108,12 +109,14 @@ fn check_timing_engine(seed: u64) {
         let mut on: TimingEngine<MsTreeStore> = TimingEngine::new(plan());
         on.set_recorder(Arc::clone(&rec));
         let mut chunk_rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
+        let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
         let mut i = 0usize;
         while i < stream.len() {
             let n = chunk_rng.gen_range(1..8usize).min(stream.len() - i);
             let batch = &stream[i..i + n];
-            let a = off.insert_batch(batch).expect("stream batches are valid");
-            let b = on.insert_batch(batch).expect("stream batches are valid");
+            live.extend(batch.iter().map(|e| (e.id, *e)));
+            let a = off.insert_batch_at(batch, &live).expect("stream batches are valid");
+            let b = on.insert_batch_at(batch, &live).expect("stream batches are valid");
             assert_eq!(a, b, "seed {seed} batch at {i}");
             i += n;
         }
