@@ -1,8 +1,9 @@
 //! One function per table/figure of the paper's evaluation (§VII).
 //!
 //! Every function prints the paper-shaped series and writes TSVs under
-//! `results/`. See DESIGN.md §6 for the experiment ↔ module index and
-//! EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+//! `results/`. The `repro` binary maps experiment names onto these
+//! functions; the synthetic stand-ins for the paper's datasets are
+//! described in `tcs_graph::gen`'s module docs.
 
 use crate::kgen::generate_with_k;
 use crate::report::{fmt_space_kb, fmt_throughput, Table};

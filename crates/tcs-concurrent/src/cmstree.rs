@@ -34,10 +34,10 @@
 //! timestamp, appends are checked nondecreasing (X locks are granted in
 //! dispatch = timestamp order, so insertions arrive sorted even under
 //! concurrency). The concurrent engine relies on it for the
-//! binary-searched range probes ([`CmsTree::for_each_sub_keyed_before`] /
-//! `..._from` / [`CmsTree::for_each_l0_keyed_from`]) and for the
-//! oldest-first early exit of [`CmsTree::payload_matches`] during
-//! deletion transactions.
+//! binary-searched range probes of the join kernel ([`JoinReads`]'s
+//! `for_each_sub_keyed_before` / `..._from` / `for_each_l0_keyed_from`)
+//! and for the oldest-first early exit of [`CmsTree::payload_matches`]
+//! during deletion transactions.
 //!
 //! Key buckets are [`DrainBucket`]s: [`CmsTree::partial_remove`] punches a
 //! timestamp-keeping tombstone per removed node and, before returning,
@@ -52,6 +52,7 @@
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
+use tcs_core::join::JoinReads;
 use tcs_core::store::{
     finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, JoinKey, StoreAudit,
     StoreLayout,
@@ -371,37 +372,6 @@ impl CmsTree {
         self.emit_sub_nodes(&self.bucket_of(item, key), level, f);
     }
 
-    /// Iterates only the subquery matches filed under `key` whose newest
-    /// edge is strictly older than `cutoff_ts` — the binary-searched
-    /// prefix of the ordered bucket (the chain join's `last.ts < σ.ts`).
-    /// Caller holds ≥ S(sub_item(sub, level)).
-    pub fn for_each_sub_keyed_before(
-        &self,
-        sub: usize,
-        level: usize,
-        key: JoinKey,
-        cutoff_ts: u64,
-        f: &mut dyn FnMut(u64, &[EdgeId]),
-    ) {
-        let item = self.sub_item(sub, level);
-        self.emit_sub_nodes(&self.bucket_before(item, key, cutoff_ts), level, f);
-    }
-
-    /// Iterates only the subquery matches filed under `key` with
-    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
-    /// bucket. Caller holds ≥ S(sub_item(sub, level)).
-    pub fn for_each_sub_keyed_from(
-        &self,
-        sub: usize,
-        level: usize,
-        key: JoinKey,
-        min_ts: u64,
-        f: &mut dyn FnMut(u64, &[EdgeId]),
-    ) {
-        let item = self.sub_item(sub, level);
-        self.emit_sub_nodes(&self.bucket_from(item, key, min_ts), level, f);
-    }
-
     /// Materializes and emits the root-to-node paths of subquery nodes.
     fn emit_sub_nodes(&self, nodes: &[u32], level: usize, f: &mut dyn FnMut(u64, &[EdgeId])) {
         let mut buf = vec![EdgeId(0); level + 1];
@@ -437,21 +407,6 @@ impl CmsTree {
     pub fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(u64, &[u64])) {
         let item = self.l0_item(i);
         self.emit_l0_nodes(&self.bucket_of(item, key), i, f);
-    }
-
-    /// Iterates only the `L₀` rows filed under `key` with completion
-    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
-    /// bucket (rows below a cross-subquery constraint floor are skipped
-    /// before expansion). Caller holds ≥ S(l0_item(i)).
-    pub fn for_each_l0_keyed_from(
-        &self,
-        i: usize,
-        key: JoinKey,
-        min_ts: u64,
-        f: &mut dyn FnMut(u64, &[u64]),
-    ) {
-        let item = self.l0_item(i);
-        self.emit_l0_nodes(&self.bucket_from(item, key, min_ts), i, f);
     }
 
     /// The `L₀` nodes of item `i` referencing complete-match leaf `comp`
@@ -783,6 +738,59 @@ impl CmsTree {
             bucket.audit(S, &format!("item {i} key {key}"), out);
         }
         live
+    }
+}
+
+/// The join kernel's reads. Callers hold at least the S lock of the item
+/// read; [`JoinReads::expand_sub`] backtracks without locks (module docs).
+impl JoinReads for CmsTree {
+    /// Iterates only the subquery matches filed under `key` whose newest
+    /// edge is strictly older than `cutoff_ts` — the binary-searched
+    /// prefix of the ordered bucket (the chain join's `last.ts < σ.ts`).
+    fn for_each_sub_keyed_before(
+        &self,
+        sub: usize,
+        level: usize,
+        key: JoinKey,
+        cutoff_ts: u64,
+        f: &mut dyn FnMut(u64, &[EdgeId]),
+    ) {
+        let item = self.sub_item(sub, level);
+        self.emit_sub_nodes(&self.bucket_before(item, key, cutoff_ts), level, f);
+    }
+
+    /// Iterates only the subquery matches filed under `key` with
+    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
+    /// bucket.
+    fn for_each_sub_keyed_from(
+        &self,
+        sub: usize,
+        level: usize,
+        key: JoinKey,
+        min_ts: u64,
+        f: &mut dyn FnMut(u64, &[EdgeId]),
+    ) {
+        let item = self.sub_item(sub, level);
+        self.emit_sub_nodes(&self.bucket_from(item, key, min_ts), level, f);
+    }
+
+    /// Iterates only the `L₀` rows filed under `key` with completion
+    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
+    /// bucket (rows below a cross-subquery constraint floor are skipped
+    /// before expansion).
+    fn for_each_l0_keyed_from(
+        &self,
+        i: usize,
+        key: JoinKey,
+        min_ts: u64,
+        f: &mut dyn FnMut(u64, &[u64]),
+    ) {
+        let item = self.l0_item(i);
+        self.emit_l0_nodes(&self.bucket_from(item, key, min_ts), i, f);
+    }
+
+    fn expand_sub(&self, _sub: usize, handle: u64, out: &mut Vec<EdgeId>) {
+        CmsTree::expand_sub(self, handle, out);
     }
 }
 

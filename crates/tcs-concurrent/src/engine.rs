@@ -1,4 +1,5 @@
-//! The concurrent streaming engine (§V, Algorithm 3).
+//! The concurrent streaming engine (§V, Algorithm 3): Algorithm 1's join
+//! run under fine-grained item locks.
 //!
 //! A single **dispatcher** (the main thread) walks the stream in timestamp
 //! order. For every window event it creates deletion transactions for the
@@ -14,6 +15,19 @@
 //! `S(L₁²) X(L₁³) S(L₂²) X(L₀²) S(L₃¹) X(L₀³)`, and `L₀¹` is never
 //! requested because it aliases `L₁³` (tested below).
 //!
+//! # Shared kernel, engine-specific locking
+//!
+//! An insertion runs the serial engine's join: the steps of the
+//! `tcs_core::join` kernel, each under one lock — S around a chain or
+//! `L₀` probe, X around an insert. Expansions and reports of fresh
+//! matches run under the X guard of the insert that made them: once every
+//! lock is released, a younger deletion may partially remove and even
+//! reclaim the fresh nodes and drop their edges from `live`. What stays
+//! here is the lock choreography (prediction, acquisition in lockstep,
+//! cancelling the rest of an abandoned lock group), one kernel arena per
+//! worker, and Algorithm 2's deletion transactions. There is no partial
+//! cap, no emission floors and no telemetry on this path.
+//!
 //! [`LockingMode::AllLocks`] implements the paper's comparison baseline:
 //! the transaction acquires *all* its locks before doing any work, which
 //! serializes nearly everything (the flat ≈1.2× speedup of Figures 19/20).
@@ -24,7 +38,7 @@ use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tcs_core::binding::PartialAssignment;
+use tcs_core::join::RowArena;
 use tcs_core::plan::QueryPlan;
 use tcs_core::store::StoreLayout;
 use tcs_graph::window::SlidingWindow;
@@ -68,6 +82,7 @@ struct Shared {
     mode: LockingMode,
 }
 
+#[derive(Clone, Copy)]
 enum TxnKind {
     Ins(StreamEdge),
     Del(StreamEdge),
@@ -76,6 +91,9 @@ enum TxnKind {
 struct Txn {
     id: TxnId,
     kind: TxnKind,
+    /// The query edges the edge can match, shape-filtered, in the order
+    /// the runner walks them.
+    qes: Vec<usize>,
     reqs: Vec<(usize, Mode)>,
 }
 
@@ -96,13 +114,6 @@ impl ConcurrentEngine {
             }),
             n_threads,
         }
-    }
-
-    /// Selects the tree's expiry compaction policy (default
-    /// [`tcs_core::ExpiryMode::FrontDrain`]); semantically invisible
-    /// either way (see `tcs_core::store`'s tombstone-lifecycle docs).
-    pub fn set_expiry_mode(&self, mode: tcs_core::ExpiryMode) {
-        self.shared.tree.set_expiry_mode(mode);
     }
 
     /// Number of live complete matches (after `run`).
@@ -158,8 +169,9 @@ impl ConcurrentEngine {
                 let rx = rx.clone();
                 let shared = Arc::clone(shared);
                 scope.spawn(move || {
+                    let mut arena = RowArena::default();
                     while let Ok(txn) = rx.recv() {
-                        run_txn(&shared, txn);
+                        run_txn(&shared, txn, &mut arena);
                     }
                 });
             }
@@ -174,14 +186,14 @@ impl ConcurrentEngine {
                 }
                 let ev = w.advance(e);
                 for expired in &ev.expired {
-                    if let Some(txn) = make_del_txn(shared, next_id, *expired) {
+                    if let Some(txn) = make_txn(shared, next_id, TxnKind::Del(*expired)) {
                         next_id += 1;
                         transactions += 1;
                         shared.locks.dispatch(txn.id, &txn.reqs);
                         tx.send(txn).unwrap_or_else(|_| unreachable!("workers alive"));
                     }
                 }
-                if let Some(txn) = make_ins_txn(shared, next_id, ev.arrival) {
+                if let Some(txn) = make_txn(shared, next_id, TxnKind::Ins(ev.arrival)) {
                     next_id += 1;
                     transactions += 1;
                     shared.live.write().insert(ev.arrival.id, ev.arrival);
@@ -203,101 +215,76 @@ impl ConcurrentEngine {
     }
 }
 
-/// Candidate query edges of an arrival, shape-filtered — the *same*
-/// deterministic order the runner walks.
-fn shaped_candidates(plan: &QueryPlan, e: &StreamEdge) -> Vec<usize> {
-    plan.candidates(e.signature())
-        .iter()
-        .copied()
-        .filter(|&qe| {
-            let q_edge = plan.query.edges[qe];
-            (q_edge.src == q_edge.dst) == (e.src == e.dst)
-        })
-        .collect()
+/// The item the `⋈ᵀ` step into `L₀` item `level` reads, for `Δ` completing
+/// subquery `i`: `Ω(L₀^{level-1})` for `Δ`'s own step — `L₀`'s first item
+/// aliases `Q^1`'s last item (Figure 13) — else subquery `level`'s leaves.
+fn probe_item(plan: &QueryPlan, tree: &CmsTree, i: usize, level: usize) -> usize {
+    let leaf_item = |m: usize| tree.sub_item(m, plan.subs[m].len() - 1);
+    if level != i {
+        leaf_item(level)
+    } else if level == 1 {
+        leaf_item(0)
+    } else {
+        tree.l0_item(level - 1)
+    }
 }
 
 /// The lock sequence for one matched query edge (Figure 13's recipe).
 fn qe_lock_ops(plan: &QueryPlan, tree: &CmsTree, qe: usize) -> Vec<(usize, Mode)> {
     let (i, j) = plan.pos[qe];
-    let k = plan.k();
-    let len = plan.subs[i].len();
-    let leaf_item = |m: usize| tree.sub_item(m, plan.subs[m].len() - 1);
     let mut ops = Vec::new();
-    if j == 0 {
-        ops.push((tree.sub_item(i, 0), Mode::X));
-    } else {
+    if j > 0 {
         ops.push((tree.sub_item(i, j - 1), Mode::S));
-        ops.push((tree.sub_item(i, j), Mode::X));
     }
-    if j == len - 1 && k > 1 {
-        if i == 0 {
-            for m in 1..k {
-                ops.push((leaf_item(m), Mode::S));
-                ops.push((tree.l0_item(m), Mode::X));
-            }
-        } else {
-            if i == 1 {
-                // L₀'s first item aliases Q^1's last item (Figure 13).
-                ops.push((leaf_item(0), Mode::S));
-            } else {
-                ops.push((tree.l0_item(i - 1), Mode::S));
-            }
-            ops.push((tree.l0_item(i), Mode::X));
-            for m in i + 1..k {
-                ops.push((leaf_item(m), Mode::S));
-                ops.push((tree.l0_item(m), Mode::X));
-            }
+    ops.push((tree.sub_item(i, j), Mode::X));
+    if j + 1 == plan.subs[i].len() {
+        for level in i.max(1)..plan.k() {
+            ops.push((probe_item(plan, tree, i, level), Mode::S));
+            ops.push((tree.l0_item(level), Mode::X));
         }
     }
     ops
 }
 
-fn make_ins_txn(shared: &Shared, id: TxnId, e: StreamEdge) -> Option<Txn> {
-    let qes = shaped_candidates(&shared.plan, &e);
-    if qes.is_empty() {
-        return None;
-    }
-    let mut reqs = Vec::new();
-    for &qe in &qes {
-        reqs.extend(qe_lock_ops(&shared.plan, &shared.tree, qe));
-    }
-    if shared.mode == LockingMode::AllLocks {
-        reqs = dedupe_strongest(reqs);
-    }
-    Some(Txn { id, kind: TxnKind::Ins(e), reqs })
+/// The subqueries a deletion of an edge matching `qes` touches, each with
+/// the lowest level the edge can sit at (Algorithm 2 cascades down from
+/// there), in subquery order.
+fn del_starts(plan: &QueryPlan, qes: &[usize]) -> Vec<(usize, usize)> {
+    let mut starts: Vec<(usize, usize)> = qes.iter().map(|&qe| plan.pos[qe]).collect();
+    starts.sort_unstable();
+    starts.dedup_by_key(|&mut (sub, _)| sub);
+    starts
 }
 
-fn make_del_txn(shared: &Shared, id: TxnId, e: StreamEdge) -> Option<Txn> {
-    let qes = shaped_candidates(&shared.plan, &e);
+/// Builds a transaction with its predicted lock requests, or `None` when
+/// the edge matches no query edge.
+fn make_txn(shared: &Shared, id: TxnId, kind: TxnKind) -> Option<Txn> {
+    let (plan, tree) = (&shared.plan, &shared.tree);
+    let (TxnKind::Ins(e) | TxnKind::Del(e)) = kind;
+    let qes: Vec<usize> = plan
+        .candidates(e.signature())
+        .iter()
+        .copied()
+        .filter(|&qe| plan.shape_matches(qe, &e))
+        .collect();
     if qes.is_empty() {
         return None;
     }
-    let plan = &shared.plan;
-    let tree = &shared.tree;
-    // Affected subqueries with their minimum match position.
-    let mut min_pos: HashMap<usize, usize> = HashMap::new();
-    for &qe in &qes {
-        let (i, j) = plan.pos[qe];
-        let entry = min_pos.entry(i).or_insert(j);
-        *entry = (*entry).min(j);
-    }
-    let mut subs: Vec<(usize, usize)> = min_pos.into_iter().collect();
-    subs.sort_unstable();
-    let mut reqs = Vec::new();
-    for &(sub, min_level) in &subs {
-        for level in min_level..plan.subs[sub].len() {
-            reqs.push((tree.sub_item(sub, level), Mode::X));
-        }
-    }
-    if plan.k() > 1 {
-        for m in 1..plan.k() {
-            reqs.push((tree.l0_item(m), Mode::X));
-        }
-    }
+    let mut reqs: Vec<(usize, Mode)> = match kind {
+        TxnKind::Ins(_) => qes.iter().flat_map(|&qe| qe_lock_ops(plan, tree, qe)).collect(),
+        TxnKind::Del(_) => del_starts(plan, &qes)
+            .into_iter()
+            .flat_map(|(sub, min_level)| {
+                (min_level..plan.subs[sub].len()).map(move |level| tree.sub_item(sub, level))
+            })
+            .chain((1..plan.k()).map(|m| tree.l0_item(m)))
+            .map(|item| (item, Mode::X))
+            .collect(),
+    };
     if shared.mode == LockingMode::AllLocks {
         reqs = dedupe_strongest(reqs);
     }
-    Some(Txn { id, kind: TxnKind::Del(e), reqs })
+    Some(Txn { id, kind, qes, reqs })
 }
 
 fn dedupe_strongest(reqs: Vec<(usize, Mode)>) -> Vec<(usize, Mode)> {
@@ -342,6 +329,11 @@ impl Drop for OpGuard<'_> {
 }
 
 impl<'a> OpCtx<'a> {
+    fn new(shared: &'a Shared, txn: &'a Txn) -> Self {
+        let fine = shared.mode == LockingMode::FineGrained;
+        OpCtx { locks: &shared.locks, txn: txn.id, reqs: &txn.reqs, pos: 0, fine }
+    }
+
     /// Acquires the next predicted request; asserts it matches the
     /// runner's expectation (predictor and runner must stay in lockstep).
     /// In All-locks mode the request list is deduplicated and every lock is
@@ -358,19 +350,20 @@ impl<'a> OpCtx<'a> {
         OpGuard { locks: self.locks, txn: self.txn, item, fine: self.fine }
     }
 
-    /// Cancels the next `n` predicted requests.
-    fn cancel_n(&mut self, n: usize) {
-        for _ in 0..n {
-            let (item, mode) = self.reqs[self.pos];
-            self.pos += 1;
-            if self.fine {
+    /// Cancels the predicted requests up to (excluding) position `end`:
+    /// the rest of a lock group whose work evaporated. A no-op in
+    /// All-locks mode, where the list is not walked.
+    fn cancel_until(&mut self, end: usize) {
+        if self.fine {
+            for &(item, mode) in &self.reqs[self.pos..end] {
                 self.locks.cancel(item, self.txn, mode);
             }
+            self.pos = end;
         }
     }
 }
 
-fn run_txn(shared: &Shared, txn: Txn) {
+fn run_txn(shared: &Shared, txn: Txn, arena: &mut RowArena) {
     // All-locks: take everything up front, in dispatch order (deadlock-free
     // because wait-lists are chronological).
     let mut preheld = Vec::new();
@@ -381,288 +374,90 @@ fn run_txn(shared: &Shared, txn: Txn) {
         }
     }
     match txn.kind {
-        TxnKind::Ins(e) => run_ins(shared, txn.id, e, &txn.reqs),
-        TxnKind::Del(e) => run_del(shared, txn.id, e, &txn.reqs),
+        TxnKind::Ins(e) => run_ins(shared, &txn, e, arena),
+        TxnKind::Del(e) => run_del(shared, &txn, e),
     }
     for item in preheld {
         shared.locks.release(item, txn.id);
     }
 }
 
-fn run_ins(shared: &Shared, id: TxnId, sigma: StreamEdge, reqs: &[(usize, Mode)]) {
-    let plan = &shared.plan;
-    let tree = &shared.tree;
-    let fine = shared.mode == LockingMode::FineGrained;
-    let mut ctx = OpCtx { locks: &shared.locks, txn: id, reqs, pos: 0, fine };
-    let k = plan.k();
+/// An insertion transaction: per matched query edge, the kernel's steps
+/// under the lock sequence [`qe_lock_ops`] predicted.
+fn run_ins(shared: &Shared, txn: &Txn, sigma: StreamEdge, arena: &mut RowArena) {
+    let (plan, tree) = (&shared.plan, &shared.tree);
+    let now = sigma.ts.0;
+    let mut ctx = OpCtx::new(shared, txn);
     let mut emitted: Vec<MatchRecord> = Vec::new();
-
-    for qe in shaped_candidates(plan, &sigma) {
-        let ops = qe_lock_ops(plan, tree, qe);
-        let group_start = ctx.pos;
-        let group_len = if fine { ops.len() } else { 0 };
-        let _ = group_len;
+    for &qe in &txn.qes {
+        let group_end = ctx.pos + qe_lock_ops(plan, tree, qe).len();
         let (i, j) = plan.pos[qe];
-        let len = plan.subs[i].len();
-        let seq = &plan.subs[i].seq;
-
-        // --- subquery stage ---
-        // Completing inserts expand (and for TC-queries report) their
-        // matches *under the insertion's X guard*: once every lock is
-        // released, a younger deletion transaction may partially remove
-        // and even reclaim the fresh nodes and drop their edges from
-        // `live` before an unguarded read — reports and expansions must
-        // not outlive the guard (the L₀ stages below rely on the same
-        // rule).
-        let mut delta_sides: Vec<(u64, PartialAssignment)> = Vec::new();
-        if j == 0 {
-            let g = ctx.acquire(tree.sub_item(i, 0), Mode::X);
-            // Every key-spec part of a level-0 match binds on σ itself.
-            let key = plan.stored_sub_key(i, 0, |_| (sigma.src, sigma.dst));
-            let h = tree.insert_sub(i, 0, u64::MAX, sigma.id, sigma.ts.0, key);
-            if j == len - 1 {
-                let live = shared.live.read();
-                if k == 1 {
-                    emitted.push(record_of(shared, &live, &[h]));
-                } else {
-                    delta_sides.push((h, expand_assignment(shared, &live, i, h)));
-                }
-            }
-            drop(g);
-        } else {
-            // Probe item j−1 by σ's endpoint bindings (same S lock as the
-            // full scan; the key is a prefilter, compatibility still runs).
-            let mut parents = Vec::new();
-            {
-                let g = ctx.acquire(tree.sub_item(i, j - 1), Mode::S);
-                let live = shared.live.read();
-                let sigma_side = PartialAssignment::new(vec![(qe, sigma)]);
-                let probe = plan.chain_probe_key(i, j, &sigma);
-                // The ordered bucket is cut at σ.ts by binary search; the
-                // per-candidate recheck below is then vacuous but kept as
-                // cheap insurance.
-                tree.for_each_sub_keyed_before(i, j - 1, probe, sigma.ts.0, &mut |h, edges| {
-                    let last = live[&edges[j - 1]];
-                    if last.ts >= sigma.ts {
-                        return;
-                    }
-                    let prefix = PartialAssignment::new(
-                        edges.iter().enumerate().map(|(lvl, eid)| (seq[lvl], live[eid])).collect(),
-                    );
-                    if prefix.compatible_with(&plan.query, &sigma_side) {
-                        let key = plan.stored_sub_key(i, j, |lvl| {
-                            if lvl == j {
-                                (sigma.src, sigma.dst)
-                            } else {
-                                let e = prefix.edges[lvl].1;
-                                (e.src, e.dst)
-                            }
-                        });
-                        parents.push((h, key));
-                    }
-                });
-                drop(g);
-            }
-            if parents.is_empty() {
-                // Abandon: cancel X(level j) and the whole propagation.
-                if fine {
-                    let remaining = ops.len() - (ctx.pos - group_start);
-                    ctx.cancel_n(remaining);
-                } else {
-                    ctx.pos = group_start + ops.len();
-                }
-                continue;
-            }
-            let g = ctx.acquire(tree.sub_item(i, j), Mode::X);
-            let nodes: Vec<u64> = parents
-                .into_iter()
-                .map(|(p, key)| tree.insert_sub(i, j, p, sigma.id, sigma.ts.0, key))
-                .collect();
-            if j == len - 1 {
-                let live = shared.live.read();
-                if k == 1 {
-                    // Complete matches of a TC-query: report directly,
-                    // still under the X guard.
-                    for &h in &nodes {
-                        emitted.push(record_of(shared, &live, &[h]));
-                    }
-                } else {
-                    delta_sides
-                        .extend(nodes.iter().map(|&h| (h, expand_assignment(shared, &live, i, h))));
-                }
-            }
-            drop(g);
-        }
-
-        if j != len - 1 || k == 1 {
+        // Chain join: S(L^{j-1}_i) around the probe (level 0 has none).
+        let found = {
+            let _s = (j > 0).then(|| ctx.acquire(tree.sub_item(i, j - 1), Mode::S));
+            arena.chain_parents(plan, tree, &*shared.live.read(), qe, &sigma)
+        };
+        if !found {
+            ctx.cancel_until(group_end);
             continue;
         }
-
-        // --- propagation through L₀ (Algorithm 1 lines 11–24) ---
-        // entries: (handle for parenting, components, merged assignment)
-        let mut cur: usize;
-        let mut entries: Vec<(u64, Vec<u64>, PartialAssignment)>;
-        if i == 0 {
-            cur = 0;
-            entries = delta_sides.into_iter().map(|(h, a)| (h, vec![h], a)).collect();
-        } else {
-            // S(Ω(L₀^{i-1})) then X(L₀^i).
-            // Probe Ω(L₀^{i-1}) by each Δ-side key under the same S lock
-            // the full scan used.
-            let mut pairs = Vec::new();
-            {
-                let read_item = if i == 1 {
-                    tree.sub_item(0, plan.subs[0].len() - 1)
-                } else {
-                    tree.l0_item(i - 1)
-                };
-                let g = ctx.acquire(read_item, Mode::S);
-                for (dh, d_side) in &delta_sides {
-                    let key = plan.l0_delta_key(i, |lvl| {
-                        let e = d_side.edges[lvl].1;
-                        (e.src, e.dst)
-                    });
-                    // Rows below the cross-subquery constraint floor are
-                    // skipped before their merged assignment is built.
-                    let min_ts = plan.l0_row_ts_floor(i, |lvl| d_side.edges[lvl].1.ts.0);
-                    let rows = read_l0_rows_keyed_from(shared, i - 1, key, min_ts);
-                    for (ph, comps, row_side) in rows {
-                        if row_side.compatible_with(&plan.query, d_side) {
-                            pairs.push((ph, comps, row_side, *dh, d_side.clone()));
-                        }
-                    }
-                }
-                drop(g);
-            }
-            if pairs.is_empty() {
-                if fine {
-                    let remaining = ops.len() - (ctx.pos - group_start);
-                    ctx.cancel_n(remaining);
-                } else {
-                    ctx.pos = group_start + ops.len();
-                }
-                continue;
-            }
-            let g = ctx.acquire(tree.l0_item(i), Mode::X);
-            entries = pairs
-                .into_iter()
-                .map(|(ph, mut comps, mut side, dh, d_side)| {
-                    side.edges.extend_from_slice(&d_side.edges);
-                    let key = stored_l0_key_of(shared, i, &side);
-                    let nh = tree.insert_l0(i, ph, dh, sigma.ts.0, key);
-                    comps.push(dh);
-                    (nh, comps, side)
-                })
-                .collect();
-            // The last subquery completed: these rows are complete query
-            // matches — report under the final X guard.
-            if i == k - 1 {
+        let leaf = j + 1 == plan.subs[i].len();
+        {
+            // Expansions and reports of Δ stay under this X guard (module
+            // docs), as do the L₀ steps' below.
+            let _x = ctx.acquire(tree.sub_item(i, j), Mode::X);
+            arena.insert_chain(|parent, key| {
+                Some(tree.insert_sub(i, j, parent, sigma.id, now, key))
+            });
+            if leaf {
                 let live = shared.live.read();
-                for (_, comps, _) in &entries {
-                    emitted.push(record_of(shared, &live, comps));
+                arena.expand_delta(plan, tree, &*live, i);
+                if plan.k() == 1 {
+                    arena.emit(plan, tree, &*live, &mut emitted);
                 }
             }
-            drop(g);
-            cur = i;
         }
-        // Extend rightwards, probing each subquery's leaves per entry.
-        while cur < k - 1 {
-            let next_sub = cur + 1;
-            let mut pairs = Vec::new();
-            {
-                let g =
-                    ctx.acquire(tree.sub_item(next_sub, plan.subs[next_sub].len() - 1), Mode::S);
-                for (ph, comps, side) in &entries {
-                    let key = plan.l0_row_key(next_sub, |sub, lvl| {
-                        let qe = plan.subs[sub].seq[lvl];
-                        let e = side
-                            .edges
-                            .iter()
-                            .find(|&&(q, _)| q == qe)
-                            .unwrap_or_else(|| unreachable!("row binds its own query edges"))
-                            .1;
-                        (e.src, e.dst)
-                    });
-                    let min_ts = plan.leaf_ts_floor(next_sub, |sub, lvl| {
-                        let qe = plan.subs[sub].seq[lvl];
-                        side.edges
-                            .iter()
-                            .find(|&&(q, _)| q == qe)
-                            .unwrap_or_else(|| unreachable!("row binds its own query edges"))
-                            .1
-                            .ts
-                            .0
-                    });
-                    let leaves = read_leaves_keyed_from(shared, next_sub, key, min_ts);
-                    for (lh, leaf_side) in leaves {
-                        if side.compatible_with(&plan.query, &leaf_side) {
-                            pairs.push((*ph, comps.clone(), side.clone(), lh, leaf_side));
-                        }
-                    }
-                }
-                drop(g);
-            }
-            if pairs.is_empty() {
-                entries.clear();
-                if fine {
-                    let remaining = ops.len() - (ctx.pos - group_start);
-                    ctx.cancel_n(remaining);
-                } else {
-                    ctx.pos = group_start + ops.len();
-                }
+        if !leaf {
+            continue;
+        }
+        // ⋈ᵀ through L₀ (Algorithm 1 lines 11–24): per item, S on what
+        // the probe reads, then X on the item for the inserts and, at the
+        // last item, the reports.
+        for level in i.max(1)..plan.k() {
+            let found = {
+                let _s = ctx.acquire(probe_item(plan, tree, i, level), Mode::S);
+                arena.probe(plan, tree, &*shared.live.read(), level)
+            };
+            if !found {
+                ctx.cancel_until(group_end);
                 break;
             }
-            let g = ctx.acquire(tree.l0_item(next_sub), Mode::X);
-            entries = pairs
-                .into_iter()
-                .map(|(ph, mut comps, mut side, lh, leaf_side)| {
-                    side.edges.extend_from_slice(&leaf_side.edges);
-                    let key = stored_l0_key_of(shared, next_sub, &side);
-                    let nh = tree.insert_l0(next_sub, ph, lh, sigma.ts.0, key);
-                    comps.push(lh);
-                    (nh, comps, side)
-                })
-                .collect();
-            // Report under the final X guard so expansions stay protected.
-            if next_sub == k - 1 {
-                let live = shared.live.read();
-                for (_, comps, _) in &entries {
-                    emitted.push(record_of(shared, &live, comps));
-                }
+            let _x = ctx.acquire(tree.l0_item(level), Mode::X);
+            arena.insert_pairs(plan, level, now, |parent, comp, key| {
+                Some(tree.insert_l0(level, parent, comp, now, key))
+            });
+            if level + 1 == plan.k() {
+                arena.emit(plan, tree, &*shared.live.read(), &mut emitted);
             }
-            drop(g);
-            cur = next_sub;
         }
     }
     if !emitted.is_empty() {
-        shared.results.lock().push((id, emitted));
+        shared.results.lock().push((txn.id, emitted));
     }
 }
 
-fn run_del(shared: &Shared, id: TxnId, sigma: StreamEdge, reqs: &[(usize, Mode)]) {
+fn run_del(shared: &Shared, txn: &Txn, sigma: StreamEdge) {
     let plan = &shared.plan;
     let tree = &shared.tree;
-    let fine = shared.mode == LockingMode::FineGrained;
-    let mut ctx = OpCtx { locks: &shared.locks, txn: id, reqs, pos: 0, fine };
+    let mut ctx = OpCtx::new(shared, txn);
     let k = plan.k();
-
-    let qes = shaped_candidates(plan, &sigma);
-    let mut min_pos: HashMap<usize, usize> = HashMap::new();
-    let mut match_positions: HashSet<(usize, usize)> = HashSet::new();
-    for &qe in &qes {
-        let (i, j) = plan.pos[qe];
-        let entry = min_pos.entry(i).or_insert(j);
-        *entry = (*entry).min(j);
-        match_positions.insert((i, j));
-    }
-    let mut subs: Vec<(usize, usize)> = min_pos.into_iter().collect();
-    subs.sort_unstable();
+    let match_positions: HashSet<(usize, usize)> = txn.qes.iter().map(|&qe| plan.pos[qe]).collect();
 
     let mut all_marked: Vec<u32> = Vec::new();
     let mut dead_leaves: Vec<HashSet<u64>> = vec![HashSet::new(); k];
     let mut sub0_dead_leaves: Vec<u32> = Vec::new();
 
-    for &(sub, min_level) in &subs {
+    for (sub, min_level) in del_starts(plan, &txn.qes) {
         let len = plan.subs[sub].len();
         let mut prev: Vec<u32> = Vec::new();
         for level in min_level..len {
@@ -670,11 +465,7 @@ fn run_del(shared: &Shared, id: TxnId, sigma: StreamEdge, reqs: &[(usize, Mode)]
             // at this level or beyond.
             let payload_here_or_later = (level..len).any(|l| match_positions.contains(&(sub, l)));
             if prev.is_empty() && !payload_here_or_later {
-                if fine {
-                    ctx.cancel_n(len - level);
-                } else {
-                    ctx.pos += len - level;
-                }
+                ctx.cancel_until(ctx.pos + len - level);
                 break;
             }
             let item = tree.sub_item(sub, level);
@@ -701,17 +492,13 @@ fn run_del(shared: &Shared, id: TxnId, sigma: StreamEdge, reqs: &[(usize, Mode)]
         let any_leaf_dead =
             !sub0_dead_leaves.is_empty() || dead_leaves.iter().any(|s| !s.is_empty());
         if !any_leaf_dead {
-            if fine {
-                ctx.cancel_n(k - 1);
-            }
+            ctx.cancel_until(ctx.pos + k - 1);
         } else {
             let mut prev: Vec<u32> = sub0_dead_leaves;
             for m in 1..k {
                 let later_dead = (m..k).any(|x| !dead_leaves[x].is_empty());
                 if prev.is_empty() && !later_dead {
-                    if fine {
-                        ctx.cancel_n(k - m);
-                    }
+                    ctx.cancel_until(ctx.pos + k - m);
                     break;
                 }
                 let item = tree.l0_item(m);
@@ -735,113 +522,6 @@ fn run_del(shared: &Shared, id: TxnId, sigma: StreamEdge, reqs: &[(usize, Mode)]
     // "Finally remove": every older transaction has passed (Theorem 6).
     tree.reclaim(&all_marked);
     shared.live.write().remove(&sigma.id);
-}
-
-/// Expands a complete subquery match into an assignment. Caller must hold
-/// a lock ordering-protected position (see module docs of `cmstree`).
-fn expand_assignment(
-    shared: &Shared,
-    live: &HashMap<EdgeId, StreamEdge>,
-    sub: usize,
-    handle: u64,
-) -> PartialAssignment {
-    let mut ids = Vec::new();
-    shared.tree.expand_sub(handle, &mut ids);
-    let seq = &shared.plan.subs[sub].seq;
-    PartialAssignment::new(ids.iter().enumerate().map(|(lvl, id)| (seq[lvl], live[id])).collect())
-}
-
-/// Reads the `Ω(L₀^m)` rows filed under `key` with completion timestamp
-/// `≥ min_ts`, with expansions; `m == 0` is the aliased subquery-0 leaf
-/// item. Rows below the floor are skipped by binary search before any
-/// expansion is built. Caller holds ≥ S on the corresponding item.
-fn read_l0_rows_keyed_from(
-    shared: &Shared,
-    m: usize,
-    key: u64,
-    min_ts: u64,
-) -> Vec<(u64, Vec<u64>, PartialAssignment)> {
-    let live = shared.live.read();
-    let mut rows = Vec::new();
-    if m == 0 {
-        let last = shared.plan.subs[0].len() - 1;
-        let seq = &shared.plan.subs[0].seq;
-        shared.tree.for_each_sub_keyed_from(0, last, key, min_ts, &mut |h, edges| {
-            let side = PartialAssignment::new(
-                edges.iter().enumerate().map(|(lvl, id)| (seq[lvl], live[id])).collect(),
-            );
-            rows.push((h, vec![h], side));
-        });
-    } else {
-        let mut raw = Vec::new();
-        shared
-            .tree
-            .for_each_l0_keyed_from(m, key, min_ts, &mut |h, comps| raw.push((h, comps.to_vec())));
-        for (h, comps) in raw {
-            let mut merged = PartialAssignment::default();
-            for (sub, &c) in comps.iter().enumerate() {
-                merged.edges.extend_from_slice(&expand_assignment(shared, &live, sub, c).edges);
-            }
-            rows.push((h, comps, merged));
-        }
-    }
-    rows
-}
-
-/// Reads the complete matches of subquery `sub` filed under `key` with
-/// completion timestamp `≥ min_ts`. Caller holds ≥ S on its leaf item.
-fn read_leaves_keyed_from(
-    shared: &Shared,
-    sub: usize,
-    key: u64,
-    min_ts: u64,
-) -> Vec<(u64, PartialAssignment)> {
-    let live = shared.live.read();
-    let seq = &shared.plan.subs[sub].seq;
-    let last = seq.len() - 1;
-    let mut out = Vec::new();
-    shared.tree.for_each_sub_keyed_from(sub, last, key, min_ts, &mut |h, edges| {
-        let side = PartialAssignment::new(
-            edges.iter().enumerate().map(|(lvl, id)| (seq[lvl], live[id])).collect(),
-        );
-        out.push((h, side));
-    });
-    out
-}
-
-/// Key under which an `L₀` row at item `level` is stored, computed from
-/// its merged assignment (the row side of the next `L₀` join's spec).
-fn stored_l0_key_of(shared: &Shared, level: usize, merged: &PartialAssignment) -> u64 {
-    shared.plan.stored_l0_key(level, |sub, lvl| {
-        let qe = shared.plan.subs[sub].seq[lvl];
-        let e = merged
-            .edges
-            .iter()
-            .find(|&&(q, _)| q == qe)
-            .unwrap_or_else(|| unreachable!("merged row binds its own query edges"))
-            .1;
-        (e.src, e.dst)
-    })
-}
-
-/// Builds the reported record from component handles.
-fn record_of(shared: &Shared, live: &HashMap<EdgeId, StreamEdge>, comps: &[u64]) -> MatchRecord {
-    let n = shared.plan.query.n_edges();
-    let mut edges = vec![EdgeId(u64::MAX); n];
-    for (sub, &c) in comps.iter().enumerate() {
-        let mut ids = Vec::new();
-        shared.tree.expand_sub(c, &mut ids);
-        for (lvl, id) in ids.into_iter().enumerate() {
-            edges[shared.plan.subs[sub].seq[lvl]] = id;
-        }
-    }
-    let rec = MatchRecord::from(edges);
-    debug_assert_eq!(
-        rec.verify(&shared.plan.query, |id| live.get(&id)),
-        Ok(()),
-        "concurrent engine emitted an invalid match"
-    );
-    rec
 }
 
 #[cfg(test)]

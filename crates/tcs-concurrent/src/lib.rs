@@ -19,9 +19,11 @@
 //!   can still backtrack through removed nodes (Theorems 5–6), and nodes
 //!   are only reclaimed after the deleting transaction's full level pass.
 //! * [`engine`] — the concurrent engine: a dispatcher thread turns window
-//!   events into insertion/deletion transactions executed by `N` workers,
-//!   in either fine-grained mode (the paper's "Timing-N") or the
-//!   coarse-grained [`engine::LockingMode::AllLocks`] baseline
+//!   events into insertion/deletion transactions executed by `N` workers;
+//!   an insertion runs `tcs_core::join`'s kernel — the serial engine's
+//!   join — under item locks, in either fine-grained mode (the paper's
+//!   "Timing-N") or the coarse-grained [`engine::LockingMode::AllLocks`]
+//!   baseline
 //!   ("All-locks-N", which acquires every lock up front and collapses to
 //!   nearly serial execution — the flat ≈1.2× speedup of Figures 19–20).
 //!

@@ -15,14 +15,14 @@
 //! trigger their own propagation. Hence every complete match of `Q` is
 //! emitted exactly once, at the arrival timestamp of its newest edge.
 //!
-//! # Join probes
+//! # The join and what stays here
 //!
-//! Every join reads one hash bucket — the arrival's join key — and, since
-//! buckets are timestamp-ordered (`store.rs` module docs), only the range
-//! of it that can pass the timing checks: the `last.ts < σ.ts` prefix on
-//! chain joins, the suffix above the cross-subquery constraint floor on
-//! `L₀` joins. Keys and timestamp bounds are prefilters; the full
-//! compatibility check still runs on every candidate visited.
+//! The join itself — chain probe, compatibility checks, join keys,
+//! constraint floors, `L₀` extension and record building — is the kernel
+//! in [`crate::join`], which the concurrent engine runs too. This module
+//! keeps what is serial-engine-specific around it: the ingestion boundary,
+//! the private live-edge table, [`EngineStats`], the partial cap,
+//! emission floors and telemetry.
 //!
 //! If [`TimingEngine::set_partial_cap`] is engaged and the cap saturates
 //! mid-join, which (equally incomplete) subset of partial matches is kept
@@ -43,16 +43,16 @@
 //!   query edges resolution (`sig_slot`) happens once per distinct
 //!   signature in the batch instead of once per edge; a routed run is
 //!   single-signature, so that is once per call.
-//! * **Columnar row arena.** Propagation builds merged assignments in a
-//!   per-engine arena (`extend_from_within` over span indices) instead of
-//!   cloning a `PartialAssignment` per inserted `L₀` row; its capacity is
-//!   reused across the arrivals of a batch and across batches.
+//! * **One row arena.** The engine keeps one join-kernel
+//!   [`RowArena`]: merged assignments, parents, pairs and rows are spans
+//!   and vectors whose capacity is reused across the arrivals of a batch
+//!   and across batches, so a join allocates nothing per arrival beyond
+//!   the records it emits.
 
-use crate::binding::{compat_sides, Compat, PartialAssignment};
 use crate::ingest::{IngestError, IngestStats, OrderPolicy};
+use crate::join::RowArena;
 use crate::plan::QueryPlan;
-use crate::store::{AuditViolation, ExpiryMode, Handle, JoinKey, MatchStore, StoreLayout, ROOT};
-use std::cell::RefCell;
+use crate::store::{AuditViolation, ExpiryMode, Handle, MatchStore, StoreLayout};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,35 +64,6 @@ use tcs_telemetry::{LatencyHistogram, Recorder};
 /// the plan's candidate query-edge positions for it (see
 /// `TimingEngine::sig_slot`).
 type SigCandidates = ((VLabel, VLabel, ELabel), Vec<usize>);
-
-/// The columnar arena behind `propagate`: merged row assignments and
-/// component-handle lists live in two flat vectors; rows are index spans
-/// ([`ArenaRow`]). Extending a row is `extend_from_within` — no
-/// `PartialAssignment` clone, no per-row `Vec<Handle>` allocation — and
-/// the arena's capacity is reused across arrivals.
-#[derive(Default)]
-struct RowArena {
-    edges: Vec<(usize, StreamEdge)>,
-    comps: Vec<Handle>,
-}
-
-impl RowArena {
-    fn clear(&mut self) {
-        self.edges.clear();
-        self.comps.clear();
-    }
-}
-
-/// One `L₀`-level row during propagation: its store handle plus spans
-/// into the arena's `edges` / `comps` columns.
-#[derive(Clone, Copy, Debug)]
-struct ArenaRow {
-    h: Handle,
-    e0: u32,
-    e1: u32,
-    c0: u32,
-    c1: u32,
-}
 
 /// Counters the experiments report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,12 +83,37 @@ pub struct EngineStats {
     pub join_ops: u64,
 }
 
-/// Resolves a stored edge id against a live view. Stored rows only ever
-/// reference window-live edges (expiry removes them first), so a miss is
-/// a window-maintenance bug on the owner's side, not a recoverable state.
-#[inline]
-fn resolve<L: LiveEdgeView>(live: &L, id: EdgeId) -> StreamEdge {
-    *live.live_edge(id).unwrap_or_else(|| unreachable!("stored edge id resolves in the live view"))
+impl EngineStats {
+    /// Inserted minus deleted partial matches. A `saturating_sub` here
+    /// would mask accounting drift; underflow is a bug and debug builds
+    /// assert it away.
+    #[inline]
+    fn live_partials(&self) -> u64 {
+        debug_assert!(
+            self.partials_deleted <= self.partials_inserted,
+            "partial-match accounting drifted: {} deleted > {} inserted",
+            self.partials_deleted,
+            self.partials_inserted
+        );
+        self.partials_inserted - self.partials_deleted
+    }
+}
+
+/// One store insert under the partial cap: counts and runs `insert`, or —
+/// once the live partial matches fill `cap` — latches `saturated` and
+/// returns `None`.
+fn capped(
+    stats: &mut EngineStats,
+    cap: u64,
+    saturated: &mut bool,
+    insert: impl FnOnce() -> Handle,
+) -> Option<Handle> {
+    if stats.live_partials() >= cap {
+        *saturated = true;
+        return None;
+    }
+    stats.partials_inserted += 1;
+    Some(insert())
 }
 
 /// The serial streaming engine, generic over the partial-match store.
@@ -136,19 +132,6 @@ pub struct TimingEngine<S: MatchStore> {
     /// explicitly opts in; see [`TimingEngine::set_partial_cap`]).
     partial_cap: u64,
     saturated: bool,
-    /// Reusable prefix-side assignment (cleared per candidate; avoids a
-    /// heap allocation per stored prefix in the hot join path).
-    scratch_prefix: PartialAssignment,
-    /// Reusable σ-side assignment for the same reason.
-    scratch_sigma: PartialAssignment,
-    /// Reusable accumulator for the chain-join probe's accepted parents —
-    /// the probe hot loop allocates nothing per arrival.
-    scratch_parents: Vec<(Handle, JoinKey)>,
-    /// Reusable edge-id buffer behind `expand_sub` reads (expansion /
-    /// record building); a RefCell so `&self` readers share it. Borrows
-    /// are short-lived and never nested — each helper clears, fills and
-    /// releases it before the next one runs.
-    scratch_ids: RefCell<Vec<EdgeId>>,
     /// Newest accepted arrival timestamp — the store-order invariant's
     /// release-build guard. One comparison per arrival at the boundary;
     /// the hot join/expiry loops stay check-free.
@@ -159,7 +142,7 @@ pub struct TimingEngine<S: MatchStore> {
     /// counters stay byte-identical to an oracle fed the sanitized
     /// stream.
     ingest: IngestStats,
-    /// Columnar scratch for `propagate` (reused across arrivals).
+    /// The join kernel's scratch (reused across arrivals).
     arena: RowArena,
     /// The subscriber seam: `None` (default) until a window-sharing
     /// front-end arms it — single-subscriber engines pay nothing. See
@@ -219,10 +202,6 @@ impl<S: MatchStore> TimingEngine<S> {
             stats: EngineStats::default(),
             partial_cap: u64::MAX,
             saturated: false,
-            scratch_prefix: PartialAssignment::default(),
-            scratch_sigma: PartialAssignment::default(),
-            scratch_parents: Vec::new(),
-            scratch_ids: RefCell::new(Vec::new()),
             watermark: None,
             order_policy: OrderPolicy::default(),
             ingest: IngestStats::default(),
@@ -308,17 +287,9 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Number of live partial matches: inserts minus deletes, which the
     /// balanced counters keep equal to the stores' actual row count
     /// ([`TimingEngine::store_rows`], asserted by the conformance tests).
-    /// A `saturating_sub` here would mask accounting drift; underflow is a
-    /// bug and debug builds assert it away at every expiry.
     #[inline]
     pub fn live_partials(&self) -> u64 {
-        debug_assert!(
-            self.stats.partials_deleted <= self.stats.partials_inserted,
-            "partial-match accounting drifted: {} deleted > {} inserted",
-            self.stats.partials_deleted,
-            self.stats.partials_inserted
-        );
-        self.stats.partials_inserted - self.stats.partials_deleted
+        self.stats.live_partials()
     }
 
     /// One sweep over every documented invariant: the store's own
@@ -382,16 +353,6 @@ impl<S: MatchStore> TimingEngine<S> {
             n += self.store.len_l0(i) as u64;
         }
         n
-    }
-
-    #[inline]
-    fn cap_reached(&mut self) -> bool {
-        if self.live_partials() >= self.partial_cap {
-            self.saturated = true;
-            true
-        } else {
-            false
-        }
     }
 
     /// The compiled plan.
@@ -676,54 +637,7 @@ impl<S: MatchStore> TimingEngine<S> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let mut stored_any = false;
-        for &qe in candidates {
-            let q_edge = self.plan.query.edges[qe];
-            // A self-loop query edge only matches self-loop data edges and
-            // vice versa (signatures cannot tell).
-            if (q_edge.src == q_edge.dst) != (sigma.src == sigma.dst) {
-                continue;
-            }
-            let (i, j) = self.plan.pos[qe];
-            let seq_len = self.plan.subs[i].len();
-            let new_nodes: Vec<Handle> = if j == 0 {
-                if self.cap_reached() {
-                    continue;
-                }
-                // Every key-spec part of a level-0 match binds at level 0,
-                // i.e. on σ itself.
-                let key = self.plan.stored_sub_key(i, 0, |_| (sigma.src, sigma.dst));
-                vec![self.store.insert_sub(i, 0, ROOT, sigma.id, sigma.ts.0, key)]
-            } else {
-                // Join {σ} with Ω(L^{j-1}_i) (Theorem 2 case 2). The
-                // accepted parents land in a reusable scratch buffer so
-                // the probe hot loop allocates nothing per arrival.
-                self.stats.join_ops += 1;
-                let mut parents = std::mem::take(&mut self.scratch_parents);
-                self.join_sub_prefixes(i, j, qe, &sigma, live, &mut parents);
-                let mut nodes = Vec::with_capacity(parents.len());
-                for &(p, key) in &parents {
-                    if self.cap_reached() {
-                        break;
-                    }
-                    nodes.push(self.store.insert_sub(i, j, p, sigma.id, sigma.ts.0, key));
-                    self.stats.partials_inserted += 1;
-                }
-                parents.clear();
-                self.scratch_parents = parents;
-                nodes
-            };
-            if j == 0 && !new_nodes.is_empty() {
-                self.stats.partials_inserted += 1;
-            }
-            if !new_nodes.is_empty() {
-                stored_any = true;
-            }
-            if j == seq_len - 1 && !new_nodes.is_empty() {
-                self.propagate(i, &new_nodes, sigma.ts.0, live, &mut out);
-            }
-        }
-        if !stored_any {
+        if !self.join(&sigma, live, candidates, &mut out) {
             self.stats.edges_discarded += 1;
         }
         if let Some(seam) = &mut self.seam {
@@ -755,359 +669,53 @@ impl<S: MatchStore> TimingEngine<S> {
         out
     }
 
-    /// Finds the handles in `L^{j-1}_i` whose partial match `σ` extends,
-    /// paired with the join key the extended (level-`j`) match must be
-    /// stored under, appended to `parents` (the engine's reusable scratch
-    /// buffer — the whole probe path is allocation-free per arrival).
-    /// Only the bucket of σ's endpoint bindings is visited; the timing and
-    /// full compatibility checks still run (the key is a prefilter).
-    fn join_sub_prefixes<L: LiveEdgeView>(
+    /// Algorithm 1's join for one admitted arrival, through the kernel
+    /// ([`crate::join`]): per candidate query edge of σ's shape, the chain
+    /// join into `L^j_i` and, when σ completes matches of `Q^i`, the `⋈ᵀ`
+    /// propagation through `L₀`. Complete query matches are appended to
+    /// `out`. Returns whether anything was stored (if not, σ was
+    /// discardable).
+    fn join<L: LiveEdgeView>(
         &mut self,
-        i: usize,
-        j: usize,
-        qe: usize,
         sigma: &StreamEdge,
         live: &L,
-        parents: &mut Vec<(Handle, JoinKey)>,
-    ) {
-        let mut prefix = std::mem::take(&mut self.scratch_prefix);
-        let mut sigma_side = std::mem::take(&mut self.scratch_sigma);
-        sigma_side.edges.clear();
-        sigma_side.edges.push((qe, *sigma));
-        {
-            let plan = &self.plan;
-            let seq = &plan.subs[i].seq;
-            let mut visit = |h: Handle, edges: &[EdgeId]| {
-                // Timing chain: the prefix's last (newest) edge must
-                // precede σ. The store already cut the bucket at σ.ts
-                // (ordered-bucket invariant), so this only guards against
-                // a store that over-delivers.
-                let last_edge = resolve(live, edges[j - 1]);
-                if last_edge.ts >= sigma.ts {
-                    return;
-                }
-                prefix.edges.clear();
-                prefix.edges.extend(
-                    edges.iter().enumerate().map(|(lvl, &id)| (seq[lvl], resolve(live, id))),
-                );
-                if compat_sides(&plan.query, &prefix.edges, &sigma_side.edges) == Compat::Ok {
-                    let key = plan.stored_sub_key(i, j, |lvl| {
-                        if lvl == j {
-                            (sigma.src, sigma.dst)
-                        } else {
-                            let e = prefix.edges[lvl].1;
-                            (e.src, e.dst)
-                        }
-                    });
-                    parents.push((h, key));
-                }
-            };
-            // Binary-search the bucket for the `last.ts < σ.ts` cutoff and
-            // iterate only the valid prefix.
-            let probe = plan.chain_probe_key(i, j, sigma);
-            self.store.for_each_sub_keyed_before(i, j - 1, probe, sigma.ts.0, &mut visit);
-        }
-        self.scratch_prefix = prefix;
-        self.scratch_sigma = sigma_side;
-    }
-
-    /// Algorithm 1 lines 11–24: joins fresh complete matches of subquery
-    /// `i` through the `L₀` chain, reporting complete query matches.
-    /// Every `L₀`/leaf read is a keyed bucket probe, restricted by binary
-    /// search to the timestamp range that can satisfy the cross-subquery ≺
-    /// constraints — rows outside it are skipped *before* their merged
-    /// assignment is built. `now` is the triggering arrival's timestamp
-    /// (every `L₀` row created here completes at `now`).
-    fn propagate<L: LiveEdgeView>(
-        &mut self,
-        i: usize,
-        delta: &[Handle],
-        now: u64,
-        live: &L,
+        candidates: &[usize],
         out: &mut Vec<MatchRecord>,
-    ) {
-        let k = self.plan.k();
-        if k == 1 {
-            for &h in delta {
-                out.push(self.record_of(&[h], live));
+    ) -> bool {
+        let Self { plan, store, stats, arena, partial_cap, saturated, .. } = self;
+        let cap = *partial_cap;
+        let now = sigma.ts.0;
+        let mut stored_any = false;
+        for &qe in candidates {
+            if !plan.shape_matches(qe, sigma) {
+                continue;
             }
-            return;
-        }
-        // All merged assignments and component lists for this propagation
-        // live in the columnar arena (capacity reused across arrivals);
-        // rows are index spans, extension is `extend_from_within`.
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.clear();
-        // Expand the fresh subquery-i matches once, as arena spans.
-        let mut delta_rows: Vec<ArenaRow> = Vec::with_capacity(delta.len());
-        for &h in delta {
-            let e0 = arena.edges.len() as u32;
-            self.append_assignment(i, h, live, &mut arena.edges);
-            let c0 = arena.comps.len() as u32;
-            arena.comps.push(h);
-            delta_rows.push(ArenaRow {
-                h,
-                e0,
-                e1: arena.edges.len() as u32,
-                c0,
-                c1: arena.comps.len() as u32,
+            let (i, j) = plan.pos[qe];
+            if j > 0 {
+                stats.join_ops += 1;
+            }
+            arena.chain_parents(plan, &*store, live, qe, sigma);
+            let stored = arena.insert_chain(|parent, key| {
+                capped(stats, cap, saturated, || store.insert_sub(i, j, parent, sigma.id, now, key))
             });
-        }
-
-        // Entries are L₀-level-`cur` matches.
-        let mut cur: usize;
-        let mut entries: Vec<ArenaRow>;
-        if i == 0 {
-            cur = 0;
-            entries = delta_rows;
-        } else {
-            // Join Δ with Ω(L₀^{i-1}).
-            self.stats.join_ops += 1;
-            cur = i;
-            entries = Vec::new();
-            // Probe Ω(L₀^{i-1}) by Δ's shared-vertex bindings (Δ spans
-            // hold subquery i's edges in level order, so level ↦ span
-            // offset directly).
-            'outer: for &d in &delta_rows {
-                let key = self.plan.l0_delta_key(i, |lvl| {
-                    let e = arena.edges[d.e0 as usize + lvl].1;
-                    (e.src, e.dst)
+            stored_any |= stored;
+            if !stored || j + 1 < plan.subs[i].len() {
+                continue;
+            }
+            arena.expand_delta(plan, &*store, live, i);
+            for level in i.max(1)..plan.k() {
+                stats.join_ops += 1;
+                arena.probe(plan, &*store, live, level);
+                let grown = arena.insert_pairs(plan, level, now, |parent, comp, key| {
+                    capped(stats, cap, saturated, || store.insert_l0(level, parent, comp, now, key))
                 });
-                // Rows below the constraint floor cannot join Δ; the
-                // keyed read binary-searches past them.
-                let min_ts =
-                    self.plan.l0_row_ts_floor(i, |lvl| arena.edges[d.e0 as usize + lvl].1.ts.0);
-                let rows = self.read_l0_rows_keyed_arena(i - 1, key, min_ts, live, &mut arena);
-                for &row in &rows {
-                    if self.spans_compatible(&arena, row, d) {
-                        if self.cap_reached() {
-                            break 'outer;
-                        }
-                        self.push_l0_entry(i, row, d, now, &mut arena, &mut entries);
-                    }
+                if !grown {
+                    break;
                 }
             }
+            arena.emit(plan, &*store, live, out);
         }
-        // Extend rightwards with complete matches of later subqueries.
-        while cur < k - 1 && !entries.is_empty() {
-            let next_sub = cur + 1;
-            self.stats.join_ops += 1;
-            let mut next = Vec::new();
-            // Probe subquery `next_sub`'s leaves by each row's
-            // shared-vertex bindings.
-            'outer2: for &row in &entries {
-                let key = self.plan.l0_row_key(next_sub, |sub, lvl| {
-                    let e = Self::span_edge_of(&self.plan, &arena, row, sub, lvl);
-                    (e.src, e.dst)
-                });
-                // Leaves below the row's constraint floor cannot join;
-                // skip them before expanding assignments.
-                let min_ts = self.plan.leaf_ts_floor(next_sub, |sub, lvl| {
-                    Self::span_edge_of(&self.plan, &arena, row, sub, lvl).ts.0
-                });
-                let leaves = self.read_leaves_keyed_arena(next_sub, key, min_ts, live, &mut arena);
-                for &leaf in &leaves {
-                    if self.spans_compatible(&arena, row, leaf) {
-                        if self.cap_reached() {
-                            break 'outer2;
-                        }
-                        self.push_l0_entry(next_sub, row, leaf, now, &mut arena, &mut next);
-                    }
-                }
-            }
-            cur = next_sub;
-            entries = next;
-        }
-        if cur == k - 1 {
-            for r in entries {
-                out.push(self.record_of(&arena.comps[r.c0 as usize..r.c1 as usize], live));
-            }
-        }
-        arena.clear();
-        self.arena = arena;
-    }
-
-    /// Join check over two arena spans — no assignment is materialized.
-    fn spans_compatible(&self, arena: &RowArena, a: ArenaRow, b: ArenaRow) -> bool {
-        compat_sides(
-            &self.plan.query,
-            &arena.edges[a.e0 as usize..a.e1 as usize],
-            &arena.edges[b.e0 as usize..b.e1 as usize],
-        ) == Compat::Ok
-    }
-
-    /// The data edge a row span assigns to (subquery `sub`, level `lvl`).
-    fn span_edge_of(
-        plan: &QueryPlan,
-        arena: &RowArena,
-        row: ArenaRow,
-        sub: usize,
-        lvl: usize,
-    ) -> StreamEdge {
-        let qe = plan.subs[sub].seq[lvl];
-        arena.edges[row.e0 as usize..row.e1 as usize]
-            .iter()
-            .find(|&&(q, _)| q == qe)
-            .unwrap_or_else(|| unreachable!("row binds its own query edges"))
-            .1
-    }
-
-    /// Inserts one `L₀` row at item `level` (parent `row` × component
-    /// `d`) under its stored join key and appends the extended entry —
-    /// two `extend_from_within` calls over the arena columns, no clone.
-    /// `now` is the row's completion timestamp — its newest component's
-    /// newest edge is always the arrival driving this propagation.
-    fn push_l0_entry(
-        &mut self,
-        level: usize,
-        row: ArenaRow,
-        d: ArenaRow,
-        now: u64,
-        arena: &mut RowArena,
-        entries: &mut Vec<ArenaRow>,
-    ) {
-        let e0 = arena.edges.len() as u32;
-        arena.edges.extend_from_within(row.e0 as usize..row.e1 as usize);
-        arena.edges.extend_from_within(d.e0 as usize..d.e1 as usize);
-        let e1 = arena.edges.len() as u32;
-        debug_assert_eq!(
-            arena.edges[e0 as usize..e1 as usize].iter().map(|&(_, e)| e.ts.0).max(),
-            Some(now),
-            "an L₀ row completes at the triggering arrival's timestamp"
-        );
-        let merged = ArenaRow { h: row.h, e0, e1, c0: 0, c1: 0 };
-        let key = self.plan.stored_l0_key(level, |sub, lvl| {
-            let e = Self::span_edge_of(&self.plan, arena, merged, sub, lvl);
-            (e.src, e.dst)
-        });
-        let nh = self.store.insert_l0(level, row.h, d.h, now, key);
-        self.stats.partials_inserted += 1;
-        let c0 = arena.comps.len() as u32;
-        arena.comps.extend_from_within(row.c0 as usize..row.c1 as usize);
-        arena.comps.push(d.h);
-        entries.push(ArenaRow { h: nh, e0, e1, c0, c1: arena.comps.len() as u32 });
-    }
-
-    /// Reads `Ω(L₀^m)` into arena spans (`m == 0` is the aliased `Ω(Q^1)`,
-    /// subquery 0's leaves): only the rows filed under `key` with
-    /// completion timestamp `≥ min_ts` — rows below the floor are skipped
-    /// by binary search *before* any merged assignment is built
-    /// (`min_ts == 0` reads the whole bucket).
-    fn read_l0_rows_keyed_arena<L: LiveEdgeView>(
-        &self,
-        m: usize,
-        key: JoinKey,
-        min_ts: u64,
-        live: &L,
-        arena: &mut RowArena,
-    ) -> Vec<ArenaRow> {
-        if m == 0 {
-            return self.read_leaves_keyed_arena(0, key, min_ts, live, arena);
-        }
-        let mut rows: Vec<ArenaRow> = Vec::new();
-        {
-            let comps_col = &mut arena.comps;
-            self.store.for_each_l0_keyed_from(m, key, min_ts, &mut |h, comps| {
-                let c0 = comps_col.len() as u32;
-                comps_col.extend_from_slice(comps);
-                rows.push(ArenaRow { h, e0: 0, e1: 0, c0, c1: comps_col.len() as u32 });
-            });
-        }
-        self.expand_row_spans(&mut rows, live, arena);
-        rows
-    }
-
-    /// Second pass of the `L₀` reads: expands each row's component
-    /// handles (already parked in the comps column) into its edge span.
-    /// Split from the store callback because expansion needs the store
-    /// borrow the callback holds.
-    fn expand_row_spans<L: LiveEdgeView>(
-        &self,
-        rows: &mut [ArenaRow],
-        live: &L,
-        arena: &mut RowArena,
-    ) {
-        for r in rows {
-            r.e0 = arena.edges.len() as u32;
-            for (sub, ci) in (r.c0 as usize..r.c1 as usize).enumerate() {
-                let c = arena.comps[ci];
-                self.append_assignment(sub, c, live, &mut arena.edges);
-            }
-            r.e1 = arena.edges.len() as u32;
-        }
-    }
-
-    /// Reads the complete matches of subquery `sub` filed under `key` into
-    /// arena spans: only leaves with completion timestamp `≥ min_ts`
-    /// (binary-searched; `0` reads the whole bucket).
-    fn read_leaves_keyed_arena<L: LiveEdgeView>(
-        &self,
-        sub: usize,
-        key: JoinKey,
-        min_ts: u64,
-        live: &L,
-        arena: &mut RowArena,
-    ) -> Vec<ArenaRow> {
-        let seq = &self.plan.subs[sub].seq;
-        let last = seq.len() - 1;
-        let mut rows = Vec::new();
-        let edges_col = &mut arena.edges;
-        let comps_col = &mut arena.comps;
-        self.store.for_each_sub_keyed_from(sub, last, key, min_ts, &mut |h, ids| {
-            let e0 = edges_col.len() as u32;
-            edges_col
-                .extend(ids.iter().enumerate().map(|(lvl, &id)| (seq[lvl], resolve(live, id))));
-            let c0 = comps_col.len() as u32;
-            comps_col.push(h);
-            rows.push(ArenaRow {
-                h,
-                e0,
-                e1: edges_col.len() as u32,
-                c0,
-                c1: comps_col.len() as u32,
-            });
-        });
-        rows
-    }
-
-    /// Expands a complete match handle of subquery `sub` onto the end of
-    /// an edge column (through the engine's reusable edge-id scratch).
-    fn append_assignment<L: LiveEdgeView>(
-        &self,
-        sub: usize,
-        h: Handle,
-        live: &L,
-        out: &mut Vec<(usize, StreamEdge)>,
-    ) {
-        let mut ids = self.scratch_ids.borrow_mut();
-        ids.clear();
-        self.store.expand_sub(sub, h, &mut ids);
-        let seq = &self.plan.subs[sub].seq;
-        out.extend(ids.iter().enumerate().map(|(lvl, &id)| (seq[lvl], resolve(live, id))));
-    }
-
-    /// Builds the reported record from component handles (subqueries
-    /// `0..comps.len()` in join order).
-    fn record_of<L: LiveEdgeView>(&self, comps: &[Handle], live: &L) -> MatchRecord {
-        let n = self.plan.query.n_edges();
-        let mut edges = vec![EdgeId(u64::MAX); n];
-        {
-            let mut ids = self.scratch_ids.borrow_mut();
-            for (sub, &c) in comps.iter().enumerate() {
-                ids.clear();
-                self.store.expand_sub(sub, c, &mut ids);
-                for (lvl, &id) in ids.iter().enumerate() {
-                    edges[self.plan.subs[sub].seq[lvl]] = id;
-                }
-            }
-        }
-        let rec = MatchRecord::from(edges);
-        debug_assert_eq!(
-            rec.verify(&self.plan.query, |id| live.live_edge(id)),
-            Ok(()),
-            "engine emitted an invalid match"
-        );
-        rec
+        stored_any
     }
 }
 

@@ -16,25 +16,28 @@
 //!    two implementations: the trie-compressed [`mstree::MsTreeStore`]
 //!    (§IV) and the uncompressed [`independent::IndependentStore`]
 //!    (the Timing-IND ablation).
-//! 6. [`engine`] — the streaming engine: Algorithm 1 (INSERT), Algorithm 2
+//! 6. [`join`] — the join kernel: Algorithm 1's chain join and `L₀`
+//!    propagation, run back to back by the serial engine and under item
+//!    locks by the concurrent one (`tcs-concurrent`).
+//! 7. [`engine`] — the streaming engine: Algorithm 1 (INSERT), Algorithm 2
 //!    (DELETE), discardable-edge pruning (Lemma 1 / Theorem 2) and
 //!    duplicate-free reporting of complete matches.
 
 #![forbid(unsafe_code)]
 
-pub mod binding;
+mod binding;
 pub mod cost;
 pub mod decompose;
 pub mod engine;
 pub mod failpoints;
 pub mod independent;
 pub mod ingest;
+pub mod join;
 pub mod joinorder;
 pub mod mstree;
 pub mod plan;
 pub mod store;
 
-pub use binding::{compat_sides, Compat};
 pub use decompose::{decompose, tc_subqueries, Decomposition, TcSubquery};
 pub use engine::{EngineStats, TimingEngine};
 pub use independent::IndependentStore;

@@ -318,6 +318,17 @@ impl QueryPlan {
         self.sig_to_edges.get(&sig).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Whether data edge `e` has query edge `qe`'s shape: a self-loop
+    /// query edge matches only self-loop data edges and vice versa, which
+    /// a signature cannot tell. Both engines filter every candidate of
+    /// [`QueryPlan::candidates`] through it, because a level-0 insert runs
+    /// no compatibility check.
+    #[inline]
+    pub fn shape_matches(&self, qe: usize, e: &StreamEdge) -> bool {
+        let q = self.query.edges[qe];
+        (q.src == q.dst) == (e.src == e.dst)
+    }
+
     /// The distinct label signatures of this plan's query edges — exactly
     /// the data-edge signatures the plan can react to, on arrival
     /// ([`QueryPlan::candidates`] non-empty) and expiry

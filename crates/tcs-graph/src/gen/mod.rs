@@ -4,7 +4,8 @@
 //! here (CAIDA 2015 traces, the LSBench social stream, SNAP wiki-talk).
 //! Each generator below reproduces the *statistical knobs that drive the
 //! experiments* — label-alphabet size and skew, degree skew, vertex typing —
-//! rather than the raw data; DESIGN.md §3 records the substitutions.
+//! rather than the raw data; each generator's module docs record its
+//! substitution.
 //!
 //! All generators emit strictly increasing timestamps with a mean
 //! inter-arrival gap of exactly one time unit, so a window of duration `w`

@@ -115,8 +115,9 @@ fn main() {
             (stream, query, None)
         }
         None => {
-            // Synthetic traffic with one planted attack (DESIGN.md §3
-            // records the substitution for the paper's internal capture).
+            // Synthetic traffic with one planted attack (the
+            // `tcs_graph::gen::case_study` module docs record the
+            // substitution for the paper's internal capture).
             let (stream, query, planted_at) = case_study::build_sized(7, 40_000, 10_000);
             println!(
                 "traffic: {} flows over ~10k hosts; monitoring the Figure-1 pattern",

@@ -94,3 +94,31 @@ fn consistency_with_multi_position_edges() {
     .unwrap();
     check(&q, &stream, 60, "uniform-labels");
 }
+
+#[test]
+fn consistency_with_self_loops() {
+    // Self-loop and ordinary edges of one signature: only the shared shape
+    // filter (`QueryPlan::shape_matches`) decides which query edges an
+    // arrival can take, in the serial engine, the concurrent runner and
+    // the concurrent lock predictor alike.
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use tcs_graph::query::QueryEdge;
+    use tcs_graph::{ELabel, VLabel};
+    let mut rng = SmallRng::seed_from_u64(13);
+    let stream: Vec<StreamEdge> = (0..400u64)
+        .map(|i| {
+            let src = rng.gen_range(0..6u32);
+            let dst = if rng.gen_bool(0.3) { src } else { (src + rng.gen_range(1..6u32)) % 6 };
+            StreamEdge::new(i, src, 0, dst, 0, 0, i + 1)
+        })
+        .collect();
+    let lp = QueryEdge { src: 0, dst: 0, label: ELabel::NONE };
+    let arc = QueryEdge { src: 0, dst: 1, label: ELabel::NONE };
+    check(&QueryGraph::new(vec![VLabel(0)], vec![lp], &[]).unwrap(), &stream, 40, "loop");
+    check(&QueryGraph::new(vec![VLabel(0); 2], vec![arc], &[]).unwrap(), &stream, 40, "arc");
+    for pairs in [vec![], vec![(0, 1)], vec![(1, 0)]] {
+        let q = QueryGraph::new(vec![VLabel(0); 2], vec![lp, arc], &pairs).unwrap();
+        check(&q, &stream, 40, &format!("loop+arc {pairs:?}"));
+    }
+}

@@ -134,6 +134,45 @@ fn cross_constraint_floors_equal_oracle() {
 }
 
 #[test]
+fn self_loop_shapes_equal_oracle() {
+    // A self-loop query edge and an ordinary one between two same-label
+    // vertices share a signature; only the engines' shape filter
+    // (`QueryPlan::shape_matches`) tells them apart. The stream mixes
+    // self-loops and ordinary edges of that signature. The two-edge query
+    // runs in every timing order; each of its edges alone is the case
+    // where a level-0 insert is reported with no join check after it.
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use tcs_graph::query::QueryEdge;
+    use tcs_graph::{ELabel, VLabel};
+    let lp = QueryEdge { src: 0, dst: 0, label: ELabel::NONE };
+    let arc = QueryEdge { src: 0, dst: 1, label: ELabel::NONE };
+    let mut queries = vec![
+        QueryGraph::new(vec![VLabel(0)], vec![lp], &[]).unwrap(),
+        QueryGraph::new(vec![VLabel(0); 2], vec![arc], &[]).unwrap(),
+    ];
+    for pairs in [vec![], vec![(0, 1)], vec![(1, 0)]] {
+        queries.push(QueryGraph::new(vec![VLabel(0); 2], vec![lp, arc], &pairs).unwrap());
+    }
+    for seed in 0..3u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x100f);
+        let edges: Vec<StreamEdge> = (0..300u64)
+            .map(|i| {
+                let src = rng.gen_range(0..6u32);
+                let dst = if rng.gen_bool(0.3) { src } else { (src + rng.gen_range(1..6u32)) % 6 };
+                StreamEdge::new(i, src, 0, dst, 0, 0, i + 1)
+            })
+            .collect();
+        for (n, q) in queries.iter().enumerate() {
+            let label = format!("self-loop seed={seed} query={n}");
+            let opts = PlanOptions::timing();
+            assert_engine_matches_oracle::<MsTreeStore>(q, &edges, 40, opts, &label);
+            assert_engine_matches_oracle::<IndependentStore>(q, &edges, 40, opts, &label);
+        }
+    }
+}
+
+#[test]
 fn randomized_plans_equal_oracle() {
     // Timing-RD / Timing-RJ / Timing-RDJ change performance, never results.
     let edges = dense_stream(250, 6, 2, 11);
