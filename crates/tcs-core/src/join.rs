@@ -39,9 +39,10 @@
 //! Merged row assignments and component-handle lists live in two flat
 //! columns of a [`RowArena`]; rows are index spans, and extending a row
 //! is `extend_from_within`. Every list the join needs (parents, `Δ`, rows
-//! read, compatible pairs) is an arena vector too, so an engine — or a
-//! concurrent worker — that keeps one arena allocates nothing per arrival
-//! beyond the records it emits, once the capacities have grown.
+//! read, compatible pairs, the record being assembled) is an arena vector
+//! too, so an engine — or a concurrent worker — that keeps one arena
+//! allocates nothing per arrival beyond the records it emits (one shared
+//! edge list each), once the capacities have grown.
 
 use crate::binding::compat_sides;
 use crate::plan::QueryPlan;
@@ -158,6 +159,8 @@ pub struct RowArena {
     read: Vec<ArenaRow>,
     /// The compatible `(parent row, component)` pairs one probe found.
     pairs: Vec<(ArenaRow, ArenaRow)>,
+    /// The emitted record being assembled, in query-edge order.
+    rec: Vec<EdgeId>,
 }
 
 impl RowArena {
@@ -343,9 +346,9 @@ impl RowArena {
         live: &L,
         out: &mut Vec<MatchRecord>,
     ) {
-        let Self { comps, ids, rows, .. } = self;
+        let Self { comps, ids, rows, rec, .. } = self;
         for r in rows.iter() {
-            out.push(record_of(plan, store, live, &comps[r.c0 as usize..r.c1 as usize], ids));
+            out.push(record_of(plan, store, live, &comps[r.c0 as usize..r.c1 as usize], ids, rec));
         }
     }
 
@@ -455,15 +458,18 @@ fn append_assignment<J: JoinReads, L: LiveEdgeView>(
 }
 
 /// Builds the reported record from component handles (subqueries
-/// `0..comps.len()` in join order).
+/// `0..comps.len()` in join order), assembled in the `edges` scratch and
+/// copied once into the record's shared allocation.
 fn record_of<J: JoinReads, L: LiveEdgeView>(
     plan: &QueryPlan,
     store: &J,
     live: &L,
     comps: &[Handle],
     ids: &mut Vec<EdgeId>,
+    edges: &mut Vec<EdgeId>,
 ) -> MatchRecord {
-    let mut edges = vec![EdgeId(u64::MAX); plan.query.n_edges()];
+    edges.clear();
+    edges.resize(plan.query.n_edges(), EdgeId(u64::MAX));
     for (sub, &c) in comps.iter().enumerate() {
         ids.clear();
         store.expand_sub(sub, c, ids);
@@ -471,7 +477,7 @@ fn record_of<J: JoinReads, L: LiveEdgeView>(
             edges[plan.subs[sub].seq[lvl]] = id;
         }
     }
-    let rec = MatchRecord::from(edges);
+    let rec = MatchRecord::new(edges.as_slice().into());
     debug_assert_eq!(
         rec.verify(&plan.query, |id| live.live_edge(id)),
         Ok(()),

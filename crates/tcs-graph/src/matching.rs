@@ -5,17 +5,25 @@
 //! edge assignment and validated by [`MatchRecord::verify`]. Storing only the
 //! edge assignment keeps records compact and makes results from different
 //! engines directly comparable in tests.
+//!
+//! Records are immutable once built and their edge list is reference
+//! counted: [`Clone`] is O(1) — a refcount bump, never a copy — so a
+//! front-end fanning one emitted match out to many subscribers hands each
+//! of them the engine's own allocation. Equality, ordering, hashing and
+//! `Debug` look at the edge list's *values*, never at the allocation.
 
 use crate::edge::StreamEdge;
 use crate::ids::{EdgeId, VertexId};
 use crate::query::QueryGraph;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An assignment of data edges to query edges; index `i` holds the data edge
-/// matched to query edge `i`.
+/// matched to query edge `i`. Immutable and shared: clones point at the
+/// same edge list (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MatchRecord {
-    edges: Box<[EdgeId]>,
+    edges: Arc<[EdgeId]>,
 }
 
 /// Why a candidate record failed verification.
@@ -38,7 +46,7 @@ pub enum MatchViolation {
 
 impl MatchRecord {
     /// Builds a record from edges listed in query-edge order.
-    pub fn new(edges: Box<[EdgeId]>) -> Self {
+    pub fn new(edges: Arc<[EdgeId]>) -> Self {
         MatchRecord { edges }
     }
 
@@ -135,7 +143,7 @@ impl MatchRecord {
 
 impl From<Vec<EdgeId>> for MatchRecord {
     fn from(v: Vec<EdgeId>) -> Self {
-        MatchRecord::new(v.into_boxed_slice())
+        MatchRecord::new(v.into())
     }
 }
 
@@ -145,6 +153,7 @@ mod tests {
     use super::*;
     use crate::ids::{ELabel, VLabel};
     use crate::query::QueryEdge;
+    use std::hash::BuildHasher;
 
     /// Two-edge path query a→b→c with ε0 ≺ ε1.
     fn q() -> QueryGraph {
@@ -222,6 +231,22 @@ mod tests {
     fn arity_mismatch_detected() {
         let m = MatchRecord::from(vec![EdgeId(1)]);
         assert_eq!(m.verify(&q(), |_| None), Err(MatchViolation::ArityMismatch));
+    }
+
+    #[test]
+    fn clone_shares_the_edge_list() {
+        let m = MatchRecord::new(Arc::from(&[EdgeId(1), EdgeId(2)][..]));
+        let c = m.clone();
+        assert_eq!(c.edges().as_ptr(), m.edges().as_ptr(), "clone is a refcount bump");
+        // Value semantics: an equal record from another allocation is
+        // equal, hashes equal and orders equal.
+        let other = MatchRecord::from(vec![EdgeId(1), EdgeId(2)]);
+        assert_ne!(other.edges().as_ptr(), m.edges().as_ptr());
+        assert_eq!(other, m);
+        assert_eq!(other.cmp(&m), std::cmp::Ordering::Equal);
+        let state = std::collections::hash_map::RandomState::new();
+        assert_eq!(state.hash_one(&other), state.hash_one(&m));
+        assert_eq!(format!("{m:?}"), format!("{other:?}"));
     }
 
     #[test]

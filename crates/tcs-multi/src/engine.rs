@@ -23,7 +23,7 @@ use tcs_core::{
     IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
     TimingEngine,
 };
-use tcs_graph::{ELabel, EdgeId, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
+use tcs_graph::{ELabel, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
 use tcs_telemetry::{EventKind, Recorder};
 
 /// Identifier of a registered query, unique for the lifetime of the
@@ -130,7 +130,8 @@ impl MultiStats {
 }
 
 /// One shared template: the engine every fingerprint-identical
-/// registration fans out from.
+/// registration fans out from, plus everything fan-out touches — so
+/// delivering a burst reads and writes this struct alone.
 struct SharedTemplate<S: MatchStore> {
     engine: TimingEngine<S>,
     /// The canonical fingerprint this template is keyed under.
@@ -138,32 +139,57 @@ struct SharedTemplate<S: MatchStore> {
     /// canonical edge index → this engine's (the founder plan's) edge
     /// index.
     inv_perm: Vec<usize>,
-    /// Live subscribers in registration order (ascending id).
-    subs: Vec<QueryId>,
+    /// Arrivals delivered to the engine since the template was founded;
+    /// a subscriber's routed count is this minus its
+    /// [`Slot::routed_base`].
+    routed: u64,
+    /// Live subscribers' delivery state, in registration order
+    /// (ascending id).
+    slots: Vec<Slot>,
+    /// The distinct non-identity remaps among the live subscribers,
+    /// indexed by [`Slot::group`].
+    groups: Vec<RemapGroup>,
 }
 
-/// One registered query's view of its template.
-struct Subscriber {
-    template: TemplateId,
+/// One subscriber's delivery state, kept on its template.
+struct Slot {
+    id: QueryId,
     /// Emission epoch: `None` for a founder (saw the engine from birth,
     /// unfiltered); `Some(e)` for a late joiner to a warm engine, which
     /// sees exactly the matches whose emission floor exceeds `e` — i.e.
     /// matches made entirely of post-registration edges (fresh-start
     /// semantics, enforced at the emission point).
     epoch: Option<u64>,
+    /// The remap group whose edge order this subscriber receives records
+    /// in; `None` = the founder's order (the engine's own records).
+    group: Option<usize>,
+    /// The template's `routed` when this subscriber registered.
+    routed_base: u64,
+    /// Matches delivered to this subscriber after epoch filtering.
+    emitted: u64,
+}
+
+/// Permuted twins that number their edges the same way: one remap, done
+/// once per burst for all of them.
+struct RemapGroup {
+    /// subscriber edge index → founder edge index.
+    remap: Box<[usize]>,
+    /// Live slots in this group.
+    members: usize,
+    /// The current burst's remapped records, index-parallel to it and
+    /// built on first demand (empty between bursts).
+    burst: Vec<Option<MatchRecord>>,
+}
+
+/// One registered query's registration facts; its delivery state lives
+/// in its template's [`Slot`].
+struct Subscriber {
+    template: TemplateId,
     /// Value of `edges_seen` when the subscriber registered.
     seen_base: u64,
     /// The shared engine's counters at registration — per-subscriber
     /// stats are deltas from here.
     stats_base: EngineStats,
-    /// Arrivals delivered to the template while this subscriber was
-    /// registered.
-    routed: u64,
-    /// Matches delivered to this subscriber after epoch filtering.
-    emitted: u64,
-    /// subscriber edge index → founder edge index, for rewriting emitted
-    /// records into this subscriber's own edge order; `None` = identity.
-    remap: Option<Vec<usize>>,
     /// The subscriber's own plan, kept only when it differs from the
     /// founder's (non-identity remap) so re-homing can re-register it
     /// verbatim; `None` = the template engine's plan is this plan.
@@ -240,47 +266,100 @@ fn stats_since(now: &EngineStats, base: &EngineStats) -> EngineStats {
     }
 }
 
-/// Rewrites a founder-order match record into a subscriber's own edge
-/// order (`remap[s]` = founder edge index of subscriber edge `s`);
-/// `None` = identical orders, clone as-is.
-fn remap_record(m: &MatchRecord, remap: Option<&[usize]>) -> MatchRecord {
-    match remap {
-        None => m.clone(),
-        Some(r) => MatchRecord::from(r.iter().map(|&f| m.edge(f)).collect::<Vec<EdgeId>>()),
+impl<S: MatchStore> SharedTemplate<S> {
+    /// Adds a subscriber's slot; a non-identity `remap` joins the group
+    /// of twins with the same remap, or founds one.
+    fn subscribe(&mut self, id: QueryId, epoch: Option<u64>, remap: Option<Vec<usize>>) {
+        debug_assert!(self.slots.last().is_none_or(|s| s.id < id), "slots stay in id order");
+        let group = remap.map(|r| {
+            if let Some(g) = self.groups.iter().position(|g| *g.remap == *r) {
+                self.groups[g].members += 1;
+                return g;
+            }
+            self.groups.push(RemapGroup { remap: r.into(), members: 1, burst: Vec::new() });
+            self.groups.len() - 1
+        });
+        self.slots.push(Slot { id, epoch, group, routed_base: self.routed, emitted: 0 });
+    }
+
+    /// Drops a subscriber's slot, and its remap group with the group's
+    /// last member.
+    fn unsubscribe(&mut self, id: QueryId) {
+        let Ok(i) = self.slots.binary_search_by_key(&id, |s| s.id) else {
+            debug_assert!(false, "subscriber {id:?} has a slot on its template");
+            return;
+        };
+        let Some(g) = self.slots.remove(i).group else { return };
+        self.groups[g].members -= 1;
+        if self.groups[g].members > 0 {
+            return;
+        }
+        self.groups.remove(g);
+        for s in &mut self.slots {
+            if let Some(x) = &mut s.group {
+                if *x > g {
+                    *x -= 1;
+                }
+            }
+        }
+    }
+
+    /// The delivery slot of subscriber `id`.
+    fn slot(&self, id: QueryId) -> Option<&Slot> {
+        let i = self.slots.binary_search_by_key(&id, |s| s.id).ok()?;
+        Some(&self.slots[i])
+    }
+
+    /// Delivers the engine's reply `ms` to a routed run of `run_len`
+    /// arrivals: per-subscriber epoch filtering against the emission
+    /// floors, then one pushed handle per delivery — the engine's own
+    /// record for the founder's edge order, the group's record (remapped
+    /// once per burst, on first demand) for a permuted twin. A run that
+    /// emitted nothing costs one counter bump.
+    fn fan_out(&mut self, ms: &[MatchRecord], run_len: u64, out: &mut Vec<(QueryId, MatchRecord)>) {
+        self.routed += run_len;
+        if ms.is_empty() {
+            return;
+        }
+        let Self { engine, slots, groups, .. } = self;
+        let floors = engine.last_emission_floors();
+        for g in groups.iter_mut() {
+            g.burst.resize(ms.len(), None);
+        }
+        out.reserve(slots.len() * ms.len());
+        for slot in slots.iter_mut() {
+            let before = out.len();
+            for (mi, m) in ms.iter().enumerate() {
+                if let Some(ep) = slot.epoch {
+                    // Floor = min arrival number over the match's edges;
+                    // 0 for any edge that predates floor arming. A late
+                    // subscriber sees the match iff every constituent
+                    // edge arrived after its epoch.
+                    if floors.get(mi).copied().unwrap_or(0) <= ep {
+                        continue;
+                    }
+                }
+                let rec = match slot.group {
+                    None => m.clone(),
+                    Some(g) => {
+                        let RemapGroup { remap, burst, .. } = &mut groups[g];
+                        burst[mi].get_or_insert_with(|| remap_record(m, remap)).clone()
+                    }
+                };
+                out.push((slot.id, rec));
+            }
+            slot.emitted += (out.len() - before) as u64;
+        }
+        for g in groups.iter_mut() {
+            g.burst.clear();
+        }
     }
 }
 
-/// Delivers one engine emission burst to a template's subscribers:
-/// per-subscriber epoch filtering against the emission floors, record
-/// rewriting into each subscriber's edge order, and counter upkeep.
-fn fan_out(
-    subscribers: &mut BTreeMap<QueryId, Subscriber>,
-    subs: &[QueryId],
-    ms: &[MatchRecord],
-    floors: &[u64],
-    routed_inc: u64,
-    out: &mut Vec<(QueryId, MatchRecord)>,
-) {
-    for q in subs {
-        let Some(sub) = subscribers.get_mut(q) else {
-            debug_assert!(false, "template lists a registered subscriber");
-            continue;
-        };
-        sub.routed += routed_inc;
-        for (mi, m) in ms.iter().enumerate() {
-            if let Some(ep) = sub.epoch {
-                // Floor = min arrival number over the match's edges; 0
-                // for any edge that predates floor arming. A late
-                // subscriber sees the match iff every constituent edge
-                // arrived after its epoch.
-                if floors.get(mi).copied().unwrap_or(0) <= ep {
-                    continue;
-                }
-            }
-            sub.emitted += 1;
-            out.push((*q, remap_record(m, sub.remap.as_deref())));
-        }
-    }
+/// Rewrites a founder-order match record into a subscriber's own edge
+/// order (`remap[s]` = founder edge index of subscriber edge `s`).
+fn remap_record(m: &MatchRecord, remap: &[usize]) -> MatchRecord {
+    MatchRecord::new(remap.iter().map(|&f| m.edge(f)).collect())
 }
 
 impl<S: MatchStore> MultiQueryEngine<S> {
@@ -371,7 +450,9 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// the unit's *arrival* instant — the detection-latency origin,
     /// which the sharded front-end stamps at enqueue time so queue wait
     /// counts — feeding every emitted match's per-query and per-template
-    /// histograms.
+    /// histograms. `out` is grouped by template, then by subscriber, so
+    /// each subscriber run is one per-query record and each template run
+    /// one per-template record.
     fn tel_finish(
         &self,
         proc: Option<Instant>,
@@ -390,14 +471,29 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             return;
         }
         let ns = elapsed_ns(a0);
-        for (qid, _) in out {
-            tel.rec.record_detection(qid.0, ns, 1);
+        // The template run being accumulated: (digest, deliveries).
+        let mut pending: Option<(u64, u64)> = None;
+        for run in out.chunk_by(|a, b| a.0 == b.0) {
+            let (qid, n) = (run[0].0, run.len() as u64);
+            tel.rec.record_detection(qid.0, ns, n);
+            // A template quarantined after it delivered has no
+            // subscribers left: its deliveries land under digest 0.
             let digest = self
                 .subscribers
-                .get(qid)
+                .get(&qid)
                 .and_then(|s| self.templates.get(&s.template))
                 .map_or(0, |t| t.fp.digest());
-            tel.rec.record_detection_template(digest, ns, 1);
+            match &mut pending {
+                Some((d, m)) if *d == digest => *m += n,
+                _ => {
+                    if let Some((d, m)) = pending.replace((digest, n)) {
+                        tel.rec.record_detection_template(d, ns, m);
+                    }
+                }
+            }
+        }
+        if let Some((d, m)) = pending {
+            tel.rec.record_detection_template(d, ns, m);
         }
     }
 
@@ -511,55 +607,38 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             let epoch = Some(t.engine.emission_epoch());
             let remap: Vec<usize> = perm.iter().map(|&c| t.inv_perm[c]).collect();
             let identity = remap.iter().enumerate().all(|(s, &f)| s == f);
-            t.subs.push(id);
-            self.subscribers.insert(
-                id,
-                Subscriber {
-                    template: tid,
-                    epoch,
-                    seen_base: self.edges_seen,
-                    stats_base: t.engine.stats(),
-                    routed: 0,
-                    emitted: 0,
-                    remap: if identity { None } else { Some(remap) },
-                    plan: if identity { None } else { Some(plan) },
-                },
-            );
+            t.subscribe(id, epoch, (!identity).then_some(remap));
+            let sub = Subscriber {
+                template: tid,
+                seen_base: self.edges_seen,
+                stats_base: t.engine.stats(),
+                plan: (!identity).then_some(plan),
+            };
+            self.subscribers.insert(id, sub);
             return;
         }
-        let tid = self.fresh_template(plan, fp, &perm);
-        self.insert_founder(id, tid);
+        // A founder saw its engine from birth: no epoch filter, zero
+        // stats base.
+        let tid = self.fresh_template(plan, fp, &perm, id);
+        let sub = Subscriber {
+            template: tid,
+            seen_base: self.edges_seen,
+            stats_base: EngineStats::default(),
+            plan: None,
+        };
+        self.subscribers.insert(id, sub);
     }
 
-    /// Records a founder subscriber: saw its engine from birth, so no
-    /// epoch filter and zero stats base.
-    fn insert_founder(&mut self, id: QueryId, tid: TemplateId) {
-        if let Some(t) = self.templates.get_mut(&tid) {
-            t.subs.push(id);
-        }
-        self.subscribers.insert(
-            id,
-            Subscriber {
-                template: tid,
-                epoch: None,
-                seen_base: self.edges_seen,
-                stats_base: EngineStats::default(),
-                routed: 0,
-                emitted: 0,
-                remap: None,
-                plan: None,
-            },
-        );
-    }
-
-    /// Builds a new template around this plan's engine and indexes it:
-    /// dispatch entries per leaf signature, one fingerprint entry. `perm`
-    /// maps the plan's edge indices to canonical ones.
+    /// Builds a new template around this plan's engine, with `founder`
+    /// as its first subscriber, and indexes it: dispatch entries per leaf
+    /// signature, one fingerprint entry. `perm` maps the plan's edge
+    /// indices to canonical ones.
     fn fresh_template(
         &mut self,
         plan: QueryPlan,
         fp: PlanFingerprint,
         perm: &[usize],
+        founder: QueryId,
     ) -> TemplateId {
         let tid = TemplateId(self.next_template);
         self.next_template = match self.next_template.checked_add(1) {
@@ -577,7 +656,10 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         }
         self.by_fp.insert(fp.clone(), tid);
         let engine = TimingEngine::new(plan);
-        self.templates.insert(tid, SharedTemplate { engine, fp, inv_perm, subs: Vec::new() });
+        let (slots, groups) = (Vec::new(), Vec::new());
+        let mut t = SharedTemplate { engine, fp, inv_perm, routed: 0, slots, groups };
+        t.subscribe(founder, None, None);
+        self.templates.insert(tid, t);
         tid
     }
 
@@ -640,8 +722,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             debug_assert!(false, "subscriber references a live template");
             return true;
         };
-        t.subs.retain(|&q| q != id);
-        if !t.subs.is_empty() {
+        t.unsubscribe(id);
+        if !t.slots.is_empty() {
             return true;
         }
         let Some(t) = self.templates.remove(&tid) else {
@@ -701,7 +783,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     fn quarantine(&mut self, faulted: Vec<(TemplateId, String)>) {
         for (tid, payload) in faulted {
             let subs: Vec<QueryId> = match self.templates.get(&tid) {
-                Some(t) => t.subs.clone(),
+                Some(t) => t.slots.iter().map(|s| s.id).collect(),
                 None => {
                     debug_assert!(false, "faulted template was registered");
                     continue;
@@ -750,6 +832,20 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// work condemns that template alone — it is skipped for the rest of
     /// the batch and torn down at the end (one fault per subscriber), and
     /// every other template still processes the full batch.
+    ///
+    /// **A rejection loses the admitted prefix's matches.** On `Err` the
+    /// arrivals before the rejected one have been fully processed — they
+    /// are in the window, their partial matches are stored, and every
+    /// match they completed was counted in its subscriber's `emitted` —
+    /// but those matches are dropped with the `Ok` value, never returned.
+    /// [`TimingEngine::insert_batch_at`] has the same contract one layer
+    /// down. Feeding on from the arrival after the rejected one is
+    /// well-defined; the lost deliveries cannot be recovered, so feeders
+    /// that must not lose any validate first or use a lenient
+    /// [`OrderPolicy`]. The fix is a caller-owned output sink that keeps
+    /// what was delivered before the error (ROADMAP.md, Step 0b); it
+    /// changes this method's return type, which the frozen benchmark
+    /// calls.
     pub fn try_advance_batch(
         &mut self,
         batch: &[StreamEdge],
@@ -821,9 +917,9 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     ) {
         for x in expired {
             for &tid in self.dispatch.get(&x.signature()).map_or(&[][..], Vec::as_slice) {
-                let work = |engine: &mut TimingEngine<S>, subs: &[QueryId]| {
-                    for q in subs {
-                        fail_point!(sites::PRE_EXPIRY, q.0);
+                let work = |engine: &mut TimingEngine<S>, slots: &[Slot]| {
+                    for s in slots {
+                        fail_point!(sites::PRE_EXPIRY, s.id.0);
                     }
                     engine.expire_partials(x);
                 };
@@ -841,9 +937,9 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let snapshot = &self.snapshot;
         for run in arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
             for &tid in self.dispatch.get(&run[0].signature()).map_or(&[][..], Vec::as_slice) {
-                let work = |engine: &mut TimingEngine<S>, subs: &[QueryId]| {
-                    for q in subs {
-                        fail_point!(sites::PRE_PROBE, q.0);
+                let work = |engine: &mut TimingEngine<S>, slots: &[Slot]| {
+                    for s in slots {
+                        fail_point!(sites::PRE_PROBE, s.id.0);
                     }
                     let ms = match engine.insert_batch_at(run, snapshot) {
                         Ok(ms) => ms,
@@ -852,16 +948,15 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                         // under Quarantine it condemns only the template.
                         Err(err) => panic!("sanitized stream rejected: {err}"),
                     };
-                    for q in subs {
-                        fail_point!(sites::POST_RECORD, q.0);
+                    for s in slots {
+                        fail_point!(sites::POST_RECORD, s.id.0);
                     }
                     ms
                 };
                 if let Some((t, ms)) =
                     Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work)
                 {
-                    let floors = t.engine.last_emission_floors();
-                    fan_out(&mut self.subscribers, &t.subs, &ms, floors, run.len() as u64, out);
+                    t.fan_out(&ms, run.len() as u64, out);
                 }
             }
         }
@@ -877,8 +972,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         policy: FaultPolicy,
         faulted: &mut Vec<(TemplateId, String)>,
         tid: TemplateId,
-        work: impl FnOnce(&mut TimingEngine<S>, &[QueryId]) -> R,
-    ) -> Option<(&'t SharedTemplate<S>, R)> {
+        work: impl FnOnce(&mut TimingEngine<S>, &[Slot]) -> R,
+    ) -> Option<(&'t mut SharedTemplate<S>, R)> {
         if faulted.iter().any(|(f, _)| *f == tid) {
             return None;
         }
@@ -886,7 +981,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             debug_assert!(false, "dispatch targets a live template");
             return None;
         };
-        let work = AssertUnwindSafe(|| work(&mut t.engine, &t.subs));
+        let work = AssertUnwindSafe(|| work(&mut t.engine, &t.slots));
         let r = match policy {
             FaultPolicy::Propagate => work(),
             FaultPolicy::Quarantine => match catch_unwind(work) {
@@ -909,25 +1004,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             .subscribers
             .iter()
             .map(|(&id, sub)| {
-                let Some(t) = self.templates.get(&sub.template) else {
-                    unreachable!("subscriber references a live template");
-                };
-                let mut stats = stats_since(&t.engine.stats(), &sub.stats_base);
-                // The engine-wide emission count includes matches the
-                // epoch filter withheld from this subscriber; its own
-                // count is authoritative.
-                stats.matches_emitted = sub.emitted;
-                // Arrivals since registration the dispatch index filtered
-                // out: an independent engine would have processed and
-                // discarded them (no candidate query edge, by
-                // construction of the index).
-                let since = self.edges_seen - sub.seen_base;
-                let unrouted = since - sub.routed;
-                stats.edges_processed += unrouted;
-                stats.edges_discarded += unrouted;
-                let store_bytes =
-                    if t.subs.first() == Some(&id) { t.engine.store_space_bytes() } else { 0 };
-                QueryStats { id, stats, routed: sub.routed, emitted: sub.emitted, store_bytes }
+                self.query_stats(id, sub)
+                    .unwrap_or_else(|| unreachable!("subscriber has a live template and slot"))
             })
             .collect();
         let templates = self
@@ -935,7 +1013,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             .values()
             .map(|t| TemplateStats {
                 digest: t.fp.digest(),
-                subscribers: t.subs.len(),
+                subscribers: t.slots.len(),
                 stats: t.engine.stats(),
                 store_bytes: t.engine.store_space_bytes(),
             })
@@ -951,23 +1029,38 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         }
     }
 
-    /// Normalized counters of one query, if registered.
-    pub fn stats_of(&self, id: QueryId) -> Option<EngineStats> {
-        let sub = self.subscribers.get(&id)?;
+    /// One query's [`QueryStats`], derived from its registration facts
+    /// and its template's counters and slot.
+    fn query_stats(&self, id: QueryId, sub: &Subscriber) -> Option<QueryStats> {
         let t = self.templates.get(&sub.template)?;
+        let slot = t.slot(id)?;
+        let routed = t.routed - slot.routed_base;
         let mut stats = stats_since(&t.engine.stats(), &sub.stats_base);
-        stats.matches_emitted = sub.emitted;
-        let unrouted = (self.edges_seen - sub.seen_base) - sub.routed;
+        // The engine-wide emission count includes matches the epoch
+        // filter withheld from this subscriber; its own count is
+        // authoritative.
+        stats.matches_emitted = slot.emitted;
+        // Arrivals since registration the dispatch index filtered out: an
+        // independent engine would have processed and discarded them (no
+        // candidate query edge, by construction of the index).
+        let unrouted = (self.edges_seen - sub.seen_base) - routed;
         stats.edges_processed += unrouted;
         stats.edges_discarded += unrouted;
-        Some(stats)
+        let first = t.slots.first().map(|s| s.id) == Some(id);
+        let store_bytes = if first { t.engine.store_space_bytes() } else { 0 };
+        Some(QueryStats { id, stats, routed, emitted: slot.emitted, store_bytes })
+    }
+
+    /// Normalized counters of one query, if registered.
+    pub fn stats_of(&self, id: QueryId) -> Option<EngineStats> {
+        self.query_stats(id, self.subscribers.get(&id)?).map(|q| q.stats)
     }
 
     /// Raw routing counters of one query, if registered: `(arrivals
     /// routed to its template since it registered, matches emitted to it
     /// after epoch filtering)`.
     pub fn counters_of(&self, id: QueryId) -> Option<(u64, u64)> {
-        self.subscribers.get(&id).map(|s| (s.routed, s.emitted))
+        self.query_stats(id, self.subscribers.get(&id)?).map(|q| (q.routed, q.emitted))
     }
 
     /// Live complete matches of one query's template engine, if
@@ -996,7 +1089,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     pub fn audit(&self) -> Vec<tcs_core::store::AuditViolation> {
         let mut out = Vec::new();
         for t in self.templates.values() {
-            let owners = t.subs.iter().map(|q| q.0.to_string()).collect::<Vec<_>>().join(",");
+            let owners = t.slots.iter().map(|s| s.id.0.to_string()).collect::<Vec<_>>().join(",");
             for mut v in t.engine.audit() {
                 v.detail = format!("query {owners}: {}", v.detail);
                 out.push(v);
@@ -1040,6 +1133,22 @@ mod tests {
 
     fn plan(t: u16) -> QueryPlan {
         QueryPlan::build(tenant_query(t), PlanOptions::timing())
+    }
+
+    /// Tenant `t`'s permuted twin: the same 2-path with its edges listed
+    /// in reverse — edge 0 is (b→c), edge 1 the opener (a→b) — and its
+    /// vertices renumbered.
+    fn twin_plan(t: u16) -> QueryPlan {
+        let q = QueryGraph::new(
+            vec![VLabel(3 * t + 2), VLabel(3 * t), VLabel(3 * t + 1)],
+            vec![
+                QueryEdge { src: 2, dst: 0, label: ELabel::NONE },
+                QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
+            ],
+            &[(1, 0)],
+        )
+        .unwrap();
+        QueryPlan::build(q, PlanOptions::timing())
     }
 
     /// Opening (a→b) and closing (b→c) edges of tenant `t`'s 2-chain.
@@ -1302,18 +1411,9 @@ mod tests {
     fn permuted_plan_shares_template_with_remapped_records() {
         // plan(0) lists (a→b) then (b→c); the permuted twin lists them
         // reversed and renumbers its vertices.
-        let permuted = QueryGraph::new(
-            vec![VLabel(2), VLabel(0), VLabel(1)],
-            vec![
-                QueryEdge { src: 2, dst: 0, label: ELabel::NONE },
-                QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
-            ],
-            &[(1, 0)],
-        )
-        .unwrap();
         let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
         let q0 = multi.register(plan(0));
-        let q1 = multi.register(QueryPlan::build(permuted, PlanOptions::timing()));
+        let q1 = multi.register(twin_plan(0));
         assert_eq!(multi.n_templates(), 1, "permuted twin shares the template");
         multi.advance(open_edge(1, 0, 1));
         let out = multi.advance(close_edge(2, 0, 2));
@@ -1325,5 +1425,181 @@ mod tests {
                 (q1, MatchRecord::from(vec![EdgeId(2), EdgeId(1)])),
             ]
         );
+    }
+
+    /// Fan-out hands out handles, not copies: every identity subscriber
+    /// of a template receives the engine's own record, and the permuted
+    /// twins of one remap group share one remapped record per match. The
+    /// late twin is still epoch-filtered, and unregistering subscribers
+    /// (one identity, one twin) moves nobody else's counters.
+    #[test]
+    fn deliveries_share_one_record_per_edge_order() {
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let a = multi.register(plan(0));
+        let b = multi.register(plan(0));
+        let tw = multi.register(twin_plan(0));
+        let c = multi.register(plan(0));
+        multi.advance(open_edge(1, 0, 1));
+        let late = multi.register(twin_plan(0));
+        assert_eq!(multi.n_templates(), 1);
+        let ptr = |out: &[(QueryId, MatchRecord)], q: QueryId, m: &[EdgeId]| {
+            let (_, r) = out.iter().find(|(x, r)| *x == q && r.edges() == m).unwrap();
+            r.edges().as_ptr()
+        };
+
+        // The opener predates the late twin: only the other four see it.
+        let out = multi.advance(close_edge(2, 0, 2));
+        let recs = |ids: &[EdgeId]| MatchRecord::from(ids.to_vec());
+        let (fwd, rev) = (recs(&[EdgeId(1), EdgeId(2)]), recs(&[EdgeId(2), EdgeId(1)]));
+        assert_eq!(out, vec![(a, fwd.clone()), (b, fwd.clone()), (tw, rev), (c, fwd)]);
+        let id = ptr(&out, a, &[EdgeId(1), EdgeId(2)]);
+        assert_eq!(ptr(&out, b, &[EdgeId(1), EdgeId(2)]), id);
+        assert_eq!(ptr(&out, c, &[EdgeId(1), EdgeId(2)]), id);
+        assert_ne!(ptr(&out, tw, &[EdgeId(2), EdgeId(1)]), id);
+
+        // A fully post-registration match reaches all five; both twins
+        // hold the same remapped allocation.
+        multi.advance(open_edge(3, 0, 3));
+        let out = multi.advance(close_edge(4, 0, 4));
+        assert_eq!(out.iter().filter(|(q, _)| *q == late).count(), 1, "epoch filter holds");
+        let (fwd, rev) = ([EdgeId(3), EdgeId(4)], [EdgeId(4), EdgeId(3)]);
+        let id = ptr(&out, a, &fwd);
+        assert!([b, c].iter().all(|&q| ptr(&out, q, &fwd) == id));
+        let twin = ptr(&out, tw, &rev);
+        assert_eq!(ptr(&out, late, &rev), twin, "one remap per group per burst");
+        assert_ne!(twin, id);
+
+        let snapshot = |m: &MultiQueryEngine, qs: &[QueryId]| {
+            qs.iter().map(|&q| (m.counters_of(q), m.stats_of(q))).collect::<Vec<_>>()
+        };
+        assert_eq!(multi.counters_of(a), Some((4, 3)));
+        assert_eq!(multi.counters_of(late), Some((3, 1)));
+        let before = snapshot(&multi, &[a, tw, c, late]);
+        assert!(multi.unregister(b));
+        assert_eq!(snapshot(&multi, &[a, tw, c, late]), before);
+        let before = snapshot(&multi, &[a, c, late]);
+        assert!(multi.unregister(tw));
+        assert_eq!(snapshot(&multi, &[a, c, late]), before);
+        // The group outlives one twin: the late twin still gets its order.
+        multi.advance(open_edge(5, 0, 5));
+        let out = multi.advance(close_edge(6, 0, 6));
+        let late_out: Vec<&MatchRecord> =
+            out.iter().filter(|(q, _)| *q == late).map(|(_, m)| m).collect();
+        assert_eq!(late_out, vec![&recs(&[EdgeId(6), EdgeId(3)]), &recs(&[EdgeId(6), EdgeId(5)])],);
+    }
+
+    /// Detection telemetry is recorded once per subscriber run and once
+    /// per template run, and still counts every delivery exactly.
+    #[test]
+    fn detection_telemetry_counts_every_delivery() {
+        let rec = Arc::new(Recorder::with_sampling(1));
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        multi.set_recorder(Arc::clone(&rec));
+        let ids: Vec<QueryId> = [plan(0), plan(0), twin_plan(0), plan(1), twin_plan(1), plan(1)]
+            .into_iter()
+            .map(|p| multi.register(p))
+            .collect();
+        assert_eq!(multi.n_templates(), 2);
+        let batch = [
+            open_edge(1, 0, 1),
+            open_edge(2, 1, 2),
+            close_edge(3, 0, 3),
+            close_edge(4, 1, 4),
+            open_edge(5, 0, 5),
+            close_edge(6, 0, 6),
+        ];
+        let out = multi.advance_batch(&batch);
+        let delivered = |qs: &[QueryId]| out.iter().filter(|(q, _)| qs.contains(q)).count() as u64;
+        let snap = rec.snapshot();
+        let count = |scopes: &[(u64, tcs_telemetry::HistogramSnapshot)], key: u64| {
+            scopes.iter().find(|(k, _)| *k == key).map_or(0, |(_, h)| h.count)
+        };
+        for &q in &ids {
+            assert!(delivered(&[q]) > 0);
+            assert_eq!(count(&snap.detection_by_query, q.0), delivered(&[q]), "query {q:?}");
+        }
+        let templates = multi.stats().templates;
+        for (t, subs) in templates.iter().zip(ids.chunks(3)) {
+            assert_eq!(count(&snap.detection_by_template, t.digest), delivered(subs));
+        }
+    }
+
+    /// A rejection mid-batch processes the admitted prefix, then drops
+    /// the matches it completed: they are live and counted as emitted,
+    /// yet never returned. This pins today's loss (see
+    /// [`MultiQueryEngine::try_advance_batch`]); a caller-owned output
+    /// sink is the fix.
+    #[test]
+    fn rejection_mid_batch_drops_the_admitted_prefix_matches() {
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let q0 = multi.register(plan(0));
+        // The third arrival is out of order: the default policy rejects.
+        let batch = [open_edge(1, 0, 5), close_edge(2, 0, 6), open_edge(3, 0, 4)];
+        assert!(multi.try_advance_batch(&batch).is_err());
+        assert_eq!(multi.window_len(), 2, "the prefix was admitted");
+        assert_eq!(multi.live_match_count(q0), Some(1), "its match was completed");
+        assert_eq!(multi.counters_of(q0), Some((2, 1)), "and counted as delivered");
+        // Resuming past the offender is well-defined: the prefix stays.
+        let out = multi.try_advance_batch(&[close_edge(4, 0, 7)]).unwrap();
+        assert_eq!(out, vec![(q0, MatchRecord::from(vec![EdgeId(1), EdgeId(4)]))]);
+    }
+
+    /// Twins with different numberings form separate remap groups, and
+    /// dropping one group (its last member leaves) re-points the groups
+    /// after it: the survivors keep receiving their own edge order.
+    #[test]
+    fn remap_groups_survive_churn() {
+        // v0 →ε0 v1 →ε1 v2 →ε2 v3, ε0 ≺ ε1 ≺ ε2, listed so that
+        // subscriber edge `s` is founder edge `order[s]`.
+        let path3 = |order: [usize; 3]| {
+            let base = [(0, 1), (1, 2), (2, 3)];
+            let pos = |f: usize| order.iter().position(|&o| o == f).unwrap();
+            let edges = order
+                .iter()
+                .map(|&f| QueryEdge { src: base[f].0, dst: base[f].1, label: ELabel::NONE })
+                .collect();
+            let labels = (0..4).map(VLabel).collect();
+            let q = QueryGraph::new(labels, edges, &[(pos(0), pos(1)), (pos(1), pos(2))]).unwrap();
+            QueryPlan::build(q, PlanOptions::timing())
+        };
+        let hop = |id: u64, h: u32, ts: u64| {
+            StreamEdge::new(id, 10 + h, h as u16, 11 + h, h as u16 + 1, 0, ts)
+        };
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let f = multi.register(path3([0, 1, 2]));
+        let ta = multi.register(path3([2, 1, 0]));
+        let tb = multi.register(path3([1, 0, 2]));
+        let ta2 = multi.register(path3([2, 1, 0]));
+        assert_eq!(multi.n_templates(), 1);
+        let check = |out: &[(QueryId, MatchRecord)], twins: &[(QueryId, [usize; 3])]| {
+            let base: Vec<&MatchRecord> =
+                out.iter().filter(|(q, _)| *q == f).map(|(_, m)| m).collect();
+            assert!(!base.is_empty());
+            for &(q, order) in twins {
+                let got: Vec<&MatchRecord> =
+                    out.iter().filter(|(x, _)| *x == q).map(|(_, m)| m).collect();
+                let want: Vec<MatchRecord> = base
+                    .iter()
+                    .map(|m| {
+                        MatchRecord::from(order.iter().map(|&o| m.edge(o)).collect::<Vec<_>>())
+                    })
+                    .collect();
+                assert_eq!(got, want.iter().collect::<Vec<_>>(), "subscriber {q:?}");
+            }
+        };
+        let mut out = Vec::new();
+        for (i, h) in [0, 1, 2].into_iter().enumerate() {
+            out.extend(multi.advance(hop(i as u64 + 1, h, i as u64 + 1)));
+        }
+        check(&out, &[(ta, [2, 1, 0]), (tb, [1, 0, 2]), (ta2, [2, 1, 0])]);
+        // Group [2, 1, 0] loses both members and goes; [1, 0, 2] moves up.
+        assert!(multi.unregister(ta));
+        assert!(multi.unregister(ta2));
+        let mut out = Vec::new();
+        for (i, h) in [0, 1, 2].into_iter().enumerate() {
+            out.extend(multi.advance(hop(i as u64 + 4, h, i as u64 + 4)));
+        }
+        check(&out, &[(tb, [1, 0, 2])]);
+        assert_eq!(multi.counters_of(tb), Some((6, 4)));
     }
 }

@@ -81,13 +81,28 @@
 //!   sees exactly the matches built entirely from edges that arrived
 //!   after it registered — byte-identical to a fresh independent
 //!   engine, which the equivalence suites enforce under churn.
+//! * **Deliveries are handles.** A
+//!   [`MatchRecord`](tcs_graph::MatchRecord) is immutable and its clone
+//!   is a refcount bump, so every subscriber in the founder's edge order
+//!   receives the engine's own record: a delivery costs a pointer copy,
+//!   not an allocation. Fan-out state — each subscriber's epoch, remap
+//!   group and `emitted` count — lives in a `Vec` on the template, in
+//!   registration order, so delivering a burst touches only the
+//!   template, and a routed run that emitted nothing costs one counter
+//!   bump.
 //! * **Permuted twins** (same query, different edge numbering) share
 //!   too: registration canonicalizes, and fan-out remaps each match's
-//!   edge list back into the subscriber's own query-edge order.
+//!   edge list back into the subscriber's own query-edge order. Twins
+//!   with the same numbering form one *remap group*, deduplicated at
+//!   registration: each burst is remapped once per group (on first
+//!   demand, so an epoch-filtered group remaps nothing) and every
+//!   member receives that one record.
 //! * **Attribution.** Per-subscriber [`QueryStats`] carry `routed`
 //!   (edges dispatched to the subscriber's template while it was live)
-//!   and `emitted` (matches actually delivered past the epoch filter);
-//!   engine work counters are deltas from the subscriber's join point;
+//!   and `emitted` (matches actually delivered past the epoch filter).
+//!   `routed` is derived on read — one per-template counter minus the
+//!   value it had when the subscriber registered — and engine work
+//!   counters are likewise deltas from the subscriber's join point;
 //!   template store bytes are charged to the founding subscriber and
 //!   reported per template in [`MultiStats::templates`]. Unregistering
 //!   the last subscriber drops the template and its store.
@@ -138,6 +153,14 @@
 //!    the happy-path API. `try_process` is batch-atomic: on `Err`
 //!    nothing from the batch was admitted anywhere. Blast radius: the
 //!    offending edge (or batch), zero queries.
+//!
+//!    [`MultiQueryEngine::try_advance_batch`] is *not* batch-atomic,
+//!    and loses matches silently: it processes the prefix admitted
+//!    before the rejected arrival, then returns the `Err` and drops the
+//!    matches that prefix completed (they were counted as emitted, but
+//!    no caller ever receives them). A caller-owned output sink is the
+//!    fix; until then, feeders that cannot afford the loss validate
+//!    first or use a lenient policy.
 //! 2. **Query faults** — a panic inside one query's per-arrival work.
 //!    Under [`FaultPolicy::Quarantine`] (the default for shards of a
 //!    [`ShardedMultiEngine`]; bare engines default to

@@ -2,11 +2,13 @@
 //! The sharing layer's contract, test-enforced from two directions:
 //!
 //! 1. **Equivalence** (default build): under random register/unregister
-//!    churn of *duplicated* plans — the workload sharing exists for —
-//!    every subscriber's match stream is byte-identical to a fresh
-//!    standalone [`TimingEngine`] fed its registration episode, while
-//!    the registry runs one engine per distinct live plan; the
-//!    routed/emitted counters account for every fan-out decision.
+//!    churn of *duplicated* plans — the workload sharing exists for, half
+//!    of the duplicates permuted twins that number the query's edges the
+//!    other way round — every subscriber's match stream is byte-identical
+//!    to a fresh standalone [`TimingEngine`] built from its own plan and
+//!    fed its registration episode, while the registry runs one engine
+//!    per distinct live query; the routed/emitted counters account for
+//!    every fan-out decision.
 //! 2. **Blast radius** (`--features failpoints`): a fault injected while
 //!    a shared template works hits *exactly* that template's subscribers
 //!    — all of them, and nobody else. The whole-template blast radius is
@@ -37,6 +39,22 @@ fn tenant_query(t: u16) -> QueryGraph {
     .unwrap()
 }
 
+/// Tenant `t`'s query as a permuted twin: the same two-hop path with its
+/// edges listed in reverse (edge 0 is the second hop) and its vertices
+/// renumbered — it shares the tenant's template, and its matches come
+/// back in its own edge order.
+fn twin_query(t: u16) -> QueryGraph {
+    QueryGraph::new(
+        vec![VLabel(3 * t + 2), VLabel(3 * t), VLabel(3 * t + 1)],
+        vec![
+            QueryEdge { src: 2, dst: 0, label: ELabel::NONE },
+            QueryEdge { src: 1, dst: 2, label: ELabel::NONE },
+        ],
+        &[(1, 0)],
+    )
+    .unwrap()
+}
+
 /// A stream that interleaves every tenant's two-hop occurrences: for
 /// tenant `t`, vertices `10t -> 10t+1 -> 10t+2` with hop 1 before hop 2.
 fn tenant_stream(rng: &mut SmallRng, n_tenants: u16, len: usize) -> Vec<StreamEdge> {
@@ -59,20 +77,31 @@ fn tenant_stream(rng: &mut SmallRng, n_tenants: u16, len: usize) -> Vec<StreamEd
         .collect()
 }
 
-/// One registration episode: tenant `tenant`'s query, live for arrivals
-/// `start..end`.
+/// One registration episode: tenant `tenant`'s query — its permuted
+/// twin if `twin` — live for arrivals `start..end`.
 struct Episode {
     tenant: u16,
+    twin: bool,
     start: usize,
     end: usize,
 }
 
+impl Episode {
+    fn query(&self) -> QueryGraph {
+        if self.twin {
+            twin_query(self.tenant)
+        } else {
+            tenant_query(self.tenant)
+        }
+    }
+}
+
 /// The per-registration reference (the same as `multi_equivalence`'s):
-/// a fresh standalone engine consuming exactly `range` through its own
-/// window.
-fn independent_run(tenant: u16, range: &[StreamEdge], window: u64) -> Vec<MatchRecord> {
+/// a fresh standalone engine for `q` consuming exactly `range` through
+/// its own window.
+fn independent_run(q: QueryGraph, range: &[StreamEdge], window: u64) -> Vec<MatchRecord> {
     let mut eng: TimingEngine<MsTreeStore> =
-        TimingEngine::new(QueryPlan::build(tenant_query(tenant), PlanOptions::timing()));
+        TimingEngine::new(QueryPlan::build(q, PlanOptions::timing()));
     let mut w = SlidingWindow::new(window);
     range.iter().flat_map(|&e| eng.advance(&w.advance(e))).collect()
 }
@@ -98,10 +127,7 @@ fn run(
         }
         for (ei, ep) in episodes.iter().enumerate() {
             if ep.start == i {
-                ids[ei] = Some(
-                    multi
-                        .register(QueryPlan::build(tenant_query(ep.tenant), PlanOptions::timing())),
-                );
+                ids[ei] = Some(multi.register(QueryPlan::build(ep.query(), PlanOptions::timing())));
             }
         }
         let live: Vec<u16> =
@@ -141,22 +167,24 @@ fn check_duplicated_churn(seed: u64) {
     let n_tenants = 3u16;
     let stream = tenant_stream(&mut rng, n_tenants, 160);
     // Each tenant's query registered with random multiplicity (1..=4)
-    // and random lifetimes — heavy duplication by construction.
+    // and random lifetimes — heavy duplication by construction. The
+    // odd-numbered duplicates are permuted twins, so whichever numbering
+    // founds the template, the other one is remapped under churn.
     let mut episodes = Vec::new();
     for t in 0..n_tenants {
-        for _ in 0..rng.gen_range(1..=4usize) {
+        for dup in 0..rng.gen_range(1..=4usize) {
             let start = rng.gen_range(0..stream.len() / 2);
             let end = if rng.gen_bool(0.4) {
                 rng.gen_range(start + 1..=stream.len())
             } else {
                 stream.len()
             };
-            episodes.push(Episode { tenant: t, start, end });
+            episodes.push(Episode { tenant: t, twin: dup % 2 == 1, start, end });
         }
     }
     let (got, counters) = run(&episodes, &stream, window);
     for (ei, ep) in episodes.iter().enumerate() {
-        let want = independent_run(ep.tenant, &stream[ep.start..ep.end], window);
+        let want = independent_run(ep.query(), &stream[ep.start..ep.end], window);
         assert_eq!(got[ei], want, "seed {seed} episode {ei}: shared vs independent engine");
         // Counters reconcile exactly: `emitted` is the subscriber's match
         // count, and `routed` is its dispatched-edge count — every tenant
@@ -262,8 +290,8 @@ mod blast_radius {
         assert!(per_q[0].is_empty() && per_q[1].is_empty() && per_q[2].is_empty());
         // Survivors saw every one of their matches: byte-identical to a
         // standalone engine per surviving tenant over the same stream.
-        let want1 = independent_run(1, &stream(), 60);
-        let want2 = independent_run(2, &stream(), 60);
+        let want1 = independent_run(tenant_query(1), &stream(), 60);
+        let want2 = independent_run(tenant_query(2), &stream(), 60);
         assert_eq!(per_q[3], want1, "tenant 1 unaffected");
         assert_eq!(per_q[4], want2, "tenant 2 unaffected");
         assert!(!want1.is_empty() && !want2.is_empty(), "reference streams are non-trivial");
