@@ -50,14 +50,14 @@
 //! dead nodes, so reclaimed arena slots can be reused without aliasing.
 
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 use tcs_core::join::JoinReads;
 use tcs_core::store::{
     finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, JoinKey, StoreAudit,
     StoreLayout,
 };
-use tcs_graph::EdgeId;
+use tcs_graph::{EdgeId, IdMap};
 
 const NIL: u32 = u32::MAX;
 /// Nodes per arena chunk.
@@ -125,18 +125,18 @@ struct ListHead {
     /// Join-key index of this item: key → tombstoned ordered bucket
     /// (guarded by the same mutex as the list links, which the item lock
     /// already serializes).
-    index: HashMap<JoinKey, DrainBucket>,
+    index: IdMap<JoinKey, DrainBucket>,
     /// Referencer index, populated only for `L₀` items: complete-match
     /// leaf handle (the node payload) → `L₀` nodes referencing it.
     /// Algorithm 2's right-to-left `L₀` pass looks dead leaves up here
     /// instead of scanning the whole item. Maintained under the same
     /// mutex via each node's `ref_pos`.
-    refs: HashMap<u64, Vec<u32>>,
+    refs: IdMap<u64, Vec<u32>>,
 }
 
 impl Default for ListHead {
     fn default() -> Self {
-        ListHead { head: NIL, tail: NIL, len: 0, index: HashMap::new(), refs: HashMap::new() }
+        ListHead { head: NIL, tail: NIL, len: 0, index: IdMap::default(), refs: IdMap::default() }
     }
 }
 

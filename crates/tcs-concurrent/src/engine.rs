@@ -35,14 +35,13 @@
 use crate::cmstree::CmsTree;
 use crate::lock::{LockManager, Mode, TxnId};
 use crate::sync::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tcs_core::join::RowArena;
 use tcs_core::plan::QueryPlan;
 use tcs_core::store::StoreLayout;
 use tcs_graph::window::SlidingWindow;
-use tcs_graph::{EdgeId, MatchRecord, StreamEdge};
+use tcs_graph::{EdgeId, IdMap, IdSet, MatchRecord, StreamEdge};
 
 /// Locking strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +76,7 @@ struct Shared {
     plan: QueryPlan,
     tree: CmsTree,
     locks: LockManager,
-    live: RwLock<HashMap<EdgeId, StreamEdge>>,
+    live: RwLock<IdMap<EdgeId, StreamEdge>>,
     results: Mutex<Vec<(TxnId, Vec<MatchRecord>)>>,
     mode: LockingMode,
 }
@@ -108,7 +107,7 @@ impl ConcurrentEngine {
                 plan,
                 tree,
                 locks,
-                live: RwLock::new(HashMap::new()),
+                live: RwLock::new(IdMap::default()),
                 results: Mutex::new(Vec::new()),
                 mode,
             }),
@@ -451,10 +450,10 @@ fn run_del(shared: &Shared, txn: &Txn, sigma: StreamEdge) {
     let tree = &shared.tree;
     let mut ctx = OpCtx::new(shared, txn);
     let k = plan.k();
-    let match_positions: HashSet<(usize, usize)> = txn.qes.iter().map(|&qe| plan.pos[qe]).collect();
+    let match_positions: IdSet<(usize, usize)> = txn.qes.iter().map(|&qe| plan.pos[qe]).collect();
 
     let mut all_marked: Vec<u32> = Vec::new();
-    let mut dead_leaves: Vec<HashSet<u64>> = vec![HashSet::new(); k];
+    let mut dead_leaves: Vec<IdSet<u64>> = vec![IdSet::default(); k];
     let mut sub0_dead_leaves: Vec<u32> = Vec::new();
 
     for (sub, min_level) in del_starts(plan, &txn.qes) {

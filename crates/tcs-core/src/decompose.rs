@@ -14,8 +14,7 @@
 //! chosen. Every single edge is a TC-subquery, so the greedy cover always
 //! terminates with a partition.
 
-use std::collections::HashMap;
-use tcs_graph::QueryGraph;
+use tcs_graph::{IdMap, IdSet, QueryGraph};
 
 /// One TC-subquery: a timing sequence of query-edge indices whose prefixes
 /// are all weakly connected and chained by ≺.
@@ -117,12 +116,12 @@ pub fn tc_subqueries(q: &QueryGraph) -> Vec<TcSubquery> {
         parent: usize, // index into `states`, usize::MAX for roots
     }
     let mut states: Vec<State> = Vec::with_capacity(n * 4);
-    let mut seen: HashMap<(u64, usize), ()> = HashMap::new();
-    let mut best_per_mask: HashMap<u64, usize> = HashMap::new();
+    let mut seen: IdSet<(u64, usize)> = IdSet::default();
+    let mut best_per_mask: IdMap<u64, usize> = IdMap::default();
     for e in 0..n {
         let mask = 1u64 << e;
         states.push(State { mask, last: e, parent: usize::MAX });
-        seen.insert((mask, e), ());
+        seen.insert((mask, e));
         best_per_mask.entry(mask).or_insert(states.len() - 1);
     }
     let mut head = 0;
@@ -150,7 +149,7 @@ pub fn tc_subqueries(q: &QueryGraph) -> Vec<TcSubquery> {
                 continue;
             }
             let nmask = st.mask | (1u64 << x);
-            if seen.insert((nmask, x), ()).is_some() {
+            if !seen.insert((nmask, x)) {
                 continue;
             }
             states.push(State { mask: nmask, last: x, parent: head });

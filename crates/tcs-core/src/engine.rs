@@ -37,33 +37,30 @@
 //! insert body [`TimingEngine::try_insert`] runs, stop at the first
 //! rejection — so the match stream, [`EngineStats`] and [`IngestStats`]
 //! are byte-identical to folding the per-edge path over the same edges
-//! (the reference the batch tests compare against). What a batch saves:
+//! (the reference the batch tests compare against). Per arrival the
+//! body allocates nothing beyond the records it emits:
 //!
-//! * **Signature-grouped candidate lookup.** The signature → candidate
-//!   query edges resolution (`sig_slot`) happens once per distinct
-//!   signature in the batch instead of once per edge; a routed run is
-//!   single-signature, so that is once per call.
+//! * **Borrowed candidates.** The signature → candidate query edges
+//!   lookup is one [`IdMap`] probe into the plan, and the body reads the
+//!   plan's own slice — nothing is copied or cached per call.
+//! * **One output vector.** Matches are appended to the caller's
+//!   `&mut Vec<MatchRecord>`, which a front-end keeps as scratch across
+//!   runs and batches; a rejection mid-batch leaves the matches emitted
+//!   before it in that vector.
 //! * **One row arena.** The engine keeps one join-kernel
 //!   [`RowArena`]: merged assignments, parents, pairs and rows are spans
 //!   and vectors whose capacity is reused across the arrivals of a batch
-//!   and across batches, so a join allocates nothing per arrival beyond
-//!   the records it emits.
+//!   and across batches.
 
 use crate::ingest::{IngestError, IngestStats, OrderPolicy};
 use crate::join::RowArena;
 use crate::plan::QueryPlan;
 use crate::store::{AuditViolation, ExpiryMode, Handle, MatchStore, StoreLayout};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tcs_graph::window::WindowEvent;
-use tcs_graph::{ELabel, EdgeId, LiveEdgeView, MatchRecord, StreamEdge, Timestamp, VLabel};
+use tcs_graph::{EdgeId, IdMap, LiveEdgeView, MatchRecord, StreamEdge, Timestamp};
 use tcs_telemetry::{LatencyHistogram, Recorder};
-
-/// One per-batch candidate-cache entry: a distinct arrival signature and
-/// the plan's candidate query-edge positions for it (see
-/// `TimingEngine::sig_slot`).
-type SigCandidates = ((VLabel, VLabel, ELabel), Vec<usize>);
 
 /// Counters the experiments report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,7 +122,7 @@ pub struct TimingEngine<S: MatchStore> {
     /// [`TimingEngine::insert`]/[`TimingEngine::expire`] path maintains
     /// it; [`TimingEngine::insert_batch_at`] resolves through a caller-owned
     /// [`LiveEdgeView`] instead and leaves this map empty.
-    live: HashMap<EdgeId, StreamEdge>,
+    live: IdMap<EdgeId, StreamEdge>,
     stats: EngineStats,
     /// Benchmark safety valve: stop inserting partial matches beyond this
     /// bound (default unbounded — semantics are exact unless a harness
@@ -184,10 +181,9 @@ struct EmissionSeam {
     seq: u64,
     /// Arrival number of each live stored edge (entries are dropped on
     /// expiry, so the map tracks the window, not the stream).
-    edge_seqs: HashMap<EdgeId, u64>,
-    /// Floors of the records returned by the last
-    /// [`TimingEngine::insert_batch_at`]
-    /// call, index-parallel to its return value.
+    edge_seqs: IdMap<EdgeId, u64>,
+    /// Floors of the records the last [`TimingEngine::insert_batch_at`]
+    /// call appended, index-parallel to them.
     floors: Vec<u64>,
 }
 
@@ -198,7 +194,7 @@ impl<S: MatchStore> TimingEngine<S> {
         TimingEngine {
             plan,
             store,
-            live: HashMap::new(),
+            live: IdMap::default(),
             stats: EngineStats::default(),
             partial_cap: u64::MAX,
             saturated: false,
@@ -253,10 +249,10 @@ impl<S: MatchStore> TimingEngine<S> {
         self.seam.as_ref().map_or(0, |s| s.seq)
     }
 
-    /// Emission floors of the records returned by the last
-    /// [`TimingEngine::insert_batch_at`]
-    /// call, index-parallel to its return value; empty while the seam
-    /// is disarmed.
+    /// Emission floors of the records the last
+    /// [`TimingEngine::insert_batch_at`] call appended to its sink,
+    /// index-parallel to them (`floors[x]` belongs to `sink[len_before +
+    /// x]`); empty while the seam is disarmed.
     pub fn last_emission_floors(&self) -> &[u64] {
         self.seam.as_ref().map_or(&[], |s| s.floors.as_slice())
     }
@@ -448,7 +444,7 @@ impl<S: MatchStore> TimingEngine<S> {
         }
         let positions = self.plan.positions(e.signature());
         if !positions.is_empty() {
-            let n = self.store.expire_edge(e.id, e.ts.0, &positions);
+            let n = self.store.expire_edge(e.id, e.ts.0, positions);
             self.stats.partials_deleted += n as u64;
             // The cascade can only remove rows the insert path counted:
             // the counters stay balanced through every expiry.
@@ -523,47 +519,30 @@ impl<S: MatchStore> TimingEngine<S> {
     /// of a panic; out-of-order arrivals follow the active
     /// [`OrderPolicy`].
     pub fn try_insert(&mut self, mut sigma: StreamEdge) -> Result<Vec<MatchRecord>, IngestError> {
+        let mut out = Vec::new();
         if !self.admit(&mut sigma)? {
-            return Ok(Vec::new());
+            return Ok(out);
         }
-        let candidates: Vec<usize> = self.plan.candidates(sigma.signature()).to_vec();
-        if !candidates.is_empty() {
+        if !self.plan.candidates(sigma.signature()).is_empty() {
             self.live.insert(sigma.id, sigma);
         }
         // The map is moved out for the call so the join path can borrow
         // the view and `self` mutably at once; `mem::take` of a HashMap
         // is a pointer swap, not a rehash.
         let live = std::mem::take(&mut self.live);
-        let out = self.insert_candidates(sigma, &live, &candidates);
+        self.insert_admitted(sigma, &live, &mut out);
         self.live = live;
         Ok(out)
     }
 
-    /// Per-batch candidate cache lookup: position of `sig` in `sigs`,
-    /// resolving (and defensively copying) the plan's candidate list only
-    /// on first sight. Linear search — batches rarely carry more than a
-    /// handful of distinct signatures, and a routed run hits slot 0.
-    fn sig_slot(
-        sigs: &mut Vec<SigCandidates>,
-        plan: &QueryPlan,
-        sig: (VLabel, VLabel, ELabel),
-    ) -> usize {
-        match sigs.iter().position(|&(s, _)| s == sig) {
-            Some(p) => p,
-            None => {
-                sigs.push((sig, plan.candidates(sig).to_vec()));
-                sigs.len() - 1
-            }
-        }
-    }
-
     /// Algorithm 1 against an externally owned window: applies a routed
-    /// sub-batch, resolving every stored edge id through `live`. One loop
-    /// — admit the arrival, run the insert body — that stops at the first
-    /// rejected arrival: matches emitted before the failure are lost to
-    /// the caller but remain live in the store, and the error names the
-    /// offending edge, so resuming past it is well-defined. Streams, stats
-    /// and store contents are byte-identical to folding
+    /// sub-batch, resolving every stored edge id through `live`, and
+    /// appends the complete matches to the caller's `out`. One loop —
+    /// admit the arrival, run the insert body — that stops at the first
+    /// rejected arrival: matches emitted before the failure are already
+    /// in `out` (and live in the store), and the error names the
+    /// offending edge, so resuming past it is well-defined. Streams,
+    /// stats and store contents are byte-identical to folding
     /// [`TimingEngine::try_insert`] over the batch.
     ///
     /// The caller must have admitted every batch edge to `live` already
@@ -581,33 +560,31 @@ impl<S: MatchStore> TimingEngine<S> {
         &mut self,
         batch: &[StreamEdge],
         live: &L,
-    ) -> Result<Vec<MatchRecord>, IngestError> {
+        out: &mut Vec<MatchRecord>,
+    ) -> Result<(), IngestError> {
         if let Some(seam) = &mut self.seam {
             seam.floors.clear();
         }
-        let mut sigs: Vec<SigCandidates> = Vec::new();
-        let mut out = Vec::new();
         for mut sigma in batch.iter().copied() {
-            if !self.admit(&mut sigma)? {
-                continue;
+            if self.admit(&mut sigma)? {
+                self.insert_admitted(sigma, live, out);
             }
-            let ci = Self::sig_slot(&mut sigs, &self.plan, sigma.signature());
-            out.extend(self.insert_candidates(sigma, live, &sigs[ci].1));
         }
         // End-of-batch boundary sweep (a rejected batch returned above).
         #[cfg(feature = "debug-audit")]
         self.debug_audit("end-of-batch");
-        Ok(out)
+        Ok(())
     }
 
-    /// The shared insert body: both entry points resolve the signature →
-    /// candidates lookup exactly once and hand the result here.
-    fn insert_candidates<L: LiveEdgeView>(
+    /// The shared insert body of both entry points: runs the join for
+    /// one admitted arrival and appends its complete matches to `out`,
+    /// maintaining counters, emission floors and telemetry.
+    fn insert_admitted<L: LiveEdgeView>(
         &mut self,
         sigma: StreamEdge,
         live: &L,
-        candidates: &[usize],
-    ) -> Vec<MatchRecord> {
+        out: &mut Vec<MatchRecord>,
+    ) {
         // Telemetry: stamp only sampled arrivals — `Instant::now` is the
         // one per-edge cost worth rationing (sampling contract in the
         // `tcs_telemetry::recorder` docs).
@@ -626,25 +603,24 @@ impl<S: MatchStore> TimingEngine<S> {
         self.stats.edges_processed += 1;
         if let Some(seam) = &mut self.seam {
             seam.seq += 1;
-            if !candidates.is_empty() {
-                // Expiry drops the entry again, so the map tracks only
-                // window-live edges the plan can react to.
-                seam.edge_seqs.insert(sigma.id, seam.seq);
-            }
         }
-        if candidates.is_empty() {
+        let start = out.len();
+        let Some(stored) = self.join(&sigma, live, out) else {
             self.stats.edges_discarded += 1;
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        if !self.join(&sigma, live, candidates, &mut out) {
+            return;
+        };
+        if !stored {
             self.stats.edges_discarded += 1;
         }
+        let emitted = &out[start..];
         if let Some(seam) = &mut self.seam {
+            // Expiry drops the entry again, so the map tracks only
+            // window-live edges the plan can react to.
+            seam.edge_seqs.insert(sigma.id, seam.seq);
             // Floor of a match: the oldest constituent edge's arrival
             // number (0 for edges stored before arming) — the epoch cut
             // deciding which subscribers own the match.
-            for rec in &out {
+            for rec in emitted {
                 let floor = rec
                     .edges()
                     .iter()
@@ -654,35 +630,38 @@ impl<S: MatchStore> TimingEngine<S> {
                 seam.floors.push(floor);
             }
         }
-        self.stats.matches_emitted += out.len() as u64;
+        self.stats.matches_emitted += emitted.len() as u64;
         if let (Some(t0), Some(tel)) = (tel_t0, &self.tel) {
             let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             tel.rec.record_edge_ns(ns, 1);
             // Detection latency = emission minus completing-edge arrival;
             // on this serial path both bound the same elapsed interval.
-            tel.det.record_n(ns, out.len() as u64);
+            tel.det.record_n(ns, emitted.len() as u64);
             tel.rec.record_key(u64::from(sigma.src.0));
             if sigma.dst != sigma.src {
                 tel.rec.record_key(u64::from(sigma.dst.0));
             }
         }
-        out
     }
 
     /// Algorithm 1's join for one admitted arrival, through the kernel
-    /// ([`crate::join`]): per candidate query edge of σ's shape, the chain
-    /// join into `L^j_i` and, when σ completes matches of `Q^i`, the `⋈ᵀ`
-    /// propagation through `L₀`. Complete query matches are appended to
-    /// `out`. Returns whether anything was stored (if not, σ was
-    /// discardable).
+    /// ([`crate::join`]): per candidate query edge of σ's shape — read
+    /// from the plan in place — the chain join into `L^j_i` and, when σ
+    /// completes matches of `Q^i`, the `⋈ᵀ` propagation through `L₀`.
+    /// Complete query matches are appended to `out`. Returns `None` when
+    /// the plan has no query edge of σ's signature, otherwise whether
+    /// anything was stored (if not, σ was discardable).
     fn join<L: LiveEdgeView>(
         &mut self,
         sigma: &StreamEdge,
         live: &L,
-        candidates: &[usize],
         out: &mut Vec<MatchRecord>,
-    ) -> bool {
+    ) -> Option<bool> {
         let Self { plan, store, stats, arena, partial_cap, saturated, .. } = self;
+        let candidates = plan.candidates(sigma.signature());
+        if candidates.is_empty() {
+            return None;
+        }
         let cap = *partial_cap;
         let now = sigma.ts.0;
         let mut stored_any = false;
@@ -715,7 +694,7 @@ impl<S: MatchStore> TimingEngine<S> {
             }
             arena.emit(plan, &*store, live, out);
         }
-        stored_any
+        Some(stored_any)
     }
 }
 
@@ -726,6 +705,7 @@ mod tests {
     use crate::independent::IndependentStore;
     use crate::mstree::MsTreeStore;
     use crate::plan::PlanOptions;
+    use std::collections::HashMap;
     use tcs_graph::query::QueryEdge;
     use tcs_graph::window::SlidingWindow;
     use tcs_graph::{ELabel, QueryGraph, VLabel};
@@ -1044,13 +1024,17 @@ mod tests {
             StreamEdge::new(4, 11, 1, 12, 2, 0, 3),
         ];
         let live: HashMap<EdgeId, StreamEdge> = batch.iter().map(|e| (e.id, *e)).collect();
-        let err = eng.insert_batch_at(&batch, &live).unwrap_err();
+        let mut sink = Vec::new();
+        let err = eng.insert_batch_at(&batch, &live, &mut sink).unwrap_err();
         assert_eq!(err, IngestError::OutOfOrder { ts: 1, watermark: 2 });
-        // Edges before the failure were processed and remain live.
+        // Edges before the failure were processed and remain live, and
+        // the match edge 2 completed is in the sink, not lost.
         assert_eq!(eng.stats().edges_processed, 2);
         assert_eq!(eng.live_match_count(), 1);
+        assert_eq!(sink, vec![MatchRecord::from(vec![EdgeId(1), EdgeId(2)])]);
         // Resuming past the offender is well-defined.
-        let m = eng.insert_batch_at(&batch[3..], &live).unwrap();
+        let mut m = Vec::new();
+        eng.insert_batch_at(&batch[3..], &live, &mut m).unwrap();
         assert_eq!(m.len(), 1);
     }
 
@@ -1100,7 +1084,7 @@ mod tests {
             }
             live.extend(step.arrivals.iter().map(|a| (a.id, *a)));
             for run in step.arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
-                out.extend(eng.insert_batch_at(run, live).unwrap());
+                eng.insert_batch_at(run, live, &mut out).unwrap();
             }
         }
         out
@@ -1205,7 +1189,9 @@ mod tests {
         // Disarmed engines expose no floors and pay no bookkeeping.
         let e1 = StreamEdge::new(1, 10, 0, 11, 1, 0, 1);
         live.insert(e1.id, e1);
-        assert!(eng.insert_batch_at(&[e1], &live).unwrap().is_empty());
+        let mut out = Vec::new();
+        eng.insert_batch_at(&[e1], &live, &mut out).unwrap();
+        assert!(out.is_empty());
         assert!(eng.last_emission_floors().is_empty());
         assert_eq!(eng.emission_epoch(), 0);
 
@@ -1219,19 +1205,24 @@ mod tests {
         // edges predates the subscription.
         let e2 = StreamEdge::new(2, 11, 1, 12, 2, 0, 2);
         live.insert(e2.id, e2);
-        assert_eq!(eng.insert_batch_at(&[e2], &live).unwrap().len(), 1);
+        eng.insert_batch_at(&[e2], &live, &mut out).unwrap();
+        assert_eq!(out.len(), 1);
         assert_eq!(eng.last_emission_floors(), &[0]);
         assert!(eng.last_emission_floors()[0] <= joiner_epoch);
 
         // A chain fully after the joiner's epoch floors above it.
         let e3 = StreamEdge::new(3, 20, 0, 21, 1, 0, 3);
         live.insert(e3.id, e3);
-        assert!(eng.insert_batch_at(&[e3], &live).unwrap().is_empty());
+        eng.insert_batch_at(&[e3], &live, &mut out).unwrap();
+        assert_eq!(out.len(), 1, "nothing new");
+        assert!(eng.last_emission_floors().is_empty());
         let late_epoch = eng.emission_epoch();
         let e4 = StreamEdge::new(4, 21, 1, 22, 2, 0, 4);
         live.insert(e4.id, e4);
-        assert_eq!(eng.insert_batch_at(&[e4], &live).unwrap().len(), 1);
+        eng.insert_batch_at(&[e4], &live, &mut out).unwrap();
+        assert_eq!(out.len(), 2, "appended after the earlier match");
         let floors = eng.last_emission_floors();
+        assert_eq!(floors.len(), 1, "floors cover this call's records only");
         assert!(floors[0] > joiner_epoch, "post-subscription match is the joiner's");
         assert!(floors[0] <= late_epoch, "but not a later subscriber's: its prefix predates it");
     }
@@ -1251,7 +1242,8 @@ mod tests {
         for e in batch {
             live.insert(e.id, e);
         }
-        let ms = eng.insert_batch_at(&batch, &live).unwrap();
+        let mut ms = Vec::new();
+        eng.insert_batch_at(&batch, &live, &mut ms).unwrap();
         assert_eq!(ms.len(), 2);
         // One floor per record, in emission order: each match floors at
         // its opening edge's arrival number (1-based).

@@ -34,8 +34,8 @@ use crate::store::{
     finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
     StoreAudit, StoreLayout, ROOT,
 };
-use std::collections::{HashMap, HashSet};
-use tcs_graph::EdgeId;
+use std::collections::HashSet;
+use tcs_graph::{EdgeId, IdMap, IdSet};
 
 /// A slot-reusing row container; handles stay stable until the row dies.
 #[derive(Clone, Debug)]
@@ -116,9 +116,9 @@ struct L0Row {
     key_pos: u32,
 }
 
-type KeyIndex = HashMap<JoinKey, DrainBucket>;
+type KeyIndex = IdMap<JoinKey, DrainBucket>;
 /// Per (item, edge position): which live slots hold a given edge there.
-type PayloadIndex = Vec<HashMap<EdgeId, Vec<u32>>>;
+type PayloadIndex = Vec<IdMap<EdgeId, Vec<u32>>>;
 
 /// The independent (uncompressed) storage backend.
 pub struct IndependentStore {
@@ -411,7 +411,7 @@ impl MatchStore for IndependentStore {
         let sub_idx = layout
             .sub_lens
             .iter()
-            .map(|&len| (0..len).map(|_| KeyIndex::new()).collect())
+            .map(|&len| (0..len).map(|_| KeyIndex::default()).collect())
             .collect();
         let timelines = layout
             .sub_lens
@@ -421,10 +421,10 @@ impl MatchStore for IndependentStore {
         let payload_idx = layout
             .sub_lens
             .iter()
-            .map(|&len| (0..len).map(|lvl| vec![HashMap::new(); lvl + 1]).collect())
+            .map(|&len| (0..len).map(|lvl| vec![IdMap::default(); lvl + 1]).collect())
             .collect();
         let l0 = (0..layout.k().saturating_sub(1)).map(|_| Slab::default()).collect();
-        let l0_idx = (0..layout.k().saturating_sub(1)).map(|_| KeyIndex::new()).collect();
+        let l0_idx = (0..layout.k().saturating_sub(1)).map(|_| KeyIndex::default()).collect();
         IndependentStore {
             layout,
             subs,
@@ -598,8 +598,8 @@ impl MatchStore for IndependentStore {
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize {
         let mode = self.mode;
         let mut deleted = 0usize;
-        let mut dead_handles: HashSet<Handle> = HashSet::new();
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
+        let mut dead_handles: IdSet<Handle> = IdSet::default();
+        let mut seen: IdSet<(usize, usize)> = IdSet::default();
         for &(sub, pos_level) in positions {
             if !seen.insert((sub, pos_level)) {
                 continue;

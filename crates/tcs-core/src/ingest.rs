@@ -28,8 +28,8 @@
 //! multi-query front-ends); engines embedded behind such a gate only
 //! re-check the watermark, which their filtered substream preserves.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use tcs_graph::{EdgeId, StreamEdge, Timestamp, VLabel, VertexId};
+use std::collections::VecDeque;
+use tcs_graph::{EdgeId, IdMap, IdSet, StreamEdge, Timestamp, VLabel, VertexId};
 
 /// A rejected arrival, with enough context to log or alert on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,10 +136,13 @@ pub type Admission = Option<StreamEdge>;
 /// label, so every [`IngestError`] class is detected in release builds at
 /// O(1) amortized per arrival.
 ///
-/// The gate keeps its own id/label bookkeeping (a `HashSet` + `VecDeque`
+/// The gate keeps its own id/label bookkeeping (an [`IdSet`] + `VecDeque`
 /// sized to the window, and a refcounted vertex-label table) instead of
 /// borrowing the owner's snapshot, so it works identically for owners
 /// with no snapshot at all (broadcast mode, the sharded dispatcher).
+/// Those tables hash with the in-tree id hasher, which has no random
+/// seed: the gate is the trust boundary for ids, and a hostile id source
+/// must be remapped before it (see [`tcs_graph::hash`]).
 #[derive(Clone, Debug)]
 pub struct IngestGate {
     duration: u64,
@@ -147,10 +150,10 @@ pub struct IngestGate {
     watermark: Option<u64>,
     /// Ids of edges whose timestamps are still inside the window, with
     /// the arrival queue that expires them.
-    live_ids: HashSet<EdgeId>,
+    live_ids: IdSet<EdgeId>,
     arrivals: VecDeque<(u64, EdgeId, VertexId, VertexId)>,
     /// vertex → (label, live incident-edge count).
-    labels: HashMap<VertexId, (VLabel, u32)>,
+    labels: IdMap<VertexId, (VLabel, u32)>,
     stats: IngestStats,
 }
 
@@ -162,9 +165,9 @@ impl IngestGate {
             duration,
             policy,
             watermark: None,
-            live_ids: HashSet::new(),
+            live_ids: IdSet::default(),
             arrivals: VecDeque::new(),
-            labels: HashMap::new(),
+            labels: IdMap::default(),
             stats: IngestStats::default(),
         }
     }

@@ -48,8 +48,9 @@ use crate::store::{
     finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
     StoreAudit, StoreLayout, ROOT,
 };
-use std::collections::{HashMap, HashSet};
-use tcs_graph::EdgeId;
+use std::collections::HashSet;
+use tcs_graph::query::MAX_QUERY_EDGES;
+use tcs_graph::{EdgeId, IdMap};
 
 const NIL: u32 = u32::MAX;
 
@@ -98,7 +99,7 @@ pub struct MsTreeStore {
     /// Per-item join-key index: key → tombstoned ordered bucket of node
     /// indices, kept coherent with the intrusive item lists through
     /// `expire_edge`.
-    indexes: Vec<HashMap<JoinKey, DrainBucket>>,
+    indexes: Vec<IdMap<JoinKey, DrainBucket>>,
     /// Start of each subquery's item range in `items`.
     sub_offsets: Vec<usize>,
     /// Start of the L₀ item range (items `l0_base + (i−1)` for `i ≥ 1`).
@@ -107,10 +108,29 @@ pub struct MsTreeStore {
     /// node's payload) → the L₀ nodes of that item referencing it. Turns
     /// Algorithm 2's dead-leaf scan into O(deaths) lookups; kept coherent
     /// by `insert_l0` / `unlink` via each node's `ref_pos`.
-    l0_refs: Vec<HashMap<u64, Vec<u32>>>,
+    l0_refs: Vec<IdMap<u64, Vec<u32>>>,
     /// Expiry compaction policy (the EagerCompact ablation reproduces the
     /// previous compact-every-cascade behavior).
     mode: ExpiryMode,
+    /// `expire_edge`'s buffers, reused across cascades.
+    scratch: ExpireScratch,
+}
+
+/// The buffers of one `expire_edge` cascade, owned by the store so a
+/// cascade allocates nothing once their capacities have grown. The
+/// cascade takes them out on entry and clears each before use; nothing
+/// in them outlives the call.
+#[derive(Default)]
+struct ExpireScratch {
+    /// Nodes marked dead, in mark order.
+    marked: Vec<u32>,
+    /// Items whose payload scan already ran (one per distinct position,
+    /// so a short list).
+    seen_items: Vec<usize>,
+    /// `(item, key)` of every punched bucket entry.
+    touched: Vec<(usize, JoinKey)>,
+    /// One item's share of `touched`, handed to [`finish_touched_buckets`].
+    keys: Vec<JoinKey>,
 }
 
 impl MsTreeStore {
@@ -204,22 +224,24 @@ impl MsTreeStore {
     }
 
     /// Marks `idx` and all descendants dead, appending them to `marked`.
-    fn mark_cascade(&mut self, idx: u32, marked: &mut Vec<u32>) {
-        if self.nodes[idx as usize].dead {
+    /// Touches nothing but the nodes, so callers may hold other fields
+    /// (the referencer index) borrowed across it.
+    fn mark_cascade(nodes: &mut [Node], idx: u32, marked: &mut Vec<u32>) {
+        if nodes[idx as usize].dead {
             return;
         }
-        self.nodes[idx as usize].dead = true;
+        nodes[idx as usize].dead = true;
         marked.push(idx);
         let mut head = marked.len() - 1;
         while head < marked.len() {
             let n = marked[head];
-            let mut c = self.nodes[n as usize].first_child;
+            let mut c = nodes[n as usize].first_child;
             while c != NIL {
-                if !self.nodes[c as usize].dead {
-                    self.nodes[c as usize].dead = true;
+                if !nodes[c as usize].dead {
+                    nodes[c as usize].dead = true;
                     marked.push(c);
                 }
-                c = self.nodes[c as usize].next_sib;
+                c = nodes[c as usize].next_sib;
             }
             head += 1;
         }
@@ -248,16 +270,15 @@ impl MsTreeStore {
     /// buckets with no live entry — one [`finish_touched_buckets`] call
     /// per touched item. Survivors keep their relative (timestamp) order
     /// and get their positions re-recorded on compaction.
-    fn finish_buckets(&mut self, touched: &mut [(usize, JoinKey)]) {
+    fn finish_buckets(&mut self, touched: &mut [(usize, JoinKey)], keys: &mut Vec<JoinKey>) {
         touched.sort_unstable();
-        let mut keys: Vec<JoinKey> = Vec::new();
         for of_item in touched.chunk_by(|a, b| a.0 == b.0) {
             keys.clear();
             keys.extend(of_item.iter().map(|&(_, key)| key));
             let nodes = &mut self.nodes;
             finish_touched_buckets(
                 &mut self.indexes[of_item[0].0],
-                &mut keys,
+                keys,
                 self.mode,
                 |slot, pos| nodes[slot as usize].key_pos = pos,
             );
@@ -620,14 +641,15 @@ impl MatchStore for MsTreeStore {
         let l0_items = layout.k().saturating_sub(1);
         MsTreeStore {
             items: vec![ItemList { head: NIL, tail: NIL, len: 0 }; acc + l0_items],
-            indexes: vec![HashMap::new(); acc + l0_items],
-            l0_refs: vec![HashMap::new(); l0_items],
+            indexes: vec![IdMap::default(); acc + l0_items],
+            l0_refs: vec![IdMap::default(); l0_items],
             layout,
             nodes: Vec::new(),
             free: Vec::new(),
             sub_offsets,
             l0_base,
             mode: ExpiryMode::default(),
+            scratch: ExpireScratch::default(),
         }
     }
 
@@ -657,9 +679,9 @@ impl MatchStore for MsTreeStore {
         let Some(bucket) = self.bucket(item, key) else {
             return;
         };
-        let mut buf = vec![EdgeId(0); level + 1];
+        let mut buf = [EdgeId(0); MAX_QUERY_EDGES];
         for n in bucket.live_before(cutoff_ts) {
-            self.emit_sub_path(n, level, &mut buf, f);
+            self.emit_sub_path(n, level, &mut buf[..=level], f);
         }
     }
 
@@ -675,9 +697,9 @@ impl MatchStore for MsTreeStore {
         let Some(bucket) = self.bucket(item, key) else {
             return;
         };
-        let mut buf = vec![EdgeId(0); level + 1];
+        let mut buf = [EdgeId(0); MAX_QUERY_EDGES];
         for n in bucket.live_from(min_ts) {
-            self.emit_sub_path(n, level, &mut buf, f);
+            self.emit_sub_path(n, level, &mut buf[..=level], f);
         }
     }
 
@@ -716,9 +738,9 @@ impl MatchStore for MsTreeStore {
         let Some(bucket) = self.bucket(item, key) else {
             return;
         };
-        let mut comps = vec![0 as Handle; i + 1];
+        let mut comps = [0 as Handle; MAX_QUERY_EDGES];
         for n in bucket.live_from(min_ts) {
-            self.emit_l0_row(n, i, &mut comps, f);
+            self.emit_l0_row(n, i, &mut comps[..=i], f);
         }
     }
 
@@ -753,19 +775,22 @@ impl MatchStore for MsTreeStore {
     }
 
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize {
-        let mut marked: Vec<u32> = Vec::new();
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.marked.clear();
+        sc.seen_items.clear();
+        sc.touched.clear();
         // Phase 1: payload scans at the positions the edge can occupy,
         // cascading into descendants (which reach grafted L₀ levels for
         // subquery 0 automatically). Item lists are timestamp-ordered and
         // a node whose newest edge is `edge` carries exactly `ts`, so the
         // scan walks oldest-first and stops at the first newer entry
         // instead of filtering the whole item.
-        let mut seen_items: HashSet<usize> = HashSet::new();
         for &(sub, level) in positions {
             let item = self.sub_item(sub, level);
-            if !seen_items.insert(item) {
+            if sc.seen_items.contains(&item) {
                 continue;
             }
+            sc.seen_items.push(item);
             let mut n = self.items[item].head;
             while n != NIL {
                 if self.nodes[n as usize].ts > ts {
@@ -774,41 +799,31 @@ impl MatchStore for MsTreeStore {
                 let next = self.nodes[n as usize].next;
                 if self.nodes[n as usize].payload == edge.0 {
                     debug_assert_eq!(self.nodes[n as usize].ts, ts, "one edge, one timestamp");
-                    self.mark_cascade(n, &mut marked);
+                    Self::mark_cascade(&mut self.nodes, n, &mut sc.marked);
                 }
                 n = next;
             }
         }
-        // Phase 2: collect dead complete-match handles of subqueries ≥ 1
-        // (their L₀ references are payloads, not child links), in mark
-        // order so the walk below is deterministic.
-        let k = self.layout.k();
-        if k > 1 {
-            let mut dead_leaves: Vec<Vec<u64>> = vec![Vec::new(); k];
-            for (sub, dl) in dead_leaves.iter_mut().enumerate().skip(1) {
-                let leaf_item = self.sub_item(sub, self.layout.sub_lens[sub] - 1);
-                for &m in &marked {
-                    if self.nodes[m as usize].item as usize == leaf_item {
-                        dl.push(m as u64);
-                    }
+        // Phases 2–3: the dead complete-match leaves of subqueries ≥ 1
+        // (their L₀ references are payloads, not child links) kill the
+        // rows referencing them, L₀ items left to right (Algorithm 2 line
+        // 7) and each subquery's leaves in mark order — via the
+        // referencer index, so the step is O(deaths) lookups rather than
+        // a payload scan over every row of the item. Phase 3 only marks
+        // L₀ rows, so the leaves are exactly the phase-1 marks. Cascades
+        // may kill deeper L₀ rows before their own item's turn — the dead
+        // flag makes that idempotent.
+        let phase1 = sc.marked.len();
+        for i in 1..self.layout.k() {
+            let leaf_item = self.sub_item(i, self.layout.sub_lens[i] - 1);
+            let Self { nodes, l0_refs, .. } = self;
+            for x in 0..phase1 {
+                let leaf = sc.marked[x];
+                if nodes[leaf as usize].item as usize != leaf_item {
+                    continue;
                 }
-            }
-            // Phase 3: kill the rows referencing a dead leaf, L₀ items
-            // left to right (Algorithm 2 line 7) — via the referencer
-            // index, so the step is O(deaths) lookups rather than a
-            // payload scan over every row of the item. Cascades may kill
-            // deeper L₀ rows before their own item's turn — the dead flag
-            // makes that idempotent.
-            let mut refs_scratch: Vec<u32> = Vec::new();
-            for (i, dl) in dead_leaves.iter().enumerate().skip(1) {
-                for &leaf in dl {
-                    refs_scratch.clear();
-                    if let Some(refs) = self.l0_refs[i - 1].get(&leaf) {
-                        refs_scratch.extend_from_slice(refs);
-                    }
-                    for &n in &refs_scratch {
-                        self.mark_cascade(n, &mut marked);
-                    }
+                for &n in l0_refs[i - 1].get(&u64::from(leaf)).map_or(&[][..], Vec::as_slice) {
+                    Self::mark_cascade(nodes, n, &mut sc.marked);
                 }
             }
         }
@@ -816,15 +831,14 @@ impl MatchStore for MsTreeStore {
         // buckets), run the end-of-cascade front-drain / threshold
         // compaction once, then reclaim. Tombstoned entries keep their
         // timestamps, so reusing the freed nodes immediately is safe.
-        let mut touched: Vec<(usize, JoinKey)> = Vec::new();
-        for &m in &marked {
-            self.unlink(m, &mut touched);
+        for &m in &sc.marked {
+            self.unlink(m, &mut sc.touched);
         }
-        self.finish_buckets(&mut touched);
-        for &m in &marked {
-            self.free.push(m);
-        }
-        marked.len()
+        self.finish_buckets(&mut sc.touched, &mut sc.keys);
+        self.free.extend_from_slice(&sc.marked);
+        let removed = sc.marked.len();
+        self.scratch = sc;
+        removed
     }
 
     fn len_sub(&self, sub: usize, level: usize) -> usize {
@@ -1002,6 +1016,130 @@ mod tests {
         let n2 = s.expire_edge(EdgeId(1), 1, &[(0, 0)]);
         assert_eq!(n2, 3, "parent + two remaining children");
         s.assert_clean();
+    }
+
+    /// One insert named by edge ids (timestamp = edge id): a subquery row
+    /// extending the row of its edges minus the last, or an `L₀` row
+    /// joining a subquery-0 leaf with a subquery-1 leaf.
+    enum Op {
+        Sub(usize, Vec<u64>),
+        L0(Vec<u64>, Vec<u64>),
+    }
+
+    impl Op {
+        fn edges(&self) -> Vec<u64> {
+            match self {
+                Op::Sub(_, es) => es.clone(),
+                Op::L0(a, b) => a.iter().chain(b).copied().collect(),
+            }
+        }
+    }
+
+    fn handle_of(s: &MsTreeStore, sub: usize, edges: &[u64]) -> Handle {
+        let mut found = None;
+        s.for_each_sub(sub, edges.len() - 1, &mut |h, es| {
+            if es.iter().map(|e| e.0).eq(edges.iter().copied()) {
+                found = Some(h);
+            }
+        });
+        found.expect("the row an insert extends is live")
+    }
+
+    fn apply(s: &mut MsTreeStore, op: &Op) {
+        match op {
+            Op::Sub(sub, es) => {
+                let last = *es.last().expect("nonempty");
+                let parent =
+                    if es.len() == 1 { ROOT } else { handle_of(s, *sub, &es[..es.len() - 1]) };
+                // Subquery 1 files every row under its own key, so a
+                // cascade can empty (and drop) a bucket for good.
+                let key = if *sub == 1 { last } else { last % 2 };
+                s.insert_sub(*sub, es.len() - 1, parent, EdgeId(last), last, key);
+            }
+            Op::L0(a, b) => {
+                let ts = *a.iter().chain(b).max().expect("nonempty");
+                let (ha, hb) = (handle_of(s, 0, a), handle_of(s, 1, b));
+                s.insert_l0(1, ha, hb, ts, 0);
+            }
+        }
+    }
+
+    /// Every item's rows as edge-id lists, `L₀` rows expanded through
+    /// their components — comparable across stores whatever the handles.
+    fn contents(s: &MsTreeStore) -> Vec<Vec<Vec<u64>>> {
+        let mut out = Vec::new();
+        for (sub, levels) in [(0usize, 2usize), (1, 1)] {
+            for level in 0..levels {
+                let mut rows = Vec::new();
+                s.for_each_sub(sub, level, &mut |_, es| {
+                    rows.push(es.iter().map(|e| e.0).collect())
+                });
+                rows.sort();
+                out.push(rows);
+            }
+        }
+        let mut rows: Vec<Vec<u64>> = Vec::new();
+        s.for_each_l0(1, &mut |_, comps| {
+            let mut es = Vec::new();
+            s.expand_sub(0, comps[0], &mut es);
+            s.expand_sub(1, comps[1], &mut es);
+            rows.push(es.iter().map(|e| e.0).collect());
+        });
+        rows.sort();
+        out.push(rows);
+        out
+    }
+
+    #[test]
+    fn back_to_back_cascades_leave_no_stale_scratch() {
+        // Layout: subquery 0 with two levels, subquery 1 with one, one L₀
+        // item. Each cascade reuses the store's expiry scratch; a buffer
+        // that kept the previous cascade's entries would re-unlink freed
+        // (or reused) nodes, skip an already-scanned item, or finish a
+        // dropped bucket — every one of which the checks below catch.
+        let layout = || StoreLayout { sub_lens: vec![2, 1] };
+        let mut ops = vec![
+            Op::Sub(0, vec![1]),
+            Op::Sub(0, vec![2]),
+            Op::Sub(0, vec![1, 3]),
+            Op::Sub(0, vec![2, 4]),
+            Op::Sub(1, vec![5]),
+            Op::L0(vec![1, 3], vec![5]),
+            Op::L0(vec![2, 4], vec![5]),
+            Op::Sub(1, vec![6]),
+            Op::L0(vec![2, 4], vec![6]),
+        ];
+        let mut s = MsTreeStore::new(layout());
+        for op in &ops {
+            apply(&mut s, op);
+        }
+        let mut expired: Vec<u64> = Vec::new();
+        let check = |s: &MsTreeStore, ops: &[Op], expired: &[u64], what: &str| {
+            s.assert_clean();
+            let mut fresh = MsTreeStore::new(layout());
+            for op in ops.iter().filter(|op| op.edges().iter().all(|e| !expired.contains(e))) {
+                apply(&mut fresh, op);
+            }
+            assert_eq!(contents(s), contents(&fresh), "after {what}");
+        };
+        // 1: a subquery-1 leaf with two referencing L₀ rows (referencer
+        // deaths), emptying that leaf's own bucket.
+        assert_eq!(s.expire_edge(EdgeId(5), 5, &[(1, 0)]), 3);
+        expired.push(5);
+        check(&s, &ops, &expired, "the cascade with L₀ deaths");
+        // Refill the freed slots, then 2: the same item, no L₀ deaths.
+        for op in [Op::Sub(1, vec![9]), Op::L0(vec![1, 3], vec![9]), Op::Sub(1, vec![10])] {
+            apply(&mut s, &op);
+            ops.push(op);
+        }
+        assert_eq!(s.expire_edge(EdgeId(10), 10, &[(1, 0)]), 1);
+        expired.push(10);
+        check(&s, &ops, &expired, "the cascade without L₀ deaths");
+        // 3: a different item — subquery 0's root edge, reaching L₀
+        // through the graft.
+        assert_eq!(s.expire_edge(EdgeId(1), 1, &[(0, 0)]), 3, "[1], [1, 3] and its L₀ row");
+        expired.push(1);
+        check(&s, &ops, &expired, "the cascade on another item");
     }
 
     #[test]

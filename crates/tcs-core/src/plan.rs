@@ -20,9 +20,8 @@
 use crate::decompose::{decompose_from, tc_subqueries, Decomposition, TcSubquery};
 use crate::joinorder::{is_prefix_connected, order_by_joint_number, order_randomly};
 use crate::store::JoinKey;
-use std::collections::HashMap;
 use std::fmt;
-use tcs_graph::{ELabel, QueryGraph, StreamEdge, VLabel, VertexId};
+use tcs_graph::{ELabel, IdMap, QueryGraph, StreamEdge, VLabel, VertexId};
 
 /// Plan-construction options (defaults reproduce the paper's "Timing").
 #[derive(Clone, Copy, Debug, Default)]
@@ -132,8 +131,18 @@ pub struct QueryPlan {
     /// the constraint and is skipped the same way. Index 0 is empty
     /// padding.
     pub leaf_floor_positions: Vec<Vec<(usize, usize)>>,
-    /// Signature → query edges with that signature.
-    sig_to_edges: HashMap<(VLabel, VLabel, ELabel), Vec<usize>>,
+    /// Signature → query edges with that signature, and where they sit.
+    sig_to_edges: IdMap<(VLabel, VLabel, ELabel), SigEdges>,
+}
+
+/// The query edges of one signature (ascending) and their
+/// `(subquery, level)` positions, index-parallel — both fixed at
+/// [`QueryPlan::build`], so the per-arrival and per-expiry lookups hand out
+/// slices.
+#[derive(Clone, Debug, Default)]
+struct SigEdges {
+    edges: Vec<usize>,
+    positions: Vec<(usize, usize)>,
 }
 
 impl QueryPlan {
@@ -156,9 +165,11 @@ impl QueryPlan {
             }
         }
         debug_assert!(pos.iter().all(|&(s, _)| s != usize::MAX));
-        let mut sig_to_edges: HashMap<(VLabel, VLabel, ELabel), Vec<usize>> = HashMap::new();
-        for e in 0..query.n_edges() {
-            sig_to_edges.entry(query.signature(e)).or_default().push(e);
+        let mut sig_to_edges: IdMap<(VLabel, VLabel, ELabel), SigEdges> = IdMap::default();
+        for (e, &p) in pos.iter().enumerate() {
+            let entry = sig_to_edges.entry(query.signature(e)).or_default();
+            entry.edges.push(e);
+            entry.positions.push(p);
         }
         let sub_keys = chain_key_specs(&query, &subs);
         let l0_keys = l0_key_specs(&query, &subs);
@@ -315,7 +326,7 @@ impl QueryPlan {
     /// Query edges an incoming edge with this signature can match.
     #[inline]
     pub fn candidates(&self, sig: (VLabel, VLabel, ELabel)) -> &[usize] {
-        self.sig_to_edges.get(&sig).map(Vec::as_slice).unwrap_or(&[])
+        self.sig_to_edges.get(&sig).map_or(&[], |s| s.edges.as_slice())
     }
 
     /// Whether data edge `e` has query edge `qe`'s shape: a self-loop
@@ -340,9 +351,14 @@ impl QueryPlan {
     }
 
     /// All (subquery, level) positions where an edge of this signature can
-    /// sit — the deletion positions of Algorithm 2.
-    pub fn positions(&self, sig: (VLabel, VLabel, ELabel)) -> Vec<(usize, usize)> {
-        self.candidates(sig).iter().map(|&e| self.pos[e]).collect()
+    /// sit — the deletion positions of Algorithm 2 — index-parallel to
+    /// [`QueryPlan::candidates`] (`positions(sig)[x] == pos[candidates(sig)[x]]`).
+    /// Precomputed at [`QueryPlan::build`]: every routed expiry asks, so the
+    /// answer is a borrowed slice, empty for a signature the plan cannot
+    /// hold.
+    #[inline]
+    pub fn positions(&self, sig: (VLabel, VLabel, ELabel)) -> &[(usize, usize)] {
+        self.sig_to_edges.get(&sig).map_or(&[], |s| s.positions.as_slice())
     }
 
     /// Lengths of each subquery's expansion list, in join order (the store

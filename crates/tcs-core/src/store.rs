@@ -141,8 +141,7 @@
 //! hole-compaction behavior) and exists as the benchmark ablation
 //! baseline behind `BENCH_join.json`'s `expiry_rows` gate.
 
-use std::collections::HashMap;
-use tcs_graph::EdgeId;
+use tcs_graph::{EdgeId, IdMap};
 
 /// Opaque reference to a stored partial match.
 pub type Handle = u64;
@@ -454,7 +453,7 @@ impl DrainBucket {
 /// their position through `reindex(slot, new_pos)`, and buckets left with
 /// no live entry are dropped from the index.
 pub fn finish_touched_buckets(
-    index: &mut HashMap<JoinKey, DrainBucket>,
+    index: &mut IdMap<JoinKey, DrainBucket>,
     touched: &mut Vec<JoinKey>,
     mode: ExpiryMode,
     mut reindex: impl FnMut(u32, u32),

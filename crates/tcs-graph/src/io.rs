@@ -69,7 +69,8 @@ pub fn stream_to_string(edges: &[StreamEdge]) -> String {
 }
 
 /// Parses a stream from the line format; blank lines and `#` comments are
-/// skipped.
+/// skipped. Fields land in a fixed array, not a per-line `Vec`: a stream
+/// file is hundreds of thousands of lines.
 pub fn stream_from_str(text: &str) -> Result<Vec<StreamEdge>, ParseError> {
     let mut out = Vec::new();
     for (ln, line) in text.lines().enumerate() {
@@ -77,9 +78,16 @@ pub fn stream_from_str(text: &str) -> Result<Vec<StreamEdge>, ParseError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 7 {
-            return Err(ParseError::Arity { line: ln + 1, expected: 7, got: fields.len() });
+        let mut fields = [""; 7];
+        let mut got = 0;
+        for f in line.split_whitespace() {
+            if let Some(slot) = fields.get_mut(got) {
+                *slot = f;
+            }
+            got += 1;
+        }
+        if got != 7 {
+            return Err(ParseError::Arity { line: ln + 1, expected: 7, got });
         }
         out.push(StreamEdge::new(
             field(fields[0], ln + 1)?,
@@ -254,6 +262,11 @@ mod tests {
     fn arity_error_reported_with_line() {
         let err = stream_from_str("1 2 3").unwrap_err();
         assert!(matches!(err, ParseError::Arity { line: 1, .. }));
+        // One field short and one too many both report the count they saw.
+        let err = stream_from_str("1 0 0 1 0 0 1\n1 2 3 4 5 6\n").unwrap_err();
+        assert!(matches!(err, ParseError::Arity { line: 2, expected: 7, got: 6 }));
+        let err = stream_from_str("1 2 3 4 5 6 7 8").unwrap_err();
+        assert!(matches!(err, ParseError::Arity { line: 1, expected: 7, got: 8 }));
     }
 
     #[test]

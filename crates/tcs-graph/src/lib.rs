@@ -20,11 +20,15 @@
 //!   network-flow, LSBench social-stream and SNAP wiki-talk datasets, plus the
 //!   random-walk query generator of §VII-B.
 //! * [`io`] — plain-text serialization of streams and queries.
+//! * [`hash`] — the in-tree integer hasher behind [`IdMap`] / [`IdSet`],
+//!   the maps every id-, key- and signature-keyed table on the arrival
+//!   path uses.
 
 #![forbid(unsafe_code)]
 
 pub mod edge;
 pub mod gen;
+pub mod hash;
 pub mod ids;
 pub mod io;
 pub mod matching;
@@ -33,6 +37,7 @@ pub mod snapshot;
 pub mod window;
 
 pub use edge::StreamEdge;
+pub use hash::{IdMap, IdSet};
 pub use ids::{ELabel, EdgeId, Timestamp, VLabel, VertexId};
 pub use matching::MatchRecord;
 pub use query::{QueryEdge, QueryGraph, TimingOrder};

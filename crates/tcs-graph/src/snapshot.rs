@@ -12,8 +12,10 @@
 //! [`LiveEdgeView`] so N queries no longer cost N copies of the window.
 
 use crate::edge::StreamEdge;
+use crate::hash::{IdMap, IdSet};
 use crate::ids::{ELabel, EdgeId, VLabel, VertexId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 
 /// Read access to the live edges of the current window, independent of who
 /// owns them.
@@ -34,7 +36,7 @@ pub trait LiveEdgeView {
     fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge>;
 }
 
-impl LiveEdgeView for HashMap<EdgeId, StreamEdge> {
+impl<S: BuildHasher> LiveEdgeView for HashMap<EdgeId, StreamEdge, S> {
     #[inline]
     fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
         self.get(&id)
@@ -74,13 +76,13 @@ struct EdgePos {
 /// label indexes.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
-    edges: HashMap<EdgeId, StreamEdge>,
+    edges: IdMap<EdgeId, StreamEdge>,
     /// vertex → incident edge ids (both directions).
-    adj: HashMap<VertexId, Vec<(EdgeId, Dir)>>,
+    adj: IdMap<VertexId, Vec<(EdgeId, Dir)>>,
     /// (src label, dst label, edge label) → live edge ids.
-    by_signature: HashMap<(VLabel, VLabel, ELabel), Vec<EdgeId>>,
+    by_signature: IdMap<(VLabel, VLabel, ELabel), Vec<EdgeId>>,
     /// Per-edge list positions maintained across swap-removes.
-    pos: HashMap<EdgeId, EdgePos>,
+    pos: IdMap<EdgeId, EdgePos>,
 }
 
 impl Snapshot {
@@ -200,8 +202,8 @@ impl Snapshot {
     /// The set of edge ids within `hops` undirected hops of `seeds`
     /// (inclusive of edges between reached vertices) — the *affected area*
     /// `∆(G_i)` of an update per Fan et al., used by the IncMat baseline.
-    pub fn k_hop_edges(&self, seeds: &[VertexId], hops: usize) -> HashSet<EdgeId> {
-        let mut dist: HashMap<VertexId, usize> = HashMap::new();
+    pub fn k_hop_edges(&self, seeds: &[VertexId], hops: usize) -> IdSet<EdgeId> {
+        let mut dist: IdMap<VertexId, usize> = IdMap::default();
         let mut queue = VecDeque::new();
         for &s in seeds {
             dist.insert(s, 0);
@@ -221,7 +223,7 @@ impl Snapshot {
                 }
             }
         }
-        let mut out = HashSet::new();
+        let mut out = IdSet::default();
         for (&v, _) in dist.iter() {
             for &(eid, _) in self.incident(v) {
                 let e = self.edges[&eid];
@@ -311,9 +313,9 @@ mod tests {
         s.insert(edge(5, 100, 101, 5));
         let area = s.k_hop_edges(&[VertexId(1)], 1);
         // vertices within 1 hop of 1: {1, 2}; induced edges: just edge 1.
-        assert_eq!(area, HashSet::from([EdgeId(1)]));
+        assert_eq!(area, IdSet::from_iter([EdgeId(1)]));
         let area2 = s.k_hop_edges(&[VertexId(1)], 2);
-        assert_eq!(area2, HashSet::from([EdgeId(1), EdgeId(2)]));
+        assert_eq!(area2, IdSet::from_iter([EdgeId(1), EdgeId(2)]));
         let all = s.k_hop_edges(&[VertexId(1)], 10);
         assert_eq!(all.len(), 4, "far component never reached");
     }

@@ -99,7 +99,23 @@ impl SlidingWindow {
     /// Slides the window to the arrival's timestamp and admits it.
     ///
     /// Returns the expired edges (those with `ts ≤ arrival.ts − |W|`) oldest
-    /// first, paired with the arrival.
+    /// first, paired with the arrival — [`SlidingWindow::advance_into`]
+    /// with a fresh expiry list.
+    ///
+    /// # Panics
+    /// Panics if timestamps are not nondecreasing (see
+    /// [`SlidingWindow::advance_into`]).
+    pub fn advance(&mut self, arrival: StreamEdge) -> WindowEvent {
+        let mut expired = Vec::new();
+        self.advance_into(arrival, &mut expired);
+        WindowEvent { expired, arrival }
+    }
+
+    /// The window body every other advance goes through: slides to the
+    /// arrival's timestamp, **appends** the edges it expires (oldest
+    /// first) to `expired`, and admits the arrival. Callers that cut
+    /// their own steps keep one expiry buffer across arrivals and batches
+    /// instead of receiving a fresh `Vec` per event.
     ///
     /// # Panics
     /// Panics if timestamps are not nondecreasing. Equal timestamps are
@@ -107,7 +123,7 @@ impl SlidingWindow {
     /// tick, and the `ClampToWatermark` ingestion policy (`tcs-core`)
     /// rewrites stragglers to exactly the watermark — the buffer stays
     /// sorted either way, which is all expiry needs.
-    pub fn advance(&mut self, arrival: StreamEdge) -> WindowEvent {
+    pub fn advance_into(&mut self, arrival: StreamEdge, expired: &mut Vec<StreamEdge>) {
         if let Some(last) = self.last_ts {
             assert!(
                 arrival.ts.0 >= last,
@@ -117,7 +133,6 @@ impl SlidingWindow {
             );
         }
         self.last_ts = Some(arrival.ts.0);
-        let mut expired = Vec::new();
         // Only expire once `t − |W| ≥ 0` is representable: for `t < |W|`
         // the timespan `(t − |W|, t]` still covers every timestamp down to
         // 0, so even a `ts = 0` edge is live (a saturating bound of 0 would
@@ -131,7 +146,6 @@ impl SlidingWindow {
             }
         }
         self.buffer.push_back(arrival);
-        WindowEvent { expired, arrival }
     }
 
     /// Slides the window across a whole batch of arrivals at once.
@@ -145,11 +159,15 @@ impl SlidingWindow {
     /// Panics if timestamps are not nondecreasing (same as `advance`).
     pub fn advance_batch(&mut self, arrivals: &[StreamEdge]) -> BatchEvent {
         let mut steps: Vec<WindowBatchStep> = Vec::new();
+        let mut expired = Vec::new();
         for &a in arrivals {
-            let ev = self.advance(a);
+            self.advance_into(a, &mut expired);
             match steps.last_mut() {
-                Some(step) if ev.expired.is_empty() => step.arrivals.push(a),
-                _ => steps.push(WindowBatchStep { expired: ev.expired, arrivals: vec![a] }),
+                Some(step) if expired.is_empty() => step.arrivals.push(a),
+                _ => steps.push(WindowBatchStep {
+                    expired: std::mem::take(&mut expired),
+                    arrivals: vec![a],
+                }),
             }
         }
         BatchEvent { steps }
@@ -204,6 +222,19 @@ mod tests {
         assert_eq!(ev.expired.len(), 3);
         assert_eq!(ev.expired.iter().map(|e| e.ts.0).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn advance_into_appends_to_the_callers_buffer() {
+        let mut w = SlidingWindow::new(5);
+        let mut expired = vec![edge(99, 0)];
+        for t in [1, 2, 3] {
+            w.advance_into(edge(t, t), &mut expired);
+        }
+        assert_eq!(expired.len(), 1, "nothing expired yet; the old entry stays");
+        w.advance_into(edge(4, 7), &mut expired);
+        assert_eq!(expired.iter().map(|e| e.id.0).collect::<Vec<_>>(), vec![99, 1, 2]);
+        assert_eq!(w.len(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! semantics, and `tcs_core::engine` for the split itself).
 
 use crate::fault::{payload_str, FaultPolicy, QueryFault, ShardHealth};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,7 +23,7 @@ use tcs_core::{
     IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
     TimingEngine,
 };
-use tcs_graph::{ELabel, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
+use tcs_graph::{ELabel, IdMap, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
 use tcs_telemetry::{EventKind, Recorder};
 
 /// Identifier of a registered query, unique for the lifetime of the
@@ -233,10 +233,10 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     /// Every registered query, in id order.
     subscribers: BTreeMap<QueryId, Subscriber>,
     /// canonical fingerprint → its live template.
-    by_fp: HashMap<PlanFingerprint, TemplateId>,
+    by_fp: IdMap<PlanFingerprint, TemplateId>,
     /// signature → templates with a query edge of that signature, each
     /// bucket in template-creation order.
-    dispatch: HashMap<(VLabel, VLabel, ELabel), Vec<TemplateId>>,
+    dispatch: IdMap<(VLabel, VLabel, ELabel), Vec<TemplateId>>,
     edges_seen: u64,
     next_id: u64,
     id_stride: u64,
@@ -252,6 +252,23 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     /// recorder — see [`MultiQueryEngine::set_recorder`]. Recording
     /// never touches [`MultiStats`] or any per-query counters.
     tel: Option<MultiTel>,
+    /// The batch path's per-call buffers, reused across calls.
+    scratch: BatchScratch,
+}
+
+/// The buffers one [`MultiQueryEngine::try_advance_batch_stamped`] call
+/// works in, kept on the registry so a call allocates only what it
+/// returns. Taken out for the call and cleared before use.
+#[derive(Default)]
+struct BatchScratch {
+    /// Arrivals the gate admitted (possibly clamped).
+    admitted: Vec<StreamEdge>,
+    /// The current window step's expiries, oldest first.
+    expired: Vec<StreamEdge>,
+    /// The current window step's arrivals.
+    arrivals: Vec<StreamEdge>,
+    /// One routed run's emissions, before fan-out.
+    emitted: Vec<MatchRecord>,
 }
 
 /// Component-wise delta of two monotone counter snapshots.
@@ -378,8 +395,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             snapshot: Snapshot::new(),
             templates: BTreeMap::new(),
             subscribers: BTreeMap::new(),
-            by_fp: HashMap::new(),
-            dispatch: HashMap::new(),
+            by_fp: IdMap::default(),
+            dispatch: IdMap::default(),
             edges_seen: 0,
             next_id: first,
             id_stride: stride,
@@ -388,6 +405,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             fault_policy: FaultPolicy::default(),
             faults: Vec::new(),
             tel: None,
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -838,14 +856,14 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// are in the window, their partial matches are stored, and every
     /// match they completed was counted in its subscriber's `emitted` —
     /// but those matches are dropped with the `Ok` value, never returned.
-    /// [`TimingEngine::insert_batch_at`] has the same contract one layer
-    /// down. Feeding on from the arrival after the rejected one is
+    /// Feeding on from the arrival after the rejected one is
     /// well-defined; the lost deliveries cannot be recovered, so feeders
     /// that must not lose any validate first or use a lenient
-    /// [`OrderPolicy`]. The fix is a caller-owned output sink that keeps
-    /// what was delivered before the error (ROADMAP.md, Step 0b); it
-    /// changes this method's return type, which the frozen benchmark
-    /// calls.
+    /// [`OrderPolicy`]. One layer down the loss is closed —
+    /// [`TimingEngine::insert_batch_at`] appends to a caller-owned sink
+    /// that keeps what was emitted before the error — but this method's
+    /// return type is what the frozen benchmark calls, so moving it to a
+    /// sink waits for the benchmark-contract change (ROADMAP.md, Step 0b).
     pub fn try_advance_batch(
         &mut self,
         batch: &[StreamEdge],
@@ -872,11 +890,14 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             Some(a) if self.tel.is_some() => Some(a),
             _ => tel_t0,
         };
-        let mut admitted: Vec<StreamEdge> = Vec::with_capacity(batch.len());
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.admitted.clear();
+        sc.expired.clear();
+        sc.arrivals.clear();
         let mut failure: Option<IngestError> = None;
         for &e in batch {
             match self.gate.admit(e) {
-                Ok(Some(e)) => admitted.push(e),
+                Ok(Some(e)) => sc.admitted.push(e),
                 Ok(None) => {}
                 Err(err) => {
                     failure = Some(err);
@@ -885,18 +906,35 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             }
         }
         if tel_t0.is_some() {
-            self.tel_record_keys(&admitted);
+            self.tel_record_keys(&sc.admitted);
         }
-        let ev = self.window.advance_batch(&admitted);
         // Templates that panicked during THIS call: skipped for the rest
         // of it, torn down after it.
         let mut faulted: Vec<(TemplateId, String)> = Vec::new();
         let mut out: Vec<(QueryId, MatchRecord)> = Vec::new();
-        for step in &ev.steps {
-            self.step(&step.expired, &step.arrivals, &mut faulted, &mut out);
+        // Window steps are cut as the window slides: an arrival that
+        // expires something closes the step before it (only the first
+        // step may start without expiries), exactly the steps of
+        // `SlidingWindow::advance_batch`. Steps never read the window, so
+        // running each as soon as it closes changes nothing.
+        for &a in &sc.admitted {
+            let before = sc.expired.len();
+            self.window.advance_into(a, &mut sc.expired);
+            if sc.expired.len() > before && !sc.arrivals.is_empty() {
+                let (exp, arr) = (&sc.expired[..before], &sc.arrivals[..]);
+                self.step(exp, arr, &mut sc.emitted, &mut faulted, &mut out);
+                sc.expired.drain(..before);
+                sc.arrivals.clear();
+            }
+            sc.arrivals.push(a);
         }
+        if !sc.arrivals.is_empty() {
+            self.step(&sc.expired, &sc.arrivals, &mut sc.emitted, &mut faulted, &mut out);
+        }
+        let n_admitted = sc.admitted.len() as u64;
+        self.scratch = sc;
         self.quarantine(faulted);
-        self.tel_finish(tel_t0, tel_arr, admitted.len() as u64, &out);
+        self.tel_finish(tel_t0, tel_arr, n_admitted, &out);
         match failure {
             Some(err) => Err(err),
             None => Ok(out),
@@ -906,12 +944,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// One window step: routes `expired` to the templates holding
     /// deletion positions for each signature, admits `arrivals` to the
     /// shared snapshot, then delivers them as same-signature runs to the
-    /// templates that can react and fans each emission burst out to the
-    /// template's subscribers.
+    /// templates that can react and fans each emission burst (collected
+    /// in the `emitted` scratch) out to the template's subscribers.
     fn step(
         &mut self,
         expired: &[StreamEdge],
         arrivals: &[StreamEdge],
+        emitted: &mut Vec<MatchRecord>,
         faulted: &mut Vec<(TemplateId, String)>,
         out: &mut Vec<(QueryId, MatchRecord)>,
     ) {
@@ -937,26 +976,25 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let snapshot = &self.snapshot;
         for run in arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
             for &tid in self.dispatch.get(&run[0].signature()).map_or(&[][..], Vec::as_slice) {
+                emitted.clear();
                 let work = |engine: &mut TimingEngine<S>, slots: &[Slot]| {
                     for s in slots {
                         fail_point!(sites::PRE_PROBE, s.id.0);
                     }
-                    let ms = match engine.insert_batch_at(run, snapshot) {
-                        Ok(ms) => ms,
-                        // The gate sanitized the stream, so an engine-level
-                        // rejection is a bug in THIS template's plumbing:
-                        // under Quarantine it condemns only the template.
-                        Err(err) => panic!("sanitized stream rejected: {err}"),
-                    };
+                    // The gate sanitized the stream, so an engine-level
+                    // rejection is a bug in THIS template's plumbing:
+                    // under Quarantine it condemns only the template.
+                    if let Err(err) = engine.insert_batch_at(run, snapshot, emitted) {
+                        panic!("sanitized stream rejected: {err}");
+                    }
                     for s in slots {
                         fail_point!(sites::POST_RECORD, s.id.0);
                     }
-                    ms
                 };
-                if let Some((t, ms)) =
+                if let Some((t, ())) =
                     Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work)
                 {
-                    t.fan_out(&ms, run.len() as u64, out);
+                    t.fan_out(emitted, run.len() as u64, out);
                 }
             }
         }

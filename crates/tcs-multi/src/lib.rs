@@ -159,8 +159,10 @@
 //!    before the rejected arrival, then returns the `Err` and drops the
 //!    matches that prefix completed (they were counted as emitted, but
 //!    no caller ever receives them). A caller-owned output sink is the
-//!    fix; until then, feeders that cannot afford the loss validate
-//!    first or use a lenient policy.
+//!    fix — the engines below already append to one
+//!    (`TimingEngine::insert_batch_at`), but this method's return type
+//!    is frozen by the benchmark; until it moves, feeders that cannot
+//!    afford the loss validate first or use a lenient policy.
 //! 2. **Query faults** — a panic inside one query's per-arrival work.
 //!    Under [`FaultPolicy::Quarantine`] (the default for shards of a
 //!    [`ShardedMultiEngine`]; bare engines default to

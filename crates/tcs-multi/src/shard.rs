@@ -57,7 +57,6 @@
 
 use crate::engine::{MultiQueryEngine, MultiStats, QueryId};
 use crate::fault::{payload_str, FaultPolicy, OverloadPolicy, ShardHealth};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tcs_concurrent::chan::{self, TrySendError};
@@ -67,7 +66,7 @@ use tcs_core::store::MatchStore;
 use tcs_core::{
     IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
 };
-use tcs_graph::{ELabel, MatchRecord, StreamEdge, VLabel};
+use tcs_graph::{ELabel, IdMap, MatchRecord, StreamEdge, VLabel};
 use tcs_telemetry::{EventKind, Recorder, ShardLoad};
 
 /// Edges per dispatcher→worker chunk. Large enough that workers amortize
@@ -157,10 +156,10 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     /// signature → shard indices with ≥ 1 homed query reacting to it
     /// (the union of the shards' own dispatch indexes, at shard
     /// granularity).
-    route: HashMap<(VLabel, VLabel, ELabel), Vec<usize>>,
+    route: IdMap<(VLabel, VLabel, ELabel), Vec<usize>>,
     /// query → its home shard (queries only migrate with their shard on a
     /// supervisor rebuild, never individually).
-    home: HashMap<QueryId, usize>,
+    home: IdMap<QueryId, usize>,
     /// Engines homed per shard, for least-loaded placement: one unit per
     /// *template* (duplicate registrations ride their template's shard
     /// for free).
@@ -168,12 +167,12 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     /// canonical fingerprint → the shard its shared template lives on:
     /// duplicate registrations must land on the same shard or they
     /// cannot share an engine.
-    template_home: HashMap<PlanFingerprint, usize>,
+    template_home: IdMap<PlanFingerprint, usize>,
     /// canonical fingerprint → live subscriber count (the refcount that
     /// retires a [`ShardedMultiEngine::template_home`] entry).
-    template_refs: HashMap<PlanFingerprint, usize>,
+    template_refs: IdMap<PlanFingerprint, usize>,
     /// query → its canonical fingerprint.
-    fp_of: HashMap<QueryId, PlanFingerprint>,
+    fp_of: IdMap<QueryId, PlanFingerprint>,
     /// Admitted arrivals fed through [`ShardedMultiEngine::process`] —
     /// the front-end's own count, since per-shard counts only cover
     /// routed substreams (and overlap when shards share a signature).
@@ -193,7 +192,7 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     faults_seen: Vec<usize>,
     /// Value of `edges_fed` when each live query registered — the base
     /// for [`ShardedMultiEngine::stats_normalized`].
-    fed_base: HashMap<QueryId, u64>,
+    fed_base: IdMap<QueryId, u64>,
     /// The telemetry seam: `None` (default) until
     /// [`ShardedMultiEngine::set_recorder`] arms it.
     tel: Option<Arc<Recorder>>,
@@ -223,12 +222,12 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             .collect();
         ShardedMultiEngine {
             shards,
-            route: HashMap::new(),
-            home: HashMap::new(),
+            route: IdMap::default(),
+            home: IdMap::default(),
             loads: vec![0; n_shards],
-            template_home: HashMap::new(),
-            template_refs: HashMap::new(),
-            fp_of: HashMap::new(),
+            template_home: IdMap::default(),
+            template_refs: IdMap::default(),
+            fp_of: IdMap::default(),
             edges_fed: 0,
             window,
             gate: IngestGate::new(window, OrderPolicy::default()),
@@ -238,7 +237,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 .map(|shard| ShardHealth { shard, ..Default::default() })
                 .collect(),
             faults_seen: vec![0; n_shards],
-            fed_base: HashMap::new(),
+            fed_base: IdMap::default(),
             tel: None,
             tel_tick: 0,
             routed: vec![0; n_shards],

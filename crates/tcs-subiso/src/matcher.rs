@@ -25,7 +25,7 @@ pub struct MatchOptions {
     pub anchor: Option<(usize, EdgeId)>,
     /// Restrict the search to this edge set (IncMat's affected area). Edges
     /// outside the set are invisible.
-    pub restrict_to: Option<std::collections::HashSet<EdgeId>>,
+    pub restrict_to: Option<tcs_graph::IdSet<EdgeId>>,
     /// Stop after this many matches (0 = unlimited).
     pub limit: usize,
 }

@@ -146,7 +146,7 @@ fn batched_run<S: MatchStore>(
             }
             live.extend(step.arrivals.iter().map(|a| (a.id, *a)));
             for run in step.arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
-                out.extend(eng.insert_batch_at(run, &live).expect("stream is in order"));
+                eng.insert_batch_at(run, &live, &mut out).expect("stream is in order");
             }
         }
         at = end;

@@ -115,8 +115,9 @@ fn check_timing_engine(seed: u64) {
             let n = chunk_rng.gen_range(1..8usize).min(stream.len() - i);
             let batch = &stream[i..i + n];
             live.extend(batch.iter().map(|e| (e.id, *e)));
-            let a = off.insert_batch_at(batch, &live).expect("stream batches are valid");
-            let b = on.insert_batch_at(batch, &live).expect("stream batches are valid");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            off.insert_batch_at(batch, &live, &mut a).expect("stream batches are valid");
+            on.insert_batch_at(batch, &live, &mut b).expect("stream batches are valid");
             assert_eq!(a, b, "seed {seed} batch at {i}");
             i += n;
         }
