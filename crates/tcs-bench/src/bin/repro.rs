@@ -15,7 +15,7 @@
 //!   fig25      query-set selectivity
 //!   pruning    extra ablation: discardable-edge pruning
 //!   costmodel  extra ablation: Theorem 7 joins/edge validation
-//!   join       expiry-mode and telemetry-overhead ratios (BENCH_join.json)
+//!   join       telemetry-overhead ratio (BENCH_join.json)
 //!   telemetry  latency deep-dive: per-edge + per-query detection quantiles
 //!   all        everything above
 //! ```

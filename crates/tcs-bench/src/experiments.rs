@@ -542,46 +542,14 @@ pub fn ablation_cost_model(scale: &Scale) {
     t.emit("ablation_cost_model");
 }
 
-/// The two in-tree ratios that still have both sides in the library, on
-/// the hub workloads of `crate::hub`: front-drain vs eager-compaction
-/// expiry ([`tcs_core::ExpiryMode`]) and recorder-armed vs no-op
-/// telemetry seam. Emits them as `BENCH_join.json` for the CI gates.
+/// The in-tree ratio that still has both sides in the library, on the hub
+/// keyed-probe workload of `crate::hub`: recorder-armed vs no-op telemetry
+/// seam. Emits it as `BENCH_join.json` for the CI gate.
 pub fn join_probe(scale: &Scale) {
-    use crate::hub::{
-        expiry_edge, expiry_engine, expiry_warmup, expiry_window, hub_arrival, hub_engine,
-    };
+    use crate::hub::{hub_arrival, hub_engine};
     use std::time::{Duration, Instant};
-    use tcs_core::ExpiryMode;
-    use tcs_graph::window::SlidingWindow;
 
     let budget = Duration::from_secs_f64(scale.run_budget_secs.min(2.0));
-    // The expiry-heavy workload: whole window ticks (one expiry cascade +
-    // one insert each at steady state) against the shared ~fanout-row
-    // leaf bucket. FrontDrain retires the bucket's oldest entry in O(1);
-    // EagerCompact (the hole-compaction baseline) re-walks the bucket.
-    let run_expiry = |fanout: usize, mode: ExpiryMode| -> f64 {
-        let mut eng = expiry_engine(mode);
-        let mut w = SlidingWindow::new(expiry_window(fanout));
-        let mut ts = 0u64;
-        while ts < expiry_warmup(fanout) {
-            ts += 1;
-            eng.advance(&w.advance(expiry_edge(ts)));
-        }
-        let start = Instant::now();
-        let mut n = 0u64;
-        'outer: loop {
-            for _ in 0..64 {
-                ts += 1;
-                eng.advance(&w.advance(expiry_edge(ts)));
-                n += 1;
-            }
-            if start.elapsed() >= budget || n >= 1_500_000 {
-                break 'outer;
-            }
-        }
-        n as f64 / start.elapsed().as_secs_f64()
-    };
-
     // Telemetry-overhead ablation: the keyed-probe hub workload with a
     // default-sampling recorder armed vs the no-op (`None`) seam. The CI
     // gate holds `overhead = noop / recorded` (throughput ratio, ≥ 1 when
@@ -600,35 +568,14 @@ pub fn join_probe(scale: &Scale) {
                 eng.insert(hub_arrival(fanout, id));
                 n += 1;
             }
-            // Shorter cap than the other closures: this ratio is sampled
-            // 24× (6 interleaved rounds × 2 sides × 2 fan-outs).
+            // A short cap: this ratio is sampled 24× (6 interleaved rounds
+            // × 2 sides × 2 fan-outs).
             if start.elapsed() >= budget || n >= 500_000 {
                 break 'outer;
             }
         }
         n as f64 / start.elapsed().as_secs_f64()
     };
-
-    let mut te = Table::new(
-        "join_probe/expiry: front-drain + tombstones vs eager hole-compaction, window ticks",
-        &["fanout", "front-drain-edges/s", "eager-edges/s", "speedup"],
-    );
-    let mut expiry_rows = Vec::new();
-    for &fanout in &[64usize, 512] {
-        // Best of two runs per mode: shields the CI gate on this ratio
-        // from transient runner throttling hitting one side's single run.
-        let best = |mode| run_expiry(fanout, mode).max(run_expiry(fanout, mode));
-        let front = best(ExpiryMode::FrontDrain);
-        let eager = best(ExpiryMode::EagerCompact);
-        te.row(vec![
-            fanout.to_string(),
-            fmt_throughput(front),
-            fmt_throughput(eager),
-            format!("{:.1}x", front / eager),
-        ]);
-        expiry_rows.push((fanout, front, eager));
-    }
-    te.emit("join_probe_expiry");
 
     let mut tt = Table::new(
         "join_probe/telemetry: recorder armed (1-in-16 sampling) vs no-op seam, keyed-probe hub",
@@ -674,19 +621,8 @@ pub fn join_probe(scale: &Scale) {
     // build — the JSON is assembled by hand; schema documented in
     // `crate::hub`'s module docs).
     let mut json = String::from(
-        "{\n  \"bench\": \"join_probe\",\n  \"unit\": \"edges_per_sec\",\n  \"expiry_rows\": [\n",
+        "{\n  \"bench\": \"join_probe\",\n  \"unit\": \"edges_per_sec\",\n  \"telemetry_rows\": [\n",
     );
-    for (idx, (fanout, front, eager)) in expiry_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"fanout\": {}, \"front_drain\": {:.0}, \"eager\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            fanout,
-            front,
-            eager,
-            front / eager,
-            if idx + 1 < expiry_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"telemetry_rows\": [\n");
     for (idx, (fanout, recorded, noop, overhead)) in telemetry_rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"fanout\": {}, \"recorded\": {:.0}, \"noop\": {:.0}, \"overhead\": {:.3}}}{}\n",

@@ -39,27 +39,31 @@
 //! and for the oldest-first early exit of [`CmsTree::payload_matches`]
 //! during deletion transactions.
 //!
-//! Key buckets are [`DrainBucket`]s: [`CmsTree::partial_remove`] punches a
-//! timestamp-keeping tombstone per removed node and, before returning,
-//! front-drains the leading tombstones off every touched bucket —
-//! payload-level deaths are the bucket's oldest prefix, so steady-state
-//! expiry costs O(deaths) — while interior holes from cascaded
-//! descendants are compacted only past the tombstone threshold (see the
-//! lifecycle section of `tcs_core::store`'s docs). Because a tombstone
-//! keeps its own copy of the timestamp, range reads never dereference
-//! dead nodes, so reclaimed arena slots can be reused without aliasing.
+//! Key buckets are [`DrainBucket`](tcs_core::store::DrainBucket)s:
+//! [`CmsTree::partial_remove`] punches a timestamp-keeping tombstone per
+//! removed node and, before returning, front-drains the leading
+//! tombstones off every touched bucket — payload-level deaths are the
+//! bucket's oldest prefix, so steady-state expiry costs O(deaths) — while
+//! interior holes from cascaded descendants are compacted only past the
+//! tombstone threshold (see the lifecycle section of `tcs_core::store`'s
+//! docs). Because a tombstone keeps its own copy of the timestamp, range
+//! reads never dereference dead nodes, so reclaimed arena slots can be
+//! reused without aliasing.
+//!
+//! The tree owns only its guarded atomic nodes and list mutexes. Each
+//! list's key index and referencer lists are `tcs_core::store`'s shared
+//! [`KeyIndex`] and [`RefLists`], and the audit is its [`audit_tree`], the
+//! same code the serial MS-tree runs.
 
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use tcs_core::join::JoinReads;
 use tcs_core::store::{
-    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, JoinKey, StoreAudit,
-    StoreLayout,
+    audit_tree, AuditViolation, ItemView, JoinKey, KeyIndex, NodeView, RefLists, StoreAudit,
+    StoreLayout, NIL,
 };
-use tcs_graph::{EdgeId, IdMap};
+use tcs_graph::EdgeId;
 
-const NIL: u32 = u32::MAX;
 /// Nodes per arena chunk.
 const CHUNK: usize = 1 << 12;
 /// Maximum chunks (caps the arena at ~16M nodes — far beyond any window).
@@ -125,18 +129,19 @@ struct ListHead {
     /// Join-key index of this item: key → tombstoned ordered bucket
     /// (guarded by the same mutex as the list links, which the item lock
     /// already serializes).
-    index: IdMap<JoinKey, DrainBucket>,
+    index: KeyIndex,
     /// Referencer index, populated only for `L₀` items: complete-match
     /// leaf handle (the node payload) → `L₀` nodes referencing it.
     /// Algorithm 2's right-to-left `L₀` pass looks dead leaves up here
     /// instead of scanning the whole item. Maintained under the same
     /// mutex via each node's `ref_pos`.
-    refs: IdMap<u64, Vec<u32>>,
+    refs: RefLists<u64>,
 }
 
 impl Default for ListHead {
     fn default() -> Self {
-        ListHead { head: NIL, tail: NIL, len: 0, index: IdMap::default(), refs: IdMap::default() }
+        let (index, refs) = Default::default();
+        ListHead { head: NIL, tail: NIL, len: 0, index, refs }
     }
 }
 
@@ -149,10 +154,6 @@ pub struct CmsTree {
     next_free: AtomicU32,
     free: Mutex<Vec<u32>>,
     lists: Vec<Mutex<ListHead>>,
-    /// Expiry compaction policy: `true` = [`ExpiryMode::EagerCompact`]
-    /// (compact every touched bucket per `partial_remove`, the ablation
-    /// baseline); `false` = front-drain + tombstone threshold (default).
-    eager_compact: AtomicBool,
 }
 
 impl CmsTree {
@@ -174,22 +175,6 @@ impl CmsTree {
             next_free: AtomicU32::new(0),
             free: Mutex::new(Vec::new()),
             lists: (0..n_items).map(|_| Mutex::new(ListHead::default())).collect(),
-            eager_compact: AtomicBool::new(false),
-        }
-    }
-
-    /// Selects the expiry compaction policy (default
-    /// [`ExpiryMode::FrontDrain`]); semantically invisible either way.
-    pub fn set_expiry_mode(&self, mode: ExpiryMode) {
-        self.eager_compact.store(mode == ExpiryMode::EagerCompact, STORE);
-    }
-
-    #[inline]
-    fn expiry_mode(&self) -> ExpiryMode {
-        if self.eager_compact.load(LOAD) {
-            ExpiryMode::EagerCompact
-        } else {
-            ExpiryMode::FrontDrain
         }
     }
 
@@ -280,14 +265,11 @@ impl CmsTree {
         }
         list.len += 1;
         self.node(idx).key.store(key, STORE);
-        let pos = list.index.entry(key).or_default().push(idx, ts);
-        self.node(idx).key_pos.store(pos, STORE);
+        self.node(idx).key_pos.store(list.index.file(key, idx, ts), STORE);
         // Register L₀ nodes with the referencer index so a death of the
         // component they reference finds them by lookup, not by scan.
         if item >= self.l0_base {
-            let refs = list.refs.entry(payload).or_default();
-            refs.push(idx);
-            self.node(idx).ref_pos.store(refs.len() as u32 - 1, STORE);
+            self.node(idx).ref_pos.store(list.refs.add(payload, idx), STORE);
         }
         idx as u64
     }
@@ -314,49 +296,38 @@ impl CmsTree {
 
     /// Iterates subquery matches. Caller holds ≥ S(sub_item(sub, level)).
     pub fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(u64, &[EdgeId])) {
-        let item = self.sub_item(sub, level);
-        let mut buf = vec![EdgeId(0); level + 1];
+        self.emit_sub_nodes(&self.list_nodes(self.sub_item(sub, level)), level, f);
+    }
+
+    /// The nodes of `item`'s level list, oldest first. Caller holds
+    /// ≥ S(item).
+    fn list_nodes(&self, item: usize) -> Vec<u32> {
+        let mut out = Vec::new();
         let mut n = self.lists[item].lock().head;
         while n != NIL {
-            let mut cur = n;
-            for d in (0..=level).rev() {
-                buf[d] = EdgeId(self.node(cur).payload.load(LOAD));
-                cur = self.node(cur).parent.load(LOAD);
-            }
-            f(n as u64, &buf);
+            out.push(n);
             n = self.node(n).next.load(LOAD);
         }
+        out
     }
 
-    /// The live slots of an item's key bucket, snapshotted under the list
-    /// mutex. With the item's S lock held, membership cannot change
-    /// concurrently. Buckets are timestamp-ordered (the ordered-bucket
-    /// invariant); tombstones are skipped during the copy.
-    fn bucket_of(&self, item: usize, key: JoinKey) -> Vec<u32> {
-        let list = self.lists[item].lock();
-        list.index.get(&key).map(|b| b.live_slots().collect()).unwrap_or_default()
-    }
-
-    /// The live bucket prefix of nodes with `ts < cutoff_ts`: the binary
-    /// search runs under the list mutex over the entries' own timestamp
-    /// copies (valid even across tombstones and arena reuse) so only the
-    /// surviving range is copied out — the probe stays output-sensitive.
+    /// The live bucket prefix of nodes with `ts < cutoff_ts`, snapshotted
+    /// under the list mutex (with the item's S lock held, membership cannot
+    /// change concurrently): the binary search runs over the entries' own
+    /// timestamp copies (valid even across tombstones and arena reuse) so
+    /// only the surviving range is copied out — the probe stays
+    /// output-sensitive. Tombstones are skipped during the copy.
     fn bucket_before(&self, item: usize, key: JoinKey, cutoff_ts: u64) -> Vec<u32> {
         let list = self.lists[item].lock();
-        let Some(bucket) = list.index.get(&key) else {
-            return Vec::new();
-        };
-        bucket.live_before(cutoff_ts).collect()
+        list.index.get(key).map_or_else(Vec::new, |b| b.live_before(cutoff_ts).collect())
     }
 
     /// The live bucket suffix of nodes with `ts ≥ min_ts` (same
-    /// copy-only-the-range discipline as [`CmsTree::bucket_before`]).
+    /// copy-only-the-range discipline as [`CmsTree::bucket_before`];
+    /// `min_ts == 0` is the whole bucket).
     fn bucket_from(&self, item: usize, key: JoinKey, min_ts: u64) -> Vec<u32> {
         let list = self.lists[item].lock();
-        let Some(bucket) = list.index.get(&key) else {
-            return Vec::new();
-        };
-        bucket.live_from(min_ts).collect()
+        list.index.get(key).map_or_else(Vec::new, |b| b.live_from(min_ts).collect())
     }
 
     /// Iterates only the subquery matches filed under `key`. Caller holds
@@ -369,7 +340,7 @@ impl CmsTree {
         f: &mut dyn FnMut(u64, &[EdgeId]),
     ) {
         let item = self.sub_item(sub, level);
-        self.emit_sub_nodes(&self.bucket_of(item, key), level, f);
+        self.emit_sub_nodes(&self.bucket_from(item, key, 0), level, f);
     }
 
     /// Materializes and emits the root-to-node paths of subquery nodes.
@@ -387,26 +358,14 @@ impl CmsTree {
 
     /// Iterates `L₀` rows as component handles. Caller holds ≥ S(l0_item(i)).
     pub fn for_each_l0(&self, i: usize, f: &mut dyn FnMut(u64, &[u64])) {
-        let item = self.l0_item(i);
-        let mut comps = vec![0u64; i + 1];
-        let mut n = self.lists[item].lock().head;
-        while n != NIL {
-            let mut cur = n;
-            for d in (1..=i).rev() {
-                comps[d] = self.node(cur).payload.load(LOAD);
-                cur = self.node(cur).parent.load(LOAD);
-            }
-            comps[0] = cur as u64;
-            f(n as u64, &comps);
-            n = self.node(n).next.load(LOAD);
-        }
+        self.emit_l0_nodes(&self.list_nodes(self.l0_item(i)), i, f);
     }
 
     /// Iterates only the `L₀` rows filed under `key`. Caller holds
     /// ≥ S(l0_item(i)).
     pub fn for_each_l0_keyed(&self, i: usize, key: JoinKey, f: &mut dyn FnMut(u64, &[u64])) {
         let item = self.l0_item(i);
-        self.emit_l0_nodes(&self.bucket_of(item, key), i, f);
+        self.emit_l0_nodes(&self.bucket_from(item, key, 0), i, f);
     }
 
     /// The `L₀` nodes of item `i` referencing complete-match leaf `comp`
@@ -414,8 +373,7 @@ impl CmsTree {
     /// `L₀` pass, replacing a full item scan per dead leaf. Caller holds
     /// X(l0_item(i)).
     pub fn l0_referencers(&self, i: usize, comp: u64) -> Vec<u32> {
-        let list = self.lists[self.l0_item(i)].lock();
-        list.refs.get(&comp).cloned().unwrap_or_default()
+        self.lists[self.l0_item(i)].lock().refs.get(comp).to_vec()
     }
 
     /// Materializes and emits `L₀` rows as component handles.
@@ -488,10 +446,10 @@ impl CmsTree {
     /// can still backtrack. Bucket removals punch timestamp-keeping
     /// tombstones (a swap-remove would break the timestamp order); before
     /// returning, every touched bucket front-drains its leading tombstones
-    /// and compacts past the tombstone threshold (or always, under
-    /// [`ExpiryMode::EagerCompact`]), so the steady-state oldest-prefix
-    /// case costs O(deaths). Returns the nodes whose dead flag *this* call
-    /// flipped (concurrent deleters race benignly on shared descendants).
+    /// and compacts past the tombstone threshold ([`KeyIndex::finish`]),
+    /// so the steady-state oldest-prefix case costs O(deaths). Returns the
+    /// nodes whose dead flag *this* call flipped (concurrent deleters race
+    /// benignly on shared descendants).
     /// Caller holds X(`item`).
     pub fn partial_remove(&self, item: usize, nodes: &[u32]) -> Vec<u32> {
         let mut removed = Vec::with_capacity(nodes.len());
@@ -519,28 +477,14 @@ impl CmsTree {
             // Key index (same mutex guards the buckets): punch a
             // tombstone at the node's recorded position.
             let key = self.node(idx).key.load(LOAD);
-            let pos = self.node(idx).key_pos.load(LOAD);
-            list.index
-                .get_mut(&key)
-                .unwrap_or_else(|| unreachable!("indexed node has a bucket"))
-                .punch(pos, idx);
+            list.index.punch(key, self.node(idx).key_pos.load(LOAD), idx);
             touched_keys.push(key);
-            // Deregister L₀ nodes from the referencer index (swap-remove,
-            // fixing the moved node's back-reference).
+            // Deregister L₀ nodes from the referencer index, fixing the
+            // moved node's back-reference.
             if item >= self.l0_base {
-                let payload = self.node(idx).payload.load(LOAD);
-                let rp = self.node(idx).ref_pos.load(LOAD) as usize;
-                let refs = list
-                    .refs
-                    .get_mut(&payload)
-                    .unwrap_or_else(|| unreachable!("L0 node is registered as a referencer"));
-                debug_assert_eq!(refs.get(rp), Some(&idx), "stale referencer back-reference");
-                refs.swap_remove(rp);
-                if let Some(&moved) = refs.get(rp) {
-                    self.node(moved).ref_pos.store(rp as u32, STORE);
-                }
-                if refs.is_empty() {
-                    list.refs.remove(&payload);
+                let rp = self.node(idx).ref_pos.load(LOAD);
+                if let Some(moved) = list.refs.remove(self.node(idx).payload.load(LOAD), rp, idx) {
+                    self.node(moved).ref_pos.store(rp, STORE);
                 }
             }
             drop(list);
@@ -564,11 +508,9 @@ impl CmsTree {
         // timestamp sortedness, is preserved), empty-bucket removal. No
         // reader can observe intermediate states: we hold X(item).
         if !touched_keys.is_empty() {
-            let mode = self.expiry_mode();
             let mut list = self.lists[item].lock();
-            finish_touched_buckets(&mut list.index, &mut touched_keys, mode, |slot, pos| {
-                self.node(slot).key_pos.store(pos, STORE)
-            });
+            list.index
+                .finish(&mut touched_keys, |slot, pos| self.node(slot).key_pos.store(pos, STORE));
         }
         removed
     }
@@ -593,151 +535,16 @@ impl CmsTree {
         self.lists[self.l0_item(i)].lock().len
     }
 
-    /// Approximate bytes held.
+    /// Approximate bytes held: live nodes, list heads and the key
+    /// buckets' heap (the serial [`tcs_core::mstree::MsTreeStore`]'s
+    /// terms).
     pub fn space_bytes(&self) -> usize {
         let allocated = self.next_free.load(LOAD) as usize;
         let free = self.free.lock().len();
+        let index_bytes: usize = self.lists.iter().map(|l| l.lock().index.heap_bytes()).sum();
         (allocated - free) * std::mem::size_of::<Node>()
             + self.lists.len() * std::mem::size_of::<Mutex<ListHead>>()
-    }
-
-    /// Walks one item's level list under its list mutex, reporting
-    /// structure/order/index violations and returning the linked nodes.
-    fn audit_item(&self, i: usize, out: &mut Vec<AuditViolation>) -> HashSet<u32> {
-        const S: &str = "cms-tree";
-        let list = self.lists[i].lock();
-        let mut live = HashSet::new();
-        let mut n = list.head;
-        let mut prev = NIL;
-        let mut prev_ts = 0u64;
-        while n != NIL {
-            if !live.insert(n) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "list-cycle",
-                    detail: format!("item {i}: node {n} linked twice"),
-                });
-                break;
-            }
-            let node = self.node(n);
-            if node.dead.load(LOAD) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "dead-node-linked",
-                    detail: format!("item {i}: node {n} is dead but still listed"),
-                });
-            }
-            if node.prev.load(LOAD) != prev {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "list-backlink",
-                    detail: format!(
-                        "item {i}: node {n} prev is {} not {prev}",
-                        node.prev.load(LOAD)
-                    ),
-                });
-            }
-            let ts = node.ts.load(LOAD);
-            if ts < prev_ts {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "item-timestamp-order",
-                    detail: format!("item {i}: node {n} ts {ts} after ts {prev_ts}"),
-                });
-            }
-            prev_ts = ts;
-            let key = node.key.load(LOAD);
-            let key_pos = node.key_pos.load(LOAD);
-            match list.index.get(&key) {
-                None => out.push(AuditViolation {
-                    store: S,
-                    invariant: "missing-bucket",
-                    detail: format!("item {i}: node {n} filed under absent key {key}"),
-                }),
-                Some(bucket) => {
-                    let pos_ok = key_pos >= bucket.front()
-                        && bucket
-                            .indexed()
-                            .get((key_pos - bucket.front()) as usize)
-                            .is_some_and(|e| e.slot == n && e.ts == ts);
-                    if !pos_ok {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "bucket-position",
-                            detail: format!(
-                                "item {i}: node {n} position {key_pos} does not round-trip \
-                                 in key {key}"
-                            ),
-                        });
-                    }
-                }
-            }
-            if i >= self.l0_base {
-                let payload = node.payload.load(LOAD);
-                let rp = node.ref_pos.load(LOAD) as usize;
-                let ok = list
-                    .refs
-                    .get(&payload)
-                    .and_then(|refs| refs.get(rp))
-                    .is_some_and(|&slot| slot == n);
-                if !ok {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "referencer-position",
-                        detail: format!(
-                            "item {i}: node {n} ref_pos {rp} does not round-trip under \
-                             payload {payload}"
-                        ),
-                    });
-                }
-            }
-            prev = n;
-            n = node.next.load(LOAD);
-        }
-        if live.len() != list.len {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "item-length",
-                detail: format!("item {i}: walked {} nodes, recorded len {}", live.len(), list.len),
-            });
-        }
-        if list.tail != prev {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "list-tail",
-                detail: format!("item {i}: tail is {} not {prev}", list.tail),
-            });
-        }
-        let indexed: usize = list.index.values().map(DrainBucket::live_len).sum();
-        if indexed != list.len {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "index-live-size",
-                detail: format!("item {i}: {indexed} live index entries vs len {}", list.len),
-            });
-        }
-        let registered: usize = list.refs.values().map(Vec::len).sum();
-        let expect = if i >= self.l0_base { list.len } else { 0 };
-        if registered != expect {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "referencer-size",
-                detail: format!(
-                    "item {i}: {registered} registered referencers vs {expect} expected"
-                ),
-            });
-        }
-        for (key, bucket) in &list.index {
-            if bucket.live_len() == 0 {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "empty-bucket-retained",
-                    detail: format!("item {i}: key {key} bucket has no live entry"),
-                });
-            }
-            bucket.audit(S, &format!("item {i} key {key}"), out);
-        }
-        live
+            + index_bytes
     }
 }
 
@@ -795,108 +602,33 @@ impl JoinReads for CmsTree {
 }
 
 impl StoreAudit for CmsTree {
-    /// Full invariant sweep, locking each list in turn. Only meaningful
-    /// at quiescent points — no in-flight transactions: a mid-transaction
-    /// audit would see partially removed nodes awaiting their level pass
-    /// and unreclaimed arena slots.
+    /// Full invariant sweep ([`audit_tree`]), locking each list in turn.
+    /// Only meaningful at quiescent points — no in-flight transactions: a
+    /// mid-transaction audit would see partially removed nodes awaiting
+    /// their level pass and unreclaimed arena slots.
     fn audit(&self) -> Vec<AuditViolation> {
-        const S: &str = "cms-tree";
-        let mut out = Vec::new();
-        let live_of: Vec<HashSet<u32>> =
-            (0..self.lists.len()).map(|i| self.audit_item(i, &mut out)).collect();
-        // Cross-item references (same shape as the serial MS-tree):
-        // subquery nodes chain to a live parent one level up, L₀ nodes to
-        // the previous L₀ item (item 1: the grafted subquery-0 leaf), and
-        // L₀ payloads to live complete matches of their subquery.
-        let k = self.layout.k();
-        let check_parent = |n: u32, parent_item: usize, out: &mut Vec<AuditViolation>| {
-            let parent = self.node(n).parent.load(LOAD);
-            if parent == NIL || !live_of[parent_item].contains(&parent) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "dangling-parent",
-                    detail: format!(
-                        "node {n}: parent {parent} is not a live node of item {parent_item}"
-                    ),
-                });
+        let node = |n: u32| {
+            let v = self.node(n);
+            NodeView {
+                payload: v.payload.load(LOAD),
+                ts: v.ts.load(LOAD),
+                parent: v.parent.load(LOAD),
+                prev: v.prev.load(LOAD),
+                next: v.next.load(LOAD),
+                dead: v.dead.load(LOAD),
+                item: None,
+                key: v.key.load(LOAD),
+                key_pos: v.key_pos.load(LOAD),
+                ref_pos: v.ref_pos.load(LOAD),
             }
         };
-        for sub in 0..k {
-            for level in 0..self.layout.sub_lens[sub] {
-                let item = self.sub_item(sub, level);
-                for &n in &live_of[item] {
-                    if level == 0 {
-                        if self.node(n).parent.load(LOAD) != NIL {
-                            out.push(AuditViolation {
-                                store: S,
-                                invariant: "dangling-parent",
-                                detail: format!("root-level node {n} has a parent"),
-                            });
-                        }
-                    } else {
-                        check_parent(n, self.sub_item(sub, level - 1), &mut out);
-                    }
-                }
-            }
-        }
-        for i in 1..k {
-            let item = self.l0_item(i);
-            let parent_item = if i == 1 {
-                self.sub_item(0, self.layout.sub_lens[0] - 1)
-            } else {
-                self.l0_item(i - 1)
-            };
-            let leaf_item = self.sub_item(i, self.layout.sub_lens[i] - 1);
-            for &n in &live_of[item] {
-                check_parent(n, parent_item, &mut out);
-                let comp = self.node(n).payload.load(LOAD);
-                if u32::try_from(comp).is_err() || !live_of[leaf_item].contains(&(comp as u32)) {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "dangling-component",
-                        detail: format!(
-                            "L0 item {i} node {n}: component {comp} is not a live \
-                             complete match of subquery {i}"
-                        ),
-                    });
-                }
-            }
-        }
-        // Allocator accounting (quiescence: every partially removed node
-        // has been reclaimed): linked + free covers the arena exactly.
-        let free_list = self.free.lock();
-        let free: HashSet<u32> = free_list.iter().copied().collect();
-        if free.len() != free_list.len() {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "free-list-duplicates",
-                detail: format!("{} free entries, {} distinct", free_list.len(), free.len()),
-            });
-        }
-        let linked: usize = live_of.iter().map(HashSet::len).sum();
-        let allocated = self.next_free.load(LOAD) as usize;
-        if linked + free.len() != allocated {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "arena-accounting",
-                detail: format!(
-                    "{linked} linked + {} free != {allocated} allocated arena nodes",
-                    free.len()
-                ),
-            });
-        }
-        for set in &live_of {
-            for n in set {
-                if free.contains(n) {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "free-live-overlap",
-                        detail: format!("node {n} is both linked and on the free list"),
-                    });
-                }
-            }
-        }
-        out
+        let item = |i: usize, f: &mut dyn FnMut(ItemView<'_>)| {
+            let list = self.lists[i].lock();
+            let (head, tail, len) = (list.head, list.tail, list.len);
+            f(ItemView { head, tail, len, index: &list.index, refs: Some(&list.refs) })
+        };
+        let free = self.free.lock();
+        audit_tree("cms-tree", &self.layout, node, item, &free, self.next_free.load(LOAD) as usize)
     }
 }
 
@@ -904,6 +636,7 @@ impl StoreAudit for CmsTree {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic by design
 mod tests {
     use super::*;
+    use tcs_core::store::BucketEntry;
 
     fn layout() -> StoreLayout {
         StoreLayout { sub_lens: vec![3, 2] }
@@ -1018,138 +751,118 @@ mod tests {
     fn ordered_buckets_survive_random_ops() {
         // The CmsTree counterpart of the store conformance property test:
         // after any interleaving of keyed inserts and payload-scan →
-        // cascade → partial-remove → reclaim expiries — under both expiry
-        // modes, so front-drains, tombstoned descendant holes AND
-        // threshold compactions all happen — the tree must stay
-        // indistinguishable from a naive no-tombstone model (rows per
-        // level in insertion order, retain-based expiry), every bucket
-        // must iterate in nondecreasing newest-edge-timestamp order, and
-        // the binary-searched range reads must equal filtered full
-        // iteration (ts = edge-id convention).
+        // cascade → partial-remove → reclaim expiries — front-drains,
+        // tombstoned descendant holes and threshold compactions all happen
+        // — the tree must stay indistinguishable from a naive no-tombstone
+        // model (rows per level in insertion order, retain-based expiry),
+        // every bucket must iterate in nondecreasing newest-edge-timestamp
+        // order, and the binary-searched range reads must equal filtered
+        // full iteration (ts = edge-id convention).
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        for mode in [ExpiryMode::FrontDrain, ExpiryMode::EagerCompact] {
-            for seed in 0..6u64 {
-                let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x51ed_2701));
-                let t = CmsTree::new(StoreLayout { sub_lens: vec![3] });
-                t.set_expiry_mode(mode);
-                // model[level]: live rows as edge-id paths, insertion
-                // (= timestamp) order; a row's key is its newest edge % 2.
-                let mut model: Vec<Vec<Vec<u64>>> = vec![Vec::new(); 3];
-                for ts in 1..=200u64 {
-                    let rows_at = |level: usize| {
-                        let mut rows: Vec<(u64, u64)> = Vec::new();
-                        t.for_each_sub(0, level, &mut |h, edges| {
-                            rows.push((h, edges.last().expect("nonempty").0));
-                        });
-                        rows
-                    };
-                    match rng.gen_range(0..4u32) {
-                        0 => {
-                            // Full expiry pass for a random live row's
-                            // newest edge: payload scan at its level,
-                            // cascade to the leaf, then reclaim.
-                            let level = rng.gen_range(0..3usize);
-                            let rows = rows_at(level);
-                            if let Some(&(_, edge)) = rows.get(rng.gen_range(0..rows.len().max(1)))
-                            {
-                                let mut all = Vec::new();
-                                let mut prev = t.partial_remove(
-                                    t.sub_item(0, level),
-                                    &t.payload_matches(t.sub_item(0, level), edge, edge),
-                                );
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x51ed_2701));
+            let t = CmsTree::new(StoreLayout { sub_lens: vec![3] });
+            // model[level]: live rows as edge-id paths, insertion (=
+            // timestamp) order; a row's key is its newest edge % 2.
+            let mut model: Vec<Vec<Vec<u64>>> = vec![Vec::new(); 3];
+            for ts in 1..=200u64 {
+                let rows_at = |level: usize| {
+                    let mut rows: Vec<(u64, u64)> = Vec::new();
+                    t.for_each_sub(0, level, &mut |h, edges| {
+                        rows.push((h, edges.last().expect("nonempty").0));
+                    });
+                    rows
+                };
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        // Full expiry pass for a random live row's newest
+                        // edge: payload scan at its level, cascade to the
+                        // leaf, then reclaim.
+                        let level = rng.gen_range(0..3usize);
+                        let rows = rows_at(level);
+                        if let Some(&(_, edge)) = rows.get(rng.gen_range(0..rows.len().max(1))) {
+                            let mut all = Vec::new();
+                            let mut prev = t.partial_remove(
+                                t.sub_item(0, level),
+                                &t.payload_matches(t.sub_item(0, level), edge, edge),
+                            );
+                            all.extend_from_slice(&prev);
+                            for deeper in level + 1..3 {
+                                prev =
+                                    t.partial_remove(t.sub_item(0, deeper), &t.children_of(&prev));
                                 all.extend_from_slice(&prev);
-                                for deeper in level + 1..3 {
-                                    prev = t.partial_remove(
-                                        t.sub_item(0, deeper),
-                                        &t.children_of(&prev),
-                                    );
-                                    all.extend_from_slice(&prev);
-                                }
-                                t.reclaim(&all);
-                                for rows in model.iter_mut().skip(level) {
-                                    rows.retain(|r| r[level] != edge);
-                                }
                             }
-                        }
-                        1 => {
-                            t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 2);
-                            model[0].push(vec![ts]);
-                        }
-                        _ => {
-                            let level = rng.gen_range(0..2usize);
-                            let rows = rows_at(level);
-                            if rows.is_empty() {
-                                t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 2);
-                                model[0].push(vec![ts]);
-                            } else {
-                                let (parent, newest) = rows[rng.gen_range(0..rows.len())];
-                                t.insert_sub(0, level + 1, parent, EdgeId(ts), ts, ts % 2);
-                                let mut row = model[level]
-                                    .iter()
-                                    .find(|r| *r.last().expect("nonempty") == newest)
-                                    .expect("model tracks every live row")
-                                    .clone();
-                                row.push(ts);
-                                model[level + 1].push(row);
+                            t.reclaim(&all);
+                            for rows in model.iter_mut().skip(level) {
+                                rows.retain(|r| r[level] != edge);
                             }
                         }
                     }
-                    for (level, model_rows) in model.iter().enumerate() {
-                        assert_eq!(
-                            t.len_sub(0, level),
-                            model_rows.len(),
-                            "{mode:?} seed {seed} ts {ts} level {level} len"
-                        );
-                        for key in 0..2u64 {
-                            let mut full: Vec<Vec<u64>> = Vec::new();
-                            t.for_each_sub_keyed(0, level, key, &mut |_, edges| {
-                                full.push(edges.iter().map(|x| x.0).collect());
-                            });
-                            let expect: Vec<Vec<u64>> = model_rows
+                    1 => {
+                        t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 2);
+                        model[0].push(vec![ts]);
+                    }
+                    _ => {
+                        let level = rng.gen_range(0..2usize);
+                        let rows = rows_at(level);
+                        if rows.is_empty() {
+                            t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 2);
+                            model[0].push(vec![ts]);
+                        } else {
+                            let (parent, newest) = rows[rng.gen_range(0..rows.len())];
+                            t.insert_sub(0, level + 1, parent, EdgeId(ts), ts, ts % 2);
+                            let mut row = model[level]
                                 .iter()
-                                .filter(|r| *r.last().expect("nonempty") % 2 == key)
+                                .find(|r| *r.last().expect("nonempty") == newest)
+                                .expect("model tracks every live row")
+                                .clone();
+                            row.push(ts);
+                            model[level + 1].push(row);
+                        }
+                    }
+                }
+                for (level, model_rows) in model.iter().enumerate() {
+                    assert_eq!(
+                        t.len_sub(0, level),
+                        model_rows.len(),
+                        "seed {seed} ts {ts} level {level} len"
+                    );
+                    for key in 0..2u64 {
+                        let mut full: Vec<Vec<u64>> = Vec::new();
+                        t.for_each_sub_keyed(0, level, key, &mut |_, edges| {
+                            full.push(edges.iter().map(|x| x.0).collect());
+                        });
+                        let expect: Vec<Vec<u64>> = model_rows
+                            .iter()
+                            .filter(|r| *r.last().expect("nonempty") % 2 == key)
+                            .cloned()
+                            .collect();
+                        assert_eq!(
+                            full, expect,
+                            "seed {seed} ts {ts}: bucket ({level}, {key}) diverged from the model"
+                        );
+                        for cutoff in [0, ts / 2, ts, u64::MAX] {
+                            let prefix: Vec<Vec<u64>> = full
+                                .iter()
+                                .filter(|r| *r.last().expect("nonempty") < cutoff)
                                 .cloned()
                                 .collect();
-                            assert_eq!(
-                                full, expect,
-                                "{mode:?} seed {seed} ts {ts}: bucket ({level}, {key}) \
-                                 diverged from the model"
-                            );
-                            for cutoff in [0, ts / 2, ts, u64::MAX] {
-                                let prefix: Vec<Vec<u64>> = full
-                                    .iter()
-                                    .filter(|r| *r.last().expect("nonempty") < cutoff)
-                                    .cloned()
-                                    .collect();
-                                let mut got = Vec::new();
-                                t.for_each_sub_keyed_before(
-                                    0,
-                                    level,
-                                    key,
-                                    cutoff,
-                                    &mut |_, edges| {
-                                        got.push(edges.iter().map(|x| x.0).collect::<Vec<u64>>());
-                                    },
-                                );
-                                assert_eq!(got, prefix, "seed {seed} ts {ts} cutoff {cutoff}");
-                                let suffix: Vec<Vec<u64>> = full
-                                    .iter()
-                                    .filter(|r| *r.last().expect("nonempty") >= cutoff)
-                                    .cloned()
-                                    .collect();
-                                let mut got = Vec::new();
-                                t.for_each_sub_keyed_from(
-                                    0,
-                                    level,
-                                    key,
-                                    cutoff,
-                                    &mut |_, edges| {
-                                        got.push(edges.iter().map(|x| x.0).collect::<Vec<u64>>());
-                                    },
-                                );
-                                assert_eq!(got, suffix, "seed {seed} ts {ts} min {cutoff}");
-                            }
+                            let mut got = Vec::new();
+                            t.for_each_sub_keyed_before(0, level, key, cutoff, &mut |_, edges| {
+                                got.push(edges.iter().map(|x| x.0).collect::<Vec<u64>>());
+                            });
+                            assert_eq!(got, prefix, "seed {seed} ts {ts} cutoff {cutoff}");
+                            let suffix: Vec<Vec<u64>> = full
+                                .iter()
+                                .filter(|r| *r.last().expect("nonempty") >= cutoff)
+                                .cloned()
+                                .collect();
+                            let mut got = Vec::new();
+                            t.for_each_sub_keyed_from(0, level, key, cutoff, &mut |_, edges| {
+                                got.push(edges.iter().map(|x| x.0).collect::<Vec<u64>>());
+                            });
+                            assert_eq!(got, suffix, "seed {seed} ts {ts} min {cutoff}");
                         }
                     }
                 }
@@ -1157,45 +870,82 @@ mod tests {
         }
     }
 
+    /// One deletion transaction for `edge` (a level-0 payload of layout
+    /// `[2]`): both level passes, then reclaim. Returns the nodes removed.
+    fn expire_root(t: &CmsTree, edge: u64) -> usize {
+        let l0 =
+            t.partial_remove(t.sub_item(0, 0), &t.payload_matches(t.sub_item(0, 0), edge, edge));
+        let l1 = t.partial_remove(t.sub_item(0, 1), &t.children_of(&l0));
+        t.reclaim(&l0);
+        t.reclaim(&l1);
+        l0.len() + l1.len()
+    }
+
+    fn keyed_rows(t: &CmsTree, level: usize, key: JoinKey) -> Vec<Vec<u64>> {
+        let mut rows = Vec::new();
+        t.for_each_sub_keyed(0, level, key, &mut |_, edges| {
+            rows.push(edges.iter().map(|x| x.0).collect());
+        });
+        rows
+    }
+
     #[test]
     fn same_bucket_double_death_across_level_passes() {
         // Satellite regression, CmsTree edition: one deletion transaction
         // removes two same-bucket rows in one `partial_remove` call, and a
         // follow-up transaction must still find the survivor's (possibly
-        // re-recorded) bucket position — under both expiry modes.
-        for mode in [ExpiryMode::FrontDrain, ExpiryMode::EagerCompact] {
-            let t = CmsTree::new(StoreLayout { sub_lens: vec![2] });
-            t.set_expiry_mode(mode);
-            let a1 = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 5);
-            let a2 = t.insert_sub(0, 0, u64::MAX, EdgeId(2), 2, 5);
-            t.insert_sub(0, 1, a1, EdgeId(3), 3, 7);
-            t.insert_sub(0, 1, a1, EdgeId(4), 4, 7);
-            t.insert_sub(0, 1, a2, EdgeId(5), 5, 7);
-            // Transaction 1: expire edge 1 (kills a1 + two bucket-7 rows).
-            let mut all = Vec::new();
-            let l0 = t.partial_remove(t.sub_item(0, 0), &t.payload_matches(t.sub_item(0, 0), 1, 1));
-            all.extend_from_slice(&l0);
-            let l1 = t.partial_remove(t.sub_item(0, 1), &t.children_of(&l0));
-            all.extend_from_slice(&l1);
-            assert_eq!(all.len(), 3, "{mode:?}");
-            t.reclaim(&all);
-            let mut bucket7: Vec<Vec<u64>> = Vec::new();
-            t.for_each_sub_keyed(0, 1, 7, &mut |_, edges| {
-                bucket7.push(edges.iter().map(|x| x.0).collect());
-            });
-            assert_eq!(bucket7, vec![vec![2, 5]], "{mode:?}");
-            // Transaction 2: expire edge 2 — the survivor's back-reference
-            // must still punch cleanly.
-            let mut all = Vec::new();
-            let l0 = t.partial_remove(t.sub_item(0, 0), &t.payload_matches(t.sub_item(0, 0), 2, 2));
-            all.extend_from_slice(&l0);
-            let l1 = t.partial_remove(t.sub_item(0, 1), &t.children_of(&l0));
-            all.extend_from_slice(&l1);
-            assert_eq!(all.len(), 2, "{mode:?}");
-            t.reclaim(&all);
-            assert_eq!(t.len_sub(0, 0), 0, "{mode:?}");
-            assert_eq!(t.len_sub(0, 1), 0, "{mode:?}");
+        // re-recorded) bucket position.
+        let t = CmsTree::new(StoreLayout { sub_lens: vec![2] });
+        let a1 = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 5);
+        let a2 = t.insert_sub(0, 0, u64::MAX, EdgeId(2), 2, 5);
+        t.insert_sub(0, 1, a1, EdgeId(3), 3, 7);
+        t.insert_sub(0, 1, a1, EdgeId(4), 4, 7);
+        t.insert_sub(0, 1, a2, EdgeId(5), 5, 7);
+        // Transaction 1: expire edge 1 (kills a1 + two bucket-7 rows).
+        assert_eq!(expire_root(&t, 1), 3);
+        assert_eq!(keyed_rows(&t, 1, 7), vec![vec![2, 5]]);
+        // Transaction 2: expire edge 2 — the survivor's back-reference
+        // must still punch cleanly.
+        assert_eq!(expire_root(&t, 2), 2);
+        assert_eq!(t.len_sub(0, 0), 0);
+        assert_eq!(t.len_sub(0, 1), 0);
+    }
+
+    #[test]
+    fn interior_deaths_compact_past_the_threshold() {
+        // The store conformance case of the same name, run as deletion
+        // transactions: a2's child heads bucket 7, then nine children of
+        // a1, then a second child of a2. Expiring a1 kills the nine
+        // interior rows; the bucket must compact to its two survivors and
+        // re-record their positions, which expiring a2 then punches.
+        let t = CmsTree::new(StoreLayout { sub_lens: vec![2] });
+        let a1 = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 5);
+        let a2 = t.insert_sub(0, 0, u64::MAX, EdgeId(2), 2, 5);
+        for ts in 3..=13 {
+            t.insert_sub(0, 1, if ts == 3 || ts == 13 { a2 } else { a1 }, EdgeId(ts), ts, 7);
         }
+        assert_eq!(expire_root(&t, 1), 10, "a1 and its nine children");
+        {
+            let list = t.lists[t.sub_item(0, 1)].lock();
+            let b = list.index.get(7).expect("bucket 7 keeps two rows");
+            assert_eq!((b.indexed().len(), b.live_len()), (2, 2), "compacted to the survivors");
+        }
+        t.assert_clean();
+        assert_eq!(keyed_rows(&t, 1, 7), vec![vec![2, 3], vec![2, 13]]);
+        assert_eq!(expire_root(&t, 2), 3, "a2 and both survivors");
+        assert!(t.lists[t.sub_item(0, 1)].lock().index.get(7).is_none());
+        t.assert_clean();
+    }
+
+    #[test]
+    fn space_bytes_counts_key_buckets() {
+        let t = CmsTree::new(StoreLayout { sub_lens: vec![1] });
+        let base = t.space_bytes();
+        for ts in 0..1000u64 {
+            t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, 7);
+        }
+        let entries = 1000 * (std::mem::size_of::<Node>() + std::mem::size_of::<BucketEntry>());
+        assert!(t.space_bytes() >= base + entries, "{} < {base} + {entries}", t.space_bytes());
     }
 
     #[test]
@@ -1240,5 +990,40 @@ mod tests {
         let mut count = 0;
         t.for_each_sub(0, 0, &mut |_, _| count += 1);
         assert_eq!(count, CHUNK + 10);
+    }
+
+    #[test]
+    fn audit_reports_each_corrupted_field() {
+        // One corrupted field per invariant family, each on a fresh tree
+        // holding an L₀ row `r` and one reclaimed node.
+        fn bump(a: &AtomicU32) {
+            a.store(a.load(LOAD) + 1, STORE);
+        }
+        type Corrupt = fn(&CmsTree, u32);
+        let cases: [(&str, Corrupt); 4] = [
+            ("bucket-position", |t, r| bump(&t.node(r).key_pos)),
+            ("referencer-position", |t, r| bump(&t.node(r).ref_pos)),
+            ("list-backlink", |t, r| t.node(r).prev.store(r, STORE)),
+            ("free-list-duplicates", |t, _| {
+                let mut free = t.free.lock();
+                let first = free[0];
+                free.push(first);
+            }),
+        ];
+        for (slug, corrupt) in cases {
+            let t = CmsTree::new(StoreLayout { sub_lens: vec![1, 1] });
+            let a = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 0);
+            let b = t.insert_sub(1, 0, u64::MAX, EdgeId(2), 2, 0);
+            let r = t.insert_l0(1, a, b, 2, 0) as u32;
+            let c = t.insert_sub(1, 0, u64::MAX, EdgeId(3), 3, 0) as u32;
+            t.reclaim(&t.partial_remove(t.sub_item(1, 0), &[c]));
+            t.assert_clean();
+            corrupt(&t, r);
+            let found = t.audit();
+            assert!(
+                found.iter().any(|v| (v.store, v.invariant) == ("cms-tree", slug)),
+                "{found:?}"
+            );
+        }
     }
 }

@@ -55,7 +55,7 @@
 use crate::ingest::{IngestError, IngestStats, OrderPolicy};
 use crate::join::RowArena;
 use crate::plan::QueryPlan;
-use crate::store::{AuditViolation, ExpiryMode, Handle, MatchStore, StoreLayout};
+use crate::store::{AuditViolation, Handle, MatchStore, StoreLayout};
 use std::sync::Arc;
 use std::time::Instant;
 use tcs_graph::window::WindowEvent;
@@ -255,14 +255,6 @@ impl<S: MatchStore> TimingEngine<S> {
     /// x]`); empty while the seam is disarmed.
     pub fn last_emission_floors(&self) -> &[u64] {
         self.seam.as_ref().map_or(&[], |s| s.floors.as_slice())
-    }
-
-    /// Selects the store's expiry compaction policy (default
-    /// [`ExpiryMode::FrontDrain`]); [`ExpiryMode::EagerCompact`] keeps the
-    /// compact-every-cascade behavior as the benchmark ablation baseline.
-    /// Semantically invisible either way.
-    pub fn set_expiry_mode(&mut self, mode: ExpiryMode) {
-        self.store.set_expiry_mode(mode);
     }
 
     /// Caps the number of *live* partial matches. Beyond the cap the engine

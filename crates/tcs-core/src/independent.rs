@@ -29,13 +29,17 @@
 //! section of the `store.rs` docs. Timing-IND still has no child pointers
 //! to cascade through — the `L₀` phase keeps its row scan, which *is* the
 //! ablation — but item maintenance costs O(deaths), never O(item).
+//!
+//! The store owns only its flat-row representation: the key indexes are
+//! the shared [`KeyIndex`] and each payload-index position is a shared
+//! [`RefLists`], the same code both MS-trees run.
 
 use crate::store::{
-    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
-    StoreAudit, StoreLayout, ROOT,
+    AuditViolation, DrainBucket, Handle, JoinKey, KeyIndex, MatchStore, RefLists, StoreAudit,
+    StoreLayout, ROOT,
 };
 use std::collections::HashSet;
-use tcs_graph::{EdgeId, IdMap, IdSet};
+use tcs_graph::{EdgeId, IdSet};
 
 /// A slot-reusing row container; handles stay stable until the row dies.
 #[derive(Clone, Debug)]
@@ -83,6 +87,16 @@ impl<T> Slab<T> {
         self.slots.get_mut(i as usize).and_then(Option::as_mut)
     }
 
+    /// The row in slot `i`, which the caller knows is live.
+    fn live(&self, i: u32) -> &T {
+        self.get(i).unwrap_or_else(|| unreachable!("live row"))
+    }
+
+    /// Mutable [`Slab::live`].
+    fn live_mut(&mut self, i: u32) -> &mut T {
+        self.get_mut(i).unwrap_or_else(|| unreachable!("live row"))
+    }
+
     fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
     }
@@ -116,29 +130,36 @@ struct L0Row {
     key_pos: u32,
 }
 
-type KeyIndex = IdMap<JoinKey, DrainBucket>;
-/// Per (item, edge position): which live slots hold a given edge there.
-type PayloadIndex = Vec<IdMap<EdgeId, Vec<u32>>>;
+/// One (subquery, level) item: its rows and the three indexes over them.
+#[derive(Default)]
+struct SubItem {
+    rows: Slab<SubRow>,
+    /// Join-key index.
+    index: KeyIndex,
+    /// Every live slot in insertion (timestamp) order — the ordered spine
+    /// that keeps expiry punches in timestamp order. Rows record their
+    /// position in `tl_pos`.
+    timeline: DrainBucket,
+    /// The payload index: `payload[pos]` maps an edge to the rows holding
+    /// it at `pos`, the direct death lookup `expire_edge` uses instead of
+    /// a content scan.
+    payload: Vec<RefLists<EdgeId>>,
+}
+
+/// One `L₀` item: its rows and their join-key index.
+#[derive(Default)]
+struct L0Item {
+    rows: Slab<L0Row>,
+    index: KeyIndex,
+}
 
 /// The independent (uncompressed) storage backend.
 pub struct IndependentStore {
     layout: StoreLayout,
-    subs: Vec<Vec<Slab<SubRow>>>,
-    /// Join-key index per (subquery, level) item.
-    sub_idx: Vec<Vec<KeyIndex>>,
-    /// Per (subquery, level) item: every live slot in insertion
-    /// (timestamp) order — the ordered spine that keeps expiry punches in
-    /// timestamp order. Rows record their position in `tl_pos`.
-    timelines: Vec<Vec<DrainBucket>>,
-    /// Per (subquery, level) item: the payload index (`payload_idx[sub]
-    /// [level][pos]` maps an edge to the rows holding it at `pos`), the
-    /// direct death lookup `expire_edge` uses instead of a content scan.
-    payload_idx: Vec<Vec<PayloadIndex>>,
-    l0: Vec<Slab<L0Row>>,
-    /// Join-key index per `L₀` item (`l0_idx[i - 1]` for item `i`).
-    l0_idx: Vec<KeyIndex>,
-    /// Expiry compaction policy.
-    mode: ExpiryMode,
+    /// `subs[sub][level]`: one item per subquery level.
+    subs: Vec<Vec<SubItem>>,
+    /// `l0[i - 1]`: `L₀` item `i`.
+    l0: Vec<L0Item>,
 }
 
 #[inline]
@@ -154,11 +175,7 @@ fn decode(h: Handle) -> (u32, u32) {
 impl IndependentStore {
     #[inline]
     fn sub_item_id(&self, sub: usize, level: usize) -> u32 {
-        let mut acc = 0u32;
-        for s in 0..sub {
-            acc += self.layout.sub_lens[s] as u32;
-        }
-        acc + level as u32
+        (self.layout.sub_lens[..sub].iter().sum::<usize>() + level) as u32
     }
 
     #[inline]
@@ -166,215 +183,83 @@ impl IndependentStore {
         let total: usize = self.layout.sub_lens.iter().sum();
         (total + i - 1) as u32
     }
-
-    fn sub_row(&self, sub: usize, level: usize, slot: u32) -> &SubRow {
-        self.subs[sub][level].get(slot).unwrap_or_else(|| unreachable!("live sub row"))
-    }
 }
 
-/// Audits one slab + key-index pair: slab accounting, every row's bucket
-/// back-reference round-trips, index live totals match, no live-empty
-/// bucket survives, and each bucket passes its own lifecycle audit.
-/// `row_info` extracts `(key, key_pos, ts)` from a row; `what` labels the
-/// item (e.g. `"sub 0 level 2"`).
-fn audit_slab_index<T>(
-    slab: &Slab<T>,
-    index: &KeyIndex,
-    what: &str,
-    row_info: impl Fn(&T) -> (JoinKey, u32, u64),
-    out: &mut Vec<AuditViolation>,
-) {
-    const S: &str = "independent";
-    let live = slab.iter().count();
-    if live != slab.len || slab.len + slab.free.len() != slab.slots.len() {
-        out.push(AuditViolation {
-            store: S,
-            invariant: "slab-accounting",
-            detail: format!(
-                "{what}: {live} live rows, recorded len {}, {} free of {} slots",
-                slab.len,
-                slab.free.len(),
-                slab.slots.len()
-            ),
-        });
-    }
-    for (slot, row) in slab.iter() {
-        let (key, key_pos, ts) = row_info(row);
-        match index.get(&key) {
-            None => out.push(AuditViolation {
-                store: S,
-                invariant: "missing-bucket",
-                detail: format!("{what}: row {slot} filed under absent key {key}"),
-            }),
-            Some(bucket) => {
-                let pos_ok = key_pos >= bucket.front()
-                    && bucket
-                        .indexed()
-                        .get((key_pos - bucket.front()) as usize)
-                        .is_some_and(|e| e.slot == slot && e.ts == ts);
-                if !pos_ok {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "bucket-position",
-                        detail: format!(
-                            "{what}: row {slot} position {key_pos} does not round-trip \
-                             in key {key}"
-                        ),
-                    });
-                }
-            }
+/// This store's label in audit violations.
+const S: &str = "independent";
+
+/// Records one violation under this store's label.
+fn report(out: &mut Vec<AuditViolation>, invariant: &'static str, detail: String) {
+    out.push(AuditViolation { store: S, invariant, detail });
+}
+
+impl<T> Slab<T> {
+    /// Audits the slot accounting: live slots, `len` and the free list
+    /// cover the slots exactly. `what` labels the item.
+    fn audit(&self, what: &str, out: &mut Vec<AuditViolation>) {
+        let (live, free, slots) = (self.iter().count(), self.free.len(), self.slots.len());
+        if live != self.len || self.len + free != slots {
+            let detail =
+                format!("{what}: {live} live rows, len {}, {free} free of {slots}", self.len);
+            report(out, "slab-accounting", detail);
         }
-    }
-    let indexed: usize = index.values().map(DrainBucket::live_len).sum();
-    if indexed != slab.len {
-        out.push(AuditViolation {
-            store: S,
-            invariant: "index-live-size",
-            detail: format!("{what}: {indexed} live index entries vs len {}", slab.len),
-        });
-    }
-    for (key, bucket) in index {
-        if bucket.live_len() == 0 {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "empty-bucket-retained",
-                detail: format!("{what}: key {key} bucket has no live entry"),
-            });
-        }
-        bucket.audit(S, &format!("{what} key {key}"), out);
     }
 }
 
 impl StoreAudit for IndependentStore {
     fn audit(&self) -> Vec<AuditViolation> {
-        const S: &str = "independent";
         let mut out = Vec::new();
         for (sub, levels) in self.subs.iter().enumerate() {
-            for (level, slab) in levels.iter().enumerate() {
+            for (level, SubItem { rows, index, timeline, payload }) in levels.iter().enumerate() {
                 let what = format!("sub {sub} level {level}");
-                audit_slab_index(
-                    slab,
-                    &self.sub_idx[sub][level],
-                    &what,
-                    |r: &SubRow| (r.key, r.key_pos, r.ts),
-                    &mut out,
-                );
+                rows.audit(&what, &mut out);
+                let filed = rows.iter().map(|(slot, r)| (slot, r.key, r.key_pos, r.ts));
+                index.audit(S, &what, filed, rows.len, &mut out);
                 // Rows carry the full prefix: arity is the level + 1, and
                 // every position carries a payload-index back-reference.
-                for (slot, row) in slab.iter() {
-                    if row.edges.len() != level + 1 || row.ref_pos.len() != level + 1 {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "row-arity",
-                            detail: format!(
-                                "{what}: row {slot} holds {} edges / {} back-refs, expected {}",
-                                row.edges.len(),
-                                row.ref_pos.len(),
-                                level + 1
-                            ),
-                        });
+                for (slot, row) in rows.iter() {
+                    let (edges, refs) = (row.edges.len(), row.ref_pos.len());
+                    if edges != level + 1 || refs != level + 1 {
+                        report(&mut out, "row-arity", format!("{what}: row {slot} {edges}/{refs}"));
                     }
                 }
                 // The timeline (the ordered spine expiry punches through)
                 // must hold exactly the live slots, in timestamp order,
                 // and every row's stored position must round-trip.
-                let timeline = &self.timelines[sub][level];
                 timeline.audit(S, &format!("{what} timeline"), &mut out);
                 let spine: HashSet<u32> = timeline.live_slots().collect();
-                let rows: HashSet<u32> = slab.iter().map(|(slot, _)| slot).collect();
-                if spine != rows {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "timeline-membership",
-                        detail: format!(
-                            "{what}: timeline holds {} slots, slab holds {} — sets differ",
-                            spine.len(),
-                            rows.len()
-                        ),
-                    });
+                if spine != rows.iter().map(|(slot, _)| slot).collect() {
+                    report(&mut out, "timeline-membership", format!("{what}: slot sets differ"));
                 }
-                for (slot, row) in slab.iter() {
-                    let pos_ok = row.tl_pos >= timeline.front()
-                        && timeline
-                            .indexed()
-                            .get((row.tl_pos - timeline.front()) as usize)
-                            .is_some_and(|e| e.slot == slot && e.ts == row.ts);
-                    if !pos_ok {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "timeline-position",
-                            detail: format!(
-                                "{what}: row {slot} timeline position {} does not round-trip",
-                                row.tl_pos
-                            ),
-                        });
-                    }
+                for (slot, row) in rows.iter().filter(|(s, r)| !timeline.holds(r.tl_pos, *s, r.ts))
+                {
+                    let detail = format!("{what}: row {slot} not at timeline {}", row.tl_pos);
+                    report(&mut out, "timeline-position", detail);
                 }
                 // Payload-index coherence: every registration points at a
                 // live row holding that edge at that position (and the
                 // row's back-reference agrees), and every position indexes
                 // exactly the live rows.
-                for (pos, map) in self.payload_idx[sub][level].iter().enumerate() {
-                    let mut registered = 0usize;
-                    for (e, refs) in map {
-                        if refs.is_empty() {
-                            out.push(AuditViolation {
-                                store: S,
-                                invariant: "empty-payload-entry",
-                                detail: format!("{what}: pos {pos} edge {e:?} lists no rows"),
-                            });
-                        }
-                        registered += refs.len();
-                        for (rp, &rslot) in refs.iter().enumerate() {
-                            let ok = slab.get(rslot).is_some_and(|r| {
-                                r.edges.get(pos) == Some(e)
-                                    && r.ref_pos.get(pos) == Some(&(rp as u32))
-                            });
-                            if !ok {
-                                out.push(AuditViolation {
-                                    store: S,
-                                    invariant: "payload-position",
-                                    detail: format!(
-                                        "{what}: pos {pos} edge {e:?} entry {rp} does not \
-                                         round-trip through row {rslot}"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    if registered != slab.len {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "payload-size",
-                            detail: format!(
-                                "{what}: pos {pos} registers {registered} rows, slab holds {}",
-                                slab.len
-                            ),
-                        });
-                    }
+                for (pos, lists) in payload.iter().enumerate() {
+                    let position = |e, rslot| {
+                        let row = rows.get(rslot).filter(|r| r.edges.get(pos) == Some(&e));
+                        row.and_then(|r| r.ref_pos.get(pos).copied())
+                    };
+                    let slugs = ["payload-position", "payload-size", "empty-payload-entry"];
+                    let what = format!("{what} pos {pos}");
+                    lists.audit(S, &what, slugs, rows.len, position, &mut out);
                 }
             }
         }
-        for i in 1..self.layout.k() {
+        for (i, L0Item { rows, index }) in (1..).zip(&self.l0) {
             let what = format!("L0 item {i}");
-            audit_slab_index(
-                &self.l0[i - 1],
-                &self.l0_idx[i - 1],
-                &what,
-                |r: &L0Row| (r.key, r.key_pos, r.ts),
-                &mut out,
-            );
-            for (slot, row) in self.l0[i - 1].iter() {
+            rows.audit(&what, &mut out);
+            let filed = rows.iter().map(|(slot, r)| (slot, r.key, r.key_pos, r.ts));
+            index.audit(S, &what, filed, rows.len, &mut out);
+            for (slot, row) in rows.iter() {
                 if row.comps.len() != i + 1 {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "row-arity",
-                        detail: format!(
-                            "{what}: row {slot} holds {} components, expected {}",
-                            row.comps.len(),
-                            i + 1
-                        ),
-                    });
+                    let detail = format!("{what}: row {slot} holds {} components", row.comps.len());
+                    report(&mut out, "row-arity", detail);
                     continue;
                 }
                 // Every component must resolve to a live complete match
@@ -382,17 +267,12 @@ impl StoreAudit for IndependentStore {
                 for (j, &comp) in row.comps.iter().enumerate() {
                     let leaf = self.layout.sub_lens[j] - 1;
                     let (item, cslot) = decode(comp);
-                    let live = item == self.sub_item_id(j, leaf)
-                        && self.subs[j][leaf].get(cslot).is_some();
-                    if !live {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "dangling-component",
-                            detail: format!(
-                                "{what}: row {slot} component {j} ({comp:#x}) is not a \
-                                 live complete match of subquery {j}"
-                            ),
-                        });
+                    if item != self.sub_item_id(j, leaf)
+                        || self.subs[j][leaf].rows.get(cslot).is_none()
+                    {
+                        let detail =
+                            format!("{what}: row {slot} component {j} ({comp:#x}) is dead");
+                        report(&mut out, "dangling-component", detail);
                     }
                 }
             }
@@ -403,47 +283,16 @@ impl StoreAudit for IndependentStore {
 
 impl MatchStore for IndependentStore {
     fn new(layout: StoreLayout) -> Self {
-        let subs: Vec<Vec<Slab<SubRow>>> = layout
-            .sub_lens
-            .iter()
-            .map(|&len| (0..len).map(|_| Slab::default()).collect())
-            .collect();
-        let sub_idx = layout
-            .sub_lens
-            .iter()
-            .map(|&len| (0..len).map(|_| KeyIndex::default()).collect())
-            .collect();
-        let timelines = layout
-            .sub_lens
-            .iter()
-            .map(|&len| (0..len).map(|_| DrainBucket::default()).collect())
-            .collect();
-        let payload_idx = layout
-            .sub_lens
-            .iter()
-            .map(|&len| (0..len).map(|lvl| vec![IdMap::default(); lvl + 1]).collect())
-            .collect();
-        let l0 = (0..layout.k().saturating_sub(1)).map(|_| Slab::default()).collect();
-        let l0_idx = (0..layout.k().saturating_sub(1)).map(|_| KeyIndex::default()).collect();
-        IndependentStore {
-            layout,
-            subs,
-            sub_idx,
-            timelines,
-            payload_idx,
-            l0,
-            l0_idx,
-            mode: ExpiryMode::default(),
-        }
-    }
-
-    fn set_expiry_mode(&mut self, mode: ExpiryMode) {
-        self.mode = mode;
+        let item =
+            |lvl| SubItem { payload: vec![RefLists::default(); lvl + 1], ..SubItem::default() };
+        let subs = layout.sub_lens.iter().map(|&len| (0..len).map(item).collect()).collect();
+        let l0 = (1..layout.k()).map(|_| L0Item::default()).collect();
+        IndependentStore { layout, subs, l0 }
     }
 
     fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(Handle, &[EdgeId])) {
         let item = self.sub_item_id(sub, level);
-        for (slot, row) in self.subs[sub][level].iter() {
+        for (slot, row) in self.subs[sub][level].rows.iter() {
             f(encode(item, slot), &row.edges);
         }
     }
@@ -456,13 +305,12 @@ impl MatchStore for IndependentStore {
         cutoff_ts: u64,
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
-        let item = self.sub_item_id(sub, level);
-        let Some(bucket) = self.sub_idx[sub][level].get(&key) else {
+        let (item, it) = (self.sub_item_id(sub, level), &self.subs[sub][level]);
+        let Some(bucket) = it.index.get(key) else {
             return;
         };
         for slot in bucket.live_before(cutoff_ts) {
-            let row = self.sub_row(sub, level, slot);
-            f(encode(item, slot), &row.edges);
+            f(encode(item, slot), &it.rows.live(slot).edges);
         }
     }
 
@@ -474,13 +322,12 @@ impl MatchStore for IndependentStore {
         min_ts: u64,
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
-        let item = self.sub_item_id(sub, level);
-        let Some(bucket) = self.sub_idx[sub][level].get(&key) else {
+        let (item, it) = (self.sub_item_id(sub, level), &self.subs[sub][level]);
+        let Some(bucket) = it.index.get(key) else {
             return;
         };
         for slot in bucket.live_from(min_ts) {
-            let row = self.sub_row(sub, level, slot);
-            f(encode(item, slot), &row.edges);
+            f(encode(item, slot), &it.rows.live(slot).edges);
         }
     }
 
@@ -498,37 +345,27 @@ impl MatchStore for IndependentStore {
             vec![edge]
         } else {
             let (_, pslot) = decode(parent);
-            let mut edges = self.sub_row(sub, level - 1, pslot).edges.clone();
+            let mut edges = self.subs[sub][level - 1].rows.live(pslot).edges.clone();
             edges.push(edge);
             edges
         };
-        let slot = self.subs[sub][level].insert(SubRow {
-            edges,
-            ts,
-            key,
-            key_pos: 0,
-            tl_pos: 0,
-            ref_pos: Vec::new(),
-        });
-        let key_pos = self.sub_idx[sub][level].entry(key).or_default().push(slot, ts);
-        let tl_pos = self.timelines[sub][level].push(slot, ts);
-        let slab = &mut self.subs[sub][level];
-        let pidx = &mut self.payload_idx[sub][level];
-        let row = slab.get_mut(slot).unwrap_or_else(|| unreachable!("fresh row"));
-        row.key_pos = key_pos;
-        row.tl_pos = tl_pos;
+        let item = self.sub_item_id(sub, level);
+        let SubItem { rows, index, timeline, payload } = &mut self.subs[sub][level];
+        let slot =
+            rows.insert(SubRow { edges, ts, key, key_pos: 0, tl_pos: 0, ref_pos: Vec::new() });
+        let row = rows.live_mut(slot);
+        row.key_pos = index.file(key, slot, ts);
+        row.tl_pos = timeline.push(slot, ts);
         row.ref_pos.reserve_exact(level + 1);
-        for (pos, pidx_level) in pidx.iter_mut().enumerate().take(level + 1) {
-            let refs = pidx_level.entry(row.edges[pos]).or_default();
-            row.ref_pos.push(refs.len() as u32);
-            refs.push(slot);
+        for (pos, lists) in payload.iter_mut().enumerate() {
+            row.ref_pos.push(lists.add(row.edges[pos], slot));
         }
-        encode(self.sub_item_id(sub, level), slot)
+        encode(item, slot)
     }
 
     fn for_each_l0(&self, i: usize, f: &mut dyn FnMut(Handle, &[Handle])) {
         let item = self.l0_item_id(i);
-        for (slot, row) in self.l0[i - 1].iter() {
+        for (slot, row) in self.l0[i - 1].rows.iter() {
             f(encode(item, slot), &row.comps);
         }
     }
@@ -540,13 +377,12 @@ impl MatchStore for IndependentStore {
         min_ts: u64,
         f: &mut dyn FnMut(Handle, &[Handle]),
     ) {
-        let item = self.l0_item_id(i);
-        let Some(bucket) = self.l0_idx[i - 1].get(&key) else {
+        let (item, it) = (self.l0_item_id(i), &self.l0[i - 1]);
+        let Some(bucket) = it.index.get(key) else {
             return;
         };
         for slot in bucket.live_from(min_ts) {
-            let row = self.l0[i - 1].get(slot).unwrap_or_else(|| unreachable!("live L0 row"));
-            f(encode(item, slot), &row.comps);
+            f(encode(item, slot), &it.rows.live(slot).comps);
         }
     }
 
@@ -562,18 +398,15 @@ impl MatchStore for IndependentStore {
             vec![parent, comp]
         } else {
             let (_, pslot) = decode(parent);
-            let mut comps = self.l0[i - 2]
-                .get(pslot)
-                .unwrap_or_else(|| unreachable!("live L0 parent"))
-                .comps
-                .clone();
+            let mut comps = self.l0[i - 2].rows.live(pslot).comps.clone();
             comps.push(comp);
             comps
         };
-        let slot = self.l0[i - 1].insert(L0Row { comps, ts, key, key_pos: 0 });
-        let key_pos = self.l0_idx[i - 1].entry(key).or_default().push(slot, ts);
-        self.l0[i - 1].get_mut(slot).unwrap_or_else(|| unreachable!("fresh row")).key_pos = key_pos;
-        encode(self.l0_item_id(i), slot)
+        let item = self.l0_item_id(i);
+        let L0Item { rows, index } = &mut self.l0[i - 1];
+        let slot = rows.insert(L0Row { comps, ts, key, key_pos: 0 });
+        rows.live_mut(slot).key_pos = index.file(key, slot, ts);
+        encode(item, slot)
     }
 
     fn expand_sub(&self, sub: usize, handle: Handle, out: &mut Vec<EdgeId>) {
@@ -586,7 +419,7 @@ impl MatchStore for IndependentStore {
         for level in (0..self.layout.sub_lens[sub]).rev() {
             let item = self.sub_item_id(sub, level);
             if (handle >> 32) as u32 == item {
-                if let Some(row) = self.subs[sub][level].get(slot) {
+                if let Some(row) = self.subs[sub][level].rows.get(slot) {
                     out.extend_from_slice(&row.edges);
                 }
                 return;
@@ -596,7 +429,6 @@ impl MatchStore for IndependentStore {
     }
 
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize {
-        let mode = self.mode;
         let mut deleted = 0usize;
         let mut dead_handles: IdSet<Handle> = IdSet::default();
         let mut seen: IdSet<(usize, usize)> = IdSet::default();
@@ -607,152 +439,104 @@ impl MatchStore for IndependentStore {
             let leaf_level = self.layout.sub_lens[sub] - 1;
             for level in pos_level..=leaf_level {
                 let item = self.sub_item_id(sub, level);
+                let SubItem { rows, index, timeline, payload } = &mut self.subs[sub][level];
                 // The payload index answers "which rows hold `edge` at
                 // `pos_level`?" directly — and every such row is dead by
                 // definition, so the lookup *is* the death set. No
                 // timeline suffix scan.
-                let Some(refs) = self.payload_idx[sub][level][pos_level].get(&edge) else {
+                let refs = payload[pos_level].get(edge);
+                if refs.is_empty() {
                     // A deeper death would extend a row dying here; none
                     // exists, so the cascade is over for this position.
                     break;
-                };
+                }
                 // Deaths as (absolute timeline position, slot), processed
                 // in timestamp order like the old walk.
-                let mut dead: Vec<(u32, u32)> = refs
-                    .iter()
-                    .map(|&slot| (self.sub_row(sub, level, slot).tl_pos, slot))
-                    .collect();
+                let mut dead: Vec<(u32, u32)> =
+                    refs.iter().map(|&slot| (rows.live(slot).tl_pos, slot)).collect();
                 dead.sort_unstable();
                 let mut touched: Vec<JoinKey> = Vec::with_capacity(dead.len());
                 for &(tpos, slot) in &dead {
-                    let row = self.subs[sub][level]
-                        .remove(slot)
-                        .unwrap_or_else(|| unreachable!("indexed row is live"));
+                    let row =
+                        rows.remove(slot).unwrap_or_else(|| unreachable!("indexed row is live"));
                     debug_assert_eq!(row.edges[pos_level], edge);
                     debug_assert!(level > pos_level || row.ts == ts, "one edge, one timestamp");
                     // Deregister the row from every payload position
                     // (swap-remove + moved-row fixup, O(1) each).
-                    let slab = &mut self.subs[sub][level];
-                    let pidx = &mut self.payload_idx[sub][level];
-                    for (pos, pidx_level) in pidx.iter_mut().enumerate().take(row.edges.len()) {
-                        let e = row.edges[pos];
-                        let rp = row.ref_pos[pos] as usize;
-                        let prefs = pidx_level
-                            .get_mut(&e)
-                            .unwrap_or_else(|| unreachable!("row is registered at every position"));
-                        debug_assert_eq!(prefs[rp], slot, "stale payload back-reference");
-                        prefs.swap_remove(rp);
-                        if let Some(&moved) = prefs.get(rp) {
-                            slab.get_mut(moved)
-                                .unwrap_or_else(|| unreachable!("referencer is live"))
-                                .ref_pos[pos] = rp as u32;
-                        }
-                        if prefs.is_empty() {
-                            pidx_level.remove(&e);
+                    for (pos, lists) in payload.iter_mut().enumerate() {
+                        let rp = row.ref_pos[pos];
+                        if let Some(moved) = lists.remove(row.edges[pos], rp, slot) {
+                            rows.live_mut(moved).ref_pos[pos] = rp;
                         }
                     }
-                    self.sub_idx[sub][level]
-                        .get_mut(&row.key)
-                        .unwrap_or_else(|| unreachable!("indexed row has a bucket"))
-                        .punch(row.key_pos, slot);
+                    index.punch(row.key, row.key_pos, slot);
                     touched.push(row.key);
-                    self.timelines[sub][level].punch(tpos, slot);
+                    timeline.punch(tpos, slot);
                     deleted += 1;
                     if level == leaf_level {
                         dead_handles.insert(encode(item, slot));
                     }
                 }
-                let slab = &mut self.subs[sub][level];
-                finish_touched_buckets(
-                    &mut self.sub_idx[sub][level],
-                    &mut touched,
-                    mode,
-                    |s, pos| {
-                        slab.get_mut(s)
-                            .unwrap_or_else(|| unreachable!("survivor is live"))
-                            .key_pos = pos;
-                    },
-                );
+                index.finish(&mut touched, |s, pos| rows.live_mut(s).key_pos = pos);
                 // Timeline survivors re-record their position on
                 // compaction; a drained timeline resets and stays.
-                self.timelines[sub][level].finish_cascade(mode, |s, pos| {
-                    slab.get_mut(s).unwrap_or_else(|| unreachable!("survivor is live")).tl_pos =
-                        pos;
-                });
+                timeline.finish_cascade(|s, pos| rows.live_mut(s).tl_pos = pos);
             }
         }
         if !dead_handles.is_empty() {
-            for i in 1..self.layout.k() {
+            for L0Item { rows, index } in &mut self.l0 {
                 // Timing-IND keeps full-row scans here: with no child
                 // pointers from leaves into L₀ rows, finding dependents
                 // means inspecting row contents — that scan is the
                 // ablation the paper measures.
-                let dead: Vec<(u32, JoinKey, u32)> = self.l0[i - 1]
+                let dead: Vec<(u32, JoinKey, u32)> = rows
                     .iter()
                     .filter(|(_, row)| row.comps.iter().any(|c| dead_handles.contains(c)))
                     .map(|(slot, row)| (slot, row.key, row.key_pos))
                     .collect();
                 let mut touched: Vec<JoinKey> = Vec::with_capacity(dead.len());
                 for &(slot, key, key_pos) in &dead {
-                    let row = self.l0[i - 1]
-                        .remove(slot)
-                        .unwrap_or_else(|| unreachable!("scanned row is live"));
+                    let row =
+                        rows.remove(slot).unwrap_or_else(|| unreachable!("scanned row is live"));
                     // A row dying through a dead leaf completed no earlier
                     // than that leaf's newest edge — i.e. the expired edge.
                     debug_assert!(row.ts >= ts, "L0 row older than the edge that killed it");
-                    self.l0_idx[i - 1]
-                        .get_mut(&key)
-                        .unwrap_or_else(|| unreachable!("indexed row has a bucket"))
-                        .punch(key_pos, slot);
+                    index.punch(key, key_pos, slot);
                     touched.push(key);
                     deleted += 1;
                 }
-                let slab = &mut self.l0[i - 1];
-                finish_touched_buckets(&mut self.l0_idx[i - 1], &mut touched, mode, |s, pos| {
-                    slab.get_mut(s).unwrap_or_else(|| unreachable!("survivor is live")).key_pos =
-                        pos;
-                });
+                index.finish(&mut touched, |s, pos| rows.live_mut(s).key_pos = pos);
             }
         }
         deleted
     }
 
     fn len_sub(&self, sub: usize, level: usize) -> usize {
-        self.subs[sub][level].len
+        self.subs[sub][level].rows.len
     }
 
     fn len_l0(&self, i: usize) -> usize {
-        self.l0[i - 1].len
+        self.l0[i - 1].rows.len
     }
 
     fn space_bytes(&self) -> usize {
         use std::mem::size_of;
-        let index_bytes = |ix: &KeyIndex| {
-            ix.len() * (size_of::<JoinKey>() + size_of::<DrainBucket>())
-                + ix.values().map(DrainBucket::heap_bytes).sum::<usize>()
-        };
         let mut bytes = 0;
-        for (sub, levels) in self.subs.iter().enumerate() {
-            for (level, slab) in levels.iter().enumerate() {
-                bytes += slab.slots.capacity() * size_of::<Option<SubRow>>();
-                for (_, row) in slab.iter() {
-                    bytes += row.edges.capacity() * size_of::<EdgeId>();
-                    bytes += row.ref_pos.capacity() * size_of::<u32>();
-                }
-                bytes += index_bytes(&self.sub_idx[sub][level]);
-                bytes += self.timelines[sub][level].heap_bytes();
-                for map in &self.payload_idx[sub][level] {
-                    bytes += map.len() * (size_of::<EdgeId>() + size_of::<Vec<u32>>());
-                    bytes += map.values().map(|v| v.capacity() * size_of::<u32>()).sum::<usize>();
-                }
+        for it in self.subs.iter().flatten() {
+            bytes += it.rows.slots.capacity() * size_of::<Option<SubRow>>();
+            for (_, row) in it.rows.iter() {
+                bytes += row.edges.capacity() * size_of::<EdgeId>();
+                bytes += row.ref_pos.capacity() * size_of::<u32>();
             }
+            bytes += it.index.heap_bytes() + it.timeline.heap_bytes();
+            bytes += it.payload.iter().map(RefLists::heap_bytes).sum::<usize>();
         }
-        for (i, slab) in self.l0.iter().enumerate() {
-            bytes += slab.slots.capacity() * size_of::<Option<L0Row>>();
-            for (_, row) in slab.iter() {
+        for it in &self.l0 {
+            bytes += it.rows.slots.capacity() * size_of::<Option<L0Row>>();
+            for (_, row) in it.rows.iter() {
                 bytes += row.comps.capacity() * size_of::<Handle>();
             }
-            bytes += index_bytes(&self.l0_idx[i]);
+            bytes += it.index.heap_bytes();
         }
         bytes
     }
@@ -833,6 +617,12 @@ mod tests {
     fn conformance_tombstones_match_model() {
         conformance::tombstoned_buckets_match_model_store::<IndependentStore>();
     }
+    #[test]
+    fn conformance_interior_compaction() {
+        conformance::interior_deaths_compact_past_the_threshold::<IndependentStore>(|s| {
+            s.subs[0][1].index.get(7)
+        });
+    }
 
     #[test]
     fn payload_index_finds_descendant_deaths() {
@@ -897,5 +687,27 @@ mod tests {
         assert_eq!(c, a, "slot reused");
         assert_eq!(s.get(b), Some(&2));
         assert_eq!(s.iter().count(), 2);
+    }
+
+    #[test]
+    fn audit_reports_each_corrupted_field() {
+        // One corrupted field per invariant family of a level-1 row, each
+        // on a fresh store.
+        type Corrupt = fn(&mut Slab<SubRow>);
+        let cases: [(&str, Corrupt); 3] = [
+            ("bucket-position", |slab| slab.live_mut(0).key_pos += 1),
+            ("payload-position", |slab| slab.live_mut(0).ref_pos[0] += 1),
+            ("slab-accounting", |slab| slab.len += 1),
+        ];
+        for (slug, corrupt) in cases {
+            let mut s = IndependentStore::new(StoreLayout { sub_lens: vec![2] });
+            let a = s.insert_sub(0, 0, ROOT, EdgeId(1), 1, 0);
+            s.insert_sub(0, 1, a, EdgeId(2), 2, 0);
+            s.assert_clean();
+            corrupt(&mut s.subs[0][1].rows);
+            let found = s.audit();
+            let hit = found.iter().any(|v| (v.store, v.invariant) == ("independent", slug));
+            assert!(hit, "{found:?}");
+        }
     }
 }

@@ -43,18 +43,20 @@
 //! are always a bucket's oldest prefix), and interior holes from cascaded
 //! descendants are physically compacted only once they outnumber the live
 //! entries (see the tombstone-lifecycle section of the `store.rs` docs).
+//!
+//! The tree owns only its node representation. The key index, the
+//! referencer lists and the audit are the shared [`KeyIndex`],
+//! [`RefLists`] and [`audit_tree`] of `store.rs`, the same code the
+//! concurrent tree and Timing-IND run.
 
 use crate::store::{
-    finish_touched_buckets, AuditViolation, DrainBucket, ExpiryMode, Handle, JoinKey, MatchStore,
-    StoreAudit, StoreLayout, ROOT,
+    audit_tree, AuditViolation, DrainBucket, Handle, ItemView, JoinKey, KeyIndex, MatchStore,
+    NodeView, RefLists, StoreAudit, StoreLayout, NIL, ROOT,
 };
-use std::collections::HashSet;
 use tcs_graph::query::MAX_QUERY_EDGES;
-use tcs_graph::{EdgeId, IdMap};
+use tcs_graph::EdgeId;
 
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Node {
     /// Data-edge id (subquery trees) or component handle (L₀ levels ≥ 1).
     payload: u64,
@@ -99,7 +101,7 @@ pub struct MsTreeStore {
     /// Per-item join-key index: key → tombstoned ordered bucket of node
     /// indices, kept coherent with the intrusive item lists through
     /// `expire_edge`.
-    indexes: Vec<IdMap<JoinKey, DrainBucket>>,
+    indexes: Vec<KeyIndex>,
     /// Start of each subquery's item range in `items`.
     sub_offsets: Vec<usize>,
     /// Start of the L₀ item range (items `l0_base + (i−1)` for `i ≥ 1`).
@@ -108,10 +110,7 @@ pub struct MsTreeStore {
     /// node's payload) → the L₀ nodes of that item referencing it. Turns
     /// Algorithm 2's dead-leaf scan into O(deaths) lookups; kept coherent
     /// by `insert_l0` / `unlink` via each node's `ref_pos`.
-    l0_refs: Vec<IdMap<u64, Vec<u32>>>,
-    /// Expiry compaction policy (the EagerCompact ablation reproduces the
-    /// previous compact-every-cascade behavior).
-    mode: ExpiryMode,
+    l0_refs: Vec<RefLists<u64>>,
     /// `expire_edge`'s buffers, reused across cascades.
     scratch: ExpireScratch,
 }
@@ -129,7 +128,7 @@ struct ExpireScratch {
     seen_items: Vec<usize>,
     /// `(item, key)` of every punched bucket entry.
     touched: Vec<(usize, JoinKey)>,
-    /// One item's share of `touched`, handed to [`finish_touched_buckets`].
+    /// One item's share of `touched`, handed to [`KeyIndex::finish`].
     keys: Vec<JoinKey>,
 }
 
@@ -219,7 +218,7 @@ impl MsTreeStore {
             self.link_under_parent(idx, parent_idx);
         }
         self.link_into_item(idx);
-        self.nodes[idx as usize].key_pos = self.indexes[item].entry(key).or_default().push(idx, ts);
+        self.nodes[idx as usize].key_pos = self.indexes[item].file(key, idx, ts);
         idx as Handle
     }
 
@@ -247,90 +246,54 @@ impl MsTreeStore {
         }
     }
 
-    /// Removes a node from its item's key bucket by punching a tombstone
-    /// at its stored position (keeps the bucket's timestamp order; a
-    /// swap-remove would move the newest entry into the middle). The
-    /// touched `(item, key)` is recorded so [`MsTreeStore::finish_buckets`]
-    /// can front-drain / threshold-compact once the cascade is unlinked.
-    fn unindex(&mut self, idx: u32, touched: &mut Vec<(usize, JoinKey)>) {
-        let (item, key, pos) = {
-            let n = &self.nodes[idx as usize];
-            (n.item as usize, n.key, n.key_pos)
-        };
-        self.indexes[item]
-            .get_mut(&key)
-            .unwrap_or_else(|| unreachable!("indexed node has a bucket"))
-            .punch(pos, idx);
-        touched.push((item, key));
-    }
-
-    /// End-of-cascade bucket maintenance: front-drain the leading
-    /// tombstones of every touched bucket, compact past the tombstone
-    /// threshold (or always, under [`ExpiryMode::EagerCompact`]), and drop
-    /// buckets with no live entry — one [`finish_touched_buckets`] call
-    /// per touched item. Survivors keep their relative (timestamp) order
-    /// and get their positions re-recorded on compaction.
+    /// End-of-cascade bucket maintenance: one [`KeyIndex::finish`] per
+    /// touched item. Survivors keep their relative (timestamp) order and
+    /// get their positions re-recorded on compaction.
     fn finish_buckets(&mut self, touched: &mut [(usize, JoinKey)], keys: &mut Vec<JoinKey>) {
         touched.sort_unstable();
         for of_item in touched.chunk_by(|a, b| a.0 == b.0) {
             keys.clear();
             keys.extend(of_item.iter().map(|&(_, key)| key));
             let nodes = &mut self.nodes;
-            finish_touched_buckets(
-                &mut self.indexes[of_item[0].0],
-                keys,
-                self.mode,
-                |slot, pos| nodes[slot as usize].key_pos = pos,
-            );
+            self.indexes[of_item[0].0].finish(keys, |slot, pos| nodes[slot as usize].key_pos = pos);
         }
     }
 
-    /// Unlinks a dead node from its item list, its key bucket, its L₀
-    /// referencer list (if it is an L₀ node), and its parent's child list.
+    /// Unlinks a dead node from its item list, its key bucket (punching a
+    /// tombstone and recording the touched `(item, key)` for
+    /// [`MsTreeStore::finish_buckets`]), its L₀ referencer list (if it is
+    /// an L₀ node), and its parent's child list.
     fn unlink(&mut self, idx: u32, touched: &mut Vec<(usize, JoinKey)>) {
-        self.unindex(idx, touched);
-        let (prev, next, item, parent, prev_sib, next_sib) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next, n.item, n.parent, n.prev_sib, n.next_sib)
-        };
-        if item as usize >= self.l0_base {
-            let (payload, rp) = {
-                let n = &self.nodes[idx as usize];
-                (n.payload, n.ref_pos as usize)
-            };
-            let refs = self.l0_refs[item as usize - self.l0_base]
-                .get_mut(&payload)
-                .unwrap_or_else(|| unreachable!("L0 node is registered as a referencer"));
-            debug_assert_eq!(refs.get(rp), Some(&idx), "stale referencer back-reference");
-            refs.swap_remove(rp);
-            if let Some(&moved) = refs.get(rp) {
-                self.nodes[moved as usize].ref_pos = rp as u32;
-            }
-            if refs.is_empty() {
-                self.l0_refs[item as usize - self.l0_base].remove(&payload);
+        let n = self.nodes[idx as usize];
+        let item = n.item as usize;
+        self.indexes[item].punch(n.key, n.key_pos, idx);
+        touched.push((item, n.key));
+        if let Some(refs) = item.checked_sub(self.l0_base) {
+            if let Some(moved) = self.l0_refs[refs].remove(n.payload, n.ref_pos, idx) {
+                self.nodes[moved as usize].ref_pos = n.ref_pos;
             }
         }
         // Item list.
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
+        if n.prev != NIL {
+            self.nodes[n.prev as usize].next = n.next;
         } else {
-            self.items[item as usize].head = next;
+            self.items[item].head = n.next;
         }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
+        if n.next != NIL {
+            self.nodes[n.next as usize].prev = n.prev;
         } else {
-            self.items[item as usize].tail = prev;
+            self.items[item].tail = n.prev;
         }
-        self.items[item as usize].len -= 1;
+        self.items[item].len -= 1;
         // Child list of the parent (harmless when the parent is dead too).
-        if parent != NIL {
-            if prev_sib != NIL {
-                self.nodes[prev_sib as usize].next_sib = next_sib;
-            } else if self.nodes[parent as usize].first_child == idx {
-                self.nodes[parent as usize].first_child = next_sib;
+        if n.parent != NIL {
+            if n.prev_sib != NIL {
+                self.nodes[n.prev_sib as usize].next_sib = n.next_sib;
+            } else if self.nodes[n.parent as usize].first_child == idx {
+                self.nodes[n.parent as usize].first_child = n.next_sib;
             }
-            if next_sib != NIL {
-                self.nodes[next_sib as usize].prev_sib = prev_sib;
+            if n.next_sib != NIL {
+                self.nodes[n.next_sib as usize].prev_sib = n.prev_sib;
             }
         }
     }
@@ -378,254 +341,24 @@ impl MsTreeStore {
     /// their timestamps), so range reads binary-search the entries.
     #[inline]
     fn bucket(&self, item: usize, key: JoinKey) -> Option<&DrainBucket> {
-        self.indexes[item].get(&key)
-    }
-
-    /// Walks item `i`'s intrusive list, reporting list-structure, order
-    /// and index-coherence violations, and returns the set of linked
-    /// nodes (for the cross-item reference checks of the audit).
-    fn audit_item(&self, i: usize, out: &mut Vec<AuditViolation>) -> HashSet<u32> {
-        const S: &str = "ms-tree";
-        let item = &self.items[i];
-        let mut live = HashSet::new();
-        let mut n = item.head;
-        let mut prev = NIL;
-        let mut prev_ts = 0u64;
-        while n != NIL {
-            if !live.insert(n) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "list-cycle",
-                    detail: format!("item {i}: node {n} linked twice"),
-                });
-                break;
-            }
-            let node = &self.nodes[n as usize];
-            if node.dead {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "dead-node-linked",
-                    detail: format!("item {i}: node {n} is dead but still listed"),
-                });
-            }
-            if node.prev != prev {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "list-backlink",
-                    detail: format!("item {i}: node {n} prev is {} not {prev}", node.prev),
-                });
-            }
-            if node.item as usize != i {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "list-membership",
-                    detail: format!("item {i}: node {n} claims item {}", node.item),
-                });
-            }
-            if node.ts < prev_ts {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "item-timestamp-order",
-                    detail: format!("item {i}: node {n} ts {} after ts {prev_ts}", node.ts),
-                });
-            }
-            prev_ts = node.ts;
-            match self.indexes[i].get(&node.key) {
-                None => out.push(AuditViolation {
-                    store: S,
-                    invariant: "missing-bucket",
-                    detail: format!("item {i}: node {n} filed under absent key {}", node.key),
-                }),
-                Some(bucket) => {
-                    let pos_ok = node.key_pos >= bucket.front()
-                        && bucket
-                            .indexed()
-                            .get((node.key_pos - bucket.front()) as usize)
-                            .is_some_and(|e| e.slot == n);
-                    if !pos_ok {
-                        out.push(AuditViolation {
-                            store: S,
-                            invariant: "bucket-position",
-                            detail: format!(
-                                "item {i}: node {n} position {} does not round-trip in key {}",
-                                node.key_pos, node.key
-                            ),
-                        });
-                    }
-                }
-            }
-            prev = n;
-            n = node.next;
-        }
-        if live.len() != item.len {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "item-length",
-                detail: format!("item {i}: walked {} nodes, recorded len {}", live.len(), item.len),
-            });
-        }
-        if item.tail != prev {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "list-tail",
-                detail: format!("item {i}: tail is {} not {prev}", item.tail),
-            });
-        }
-        let indexed: usize = self.indexes[i].values().map(DrainBucket::live_len).sum();
-        if indexed != item.len {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "index-live-size",
-                detail: format!("item {i}: {indexed} live index entries vs len {}", item.len),
-            });
-        }
-        for (key, bucket) in &self.indexes[i] {
-            if bucket.live_len() == 0 {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "empty-bucket-retained",
-                    detail: format!("item {i}: key {key} bucket has no live entry"),
-                });
-            }
-            bucket.audit(S, &format!("item {i} key {key}"), out);
-        }
-        live
+        self.indexes[item].get(key)
     }
 }
 
 impl StoreAudit for MsTreeStore {
     fn audit(&self) -> Vec<AuditViolation> {
-        const S: &str = "ms-tree";
-        let mut out = Vec::new();
-        // Pass 1: per-item list/index coherence, collecting live sets.
-        let live_of: Vec<HashSet<u32>> =
-            (0..self.items.len()).map(|i| self.audit_item(i, &mut out)).collect();
-        // Pass 2: cross-item references. Subquery nodes chain to a live
-        // parent one level up; L₀ nodes chain to the previous L₀ item
-        // (item 1: the grafted subquery-0 leaf) and their payloads point
-        // at live complete matches of their subquery.
-        let k = self.layout.k();
-        let check_parent = |n: u32, parent_item: usize, out: &mut Vec<AuditViolation>| {
-            let parent = self.nodes[n as usize].parent;
-            if parent == NIL || !live_of[parent_item].contains(&parent) {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "dangling-parent",
-                    detail: format!(
-                        "node {n}: parent {parent} is not a live node of item {parent_item}"
-                    ),
-                });
-            }
+        let node = |n: u32| {
+            let Node { payload, ts, parent, next, prev, item, key, key_pos, ref_pos, dead, .. } =
+                self.nodes[n as usize];
+            let item = Some(item);
+            NodeView { payload, ts, parent, prev, next, dead, item, key, key_pos, ref_pos }
         };
-        for sub in 0..k {
-            for level in 0..self.layout.sub_lens[sub] {
-                let item = self.sub_item(sub, level);
-                for &n in &live_of[item] {
-                    if level == 0 {
-                        if self.nodes[n as usize].parent != NIL {
-                            out.push(AuditViolation {
-                                store: S,
-                                invariant: "dangling-parent",
-                                detail: format!("root-level node {n} has a parent"),
-                            });
-                        }
-                    } else {
-                        check_parent(n, self.sub_item(sub, level - 1), &mut out);
-                    }
-                }
-            }
-        }
-        for i in 1..k {
-            let item = self.l0_item(i);
-            let parent_item = if i == 1 {
-                self.sub_item(0, self.layout.sub_lens[0] - 1)
-            } else {
-                self.l0_item(i - 1)
-            };
-            let leaf_item = self.sub_item(i, self.layout.sub_lens[i] - 1);
-            for &n in &live_of[item] {
-                check_parent(n, parent_item, &mut out);
-                let comp = self.nodes[n as usize].payload;
-                if u32::try_from(comp).is_err() || !live_of[leaf_item].contains(&(comp as u32)) {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "dangling-component",
-                        detail: format!(
-                            "L0 item {i} node {n}: component {comp} is not a live \
-                             complete match of subquery {i}"
-                        ),
-                    });
-                }
-            }
-        }
-        // Referencer-index coherence: every live L₀ node is registered
-        // under its payload at its recorded position, and the index holds
-        // nothing else.
-        for i in 1..k {
-            let item = self.l0_item(i);
-            for &n in &live_of[item] {
-                let node = &self.nodes[n as usize];
-                let ok = self.l0_refs[i - 1]
-                    .get(&node.payload)
-                    .and_then(|refs| refs.get(node.ref_pos as usize))
-                    .is_some_and(|&r| r == n);
-                if !ok {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "referencer-position",
-                        detail: format!(
-                            "L0 item {i} node {n}: ref_pos {} does not round-trip under \
-                             payload {}",
-                            node.ref_pos, node.payload
-                        ),
-                    });
-                }
-            }
-            let registered: usize = self.l0_refs[i - 1].values().map(Vec::len).sum();
-            if registered != live_of[item].len() {
-                out.push(AuditViolation {
-                    store: S,
-                    invariant: "referencer-size",
-                    detail: format!(
-                        "L0 item {i}: {registered} registered referencers vs {} live rows",
-                        live_of[item].len()
-                    ),
-                });
-            }
-        }
-        // Allocator accounting: linked + free covers the arena exactly.
-        let free: HashSet<u32> = self.free.iter().copied().collect();
-        if free.len() != self.free.len() {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "free-list-duplicates",
-                detail: format!("{} free entries, {} distinct", self.free.len(), free.len()),
-            });
-        }
-        let linked: usize = live_of.iter().map(HashSet::len).sum();
-        if linked + free.len() != self.nodes.len() {
-            out.push(AuditViolation {
-                store: S,
-                invariant: "arena-accounting",
-                detail: format!(
-                    "{linked} linked + {} free != {} arena nodes",
-                    free.len(),
-                    self.nodes.len()
-                ),
-            });
-        }
-        for set in &live_of {
-            for n in set {
-                if free.contains(n) {
-                    out.push(AuditViolation {
-                        store: S,
-                        invariant: "free-live-overlap",
-                        detail: format!("node {n} is both linked and on the free list"),
-                    });
-                }
-            }
-        }
-        out
+        let item = |i: usize, f: &mut dyn FnMut(ItemView<'_>)| {
+            let ItemList { head, tail, len } = self.items[i];
+            let refs = i.checked_sub(self.l0_base).map(|j| &self.l0_refs[j]);
+            f(ItemView { head, tail, len, index: &self.indexes[i], refs })
+        };
+        audit_tree("ms-tree", &self.layout, node, item, &self.free, self.nodes.len())
     }
 }
 
@@ -641,20 +374,15 @@ impl MatchStore for MsTreeStore {
         let l0_items = layout.k().saturating_sub(1);
         MsTreeStore {
             items: vec![ItemList { head: NIL, tail: NIL, len: 0 }; acc + l0_items],
-            indexes: vec![IdMap::default(); acc + l0_items],
-            l0_refs: vec![IdMap::default(); l0_items],
+            indexes: vec![KeyIndex::default(); acc + l0_items],
+            l0_refs: vec![RefLists::default(); l0_items],
             layout,
             nodes: Vec::new(),
             free: Vec::new(),
             sub_offsets,
             l0_base,
-            mode: ExpiryMode::default(),
             scratch: ExpireScratch::default(),
         }
-    }
-
-    fn set_expiry_mode(&mut self, mode: ExpiryMode) {
-        self.mode = mode;
     }
 
     fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(Handle, &[EdgeId])) {
@@ -756,10 +484,7 @@ impl MatchStore for MsTreeStore {
         let h = self.insert_node(comp, parent, item, ts, key);
         // Register with the referencer index so a death of the component
         // leaf finds this row by lookup instead of an item scan.
-        let refs = self.l0_refs[i - 1].entry(comp).or_default();
-        let pos = refs.len() as u32;
-        refs.push(h as u32);
-        self.nodes[h as usize].ref_pos = pos;
+        self.nodes[h as usize].ref_pos = self.l0_refs[i - 1].add(comp, h as u32);
         h
     }
 
@@ -822,7 +547,7 @@ impl MatchStore for MsTreeStore {
                 if nodes[leaf as usize].item as usize != leaf_item {
                     continue;
                 }
-                for &n in l0_refs[i - 1].get(&u64::from(leaf)).map_or(&[][..], Vec::as_slice) {
+                for &n in l0_refs[i - 1].get(u64::from(leaf)) {
                     Self::mark_cascade(nodes, n, &mut sc.marked);
                 }
             }
@@ -852,14 +577,7 @@ impl MatchStore for MsTreeStore {
     fn space_bytes(&self) -> usize {
         use std::mem::size_of;
         let live = self.nodes.len() - self.free.len();
-        let index_bytes: usize = self
-            .indexes
-            .iter()
-            .map(|ix| {
-                ix.len() * (size_of::<JoinKey>() + size_of::<DrainBucket>())
-                    + ix.values().map(DrainBucket::heap_bytes).sum::<usize>()
-            })
-            .sum();
+        let index_bytes: usize = self.indexes.iter().map(KeyIndex::heap_bytes).sum();
         live * size_of::<Node>() + self.items.len() * size_of::<ItemList>() + index_bytes
     }
 }
@@ -938,6 +656,12 @@ mod tests {
     fn conformance_tombstones_match_model() {
         conformance::tombstoned_buckets_match_model_store::<MsTreeStore>();
     }
+    #[test]
+    fn conformance_interior_compaction() {
+        conformance::interior_deaths_compact_past_the_threshold::<MsTreeStore>(|s| {
+            s.indexes[1].get(7)
+        });
+    }
 
     #[test]
     fn l0_referencer_index_tracks_rows() {
@@ -954,18 +678,19 @@ mod tests {
         s.insert_l0(1, a1, b1, 10, 0);
         s.insert_l0(1, a2, b2, 11, 0);
         s.insert_l0(1, a3, b1, 12, 0);
-        assert_eq!(s.l0_refs[0].get(&b1).map(Vec::len), Some(2));
-        assert_eq!(s.l0_refs[0].get(&b2).map(Vec::len), Some(1));
+        assert_eq!(s.l0_refs[0].get(b1).len(), 2);
+        assert_eq!(s.l0_refs[0].get(b2).len(), 1);
         s.assert_clean();
         let n = s.expire_edge(EdgeId(10), 10, &[(1, 0)]);
         assert_eq!(n, 3, "leaf b1 and its two referencing rows");
         assert_eq!(s.len_l0(1), 1);
-        assert!(!s.l0_refs[0].contains_key(&b1), "emptied referencer lists are dropped");
-        assert_eq!(s.l0_refs[0].get(&b2).map(Vec::len), Some(1));
+        assert!(s.l0_refs[0].get(b1).is_empty());
+        assert_eq!(s.l0_refs[0].get(b2).len(), 1);
+        // The audit reports any emptied referencer list still kept.
         s.assert_clean();
         let n2 = s.expire_edge(EdgeId(11), 11, &[(1, 0)]);
         assert_eq!(n2, 2);
-        assert!(s.l0_refs[0].is_empty());
+        assert!(s.l0_refs[0].get(b2).is_empty());
         s.assert_clean();
     }
 
@@ -1156,5 +881,30 @@ mod tests {
         assert_eq!(s.len_sub(1, 0), 1);
         assert_eq!(s.len_sub(2, 0), 1);
         s.assert_clean();
+    }
+
+    #[test]
+    fn audit_reports_each_corrupted_field() {
+        // One corrupted field per invariant family, each on a fresh store
+        // holding an L₀ row `r` and one freed node.
+        type Corrupt = fn(&mut MsTreeStore, usize);
+        let cases: [(&str, Corrupt); 4] = [
+            ("bucket-position", |s, r| s.nodes[r].key_pos += 1),
+            ("referencer-position", |s, r| s.nodes[r].ref_pos += 1),
+            ("list-backlink", |s, r| s.nodes[r].prev = r as u32),
+            ("free-list-duplicates", |s, _| s.free.push(s.free[0])),
+        ];
+        for (slug, corrupt) in cases {
+            let mut s = MsTreeStore::new(StoreLayout { sub_lens: vec![1, 1] });
+            let a = s.insert_sub(0, 0, ROOT, EdgeId(1), 1, 0);
+            let b = s.insert_sub(1, 0, ROOT, EdgeId(2), 2, 0);
+            let r = s.insert_l0(1, a, b, 2, 0) as usize;
+            s.insert_sub(1, 0, ROOT, EdgeId(3), 3, 0);
+            s.expire_edge(EdgeId(3), 3, &[(1, 0)]);
+            s.assert_clean();
+            corrupt(&mut s, r);
+            let found = s.audit();
+            assert!(found.iter().any(|v| (v.store, v.invariant) == ("ms-tree", slug)), "{found:?}");
+        }
     }
 }

@@ -131,16 +131,29 @@
 //!
 //! Steps 2–3 and the empty-bucket drop run unconditionally at the end of
 //! every cascade, through one routine all three stores call per touched
-//! item: [`finish_touched_buckets`].
+//! item: [`KeyIndex::finish`].
 //!
 //! Iterators skip tombstones, so readers never observe them; `len_sub` /
 //! `len_l0` count live rows only, which keeps the engines'
 //! `live_partials == store_rows()` accounting exact under tombstones.
-//! [`ExpiryMode::EagerCompact`] disables steps 2–3 (every touched bucket
-//! is compacted at the end of every cascade — the previous
-//! hole-compaction behavior) and exists as the benchmark ablation
-//! baseline behind `BENCH_join.json`'s `expiry_rows` gate.
+//!
+//! # Shared per-item bookkeeping
+//!
+//! The three stores differ only in how they represent a row (trie node,
+//! flat row, guarded atomic node). Everything else about an item is
+//! written once, here, and is the only implementation of it:
+//!
+//! * [`KeyIndex`] — the item's `JoinKey → DrainBucket` map: filing,
+//!   punching, the end-of-cascade finish, byte accounting and its audit;
+//! * [`RefLists`] — lists whose members record their own position (the
+//!   trees' `L₀` referencer index, Timing-IND's payload index), with the
+//!   swap-remove that hands back the moved member, and its audit;
+//! * [`audit_tree`] — the list, parent, component and arena audit of
+//!   both MS-trees, read through a per-node [`NodeView`].
 
+use std::collections::HashSet;
+use std::hash::Hash;
+use std::mem::size_of;
 use tcs_graph::{EdgeId, IdMap};
 
 /// Opaque reference to a stored partial match.
@@ -227,17 +240,17 @@ pub const ROOT: Handle = Handle::MAX;
 
 /// How a store retires the bucket entries of expired rows (see the
 /// "Expiry cost and the tombstone lifecycle" section of the module docs).
+/// One policy is left, so the type selects nothing; it stays only because
+/// the frozen benchmark's `TracedStore` names it (through
+/// [`MatchStore::set_expiry_mode`]). Queued for the benchmark PR that
+/// drops it there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExpiryMode {
     /// Front-drain the oldest prefix, tombstone interior holes, compact a
-    /// bucket only once dead entries outnumber live ones (the default:
-    /// steady-state expiry is O(deaths)).
+    /// bucket only once dead entries outnumber live ones (steady-state
+    /// expiry is O(deaths)).
     #[default]
     FrontDrain,
-    /// Compact every touched bucket at the end of every cascade — the
-    /// previous hole-compaction behavior, kept as the ablation baseline
-    /// behind the `expiry_rows` benchmark gate.
-    EagerCompact,
 }
 
 /// Slot value marking a punched (tombstoned) [`DrainBucket`] entry.
@@ -326,6 +339,14 @@ impl DrainBucket {
         self.tombs
     }
 
+    /// `true` when absolute position `pos` holds live row `slot` with
+    /// timestamp `ts` — a row's stored back-reference round-trips.
+    #[inline]
+    pub fn holds(&self, pos: u32, slot: u32, ts: u64) -> bool {
+        let at = pos.checked_sub(self.start).and_then(|i| self.indexed().get(i as usize));
+        at.is_some_and(|e| e.slot == slot && e.ts == ts)
+    }
+
     /// Live slots of the whole bucket, oldest first.
     #[inline]
     pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
@@ -349,11 +370,11 @@ impl DrainBucket {
     }
 
     /// End-of-cascade maintenance: drain leading tombstones off the front,
-    /// then compact if the mode demands it or dead space crossed the
-    /// threshold, re-recording every surviving row's position through
-    /// `reindex(slot, new_pos)`. Returns `true` when no live entry remains
-    /// (the caller drops the bucket).
-    pub fn finish_cascade(&mut self, mode: ExpiryMode, reindex: impl FnMut(u32, u32)) -> bool {
+    /// then compact if dead space crossed the threshold, re-recording
+    /// every surviving row's position through `reindex(slot, new_pos)`.
+    /// Returns `true` when no live entry remains (the caller drops the
+    /// bucket).
+    pub fn finish_cascade(&mut self, reindex: impl FnMut(u32, u32)) -> bool {
         while let Some(e) = self.entries.get(self.start as usize) {
             if e.slot != TOMBSTONE {
                 break;
@@ -370,9 +391,7 @@ impl DrainBucket {
             self.tombs = 0;
             return true;
         }
-        let dead = self.start + self.tombs;
-        let threshold = dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len();
-        if mode == ExpiryMode::EagerCompact || threshold {
+        if self.past_threshold() {
             self.compact(reindex);
         }
         false
@@ -403,69 +422,377 @@ impl DrainBucket {
     /// space below the compaction threshold. `store`/`what` label the
     /// violations (e.g. `"ms-tree"`, `"item 3 key 7"`).
     pub fn audit(&self, store: &'static str, what: &str, out: &mut Vec<AuditViolation>) {
+        let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
         let ix = self.indexed();
-        for (pos, w) in ix.windows(2).enumerate() {
-            if w[0].ts > w[1].ts {
-                out.push(AuditViolation {
-                    store,
-                    invariant: "bucket-timestamp-order",
-                    detail: format!(
-                        "{what}: entry {pos} has ts {} > successor ts {}",
-                        w[0].ts, w[1].ts
-                    ),
-                });
-                break;
-            }
+        if let Some(pos) = ix.windows(2).position(|w| w[0].ts > w[1].ts) {
+            report("bucket-timestamp-order", format!("{what}: entry {pos} newer than the next"));
         }
         let tombs = ix.iter().filter(|e| e.slot == TOMBSTONE).count() as u32;
         if tombs != self.tombs {
-            out.push(AuditViolation {
-                store,
-                invariant: "tombstone-count",
-                detail: format!("{what}: counted {tombs} tombstones, recorded {}", self.tombs),
-            });
+            report(
+                "tombstone-count",
+                format!("{what}: {tombs} tombstones, recorded {}", self.tombs),
+            );
         }
         if ix.first().is_some_and(|e| e.slot == TOMBSTONE) {
-            out.push(AuditViolation {
-                store,
-                invariant: "front-drain",
-                detail: format!("{what}: tombstone at the bucket front survived finish_cascade"),
-            });
+            report("front-drain", format!("{what}: tombstone at the front after finish_cascade"));
         }
+        if self.past_threshold() {
+            report("dead-space-threshold", format!("{what}: dead space past the threshold"));
+        }
+    }
+
+    /// Dead entries (drained or tombstoned) reached the compaction
+    /// threshold.
+    #[inline]
+    fn past_threshold(&self) -> bool {
         let dead = self.start + self.tombs;
-        if dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len() {
-            out.push(AuditViolation {
-                store,
-                invariant: "dead-space-threshold",
-                detail: format!(
-                    "{what}: {dead} dead entries vs {} live crossed the compaction threshold",
-                    self.live_len()
-                ),
-            });
+        dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len()
+    }
+}
+
+/// One item's join-key index: `JoinKey →` [`DrainBucket`] of row slots.
+/// Every store keeps one per item; a row stores the position
+/// [`KeyIndex::file`] hands back and is re-recorded through the `reindex`
+/// callback of [`KeyIndex::finish`] when its bucket compacts.
+#[derive(Clone, Debug, Default)]
+pub struct KeyIndex {
+    buckets: IdMap<JoinKey, DrainBucket>,
+}
+
+impl KeyIndex {
+    /// Files row `slot` with timestamp `ts` under `key`; returns its bucket
+    /// position (the row's back-reference for [`KeyIndex::punch`]).
+    #[inline]
+    pub fn file(&mut self, key: JoinKey, slot: u32, ts: u64) -> u32 {
+        self.buckets.entry(key).or_default().push(slot, ts)
+    }
+
+    /// The bucket of `key`, if any live row is filed under it.
+    #[inline]
+    pub fn get(&self, key: JoinKey) -> Option<&DrainBucket> {
+        self.buckets.get(&key)
+    }
+
+    /// Punches row `slot` at its recorded position `pos` in `key`'s bucket.
+    #[inline]
+    pub fn punch(&mut self, key: JoinKey, pos: u32, slot: u32) {
+        let bucket = self.buckets.get_mut(&key);
+        bucket.unwrap_or_else(|| unreachable!("filed row has a bucket")).punch(pos, slot);
+    }
+
+    /// The end of a cascade that punched rows under the `touched` keys
+    /// (any order, repeats allowed): each touched bucket gets one
+    /// [`DrainBucket::finish_cascade`], survivors of a compaction re-record
+    /// their position through `reindex(slot, new_pos)`, and buckets left
+    /// with no live entry are dropped.
+    pub fn finish(&mut self, touched: &mut Vec<JoinKey>, mut reindex: impl FnMut(u32, u32)) {
+        touched.sort_unstable();
+        touched.dedup();
+        for key in touched.iter() {
+            let bucket = self.buckets.get_mut(key).unwrap_or_else(|| unreachable!("touched"));
+            if bucket.finish_cascade(&mut reindex) {
+                self.buckets.remove(key);
+            }
+        }
+    }
+
+    /// Bytes held: one map entry per key plus every bucket's heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.buckets.len() * (size_of::<JoinKey>() + size_of::<DrainBucket>())
+            + self.buckets.values().map(DrainBucket::heap_bytes).sum::<usize>()
+    }
+
+    /// Audits the index against the item's live rows, given as `(slot,
+    /// key, key_pos, ts)`, `len` being the item's recorded live count:
+    /// every row's bucket entry round-trips, the buckets hold `len` live
+    /// entries, no live-empty bucket survives, and each bucket passes
+    /// [`DrainBucket::audit`]. `what` labels the item.
+    pub fn audit(
+        &self,
+        store: &'static str,
+        what: &str,
+        rows: impl IntoIterator<Item = (u32, JoinKey, u32, u64)>,
+        len: usize,
+        out: &mut Vec<AuditViolation>,
+    ) {
+        let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
+        for (slot, key, pos, ts) in rows {
+            let Some(bucket) = self.get(key) else {
+                report("missing-bucket", format!("{what}: row {slot} under absent key {key}"));
+                continue;
+            };
+            if !bucket.holds(pos, slot, ts) {
+                report("bucket-position", format!("{what}: row {slot} not at {pos} of key {key}"));
+            }
+        }
+        let indexed: usize = self.buckets.values().map(DrainBucket::live_len).sum();
+        if indexed != len {
+            report("index-live-size", format!("{what}: {indexed} live index entries vs len {len}"));
+        }
+        for (key, bucket) in &self.buckets {
+            let what = format!("{what} key {key}");
+            if bucket.live_len() == 0 {
+                let detail = format!("{what}: bucket has no live entry");
+                out.push(AuditViolation { store, invariant: "empty-bucket-retained", detail });
+            }
+            bucket.audit(store, &what, out);
         }
     }
 }
 
-/// The end-of-cascade routine every store runs over one item's key index
-/// once a cascade has punched its tombstones: each touched bucket (named
-/// once, however many of its rows died) gets its
-/// [`DrainBucket::finish_cascade`], survivors of a compaction re-record
-/// their position through `reindex(slot, new_pos)`, and buckets left with
-/// no live entry are dropped from the index.
-pub fn finish_touched_buckets(
-    index: &mut IdMap<JoinKey, DrainBucket>,
-    touched: &mut Vec<JoinKey>,
-    mode: ExpiryMode,
-    mut reindex: impl FnMut(u32, u32),
-) {
-    touched.sort_unstable();
-    touched.dedup();
-    for key in touched.iter() {
-        let bucket = index.get_mut(key).unwrap_or_else(|| unreachable!("touched bucket exists"));
-        if bucket.finish_cascade(mode, &mut reindex) {
-            index.remove(key);
+/// Lists keyed by `K` whose members (row slots) record their own position
+/// in their list: the trees' `L₀` referencer index and Timing-IND's payload
+/// index. Removal swap-removes and hands back the member that moved into
+/// the hole, so the caller can re-record that member's position; a list
+/// that empties is dropped.
+#[derive(Clone, Debug)]
+pub struct RefLists<K> {
+    lists: IdMap<K, Vec<u32>>,
+}
+
+impl<K> Default for RefLists<K> {
+    fn default() -> Self {
+        RefLists { lists: IdMap::default() }
+    }
+}
+
+impl<K: Copy + Eq + Hash + std::fmt::Debug> RefLists<K> {
+    /// Appends `member` to `key`'s list; returns its position.
+    #[inline]
+    pub fn add(&mut self, key: K, member: u32) -> u32 {
+        let list = self.lists.entry(key).or_default();
+        list.push(member);
+        (list.len() - 1) as u32
+    }
+
+    /// Removes `member` from position `pos` of `key`'s list; returns the
+    /// member now at `pos` (whose recorded position becomes `pos`), if any.
+    #[inline]
+    pub fn remove(&mut self, key: K, pos: u32, member: u32) -> Option<u32> {
+        let list = self.lists.get_mut(&key).unwrap_or_else(|| unreachable!("member is listed"));
+        debug_assert_eq!(list.get(pos as usize), Some(&member), "stale list back-reference");
+        list.swap_remove(pos as usize);
+        let moved = list.get(pos as usize).copied();
+        if list.is_empty() {
+            self.lists.remove(&key);
+        }
+        moved
+    }
+
+    /// The members listed under `key` (empty when none).
+    #[inline]
+    pub fn get(&self, key: K) -> &[u32] {
+        self.lists.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Bytes held: one map entry per list plus the members' heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.lists.len() * (size_of::<K>() + size_of::<Vec<u32>>())
+            + self.lists.values().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>()
+    }
+
+    /// Audits the lists against their members: every entry round-trips
+    /// (`position(key, member)` is the member's recorded position under
+    /// `key`, `None` when it is no live member filed there), no empty list
+    /// is kept, and the lists hold `len` members in total. `slugs` names
+    /// the `[position, size, empty-list]` invariants in the store's words.
+    pub fn audit(
+        &self,
+        store: &'static str,
+        what: &str,
+        slugs: [&'static str; 3],
+        len: usize,
+        position: impl Fn(K, u32) -> Option<u32>,
+        out: &mut Vec<AuditViolation>,
+    ) {
+        let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
+        for (&key, list) in &self.lists {
+            if list.is_empty() {
+                report(slugs[2], format!("{what}: key {key:?} lists no rows"));
+            }
+            for (pos, &m) in list.iter().enumerate() {
+                if position(key, m) != Some(pos as u32) {
+                    report(slugs[0], format!("{what}: row {m} not at {pos} of key {key:?}"));
+                }
+            }
+        }
+        let listed: usize = self.lists.values().map(Vec::len).sum();
+        if listed != len {
+            report(slugs[1], format!("{what}: {listed} listed rows vs {len} live"));
         }
     }
+}
+
+/// Null node link of [`NodeView`] / [`ItemView`].
+pub const NIL: u32 = u32::MAX;
+
+/// One MS-tree node as [`audit_tree`] reads it; the fields mirror the
+/// trees' node fields of the same names.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView {
+    /// Data edge id, or the component handle of an `L₀` node.
+    pub payload: u64,
+    /// Timestamp of the match's newest edge.
+    pub ts: u64,
+    /// Parent node ([`NIL`] at level 0).
+    pub parent: u32,
+    /// Previous node of the item list ([`NIL`] at the head).
+    pub prev: u32,
+    /// Next node of the item list ([`NIL`] at the tail).
+    pub next: u32,
+    /// Marked dead by a cascade.
+    pub dead: bool,
+    /// The item the node records, where the tree records one.
+    pub item: Option<u32>,
+    /// Join key the node is filed under.
+    pub key: JoinKey,
+    /// Position in the item's key bucket.
+    pub key_pos: u32,
+    /// Position in its `L₀` referencer list (`L₀` nodes only).
+    pub ref_pos: u32,
+}
+
+/// One MS-tree item list as [`audit_tree`] reads it.
+#[derive(Clone, Copy, Debug)]
+pub struct ItemView<'a> {
+    /// First node ([`NIL`] when empty).
+    pub head: u32,
+    /// Last node ([`NIL`] when empty).
+    pub tail: u32,
+    /// Recorded live count.
+    pub len: usize,
+    /// The item's join-key index.
+    pub index: &'a KeyIndex,
+    /// The item's referencer lists, where the tree keeps them for it
+    /// (they must be empty on a subquery item).
+    pub refs: Option<&'a RefLists<u64>>,
+}
+
+/// The audit both MS-trees (serial and concurrent) share. Items are
+/// numbered the way both trees number them: each subquery's levels in
+/// order, then the `L₀` items; `item(i, f)` calls `f` with item `i`'s
+/// view (the concurrent tree under that item's list mutex). It checks:
+///
+/// * every item list — cycles, dead nodes still linked, backlinks,
+///   membership, timestamp order, length and tail — with the item's
+///   [`KeyIndex::audit`] and [`RefLists::audit`];
+/// * that subquery nodes hang under a live node one level up, `L₀` nodes
+///   under the previous `L₀` item (item 1: a subquery-0 leaf), and `L₀`
+///   payloads name live complete matches of their subquery;
+/// * that the `arena` slots are exactly the linked nodes plus `free`.
+pub fn audit_tree(
+    store: &'static str,
+    layout: &StoreLayout,
+    node: impl Fn(u32) -> NodeView,
+    item: impl Fn(usize, &mut dyn FnMut(ItemView<'_>)),
+    free: &[u32],
+    arena: usize,
+) -> Vec<AuditViolation> {
+    let mut out = Vec::new();
+    let k = layout.k();
+    let sub_item = |sub: usize, level: usize| layout.sub_lens[..sub].iter().sum::<usize>() + level;
+    let l0_base = sub_item(k, 0);
+    let l0_item = |i: usize| l0_base + i - 1;
+    let mut live_of: Vec<HashSet<u32>> = Vec::new();
+    for i in 0..l0_base + k.saturating_sub(1) {
+        let mut live = HashSet::new();
+        item(i, &mut |list| {
+            let mut report =
+                |invariant, detail| out.push(AuditViolation { store, invariant, detail });
+            let (mut n, mut prev, mut prev_ts, mut rows) = (list.head, NIL, 0, Vec::new());
+            while n != NIL {
+                if !live.insert(n) {
+                    report("list-cycle", format!("item {i}: node {n} linked twice"));
+                    break;
+                }
+                let v = node(n);
+                if v.dead {
+                    report("dead-node-linked", format!("item {i}: dead node {n} is listed"));
+                }
+                if v.prev != prev {
+                    report(
+                        "list-backlink",
+                        format!("item {i}: node {n} prev {} != {prev}", v.prev),
+                    );
+                }
+                if v.item.is_some_and(|it| it as usize != i) {
+                    report("list-membership", format!("item {i}: node {n} in {:?}", v.item));
+                }
+                if v.ts < prev_ts {
+                    report("item-timestamp-order", format!("item {i}: node {n} ts < {prev_ts}"));
+                }
+                rows.push((n, v.key, v.key_pos, v.ts));
+                (prev, prev_ts, n) = (n, v.ts, v.next);
+            }
+            if live.len() != list.len {
+                report(
+                    "item-length",
+                    format!("item {i}: walked {} != len {}", live.len(), list.len),
+                );
+            }
+            if list.tail != prev {
+                report("list-tail", format!("item {i}: tail is {} not {prev}", list.tail));
+            }
+            let what = format!("item {i}");
+            list.index.audit(store, &what, rows, list.len, &mut out);
+            if let Some(refs) = list.refs {
+                let slugs = ["referencer-position", "referencer-size", "empty-referencer-list"];
+                let expect = if i >= l0_base { list.len } else { 0 };
+                let position = |payload, m| {
+                    let v = node(m);
+                    (live.contains(&m) && v.payload == payload).then_some(v.ref_pos)
+                };
+                refs.audit(store, &what, slugs, expect, position, &mut out);
+            }
+        });
+        live_of.push(live);
+    }
+    let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
+    let mut check_parent = |n: u32, parent_item: Option<usize>| {
+        let parent = node(n).parent;
+        let ok = match parent_item {
+            None => parent == NIL,
+            Some(p) => live_of[p].contains(&parent),
+        };
+        if !ok {
+            report("dangling-parent", format!("node {n}: parent {parent} not in {parent_item:?}"));
+        }
+    };
+    for (sub, &len) in layout.sub_lens.iter().enumerate() {
+        for level in 0..len {
+            for &n in &live_of[sub_item(sub, level)] {
+                check_parent(n, level.checked_sub(1).map(|up| sub_item(sub, up)));
+            }
+        }
+    }
+    for i in 1..k {
+        let parent_item = if i == 1 { sub_item(0, layout.sub_lens[0] - 1) } else { l0_item(i - 1) };
+        for &n in &live_of[l0_item(i)] {
+            check_parent(n, Some(parent_item));
+        }
+    }
+    for i in 1..k {
+        let leaves = &live_of[sub_item(i, layout.sub_lens[i] - 1)];
+        for &n in &live_of[l0_item(i)] {
+            let comp = node(n).payload;
+            if !u32::try_from(comp).is_ok_and(|c| leaves.contains(&c)) {
+                report("dangling-component", format!("L0 item {i} node {n}: no live leaf {comp}"));
+            }
+        }
+    }
+    let distinct: HashSet<u32> = free.iter().copied().collect();
+    if distinct.len() != free.len() {
+        report("free-list-duplicates", format!("{} free, {} distinct", free.len(), distinct.len()));
+    }
+    let linked: usize = live_of.iter().map(HashSet::len).sum();
+    if linked + distinct.len() != arena {
+        report("arena-accounting", format!("{linked} linked + {} free != {arena}", distinct.len()));
+    }
+    for n in live_of.iter().flatten().filter(|n| distinct.contains(n)) {
+        report("free-live-overlap", format!("node {n} is both linked and on the free list"));
+    }
+    out
 }
 
 /// Store layout: the expansion-list lengths per subquery, in join order.
@@ -600,21 +927,22 @@ pub trait MatchStore: StoreAudit {
     /// timestamp: the position scans walk items oldest-first and stop at
     /// the first entry newer than `ts` (every entry whose newest edge is
     /// `edge` carries exactly `ts`). Removals preserve the ordered-bucket
-    /// invariant: bucket entries are front-drained or tombstoned per
-    /// [`ExpiryMode`] (see the module docs). Returns the number of partial
-    /// matches removed (over all items).
+    /// invariant: bucket entries are front-drained or tombstoned (see the
+    /// module docs). Returns the number of partial matches removed (over
+    /// all items).
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize;
 
-    /// Selects the expiry compaction policy (default
-    /// [`ExpiryMode::FrontDrain`]); [`ExpiryMode::EagerCompact`] is the
-    /// benchmark ablation baseline. Semantically invisible either way.
-    fn set_expiry_mode(&mut self, mode: ExpiryMode);
+    /// Inert: [`ExpiryMode`] has one variant, so there is nothing to
+    /// select. Kept only because the frozen benchmark's `TracedStore`
+    /// implements it; queued, with [`ExpiryMode`], for the benchmark PR
+    /// that drops it there. No store overrides it.
+    fn set_expiry_mode(&mut self, _mode: ExpiryMode) {}
 
     /// Inert since PR 14 (bucket compaction is never metered or deferred:
-    /// every cascade ends with [`finish_touched_buckets`]), kept only
-    /// because the frozen benchmark's `TracedStore` implements it. Queued,
-    /// with [`MatchStore::set_expiry_mode`], for the benchmark PR that
-    /// drops it there. No store overrides it.
+    /// every cascade ends with [`KeyIndex::finish`]), kept only because
+    /// the frozen benchmark's `TracedStore` implements it. Queued, with
+    /// [`MatchStore::set_expiry_mode`], for the benchmark PR that drops it
+    /// there. No store overrides it.
     fn set_maintenance_fuel(&mut self, _tank: Option<u64>) {}
 
     /// Inert since PR 14; see [`MatchStore::set_maintenance_fuel`].
@@ -1200,44 +1528,66 @@ pub(crate) mod conformance {
     /// Regression (same-cascade bucket staleness): two rows in the SAME
     /// key bucket dying in one `expire_edge` cascade must both be punched
     /// at their recorded positions, and a survivor behind them must keep a
-    /// valid back-reference (re-recorded if the cascade or the eager mode
-    /// compacts the bucket) so a *follow-up* expiry can remove it too.
+    /// valid back-reference (re-recorded if the cascade compacts the
+    /// bucket) so a *follow-up* expiry can remove it too.
     pub fn same_bucket_double_death_in_one_cascade<S: MatchStore>() {
-        for mode in [ExpiryMode::FrontDrain, ExpiryMode::EagerCompact] {
-            let mut s = S::new(StoreLayout { sub_lens: vec![2] });
-            s.set_expiry_mode(mode);
-            let a1 = s.insert_sub(0, 0, ROOT, e(1), 1, 5);
-            let a2 = s.insert_sub(0, 0, ROOT, e(2), 2, 5);
-            // Three level-1 extensions sharing ONE bucket (key 7): two
-            // under a1 (both die in a1's cascade), one under a2.
-            s.insert_sub(0, 1, a1, e(3), 3, 7);
-            s.insert_sub(0, 1, a1, e(4), 4, 7);
-            s.insert_sub(0, 1, a2, e(5), 5, 7);
-            let n = s.expire_edge(e(1), 1, &[(0, 0)]);
-            assert_eq!(n, 3, "a1 and its two same-bucket children ({mode:?})");
-            assert_eq!(collect_sub_keyed(&s, 0, 0, 5), vec![vec![2]], "{mode:?}");
-            assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![2, 5]], "{mode:?}");
-            // The survivor's back-reference must still be exact: expiring
-            // a2 punches {2,5} at its (possibly remapped) position.
-            let n2 = s.expire_edge(e(2), 2, &[(0, 0)]);
-            assert_eq!(n2, 2, "{mode:?}");
-            assert!(collect_sub_keyed(&s, 0, 1, 7).is_empty(), "{mode:?}");
-            assert_eq!(s.len_sub(0, 0), 0, "{mode:?}");
-            assert_eq!(s.len_sub(0, 1), 0, "{mode:?}");
-            // Buckets are reusable after a full drain.
-            let b1 = s.insert_sub(0, 0, ROOT, e(10), 10, 5);
-            s.insert_sub(0, 1, b1, e(11), 11, 7);
-            assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![10, 11]], "{mode:?}");
+        let mut s = S::new(StoreLayout { sub_lens: vec![2] });
+        let a1 = s.insert_sub(0, 0, ROOT, e(1), 1, 5);
+        let a2 = s.insert_sub(0, 0, ROOT, e(2), 2, 5);
+        // Three level-1 extensions sharing ONE bucket (key 7): two under
+        // a1 (both die in a1's cascade), one under a2.
+        s.insert_sub(0, 1, a1, e(3), 3, 7);
+        s.insert_sub(0, 1, a1, e(4), 4, 7);
+        s.insert_sub(0, 1, a2, e(5), 5, 7);
+        let n = s.expire_edge(e(1), 1, &[(0, 0)]);
+        assert_eq!(n, 3, "a1 and its two same-bucket children");
+        assert_eq!(collect_sub_keyed(&s, 0, 0, 5), vec![vec![2]]);
+        assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![2, 5]]);
+        // The survivor's back-reference must still be exact: expiring a2
+        // punches {2,5} at its (possibly remapped) position.
+        let n2 = s.expire_edge(e(2), 2, &[(0, 0)]);
+        assert_eq!(n2, 2);
+        assert!(collect_sub_keyed(&s, 0, 1, 7).is_empty());
+        assert_eq!(s.len_sub(0, 0), 0);
+        assert_eq!(s.len_sub(0, 1), 0);
+        // Buckets are reusable after a full drain.
+        let b1 = s.insert_sub(0, 0, ROOT, e(10), 10, 5);
+        s.insert_sub(0, 1, b1, e(11), 11, 7);
+        assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![10, 11]]);
+    }
+
+    /// Threshold compaction with a live front: a2's child heads bucket 7,
+    /// then nine children of a1, then a second child of a2. Expiring a1
+    /// kills the nine interior rows in one cascade; nothing front-drains,
+    /// so the bucket (`bucket(s)`: sub 0 level 1, key 7) must compact to
+    /// its two survivors and re-record their positions, which a follow-up
+    /// expiry of a2 then punches.
+    pub fn interior_deaths_compact_past_the_threshold<S: MatchStore>(
+        bucket: fn(&S) -> Option<&DrainBucket>,
+    ) {
+        let mut s = S::new(StoreLayout { sub_lens: vec![2] });
+        let a1 = s.insert_sub(0, 0, ROOT, e(1), 1, 5);
+        let a2 = s.insert_sub(0, 0, ROOT, e(2), 2, 5);
+        for t in 3..=13 {
+            s.insert_sub(0, 1, if t == 3 || t == 13 { a2 } else { a1 }, e(t), t, 7);
         }
+        assert_eq!(s.expire_edge(e(1), 1, &[(0, 0)]), 10, "a1 and its nine children");
+        let b = bucket(&s).expect("bucket 7 keeps two rows");
+        assert_eq!((b.indexed().len(), b.live_len()), (2, 2), "compacted to the survivors");
+        s.assert_clean();
+        assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![2, 3], vec![2, 13]]);
+        assert_eq!(s.expire_edge(e(2), 2, &[(0, 0)]), 3, "a2 and both survivors");
+        assert!(bucket(&s).is_none());
+        s.assert_clean();
     }
 
     /// The tombstone property test: a naive no-tombstone model (rows per
     /// level in insertion order, retain-based expiry) must stay
     /// indistinguishable from the real store through any interleaving of
     /// inserts, front-drained oldest-prefix expiries, scattered descendant
-    /// deaths and threshold compactions, under both expiry modes. Uses the
-    /// ts = edge-id convention and two fat buckets per item so tombstones
-    /// pile up past the compaction threshold.
+    /// deaths and threshold compactions. Uses the ts = edge-id convention
+    /// and two fat buckets per item so tombstones pile up past the
+    /// compaction threshold.
     pub fn tombstoned_buckets_match_model_store<S: MatchStore>() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -1246,134 +1596,123 @@ pub(crate) mod conformance {
             edges: Vec<u64>,
             key: JoinKey,
         }
-        for mode in [ExpiryMode::FrontDrain, ExpiryMode::EagerCompact] {
-            for seed in 0..4u64 {
-                let mut rng =
-                    SmallRng::seed_from_u64(seed.wrapping_mul(0xc0ff_ee11) ^ (mode as u64));
-                let mut s = S::new(StoreLayout { sub_lens: vec![3] });
-                s.set_expiry_mode(mode);
-                // model[level] in insertion (= timestamp) order; a row's
-                // ts is its newest edge id.
-                let mut model: Vec<Vec<ModelRow>> = vec![Vec::new(); 3];
-                for t in 1..=240u64 {
-                    let rows_at = |s: &S, level: usize| {
-                        let mut rows: Vec<(Handle, u64)> = Vec::new();
-                        s.for_each_sub(0, level, &mut |h, edges| {
-                            rows.push((h, edges.last().expect("nonempty").0));
-                        });
-                        rows
-                    };
-                    let expire =
-                        |s: &mut S, model: &mut Vec<Vec<ModelRow>>, edge: u64, pos: usize| {
-                            s.expire_edge(e(edge), edge, &[(0, pos)]);
-                            for rows in model.iter_mut().skip(pos) {
-                                rows.retain(|r| r.edges[pos] != edge);
-                            }
-                        };
-                    match rng.gen_range(0..8u32) {
-                        0 | 1 => {
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xc0ff_ee11));
+            let mut s = S::new(StoreLayout { sub_lens: vec![3] });
+            // model[level] in insertion (= timestamp) order; a row's ts is
+            // its newest edge id.
+            let mut model: Vec<Vec<ModelRow>> = vec![Vec::new(); 3];
+            for t in 1..=240u64 {
+                let rows_at = |s: &S, level: usize| {
+                    let mut rows: Vec<(Handle, u64)> = Vec::new();
+                    s.for_each_sub(0, level, &mut |h, edges| {
+                        rows.push((h, edges.last().expect("nonempty").0));
+                    });
+                    rows
+                };
+                let expire = |s: &mut S, model: &mut Vec<Vec<ModelRow>>, edge: u64, pos: usize| {
+                    s.expire_edge(e(edge), edge, &[(0, pos)]);
+                    for rows in model.iter_mut().skip(pos) {
+                        rows.retain(|r| r.edges[pos] != edge);
+                    }
+                };
+                match rng.gen_range(0..8u32) {
+                    0 | 1 => {
+                        s.insert_sub(0, 0, ROOT, e(t), t, t % 2);
+                        model[0].push(ModelRow { edges: vec![t], key: t % 2 });
+                    }
+                    2..=4 => {
+                        // Extend a random level-0 or level-1 row.
+                        let level = rng.gen_range(0..2usize);
+                        let rows = rows_at(&s, level);
+                        if rows.is_empty() {
                             s.insert_sub(0, 0, ROOT, e(t), t, t % 2);
                             model[0].push(ModelRow { edges: vec![t], key: t % 2 });
-                        }
-                        2..=4 => {
-                            // Extend a random level-0 or level-1 row.
-                            let level = rng.gen_range(0..2usize);
-                            let rows = rows_at(&s, level);
-                            if rows.is_empty() {
-                                s.insert_sub(0, 0, ROOT, e(t), t, t % 2);
-                                model[0].push(ModelRow { edges: vec![t], key: t % 2 });
-                            } else {
-                                let (parent, newest) = rows[rng.gen_range(0..rows.len())];
-                                s.insert_sub(0, level + 1, parent, e(t), t, t % 2);
-                                let prefix = model[level]
-                                    .iter()
-                                    .find(|r| *r.edges.last().expect("nonempty") == newest)
-                                    .expect("model tracks every live row");
-                                let mut edges = prefix.edges.clone();
-                                edges.push(t);
-                                model[level + 1].push(ModelRow { edges, key: t % 2 });
-                            }
-                        }
-                        5 | 6 => {
-                            // Scattered deaths: expire the newest edge of
-                            // a random live row at a random level —
-                            // descendants punch interior tombstones.
-                            let level = rng.gen_range(0..3usize);
-                            let rows = rows_at(&s, level);
-                            if let Some(&(_, edge)) = rows.get(rng.gen_range(0..rows.len().max(1)))
-                            {
-                                expire(&mut s, &mut model, edge, level);
-                            }
-                        }
-                        _ => {
-                            // Sliding-window-style front-drain: expire the
-                            // OLDEST level-0 edge.
-                            if let Some(&(_, edge)) =
-                                rows_at(&s, 0).iter().min_by_key(|&&(_, ts)| ts)
-                            {
-                                expire(&mut s, &mut model, edge, 0);
-                            }
+                        } else {
+                            let (parent, newest) = rows[rng.gen_range(0..rows.len())];
+                            s.insert_sub(0, level + 1, parent, e(t), t, t % 2);
+                            let prefix = model[level]
+                                .iter()
+                                .find(|r| *r.edges.last().expect("nonempty") == newest)
+                                .expect("model tracks every live row");
+                            let mut edges = prefix.edges.clone();
+                            edges.push(t);
+                            model[level + 1].push(ModelRow { edges, key: t % 2 });
                         }
                     }
-                    // The store must be indistinguishable from the model:
-                    // live counts, unkeyed iteration (as a multiset), and
-                    // keyed / range iteration in exact timestamp order —
-                    // and the full invariant sweep must stay clean.
-                    s.assert_clean();
-                    for (level, model_rows) in model.iter().enumerate() {
-                        assert_eq!(
-                            s.len_sub(0, level),
-                            model_rows.len(),
-                            "{mode:?} seed {seed} t {t} level {level} len"
-                        );
-                        let mut unkeyed = collect_sub(&s, 0, level);
-                        unkeyed.sort();
-                        let mut expect_unkeyed: Vec<Vec<u64>> =
-                            model_rows.iter().map(|r| r.edges.clone()).collect();
-                        expect_unkeyed.sort();
-                        assert_eq!(
-                            unkeyed, expect_unkeyed,
-                            "{mode:?} seed {seed} t {t} level {level} full scan"
-                        );
-                        for key in 0..2u64 {
-                            let keyed: Vec<Vec<u64>> = {
-                                let mut out = Vec::new();
-                                s.for_each_sub_keyed(0, level, key, &mut |_, edges| {
-                                    out.push(edges.iter().map(|x| x.0).collect());
-                                });
-                                out
-                            };
-                            let expect: Vec<Vec<u64>> = model_rows
+                    5 | 6 => {
+                        // Scattered deaths: expire the newest edge of a
+                        // random live row at a random level — descendants
+                        // punch interior tombstones.
+                        let level = rng.gen_range(0..3usize);
+                        let rows = rows_at(&s, level);
+                        if let Some(&(_, edge)) = rows.get(rng.gen_range(0..rows.len().max(1))) {
+                            expire(&mut s, &mut model, edge, level);
+                        }
+                    }
+                    _ => {
+                        // Sliding-window-style front-drain: expire the
+                        // OLDEST level-0 edge.
+                        if let Some(&(_, edge)) = rows_at(&s, 0).iter().min_by_key(|&&(_, ts)| ts) {
+                            expire(&mut s, &mut model, edge, 0);
+                        }
+                    }
+                }
+                // The store must be indistinguishable from the model: live
+                // counts, unkeyed iteration (as a multiset), and keyed /
+                // range iteration in exact timestamp order — and the full
+                // invariant sweep must stay clean.
+                s.assert_clean();
+                for (level, model_rows) in model.iter().enumerate() {
+                    assert_eq!(
+                        s.len_sub(0, level),
+                        model_rows.len(),
+                        "seed {seed} t {t} level {level} len"
+                    );
+                    let mut unkeyed = collect_sub(&s, 0, level);
+                    unkeyed.sort();
+                    let mut expect_unkeyed: Vec<Vec<u64>> =
+                        model_rows.iter().map(|r| r.edges.clone()).collect();
+                    expect_unkeyed.sort();
+                    assert_eq!(
+                        unkeyed, expect_unkeyed,
+                        "seed {seed} t {t} level {level} full scan"
+                    );
+                    for key in 0..2u64 {
+                        let keyed: Vec<Vec<u64>> = {
+                            let mut out = Vec::new();
+                            s.for_each_sub_keyed(0, level, key, &mut |_, edges| {
+                                out.push(edges.iter().map(|x| x.0).collect());
+                            });
+                            out
+                        };
+                        let expect: Vec<Vec<u64>> = model_rows
+                            .iter()
+                            .filter(|r| r.key == key)
+                            .map(|r| r.edges.clone())
+                            .collect();
+                        assert_eq!(keyed, expect, "seed {seed} t {t} level {level} key {key}");
+                        for cutoff in [0, t / 2, t, u64::MAX] {
+                            let prefix: Vec<Vec<u64>> = expect
                                 .iter()
-                                .filter(|r| r.key == key)
-                                .map(|r| r.edges.clone())
+                                .filter(|r| *r.last().expect("nonempty") < cutoff)
+                                .cloned()
                                 .collect();
                             assert_eq!(
-                                keyed, expect,
-                                "{mode:?} seed {seed} t {t} level {level} key {key}"
+                                collect_sub_keyed_before::<S>(&s, 0, level, key, cutoff),
+                                prefix,
+                                "seed {seed} t {t} level {level} key {key} < {cutoff}"
                             );
-                            for cutoff in [0, t / 2, t, u64::MAX] {
-                                let prefix: Vec<Vec<u64>> = expect
-                                    .iter()
-                                    .filter(|r| *r.last().expect("nonempty") < cutoff)
-                                    .cloned()
-                                    .collect();
-                                assert_eq!(
-                                    collect_sub_keyed_before::<S>(&s, 0, level, key, cutoff),
-                                    prefix,
-                                    "{mode:?} seed {seed} t {t} level {level} key {key} < {cutoff}"
-                                );
-                                let suffix: Vec<Vec<u64>> = expect
-                                    .iter()
-                                    .filter(|r| *r.last().expect("nonempty") >= cutoff)
-                                    .cloned()
-                                    .collect();
-                                assert_eq!(
-                                    collect_sub_keyed_from::<S>(&s, 0, level, key, cutoff),
-                                    suffix,
-                                    "{mode:?} seed {seed} t {t} level {level} key {key} >= {cutoff}"
-                                );
-                            }
+                            let suffix: Vec<Vec<u64>> = expect
+                                .iter()
+                                .filter(|r| *r.last().expect("nonempty") >= cutoff)
+                                .cloned()
+                                .collect();
+                            assert_eq!(
+                                collect_sub_keyed_from::<S>(&s, 0, level, key, cutoff),
+                                suffix,
+                                "seed {seed} t {t} level {level} key {key} >= {cutoff}"
+                            );
                         }
                     }
                 }
@@ -1425,7 +1764,7 @@ mod bucket_tests {
                     b.punch(pos[i as usize], i);
                 }
                 let mut remap = Vec::new();
-                let drained = b.finish_cascade(ExpiryMode::FrontDrain, |s, p| remap.push((s, p)));
+                let drained = b.finish_cascade(|s, p| remap.push((s, p)));
                 assert!(!drained, "entry 0 is live");
                 let live = (n - dead) as usize;
                 assert_eq!(b.live_len(), live);
