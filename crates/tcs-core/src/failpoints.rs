@@ -11,7 +11,7 @@
 //!
 //! # Named sites
 //!
-//! The fault-tolerance layer instruments four sites (constants in
+//! The fault-tolerance layer instruments five sites (constants in
 //! [`sites`]); the planned service front-end reuses the same seam:
 //!
 //! | site | where | tag |
@@ -20,6 +20,7 @@
 //! | [`sites::POST_RECORD`] | after a query's matches are recorded | query id |
 //! | [`sites::PRE_EXPIRY`] | before a query's expiry cascade | query id |
 //! | [`sites::WORKER_LOOP`] | each shard-worker loop iteration | shard index |
+//! | [`sites::SHARD_REPLAY`] | before a rebuilt shard's replay | shard index |
 //!
 //! # Determinism
 //!
@@ -45,6 +46,9 @@ pub mod sites {
     /// boundary (tag: shard index) — arming a panic here kills the whole
     /// worker, the fault the supervisor exists for.
     pub const WORKER_LOOP: &str = "worker-loop";
+    /// Before the supervisor replays a rebuilt shard's log (tag: shard
+    /// index) — arming a panic here makes the replay itself fail.
+    pub const SHARD_REPLAY: &str = "shard-replay";
 }
 
 /// The instrumented call in the default build: a no-op the optimizer

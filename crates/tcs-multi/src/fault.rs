@@ -12,8 +12,10 @@
 //! 2. **Worker faults** — a panic outside the per-query isolation
 //!    boundary kills a whole shard worker. The supervisor inside
 //!    [`ShardedMultiEngine::process`](crate::ShardedMultiEngine::process)
-//!    rebuilds the shard and re-homes its surviving queries
-//!    ([`ShardHealth::restarts`]).
+//!    rebuilds the shard, re-homes its surviving queries and replays the
+//!    shard's in-window edges into it, so no match is lost
+//!    ([`ShardHealth::restarts`]; [`ShardHealth::replay_failures`]
+//!    counts the rebuilds whose replay died).
 //! 3. **Overload** — a worker that cannot keep up fills its channel. The
 //!    [`OverloadPolicy`] decides whether the dispatcher waits or sheds,
 //!    and [`ShardHealth`] counts what was shed.
@@ -82,6 +84,9 @@ pub struct ShardHealth {
     pub shed_newest: u64,
     /// Times the supervisor rebuilt this shard after its worker died.
     pub restarts: u64,
+    /// Rebuilds whose replay itself panicked, leaving the shard's queries
+    /// on empty windows (the one restart that loses in-window state).
+    pub replay_failures: u64,
 }
 
 /// Stringifies a panic payload: `String` and `&str` come back verbatim

@@ -179,13 +179,16 @@
 //!    boundary kills a shard worker; the dispatcher skips the dead
 //!    channel for the rest of the batch and the supervisor then rebuilds
 //!    the shard, re-homing surviving queries under their original ids
-//!    (window state restarts fresh, like a late registration;
-//!    [`ShardHealth::restarts`] counts rebuilds). A worker that is
-//!    merely *slow* fills its channel instead, and the configured
-//!    [`OverloadPolicy`] either back-pressures (default, lossless) or
-//!    sheds bounded work with per-shard counters. Blast radius: one
-//!    shard's recent window (restart) or the shed edges (overload) —
-//!    never another shard.
+//!    and replaying the edges routed to the shard that are still inside
+//!    the window, so the batch's output and every later match are what
+//!    a run without the fault produces ([`ShardHealth::restarts`] counts
+//!    rebuilds; a replay that itself panics leaves the shard on empty
+//!    windows and counts in [`ShardHealth::replay_failures`]). A worker
+//!    that is merely *slow* fills its channel instead, and the
+//!    configured [`OverloadPolicy`] either back-pressures (default,
+//!    lossless) or sheds bounded work with per-shard counters. Blast
+//!    radius: one shard's per-query counters (restart) or the shed
+//!    edges (overload) — never another shard.
 //!
 //! The `failpoints` cargo feature (off by default, zero-cost when off)
 //! compiles in the `tcs-core` fault-injection sites the chaos tests use
@@ -220,7 +223,7 @@
 //!   that is the latency a tenant actually experiences. At most 1024
 //!   scopes get private histograms; the rest collapse into one overflow
 //!   scope.
-//! * **Skew and shard load** — per-shard gauges (chunks routed, queue
+//! * **Skew and shard load** — per-shard gauges (edges routed, queue
 //!   depth high-water mark, shed edges, worker restarts) refreshed
 //!   every `process` call, plus hot-key counters over arrival endpoints
 //!   (top-16 keys and log2-degree buckets: mass in high buckets *is*

@@ -32,10 +32,11 @@
 //!   the `worker-loop` failpoint) kills the whole worker thread; its
 //!   channel reports disconnected and the dispatcher simply stops
 //!   feeding that shard for the rest of the batch — other shards are
-//!   unaffected. After the batch the supervisor rebuilds the dead shard
-//!   and **re-homes its surviving queries** under their original ids;
-//!   the shard's window state is lost, so re-homed queries restart
-//!   fresh, exactly like a late registration
+//!   unaffected. After the batch the supervisor rebuilds the dead shard,
+//!   **re-homes its surviving queries** under their original ids, and
+//!   **replays** the shard's replay log into it (see "Loss-free
+//!   restart" below), so the batch's output includes the dead shard's
+//!   matches and later batches find matches spanning the restart
 //!   ([`ShardHealth::restarts`](crate::ShardHealth::restarts) counts
 //!   rebuilds).
 //! * **Overload.** The dispatcher→worker channels apply the configured
@@ -43,6 +44,33 @@
 //!   shedding with per-shard loss counters. Shedding happens at chunk
 //!   granularity (a full channel loses a whole pending chunk), but the
 //!   loss counters stay in **edges** — a shed chunk adds its length.
+//!
+//! # Loss-free restart
+//!
+//! The front-end keeps one replay log per shard: every edge routed to
+//! the shard, tagged with its admission ordinal, from the oldest edge
+//! still inside the window up to the end of the current batch (it is
+//! cut back to the window after each batch). A shard's match state is a
+//! function of exactly those edges, because anything older expires
+//! before the next arrival can join it. A rebuilt shard is fed its log
+//! edge by edge, and each surviving query is re-registered just before
+//! the first logged edge admitted after its original registration, so
+//! it sees what it saw before (crate docs, "Registration semantics").
+//! Matches completed by edges of earlier batches were already delivered
+//! and are dropped; matches completed by the current batch's edges are
+//! returned with it. Under back-pressure the result is the output of a
+//! run without the fault. Under a shedding policy the log also holds the
+//! edges that were shed, so a rebuilt shard may see more than the dead
+//! one did. Per-query counters are not carried over: after a rebuild they
+//! count the replayed substream. The log is front-end memory and is not
+//! part of [`MultiStats::space_bytes`], which counts match state.
+//!
+//! Replay runs on the caller's thread under the shards' query
+//! quarantine. A panic outside that boundary during replay (the
+//! `shard-replay` failpoint, or a shard-level fault that the same edges
+//! trigger again) leaves the shard rebuilt with empty windows, as a late
+//! registration would be, and counts one
+//! [`ShardHealth::replay_failures`](crate::ShardHealth::replay_failures).
 //!
 //! # Per-shard substream counters (contract)
 //!
@@ -56,7 +84,9 @@
 //! edge would report).
 
 use crate::engine::{MultiQueryEngine, MultiStats, QueryId};
-use crate::fault::{payload_str, FaultPolicy, OverloadPolicy, ShardHealth};
+use crate::fault::{FaultPolicy, OverloadPolicy, ShardHealth};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use tcs_concurrent::chan::{self, TrySendError};
@@ -187,6 +217,10 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     channel_cap: usize,
     /// Per-shard shed/restart counters.
     health: Vec<ShardHealth>,
+    /// Per-shard replay logs: `(admission ordinal, edge)` for every edge
+    /// routed to the shard that may still join a later arrival, plus the
+    /// current batch (module docs, "Loss-free restart").
+    replay: Vec<VecDeque<(u64, StreamEdge)>>,
     /// How many entries of each shard's fault log the front-end has
     /// already reconciled into its homing/routing tables.
     faults_seen: Vec<usize>,
@@ -236,6 +270,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             health: (0..n_shards)
                 .map(|shard| ShardHealth { shard, ..Default::default() })
                 .collect(),
+            replay: vec![VecDeque::new(); n_shards],
             faults_seen: vec![0; n_shards],
             fed_base: IdMap::default(),
             tel: None,
@@ -457,6 +492,9 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             }
         }
         self.gate = staged;
+        // Admission ordinal of the batch's first edge: the replay log's
+        // tag, compared against each query's `fed_base`.
+        let batch_start = self.edges_fed;
         self.edges_fed += sanitized.len() as u64;
         if let Some(rec) = &self.tel {
             // Hot keys are counted HERE, once per sanitized edge (on the
@@ -477,7 +515,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
 
         let n = self.shards.len();
         let mut outs: Vec<Vec<(QueryId, MatchRecord)>> = Vec::with_capacity(n);
-        let mut dead_payloads: Vec<(usize, String)> = Vec::new();
+        let mut dead: Vec<usize> = Vec::new();
         {
             let route = &self.route;
             let overload = self.overload;
@@ -486,6 +524,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             let rec = self.tel.as_deref();
             let routed = &mut self.routed;
             let hwm = &mut self.queue_hwm;
+            let replay = &mut self.replay;
             std::thread::scope(|scope| {
                 let mut txs = Vec::with_capacity(n);
                 let mut handles = Vec::with_capacity(n);
@@ -514,18 +553,20 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 }
                 // Per-shard pending chunks: routed edges accumulate here
                 // and flush as whole sub-batches, so workers run the
-                // batched ingest path (signature runs, shared probe
-                // cache) instead of one `advance` per edge. A dead
-                // worker's channel reports disconnected; `flush_chunk`
-                // retires it (the supervisor deals with the corpse after
-                // the batch) — a survivable fault never kills the
-                // dispatch loop.
+                // batched ingest path (signature runs) instead of one
+                // `advance` per edge. A dead worker's channel reports
+                // disconnected; `flush_chunk` retires it (the supervisor
+                // deals with the corpse after the batch) — a survivable
+                // fault never kills the dispatch loop. Every routed edge
+                // enters the shard's replay log, whether or not its
+                // worker is still alive to take it.
                 let mut pending: Vec<Vec<StreamEdge>> = vec![Vec::new(); n];
-                for &e in &sanitized {
+                for (seq, &e) in (batch_start..).zip(&sanitized) {
                     let Some(shards) = route.get(&e.signature()) else {
                         continue;
                     };
                     for &s in shards {
+                        replay[s].push_back((seq, e));
                         if txs[s].is_none() {
                             continue;
                         }
@@ -548,16 +589,21 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 for (i, h) in handles.into_iter().enumerate() {
                     match h.join() {
                         Ok(out) => outs.push(out),
-                        Err(p) => dead_payloads.push((i, payload_str(&*p))),
+                        Err(_) => dead.push(i),
                     }
                 }
             });
         }
         // Supervisor: rebuild dead shards (restart the worker's engine,
-        // re-home its surviving queries under their original ids), then
-        // fold shard-level quarantines into the front-end tables.
-        for (i, payload) in dead_payloads {
-            self.rebuild_shard(i, &payload);
+        // re-home its surviving queries under their original ids, replay
+        // the shard's log and keep this batch's matches), then cut every
+        // log back to the window and fold shard-level quarantines into
+        // the front-end tables.
+        for i in dead {
+            outs.push(self.rebuild_shard(i, batch_start));
+        }
+        if let Some(last) = sanitized.last() {
+            self.trim_replay_logs(last.ts.0);
         }
         self.reconcile_quarantines();
         self.publish_shard_loads();
@@ -580,11 +626,69 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     }
 
     /// Replaces a dead shard with a fresh engine continuing the same id
-    /// sequence, re-registers its surviving queries under their original
-    /// ids, and carries the fault log over. The shard's window state died
-    /// with the worker, so re-homed queries restart fresh — the same
-    /// semantics as a late registration.
-    fn rebuild_shard(&mut self, i: usize, _payload: &str) {
+    /// sequence, carries the fault log over, re-registers its surviving
+    /// queries under their original ids and replays the shard's log into
+    /// it (module docs, "Loss-free restart"). Returns the matches that
+    /// edges admitted at or after `batch_start` complete — the dead
+    /// worker's share of the current batch.
+    fn rebuild_shard(&mut self, i: usize, batch_start: u64) -> Vec<(QueryId, MatchRecord)> {
+        if let Some(rec) = &self.tel {
+            rec.event(EventKind::WorkerRestart { shard: i as u64 });
+        }
+        self.health[i].restarts += 1;
+        // Each survivor with the admission ordinal it registered at, in
+        // registration order (ids grow with registration on one shard).
+        let mut regs: Vec<(u64, QueryId, QueryPlan)> = self.shards[i]
+            .registrations()
+            .into_iter()
+            .map(|(qid, plan)| (self.fed_base.get(&qid).copied().unwrap_or_default(), qid, plan))
+            .collect();
+        regs.sort_by_key(|&(base, qid, _)| (base, qid));
+
+        let mut fresh = self.respawn(i);
+        let log = &self.replay[i];
+        let replayed = catch_unwind(AssertUnwindSafe(|| {
+            fail_point!(sites::SHARD_REPLAY, i as u64);
+            let mut pending = regs.iter().peekable();
+            let mut out = Vec::new();
+            for &(seq, e) in log {
+                while let Some((_, qid, plan)) = pending.next_if(|r| r.0 <= seq) {
+                    fresh.register_as(*qid, plan.clone());
+                }
+                match fresh.try_advance(e) {
+                    Ok(ms) if seq >= batch_start => out.extend(ms),
+                    Ok(_) => {}
+                    Err(err) => panic!("replay log rejected by a fresh shard: {err}"),
+                }
+            }
+            for (_, qid, plan) in pending {
+                fresh.register_as(*qid, plan.clone());
+            }
+            out
+        }));
+        match replayed {
+            Ok(out) => {
+                self.shards[i] = fresh;
+                out
+            }
+            Err(_) => {
+                // The replay itself died: re-home onto empty windows.
+                let mut empty = self.respawn(i);
+                for (_, qid, plan) in regs {
+                    empty.register_as(qid, plan);
+                }
+                self.shards[i] = empty;
+                self.health[i].replay_failures += 1;
+                Vec::new()
+            }
+        }
+    }
+
+    /// A fresh, query-less engine for shard `i`: the same id sequence,
+    /// policies, fault log and recorder as the shard it replaces. The
+    /// recorder is armed before anything registers, so each re-homed
+    /// query's registration lands in the event log.
+    fn respawn(&self, i: usize) -> MultiQueryEngine<S> {
         let stride = self.shards.len() as u64;
         let old = &self.shards[i];
         let mut fresh = MultiQueryEngine::with_id_stride(self.window, old.next_raw_id(), stride);
@@ -592,16 +696,24 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         fresh.set_order_policy(old.order_policy());
         fresh.adopt_faults(old.faults().to_vec());
         if let Some(rec) = &self.tel {
-            // Re-arm before re-homing so the restart and each re-homed
-            // query's registration land in the event log.
-            rec.event(EventKind::WorkerRestart { shard: i as u64 });
             fresh.set_recorder_scoped(Arc::clone(rec), false);
         }
-        for (qid, plan) in old.registrations() {
-            fresh.register_as(qid, plan);
+        fresh
+    }
+
+    /// Cuts every replay log back to the edges a later arrival can still
+    /// join: those with `ts > watermark − |W|`. Older edges expire before
+    /// any arrival at or after the watermark reaches a join, whatever the
+    /// shard's own window still holds.
+    fn trim_replay_logs(&mut self, watermark: u64) {
+        let Some(bound) = watermark.checked_sub(self.window) else {
+            return;
+        };
+        for log in &mut self.replay {
+            while log.front().is_some_and(|(_, e)| e.ts.0 <= bound) {
+                log.pop_front();
+            }
         }
-        self.shards[i] = fresh;
-        self.health[i].restarts += 1;
     }
 
     /// Folds shard-level quarantines the front-end has not seen yet into
@@ -658,7 +770,8 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     /// [`ShardedMultiEngine::stats`] with the per-query edge counters
     /// scaled to **full-stream** semantics: every admitted arrival since
     /// a query's registration that its home shard did not deliver to it
-    /// (not routed, shed, or missed during a worker outage) is counted as
+    /// (not routed, shed, or counted only before its shard's last
+    /// rebuild, since a rebuilt shard's counters start over) is counted as
     /// processed-and-discarded — what an independent engine fed the whole
     /// sanitized stream would have done with it. Match, partial and join
     /// counters are identical to [`ShardedMultiEngine::stats`].

@@ -257,7 +257,7 @@ fn main() {
     }
     for s in &snap.shards {
         println!(
-            "  shard {}: {} chunks routed, queue hwm {}, {} shed, {} restarts",
+            "  shard {}: {} edges routed, queue hwm {} chunks, {} shed edges, {} restarts",
             s.shard, s.edges_routed, s.queue_depth_hwm, s.shed, s.restarts
         );
     }

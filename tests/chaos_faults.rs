@@ -4,9 +4,9 @@
 //! `tcs-core` failpoint sites compiled in by the `failpoints` feature —
 //! and checks the blast radii promised by the failure model (tcs-multi
 //! crate docs): a per-query panic quarantines exactly one query, a worker
-//! panic costs one shard one batch, overload sheds boundedly and
-//! countedly, and survivors stay **byte-identical** to independent oracle
-//! engines fed the sanitized stream.
+//! panic costs one shard a rebuild and no match, overload sheds boundedly
+//! and countedly, and survivors stay **byte-identical** to independent
+//! oracle engines fed the sanitized stream.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! [`chaos_lock`] and resets the registry before and after itself.
@@ -25,7 +25,8 @@ use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, Timestamp, VLabel};
 use tcs_multi::{
-    FaultPolicy, IngestError, MultiQueryEngine, OverloadPolicy, QueryId, ShardedMultiEngine,
+    FaultPolicy, IngestError, MultiQueryEngine, MultiStats, OverloadPolicy, QueryId,
+    ShardedMultiEngine,
 };
 
 /// Serializes chaos tests: the failpoint registry and panic hook are
@@ -181,9 +182,9 @@ fn register_after_quarantine_serves_under_a_fresh_id() {
 }
 
 /// A panic outside the per-query boundary (the worker-loop site) kills a
-/// whole shard worker: the batch ends without its matches, the supervisor
-/// rebuilds the shard, and the re-homed queries serve the next batch
-/// under their original ids.
+/// whole shard worker: the supervisor rebuilds the shard, replays its
+/// in-window edges, and the re-homed queries serve the next batch under
+/// their original ids.
 #[test]
 fn worker_death_is_survived_and_restarted() {
     let _g = chaos_lock();
@@ -211,6 +212,7 @@ fn worker_death_is_survived_and_restarted() {
     // worker died, not a query) and the homing survived the rebuild.
     let st = sharded.stats();
     assert_eq!(st.shards[dead_shard].restarts, 1);
+    assert_eq!(st.shards[dead_shard].replay_failures, 0);
     assert!(sharded.faults().is_empty());
     assert_eq!(sharded.n_queries(), 4);
     for &q in &ids {
@@ -219,7 +221,93 @@ fn worker_death_is_survived_and_restarted() {
             if survivors.contains(&&q) { 1 - dead_shard } else { dead_shard }
         );
     }
-    // Re-homed queries serve the next batch (fresh window, same ids).
+    // Re-homed queries serve the next batch (replayed window, same ids).
+    let out2 = sharded.process(second);
+    for &q in &ids {
+        assert!(out2.iter().any(|(oq, _)| *oq == q), "query {q:?} serves after restart");
+    }
+}
+
+/// One scripted session against a 2-shard front-end: three batches with
+/// registration churn between them (a late tenant, a late duplicate that
+/// joins a warm template, a departure), optionally killing the worker of
+/// `ids[0]`'s shard during batch `kill`. Returns each batch's output,
+/// sorted, and the final shard health.
+fn scripted_session(kill: Option<usize>) -> (Vec<Vec<(QueryId, MatchRecord)>>, MultiStats) {
+    let stream = tenant_stream(5, 200);
+    let batches = [&stream[..60], &stream[60..130], &stream[130..]];
+    let mut sharded: ShardedMultiEngine<MsTreeStore> = ShardedMultiEngine::new(25, 2);
+    let ids: Vec<_> = (0..4u16).map(|t| sharded.register(plan(t))).collect();
+    let dead_shard = sharded.shard_of(ids[0]).unwrap() as u64;
+    let mut outs = Vec::new();
+    for (b, batch) in batches.into_iter().enumerate() {
+        if b == 1 {
+            sharded.register(plan(4));
+            sharded.register(plan(0));
+            assert!(sharded.unregister(ids[1]));
+        }
+        if kill == Some(b) {
+            let panic = Action::Panic("failpoint: worker".into());
+            failpoints::arm(sites::WORKER_LOOP, Some(dead_shard), panic);
+        }
+        let mut out = sharded.process(batch);
+        failpoints::reset();
+        out.sort();
+        outs.push(out);
+    }
+    (outs, sharded.stats())
+}
+
+/// A worker death loses no match: the faulting batch returns the dead
+/// shard's matches, and matches whose first edge arrived before the
+/// restart still complete after it. Every batch's output equals the
+/// fault-free run's, under the same query ids.
+#[test]
+fn worker_death_loses_no_match() {
+    let _g = chaos_lock();
+    quiet();
+    failpoints::reset();
+
+    let (clean, _) = scripted_session(None);
+    assert!(clean.iter().all(|out| !out.is_empty()));
+    for kill in 0..3 {
+        let (got, st) = scripted_session(Some(kill));
+        assert_eq!(got, clean, "worker killed during batch {kill}");
+        assert_eq!(st.shards.iter().map(|h| h.restarts).sum::<u64>(), 1);
+        assert!(st.shards.iter().all(|h| h.replay_failures == 0));
+        assert!(st.faults.is_empty());
+    }
+}
+
+/// A replay that itself panics (the shard-replay site) falls back to the
+/// old restart: the shard's queries are re-homed onto empty windows, the
+/// loss is counted, and they serve the next batch.
+#[test]
+fn failed_replay_rehomes_onto_empty_windows() {
+    let _g = chaos_lock();
+    quiet();
+    failpoints::reset();
+
+    let stream = tenant_stream(4, 160);
+    let (first, second) = stream.split_at(80);
+    let mut sharded: ShardedMultiEngine<MsTreeStore> = ShardedMultiEngine::new(25, 2);
+    let ids: Vec<_> = (0..4u16).map(|t| sharded.register(plan(t))).collect();
+    let dead_shard = sharded.shard_of(ids[0]).unwrap();
+    let tag = Some(dead_shard as u64);
+    failpoints::arm(sites::WORKER_LOOP, tag, Action::Panic("failpoint: worker".into()));
+    failpoints::arm(sites::SHARD_REPLAY, tag, Action::Panic("failpoint: replay".into()));
+    let out = sharded.process(first);
+    failpoints::reset();
+
+    let st = sharded.stats();
+    assert_eq!(st.shards[dead_shard].restarts, 1);
+    assert_eq!(st.shards[dead_shard].replay_failures, 1);
+    assert!(sharded.faults().is_empty());
+    assert_eq!(sharded.n_queries(), 4);
+    let front = &sharded;
+    let homed_on = |s: usize| ids.iter().filter(move |q| front.shard_of(**q) == Some(s));
+    assert!(homed_on(dead_shard).all(|q| out.iter().all(|(oq, _)| oq != q)));
+    assert!(homed_on(1 - dead_shard).any(|q| out.iter().any(|(oq, _)| oq == q)));
     let out2 = sharded.process(second);
     for &q in &ids {
         assert!(out2.iter().any(|(oq, _)| *oq == q), "query {q:?} serves after restart");
@@ -362,5 +450,81 @@ proptest! {
                 tcs_core::store::format_violations(&oracle_violations)
             );
         }
+    }
+}
+
+// Randomized worker deaths: random tenant fleets, shard counts, windows,
+// batch cuts, coarse (repeating) timestamps and registration churn
+// between batches, with a random shard's worker killed during about half
+// the batches. Invariant: every batch's output equals the fault-free
+// run's.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn worker_deaths_leave_every_batch_identical(seed in any::<u64>()) {
+        let _g = chaos_lock();
+        quiet();
+        failpoints::reset();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_tenants = rng.gen_range(2..6u16);
+        let n_shards = rng.gen_range(2..4usize);
+        let window = rng.gen_range(4..40u64);
+        let coarse = rng.gen_range(1..4u64);
+        let mut stream = tenant_stream(n_tenants, rng.gen_range(40..240u64));
+        for e in &mut stream {
+            e.ts = Timestamp(e.ts.0 / coarse + 1);
+        }
+        let mut cuts = vec![0];
+        while cuts.last() != Some(&stream.len()) {
+            let next = cuts.last().unwrap() + rng.gen_range(1..60usize);
+            cuts.push(next.min(stream.len()));
+        }
+        let n_batches = cuts.len() - 1;
+        // Churn before each batch: `Some(t)` registers tenant `t` (repeats
+        // share a template), `None` unregisters a random earlier query.
+        let churn: Vec<Vec<(Option<u16>, usize)>> = (0..n_batches)
+            .map(|_| {
+                (0..rng.gen_range(0..3usize))
+                    .map(|_| (rng.gen_bool(0.7).then(|| rng.gen_range(0..n_tenants)), rng.gen_range(0..64usize)))
+                    .collect()
+            })
+            .collect();
+        let kills: Vec<Option<u64>> = (0..n_batches)
+            .map(|_| rng.gen_bool(0.5).then(|| rng.gen_range(0..n_shards) as u64))
+            .collect();
+
+        let run = |faulty: bool| {
+            let mut sharded: ShardedMultiEngine<MsTreeStore> =
+                ShardedMultiEngine::new(window, n_shards);
+            let mut ids: Vec<QueryId> =
+                (0..n_tenants).map(|t| sharded.register(plan(t))).collect();
+            let mut outs = Vec::new();
+            for (b, ops) in churn.iter().enumerate() {
+                for &(op, pick) in ops {
+                    match op {
+                        Some(t) => ids.push(sharded.register(plan(t))),
+                        None => {
+                            sharded.unregister(ids[pick % ids.len()]);
+                        }
+                    }
+                }
+                if let (true, Some(shard)) = (faulty, kills[b]) {
+                    let panic = Action::Panic("failpoint: worker".into());
+                    failpoints::arm(sites::WORKER_LOOP, Some(shard), panic);
+                }
+                let mut out = sharded.process(&stream[cuts[b]..cuts[b + 1]]);
+                failpoints::reset();
+                out.sort();
+                outs.push(out);
+            }
+            let st = sharded.stats();
+            (outs, st.shards.iter().map(|h| (h.restarts, h.replay_failures)).collect::<Vec<_>>())
+        };
+        let (clean, _) = run(false);
+        let (got, health) = run(true);
+        let n_kills = kills.iter().flatten().count() as u64;
+        prop_assert_eq!(health.iter().map(|h| h.0).sum::<u64>(), n_kills);
+        prop_assert!(health.iter().all(|h| h.1 == 0));
+        prop_assert_eq!(got, clean);
     }
 }
