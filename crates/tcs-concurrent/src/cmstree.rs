@@ -34,21 +34,22 @@
 //! timestamp, appends are checked nondecreasing (X locks are granted in
 //! dispatch = timestamp order, so insertions arrive sorted even under
 //! concurrency). The concurrent engine relies on it for the
-//! binary-searched range probes of the join kernel ([`JoinReads`]'s
+//! cutoff-stopping range probes of the join kernel ([`JoinReads`]'s
 //! `for_each_sub_keyed_before` / `..._from` / `for_each_l0_keyed_from`)
 //! and for the oldest-first early exit of [`CmsTree::payload_matches`]
 //! during deletion transactions.
 //!
-//! Key buckets are [`DrainBucket`](tcs_core::store::DrainBucket)s:
-//! [`CmsTree::partial_remove`] punches a timestamp-keeping tombstone per
-//! removed node and, before returning, front-drains the leading
-//! tombstones off every touched bucket — payload-level deaths are the
-//! bucket's oldest prefix, so steady-state expiry costs O(deaths) — while
-//! interior holes from cascaded descendants are compacted only past the
-//! tombstone threshold (see the lifecycle section of `tcs_core::store`'s
-//! docs). Because a tombstone keeps its own copy of the timestamp, range
-//! reads never dereference dead nodes, so reclaimed arena slots can be
-//! reused without aliasing.
+//! Each item's key index is a set of per-key lists threaded through the
+//! nodes' own `key_prev` / `key_next` links (the key-list section of
+//! `tcs_core::store`'s docs): [`CmsTree::partial_remove`] unlinks a node
+//! from its key list in O(1), at once, wherever it sits, so expiry costs
+//! O(deaths). Keyed reads walk those links under the list mutex, and they
+//! are safe against reclamation because a keyed walk under the item's S
+//! lock sees only linked nodes: a node leaves its key list in
+//! `partial_remove`, under the same item's X lock, strictly before
+//! [`CmsTree::reclaim`] can hand its slot to another item, and no X holder
+//! of the item runs while the reader holds S. A reclaimed and reused slot
+//! is therefore never reachable from the list being walked.
 //!
 //! The tree owns only its guarded atomic nodes and list mutexes. Each
 //! list's key index and referencer lists are `tcs_core::store`'s shared
@@ -59,8 +60,8 @@ use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::sync::OnceLock;
 use tcs_core::join::JoinReads;
 use tcs_core::store::{
-    audit_tree, AuditViolation, ItemView, JoinKey, KeyIndex, NodeView, RefLists, StoreAudit,
-    StoreLayout, NIL,
+    audit_tree, AuditViolation, ItemView, JoinKey, KeyIndex, KeyLinks, NodeView, RefLists,
+    StoreAudit, StoreLayout, NIL,
 };
 use tcs_graph::EdgeId;
 
@@ -92,9 +93,9 @@ struct Node {
     /// Join key the node is filed under; written at insert and read at
     /// removal, both under the owning item's list mutex.
     key: AtomicU64,
-    /// Position in the item's key bucket (mutated under the list mutex;
-    /// removals punch a hole there, compacted once per level pass).
-    key_pos: AtomicU32,
+    /// Neighbours in the item's key list (mutated under the list mutex).
+    key_prev: AtomicU32,
+    key_next: AtomicU32,
     /// For `L₀` nodes: position inside the referencer list
     /// `refs[payload]` of the owning item (O(1) deregistration; mutated
     /// under the list mutex). Unused for subquery nodes.
@@ -114,7 +115,8 @@ impl Default for Node {
             next: AtomicU32::new(NIL),
             prev: AtomicU32::new(NIL),
             key: AtomicU64::new(0),
-            key_pos: AtomicU32::new(0),
+            key_prev: AtomicU32::new(NIL),
+            key_next: AtomicU32::new(NIL),
             ref_pos: AtomicU32::new(0),
             dead: AtomicBool::new(false),
         }
@@ -126,9 +128,9 @@ struct ListHead {
     head: u32,
     tail: u32,
     len: usize,
-    /// Join-key index of this item: key → tombstoned ordered bucket
-    /// (guarded by the same mutex as the list links, which the item lock
-    /// already serializes).
+    /// Join-key index of this item: key → the ends of that key's node
+    /// list (guarded by the same mutex as the list links, which the item
+    /// lock already serializes).
     index: KeyIndex,
     /// Referencer index, populated only for `L₀` items: complete-match
     /// leaf handle (the node payload) → `L₀` nodes referencing it.
@@ -265,7 +267,7 @@ impl CmsTree {
         }
         list.len += 1;
         self.node(idx).key.store(key, STORE);
-        self.node(idx).key_pos.store(list.index.file(key, idx, ts), STORE);
+        list.index.file(&mut &*self, key, idx);
         // Register L₀ nodes with the referencer index so a death of the
         // component they reference finds them by lookup, not by scan.
         if item >= self.l0_base {
@@ -311,23 +313,20 @@ impl CmsTree {
         out
     }
 
-    /// The live bucket prefix of nodes with `ts < cutoff_ts`, snapshotted
+    /// The key-list prefix of nodes with `ts < cutoff_ts`, snapshotted
     /// under the list mutex (with the item's S lock held, membership cannot
-    /// change concurrently): the binary search runs over the entries' own
-    /// timestamp copies (valid even across tombstones and arena reuse) so
-    /// only the surviving range is copied out — the probe stays
-    /// output-sensitive. Tombstones are skipped during the copy.
+    /// change concurrently, and every linked node is live — module docs).
+    /// The walk stops at the first newer node, so only the surviving range
+    /// is visited and copied out — the probe stays output-sensitive.
     fn bucket_before(&self, item: usize, key: JoinKey, cutoff_ts: u64) -> Vec<u32> {
-        let list = self.lists[item].lock();
-        list.index.get(key).map_or_else(Vec::new, |b| b.live_before(cutoff_ts).collect())
+        self.lists[item].lock().index.before(&self, key, cutoff_ts).collect()
     }
 
-    /// The live bucket suffix of nodes with `ts ≥ min_ts` (same
-    /// copy-only-the-range discipline as [`CmsTree::bucket_before`];
-    /// `min_ts == 0` is the whole bucket).
+    /// The key-list suffix of nodes with `ts ≥ min_ts` (same
+    /// visit-only-the-range discipline as [`CmsTree::bucket_before`];
+    /// `min_ts == 0` is the whole list).
     fn bucket_from(&self, item: usize, key: JoinKey, min_ts: u64) -> Vec<u32> {
-        let list = self.lists[item].lock();
-        list.index.get(key).map_or_else(Vec::new, |b| b.live_from(min_ts).collect())
+        self.lists[item].lock().index.from(&self, key, min_ts).collect()
     }
 
     /// Iterates only the subquery matches filed under `key`. Caller holds
@@ -441,19 +440,15 @@ impl CmsTree {
         out
     }
 
-    /// Partially removes nodes (§V-C): unlink from the level list and from
-    /// the parent's child list; keep payload/parent so older transactions
-    /// can still backtrack. Bucket removals punch timestamp-keeping
-    /// tombstones (a swap-remove would break the timestamp order); before
-    /// returning, every touched bucket front-drains its leading tombstones
-    /// and compacts past the tombstone threshold ([`KeyIndex::finish`]),
-    /// so the steady-state oldest-prefix case costs O(deaths). Returns the
-    /// nodes whose dead flag *this* call flipped (concurrent deleters race
-    /// benignly on shared descendants).
+    /// Partially removes nodes (§V-C): unlink from the level list, the key
+    /// list and the parent's child list; keep payload/parent so older
+    /// transactions can still backtrack. Each unlink is O(1) and keeps the
+    /// survivors' timestamp order. Returns the nodes whose dead flag
+    /// *this* call flipped (concurrent deleters race benignly on shared
+    /// descendants).
     /// Caller holds X(`item`).
     pub fn partial_remove(&self, item: usize, nodes: &[u32]) -> Vec<u32> {
         let mut removed = Vec::with_capacity(nodes.len());
-        let mut touched_keys: Vec<JoinKey> = Vec::new();
         for &idx in nodes {
             if self.node(idx).dead.swap(true, Ordering::AcqRel) {
                 continue;
@@ -474,11 +469,8 @@ impl CmsTree {
                 list.tail = prev;
             }
             list.len -= 1;
-            // Key index (same mutex guards the buckets): punch a
-            // tombstone at the node's recorded position.
-            let key = self.node(idx).key.load(LOAD);
-            list.index.punch(key, self.node(idx).key_pos.load(LOAD), idx);
-            touched_keys.push(key);
+            // Key list (the same mutex guards the key index).
+            list.index.unlink(&mut &*self, self.node(idx).key.load(LOAD), idx);
             // Deregister L₀ nodes from the referencer index, fixing the
             // moved node's back-reference.
             if item >= self.l0_base {
@@ -503,15 +495,6 @@ impl CmsTree {
                 }
             }
         }
-        // End-of-cascade bucket maintenance: front-drain, threshold
-        // compaction (re-recording survivor positions — order, and thus
-        // timestamp sortedness, is preserved), empty-bucket removal. No
-        // reader can observe intermediate states: we hold X(item).
-        if !touched_keys.is_empty() {
-            let mut list = self.lists[item].lock();
-            list.index
-                .finish(&mut touched_keys, |slot, pos| self.node(slot).key_pos.store(pos, STORE));
-        }
         removed
     }
 
@@ -535,16 +518,44 @@ impl CmsTree {
         self.lists[self.l0_item(i)].lock().len
     }
 
-    /// Approximate bytes held: live nodes, list heads and the key
-    /// buckets' heap (the serial [`tcs_core::mstree::MsTreeStore`]'s
-    /// terms).
+    /// Approximate bytes held: live nodes, list heads, the key indexes
+    /// and the referencer lists (the serial
+    /// [`tcs_core::mstree::MsTreeStore`]'s terms).
     pub fn space_bytes(&self) -> usize {
         let allocated = self.next_free.load(LOAD) as usize;
         let free = self.free.lock().len();
-        let index_bytes: usize = self.lists.iter().map(|l| l.lock().index.heap_bytes()).sum();
+        let heap = |l: &Mutex<ListHead>| {
+            let list = l.lock();
+            list.index.heap_bytes() + list.refs.heap_bytes()
+        };
         (allocated - free) * std::mem::size_of::<Node>()
             + self.lists.len() * std::mem::size_of::<Mutex<ListHead>>()
-            + index_bytes
+            + self.lists.iter().map(heap).sum::<usize>()
+    }
+}
+
+/// Key links read and written through the atomics, under the owning
+/// item's list mutex.
+impl KeyLinks for &CmsTree {
+    #[inline]
+    fn ts(&self, row: u32) -> u64 {
+        self.node(row).ts.load(LOAD)
+    }
+    #[inline]
+    fn key_prev(&self, row: u32) -> u32 {
+        self.node(row).key_prev.load(LOAD)
+    }
+    #[inline]
+    fn key_next(&self, row: u32) -> u32 {
+        self.node(row).key_next.load(LOAD)
+    }
+    #[inline]
+    fn set_key_prev(&mut self, row: u32, to: u32) {
+        self.node(row).key_prev.store(to, STORE);
+    }
+    #[inline]
+    fn set_key_next(&mut self, row: u32, to: u32) {
+        self.node(row).key_next.store(to, STORE);
     }
 }
 
@@ -552,7 +563,7 @@ impl CmsTree {
 /// read; [`JoinReads::expand_sub`] backtracks without locks (module docs).
 impl JoinReads for CmsTree {
     /// Iterates only the subquery matches filed under `key` whose newest
-    /// edge is strictly older than `cutoff_ts` — the binary-searched
+    /// edge is strictly older than `cutoff_ts` — the walked
     /// prefix of the ordered bucket (the chain join's `last.ts < σ.ts`).
     fn for_each_sub_keyed_before(
         &self,
@@ -567,7 +578,7 @@ impl JoinReads for CmsTree {
     }
 
     /// Iterates only the subquery matches filed under `key` with
-    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
+    /// timestamp `≥ min_ts` — the walked suffix of the ordered
     /// bucket.
     fn for_each_sub_keyed_from(
         &self,
@@ -582,7 +593,7 @@ impl JoinReads for CmsTree {
     }
 
     /// Iterates only the `L₀` rows filed under `key` with completion
-    /// timestamp `≥ min_ts` — the binary-searched suffix of the ordered
+    /// timestamp `≥ min_ts` — the walked suffix of the ordered
     /// bucket (rows below a cross-subquery constraint floor are skipped
     /// before expansion).
     fn for_each_l0_keyed_from(
@@ -618,7 +629,6 @@ impl StoreAudit for CmsTree {
                 dead: v.dead.load(LOAD),
                 item: None,
                 key: v.key.load(LOAD),
-                key_pos: v.key_pos.load(LOAD),
                 ref_pos: v.ref_pos.load(LOAD),
             }
         };
@@ -628,7 +638,8 @@ impl StoreAudit for CmsTree {
             f(ItemView { head, tail, len, index: &list.index, refs: Some(&list.refs) })
         };
         let free = self.free.lock();
-        audit_tree("cms-tree", &self.layout, node, item, &free, self.next_free.load(LOAD) as usize)
+        let arena = self.next_free.load(LOAD) as usize;
+        audit_tree("cms-tree", &self.layout, node, &self, item, &free, arena)
     }
 }
 
@@ -636,7 +647,6 @@ impl StoreAudit for CmsTree {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic by design
 mod tests {
     use super::*;
-    use tcs_core::store::BucketEntry;
 
     fn layout() -> StoreLayout {
         StoreLayout { sub_lens: vec![3, 2] }
@@ -751,12 +761,12 @@ mod tests {
     fn ordered_buckets_survive_random_ops() {
         // The CmsTree counterpart of the store conformance property test:
         // after any interleaving of keyed inserts and payload-scan →
-        // cascade → partial-remove → reclaim expiries — front-drains,
-        // tombstoned descendant holes and threshold compactions all happen
-        // — the tree must stay indistinguishable from a naive no-tombstone
-        // model (rows per level in insertion order, retain-based expiry),
+        // cascade → partial-remove → reclaim expiries — deaths at the head,
+        // the tail and the middle of key lists all happen — the tree must
+        // stay indistinguishable from a naive model (rows per level in
+        // insertion order, retain-based expiry),
         // every bucket must iterate in nondecreasing newest-edge-timestamp
-        // order, and the binary-searched range reads must equal filtered
+        // order, and the ordered range reads must equal filtered
         // full iteration (ts = edge-id convention).
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -891,10 +901,10 @@ mod tests {
 
     #[test]
     fn same_bucket_double_death_across_level_passes() {
-        // Satellite regression, CmsTree edition: one deletion transaction
-        // removes two same-bucket rows in one `partial_remove` call, and a
-        // follow-up transaction must still find the survivor's (possibly
-        // re-recorded) bucket position.
+        // The same-cascade regression, CmsTree edition: one deletion
+        // transaction removes two same-bucket rows in one `partial_remove`
+        // call, and a follow-up transaction must still find the survivor's
+        // key links intact.
         let t = CmsTree::new(StoreLayout { sub_lens: vec![2] });
         let a1 = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 5);
         let a2 = t.insert_sub(0, 0, u64::MAX, EdgeId(2), 2, 5);
@@ -904,20 +914,20 @@ mod tests {
         // Transaction 1: expire edge 1 (kills a1 + two bucket-7 rows).
         assert_eq!(expire_root(&t, 1), 3);
         assert_eq!(keyed_rows(&t, 1, 7), vec![vec![2, 5]]);
-        // Transaction 2: expire edge 2 — the survivor's back-reference
-        // must still punch cleanly.
+        // Transaction 2: expire edge 2 — the survivor must still unlink
+        // cleanly.
         assert_eq!(expire_root(&t, 2), 2);
         assert_eq!(t.len_sub(0, 0), 0);
         assert_eq!(t.len_sub(0, 1), 0);
     }
 
     #[test]
-    fn interior_deaths_compact_past_the_threshold() {
+    fn interior_deaths_unlink_in_place() {
         // The store conformance case of the same name, run as deletion
-        // transactions: a2's child heads bucket 7, then nine children of
-        // a1, then a second child of a2. Expiring a1 kills the nine
-        // interior rows; the bucket must compact to its two survivors and
-        // re-record their positions, which expiring a2 then punches.
+        // transactions: a2's child heads key 7's list, then nine children
+        // of a1, then a second child of a2. Expiring a1 kills the nine
+        // interior rows; the list must read back as its two survivors,
+        // whose links expiring a2 then follows.
         let t = CmsTree::new(StoreLayout { sub_lens: vec![2] });
         let a1 = t.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 5);
         let a2 = t.insert_sub(0, 0, u64::MAX, EdgeId(2), 2, 5);
@@ -925,16 +935,34 @@ mod tests {
             t.insert_sub(0, 1, if ts == 3 || ts == 13 { a2 } else { a1 }, EdgeId(ts), ts, 7);
         }
         assert_eq!(expire_root(&t, 1), 10, "a1 and its nine children");
-        {
-            let list = t.lists[t.sub_item(0, 1)].lock();
-            let b = list.index.get(7).expect("bucket 7 keeps two rows");
-            assert_eq!((b.indexed().len(), b.live_len()), (2, 2), "compacted to the survivors");
-        }
+        assert!(t.lists[t.sub_item(0, 1)].lock().index.contains(7), "key 7 keeps two rows");
         t.assert_clean();
         assert_eq!(keyed_rows(&t, 1, 7), vec![vec![2, 3], vec![2, 13]]);
         assert_eq!(expire_root(&t, 2), 3, "a2 and both survivors");
-        assert!(t.lists[t.sub_item(0, 1)].lock().index.get(7).is_none());
+        assert!(!t.lists[t.sub_item(0, 1)].lock().index.contains(7), "key 7 is gone");
         t.assert_clean();
+    }
+
+    #[test]
+    fn state_tracks_live_rows() {
+        // The store conformance case of the same name: 1,000 rows under 10
+        // keys, the oldest 990 expired, hold the bytes of a fresh tree fed
+        // only the 10 survivors.
+        let layout = || StoreLayout { sub_lens: vec![1] };
+        let (t, fresh) = (CmsTree::new(layout()), CmsTree::new(layout()));
+        for ts in 1..=1000u64 {
+            t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 10);
+        }
+        for ts in 1..=990u64 {
+            let item = t.sub_item(0, 0);
+            t.reclaim(&t.partial_remove(item, &t.payload_matches(item, ts, ts)));
+        }
+        for ts in 991..=1000u64 {
+            fresh.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, ts % 10);
+        }
+        t.assert_clean();
+        assert_eq!(t.len_sub(0, 0), 10);
+        assert_eq!(t.space_bytes(), fresh.space_bytes());
     }
 
     #[test]
@@ -944,8 +972,25 @@ mod tests {
         for ts in 0..1000u64 {
             t.insert_sub(0, 0, u64::MAX, EdgeId(ts), ts, 7);
         }
-        let entries = 1000 * (std::mem::size_of::<Node>() + std::mem::size_of::<BucketEntry>());
-        assert!(t.space_bytes() >= base + entries, "{} < {base} + {entries}", t.space_bytes());
+        let nodes = 1000 * std::mem::size_of::<Node>();
+        assert!(t.space_bytes() >= base + nodes, "{} < {base} + {nodes}", t.space_bytes());
+    }
+
+    #[test]
+    fn space_bytes_counts_referencer_lists() {
+        // N L₀ rows referencing N distinct leaves: each costs its node and
+        // at least one referencer-list entry.
+        const N: u64 = 100;
+        let t = CmsTree::new(StoreLayout { sub_lens: vec![1, 1] });
+        let a = t.insert_sub(0, 0, u64::MAX, EdgeId(0), 0, 0);
+        let leaves: Vec<u64> =
+            (1..=N).map(|ts| t.insert_sub(1, 0, u64::MAX, EdgeId(ts), ts, 0)).collect();
+        let base = t.space_bytes();
+        for (&b, ts) in leaves.iter().zip(N + 1..) {
+            t.insert_l0(1, a, b, ts, 0);
+        }
+        let grown = N as usize * (std::mem::size_of::<Node>() + std::mem::size_of::<u32>());
+        assert!(t.space_bytes() >= base + grown, "{} < {base} + {grown}", t.space_bytes());
     }
 
     #[test]
@@ -1001,7 +1046,7 @@ mod tests {
         }
         type Corrupt = fn(&CmsTree, u32);
         let cases: [(&str, Corrupt); 4] = [
-            ("bucket-position", |t, r| bump(&t.node(r).key_pos)),
+            ("bucket-position", |t, r| t.node(r).key_prev.store(r, STORE)),
             ("referencer-position", |t, r| bump(&t.node(r).ref_pos)),
             ("list-backlink", |t, r| t.node(r).prev.store(r, STORE)),
             ("free-list-duplicates", |t, _| {

@@ -639,7 +639,7 @@ mod tests {
         .unwrap();
         // The cross-constraint query (ε2 ≺ ε1 across subqueries): its L₀
         // probes carry a nonzero timestamp floor, so the concurrent
-        // engine's binary-searched range reads are exercised for real.
+        // engine's ordered range reads are exercised for real.
         let crossed = QueryGraph::new(
             vec![VLabel(0), VLabel(1), VLabel(2), VLabel(3), VLabel(4)],
             vec![

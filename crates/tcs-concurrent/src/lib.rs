@@ -38,7 +38,8 @@
 //! schedule deterministically. The model suite
 //! (`tests/model.rs`, compiled only under the cfg) exhaustively explores
 //! the [`chan`] send/recv/disconnect protocol, the [`lock`] manager's
-//! dispatch/acquire/release cycle, and the [`cmstree`] X-guard
+//! dispatch/acquire/release cycle, the [`cmstree`] keyed walk racing
+//! removal, reclamation and slot reuse, and the [`cmstree`] X-guard
 //! insert/expire/report protocol at preemption bound 2 — including a
 //! regression model that narrows the X guard and proves the PR-2 race is
 //! caught with a replayable minimized schedule. See the `tcs-verify`
@@ -46,8 +47,8 @@
 //!
 //! Data-structure *state* is separately auditable:
 //! [`cmstree::CmsTree`] implements `tcs_core::store::StoreAudit`, a full
-//! invariant sweep (ordered buckets, tombstone lifecycle, index
-//! coherence, no dangling references, allocator accounting) valid at
+//! invariant sweep (ordered buckets, key-list and index coherence, no
+//! dangling references, allocator accounting) valid at
 //! quiescent points; the `debug-audit` feature arms it at the end of
 //! every [`engine::ConcurrentEngine::run`].
 

@@ -17,7 +17,9 @@
 //!   exclusion;
 //! * `cmstree` — the X-guard insert/expire/report protocol, plus the
 //!   PR-2 regression: a deliberately narrowed guard (reporting *after*
-//!   the X release) must be caught by the checker.
+//!   the X release) must be caught by the checker; and the keyed read's
+//!   safety: a key-list walk under the item's S lock sees only linked
+//!   nodes while a deleter reclaims and reuses the slots it unlinked.
 
 #![cfg(tcs_model)]
 
@@ -367,4 +369,67 @@ fn cmstree_narrowed_guard_is_caught_with_a_replayable_schedule() {
     // preemption (serial schedules report before the deleter runs).
     let serial = check(Options::exhaustive(0), || x_guard_protocol(false));
     serial.assert_pass();
+}
+
+/// The keyed read against partial removal, reclamation and slot reuse.
+///
+/// Pre-state (layout `[2, 1]`): two level-0 matches under key 0, `a`
+/// (edge 1) then `c` (edge 3), so key 0's list is `a → c`. Two
+/// transactions in dispatch order:
+///
+/// * txn 0 — expiry of edge 1: payload-scan + partial-remove level 0
+///   under X(0) (unlinking `a` from its item list *and* its key list),
+///   cascade to level 1 under X(1), reclaim, then reuse the slot for an
+///   insert into subquery 1's item under X(2) — an item the reader's
+///   locks never order against.
+/// * txn 1 — an arrival probing level 0 by key under S(0), granted once
+///   txn 0 releases X(0). Its walk races txn 0's cascade, reclaim and
+///   reuse, and must see exactly the linked node `c`, never `a`'s slot.
+fn keyed_probe_protocol() {
+    let tree = Arc::new(CmsTree::new(StoreLayout { sub_lens: vec![2, 1] }));
+    let mgr = Arc::new(LockManager::new(tree.n_items()));
+    let _a = tree.insert_sub(0, 0, u64::MAX, EdgeId(1), 1, 0);
+    let _c = tree.insert_sub(0, 0, u64::MAX, EdgeId(3), 3, 0);
+    mgr.dispatch(0, &[(0, Mode::X), (1, Mode::X), (2, Mode::X)]);
+    mgr.dispatch(1, &[(0, Mode::S)]);
+
+    let deleter = {
+        let (tree, mgr) = (Arc::clone(&tree), Arc::clone(&mgr));
+        thread::spawn(move || {
+            mgr.acquire(0, 0, Mode::X);
+            let item = tree.sub_item(0, 0);
+            let l0 = tree.partial_remove(item, &tree.payload_matches(item, 1, 1));
+            mgr.release(0, 0);
+            mgr.acquire(1, 0, Mode::X);
+            let l1 = tree.partial_remove(tree.sub_item(0, 1), &tree.children_of(&l0));
+            mgr.release(1, 0);
+            let mut all = l0;
+            all.extend_from_slice(&l1);
+            tree.reclaim(&all);
+            mgr.acquire(2, 0, Mode::X);
+            tree.insert_sub(1, 0, u64::MAX, EdgeId(99), 99, 0);
+            mgr.release(2, 0);
+        })
+    };
+
+    let reader = {
+        let (tree, mgr) = (Arc::clone(&tree), Arc::clone(&mgr));
+        thread::spawn(move || {
+            mgr.acquire(0, 1, Mode::S);
+            let mut rows = Vec::new();
+            tree.for_each_sub_keyed(0, 0, 0, &mut |_, edges| rows.push(edges.to_vec()));
+            mgr.release(0, 1);
+            assert_eq!(rows, vec![vec![EdgeId(3)]], "keyed walk saw an unlinked node");
+        })
+    };
+
+    deleter.join();
+    reader.join();
+}
+
+#[test]
+fn cmstree_keyed_walk_sees_only_linked_nodes() {
+    let report = check(Options::exhaustive(2), keyed_probe_protocol);
+    report.assert_pass();
+    assert!(report.complete, "keyed-probe space exhausted ({} runs)", report.executions);
 }

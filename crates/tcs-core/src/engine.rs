@@ -260,9 +260,10 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Caps the number of *live* partial matches. Beyond the cap the engine
     /// stops creating partial matches (results become incomplete and
     /// [`TimingEngine::saturated`] turns true). This is a benchmark-harness
-    /// safety valve for systems without pruning (SJ-tree on hub-heavy data
-    /// can otherwise exhaust memory in a single join); exact engines never
-    /// need it.
+    /// safety valve: output-explosive queries can hold tens of millions of
+    /// live partial matches even in the exact engines (and SJ-tree on
+    /// hub-heavy data can exhaust memory in a single join). It is off by
+    /// default, and a capped run is incomplete, not exact.
     pub fn set_partial_cap(&mut self, cap: u64) {
         self.partial_cap = cap;
     }
@@ -282,8 +283,8 @@ impl<S: MatchStore> TimingEngine<S> {
 
     /// One sweep over every documented invariant: the store's own
     /// [`StoreAudit`](crate::store::StoreAudit) pass (ordered buckets,
-    /// tombstone lifecycle, index coherence, no dangling references,
-    /// allocator accounting) plus the
+    /// index coherence, no dangling references, allocator accounting)
+    /// plus the
     /// engine-level cross-check that the balanced insert/delete counters
     /// equal the store's actual row count
     /// ([`TimingEngine::live_partials`] == [`TimingEngine::store_rows`]).

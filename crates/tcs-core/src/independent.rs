@@ -8,37 +8,30 @@
 //! and siblings, which is exactly the space overhead the MS-tree removes.
 //! Deletion must scan rows instead of cascading through child pointers.
 //!
-//! Like the MS-tree, every item also keeps a join-key index (key →
-//! [`DrainBucket`]; see `store.rs` module docs) so the engine's keyed
-//! probes work against both backends, plus a per-item *timeline* — one
-//! more `DrainBucket` holding every live row of the item in insertion
-//! (= timestamp) order, the slab-world stand-in for the MS-tree's
-//! intrusive item list.
+//! Like the MS-tree, every item also keeps a join-key index — per-key
+//! lists threaded through the rows' own `key_prev` / `key_next` links (see
+//! the `store.rs` module docs) — so the engine's keyed probes work against
+//! both backends.
 //!
-//! Expiry used to walk the timelines and content-scan each suffix row's
-//! payload edge; each item now also carries a *payload index* — one
-//! `edge → [slots]` map per edge position — so the descendant walk looks
-//! the deaths up directly instead of scanning the `> ts` timeline suffix
-//! per cascade level. Every row containing the expired edge (at any
+//! Each item also carries a *payload index* — one `edge → [slots]` map per
+//! edge position — so expiry looks the deaths up directly instead of
+//! content-scanning rows. Every row containing the expired edge (at any
 //! level) is dead by definition, so the per-(level, payload-edge) lookup
 //! *is* the death set; the cascade still breaks out entirely once a level
-//! kills nothing (an extension cannot outlive its stored prefix). Dying
-//! rows punch tombstones into their key bucket and the timeline (both via
-//! stored back-references); the end of the cascade front-drains and
-//! threshold-compacts whatever was touched — see the tombstone-lifecycle
-//! section of the `store.rs` docs. Timing-IND still has no child pointers
-//! to cascade through — the `L₀` phase keeps its row scan, which *is* the
-//! ablation — but item maintenance costs O(deaths), never O(item).
+//! kills nothing (an extension cannot outlive its stored prefix). A dying
+//! row leaves its key list and its payload lists in O(1), in any order.
+//! Timing-IND still has no child pointers to cascade through — the `L₀`
+//! phase keeps its row scan, which *is* the ablation — but item
+//! maintenance costs O(deaths), never O(item).
 //!
 //! The store owns only its flat-row representation: the key indexes are
 //! the shared [`KeyIndex`] and each payload-index position is a shared
 //! [`RefLists`], the same code both MS-trees run.
 
 use crate::store::{
-    AuditViolation, DrainBucket, Handle, JoinKey, KeyIndex, MatchStore, RefLists, StoreAudit,
-    StoreLayout, ROOT,
+    AuditViolation, Handle, JoinKey, KeyIndex, KeyLinks, MatchStore, RefLists, StoreAudit,
+    StoreLayout, NIL, ROOT,
 };
-use std::collections::HashSet;
 use tcs_graph::{EdgeId, IdSet};
 
 /// A slot-reusing row container; handles stay stable until the row dies.
@@ -102,44 +95,70 @@ impl<T> Slab<T> {
     }
 }
 
+/// One stored row: its payload `data` plus what the key index reads.
 #[derive(Clone, Debug)]
-struct SubRow {
-    /// The full prefix of the timing sequence, duplicated per row.
-    edges: Vec<EdgeId>,
-    /// Timestamp of the newest edge (= the last element's arrival).
+struct Row<P> {
+    data: P,
+    /// Timestamp of the newest edge (subquery rows) or of the arrival that
+    /// completed the row (`L₀` rows).
     ts: u64,
     /// Join key the row is filed under.
     key: JoinKey,
-    /// Absolute position of the row's entry in its key bucket.
-    key_pos: u32,
-    /// Absolute position of the row's entry in the item timeline.
-    tl_pos: u32,
+    /// The row's neighbours in its key list.
+    key_prev: u32,
+    key_next: u32,
+}
+
+impl<P> Row<P> {
+    fn new(data: P, ts: u64, key: JoinKey) -> Self {
+        Row { data, ts, key, key_prev: NIL, key_next: NIL }
+    }
+}
+
+/// A subquery row's payload.
+#[derive(Clone, Debug)]
+struct SubData {
+    /// The full prefix of the timing sequence, duplicated per row.
+    edges: Vec<EdgeId>,
     /// Per edge position: index of this row in the payload-index list for
     /// `edges[pos]`, so deregistration is O(1) per position.
     ref_pos: Vec<u32>,
 }
 
-#[derive(Clone, Debug)]
-struct L0Row {
-    /// Complete-match handles of subqueries `0..=i`.
-    comps: Vec<Handle>,
-    /// Timestamp of the arrival that completed the row.
-    ts: u64,
-    key: JoinKey,
-    /// Absolute position of the row's entry in its key bucket.
-    key_pos: u32,
+type SubRow = Row<SubData>;
+/// An `L₀` row's payload is the complete-match handles of subqueries
+/// `0..=i`.
+type L0Row = Row<Vec<Handle>>;
+
+impl<P> KeyLinks for Slab<Row<P>> {
+    #[inline]
+    fn ts(&self, row: u32) -> u64 {
+        self.live(row).ts
+    }
+    #[inline]
+    fn key_prev(&self, row: u32) -> u32 {
+        self.live(row).key_prev
+    }
+    #[inline]
+    fn key_next(&self, row: u32) -> u32 {
+        self.live(row).key_next
+    }
+    #[inline]
+    fn set_key_prev(&mut self, row: u32, to: u32) {
+        self.live_mut(row).key_prev = to;
+    }
+    #[inline]
+    fn set_key_next(&mut self, row: u32, to: u32) {
+        self.live_mut(row).key_next = to;
+    }
 }
 
-/// One (subquery, level) item: its rows and the three indexes over them.
+/// One (subquery, level) item: its rows and the two indexes over them.
 #[derive(Default)]
 struct SubItem {
     rows: Slab<SubRow>,
     /// Join-key index.
     index: KeyIndex,
-    /// Every live slot in insertion (timestamp) order — the ordered spine
-    /// that keeps expiry punches in timestamp order. Rows record their
-    /// position in `tl_pos`.
-    timeline: DrainBucket,
     /// The payload index: `payload[pos]` maps an edge to the rows holding
     /// it at `pos`, the direct death lookup `expire_edge` uses instead of
     /// a content scan.
@@ -210,31 +229,18 @@ impl StoreAudit for IndependentStore {
     fn audit(&self) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         for (sub, levels) in self.subs.iter().enumerate() {
-            for (level, SubItem { rows, index, timeline, payload }) in levels.iter().enumerate() {
+            for (level, SubItem { rows, index, payload }) in levels.iter().enumerate() {
                 let what = format!("sub {sub} level {level}");
                 rows.audit(&what, &mut out);
-                let filed = rows.iter().map(|(slot, r)| (slot, r.key, r.key_pos, r.ts));
-                index.audit(S, &what, filed, rows.len, &mut out);
+                let filed = rows.iter().map(|(slot, r)| (slot, r.key));
+                index.audit(S, &what, rows, filed, rows.len, &mut out);
                 // Rows carry the full prefix: arity is the level + 1, and
                 // every position carries a payload-index back-reference.
                 for (slot, row) in rows.iter() {
-                    let (edges, refs) = (row.edges.len(), row.ref_pos.len());
+                    let (edges, refs) = (row.data.edges.len(), row.data.ref_pos.len());
                     if edges != level + 1 || refs != level + 1 {
                         report(&mut out, "row-arity", format!("{what}: row {slot} {edges}/{refs}"));
                     }
-                }
-                // The timeline (the ordered spine expiry punches through)
-                // must hold exactly the live slots, in timestamp order,
-                // and every row's stored position must round-trip.
-                timeline.audit(S, &format!("{what} timeline"), &mut out);
-                let spine: HashSet<u32> = timeline.live_slots().collect();
-                if spine != rows.iter().map(|(slot, _)| slot).collect() {
-                    report(&mut out, "timeline-membership", format!("{what}: slot sets differ"));
-                }
-                for (slot, row) in rows.iter().filter(|(s, r)| !timeline.holds(r.tl_pos, *s, r.ts))
-                {
-                    let detail = format!("{what}: row {slot} not at timeline {}", row.tl_pos);
-                    report(&mut out, "timeline-position", detail);
                 }
                 // Payload-index coherence: every registration points at a
                 // live row holding that edge at that position (and the
@@ -242,8 +248,8 @@ impl StoreAudit for IndependentStore {
                 // exactly the live rows.
                 for (pos, lists) in payload.iter().enumerate() {
                     let position = |e, rslot| {
-                        let row = rows.get(rslot).filter(|r| r.edges.get(pos) == Some(&e));
-                        row.and_then(|r| r.ref_pos.get(pos).copied())
+                        let row = rows.get(rslot).filter(|r| r.data.edges.get(pos) == Some(&e));
+                        row.and_then(|r| r.data.ref_pos.get(pos).copied())
                     };
                     let slugs = ["payload-position", "payload-size", "empty-payload-entry"];
                     let what = format!("{what} pos {pos}");
@@ -254,17 +260,17 @@ impl StoreAudit for IndependentStore {
         for (i, L0Item { rows, index }) in (1..).zip(&self.l0) {
             let what = format!("L0 item {i}");
             rows.audit(&what, &mut out);
-            let filed = rows.iter().map(|(slot, r)| (slot, r.key, r.key_pos, r.ts));
-            index.audit(S, &what, filed, rows.len, &mut out);
+            let filed = rows.iter().map(|(slot, r)| (slot, r.key));
+            index.audit(S, &what, rows, filed, rows.len, &mut out);
             for (slot, row) in rows.iter() {
-                if row.comps.len() != i + 1 {
-                    let detail = format!("{what}: row {slot} holds {} components", row.comps.len());
+                if row.data.len() != i + 1 {
+                    let detail = format!("{what}: row {slot} holds {} components", row.data.len());
                     report(&mut out, "row-arity", detail);
                     continue;
                 }
                 // Every component must resolve to a live complete match
                 // of its subquery — the no-dangling-references invariant.
-                for (j, &comp) in row.comps.iter().enumerate() {
+                for (j, &comp) in row.data.iter().enumerate() {
                     let leaf = self.layout.sub_lens[j] - 1;
                     let (item, cslot) = decode(comp);
                     if item != self.sub_item_id(j, leaf)
@@ -293,7 +299,7 @@ impl MatchStore for IndependentStore {
     fn for_each_sub(&self, sub: usize, level: usize, f: &mut dyn FnMut(Handle, &[EdgeId])) {
         let item = self.sub_item_id(sub, level);
         for (slot, row) in self.subs[sub][level].rows.iter() {
-            f(encode(item, slot), &row.edges);
+            f(encode(item, slot), &row.data.edges);
         }
     }
 
@@ -306,11 +312,8 @@ impl MatchStore for IndependentStore {
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
         let (item, it) = (self.sub_item_id(sub, level), &self.subs[sub][level]);
-        let Some(bucket) = it.index.get(key) else {
-            return;
-        };
-        for slot in bucket.live_before(cutoff_ts) {
-            f(encode(item, slot), &it.rows.live(slot).edges);
+        for slot in it.index.before(&it.rows, key, cutoff_ts) {
+            f(encode(item, slot), &it.rows.live(slot).data.edges);
         }
     }
 
@@ -323,11 +326,8 @@ impl MatchStore for IndependentStore {
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
         let (item, it) = (self.sub_item_id(sub, level), &self.subs[sub][level]);
-        let Some(bucket) = it.index.get(key) else {
-            return;
-        };
-        for slot in bucket.live_from(min_ts) {
-            f(encode(item, slot), &it.rows.live(slot).edges);
+        for slot in it.index.from(&it.rows, key, min_ts) {
+            f(encode(item, slot), &it.rows.live(slot).data.edges);
         }
     }
 
@@ -345,18 +345,16 @@ impl MatchStore for IndependentStore {
             vec![edge]
         } else {
             let (_, pslot) = decode(parent);
-            let mut edges = self.subs[sub][level - 1].rows.live(pslot).edges.clone();
+            let mut edges = self.subs[sub][level - 1].rows.live(pslot).data.edges.clone();
             edges.push(edge);
             edges
         };
         let item = self.sub_item_id(sub, level);
-        let SubItem { rows, index, timeline, payload } = &mut self.subs[sub][level];
-        let slot =
-            rows.insert(SubRow { edges, ts, key, key_pos: 0, tl_pos: 0, ref_pos: Vec::new() });
-        let row = rows.live_mut(slot);
-        row.key_pos = index.file(key, slot, ts);
-        row.tl_pos = timeline.push(slot, ts);
-        row.ref_pos.reserve_exact(level + 1);
+        let SubItem { rows, index, payload } = &mut self.subs[sub][level];
+        let ref_pos = Vec::with_capacity(level + 1);
+        let slot = rows.insert(Row::new(SubData { edges, ref_pos }, ts, key));
+        index.file(rows, key, slot);
+        let row = &mut rows.live_mut(slot).data;
         for (pos, lists) in payload.iter_mut().enumerate() {
             row.ref_pos.push(lists.add(row.edges[pos], slot));
         }
@@ -366,7 +364,7 @@ impl MatchStore for IndependentStore {
     fn for_each_l0(&self, i: usize, f: &mut dyn FnMut(Handle, &[Handle])) {
         let item = self.l0_item_id(i);
         for (slot, row) in self.l0[i - 1].rows.iter() {
-            f(encode(item, slot), &row.comps);
+            f(encode(item, slot), &row.data);
         }
     }
 
@@ -378,11 +376,8 @@ impl MatchStore for IndependentStore {
         f: &mut dyn FnMut(Handle, &[Handle]),
     ) {
         let (item, it) = (self.l0_item_id(i), &self.l0[i - 1]);
-        let Some(bucket) = it.index.get(key) else {
-            return;
-        };
-        for slot in bucket.live_from(min_ts) {
-            f(encode(item, slot), &it.rows.live(slot).comps);
+        for slot in it.index.from(&it.rows, key, min_ts) {
+            f(encode(item, slot), &it.rows.live(slot).data);
         }
     }
 
@@ -398,14 +393,14 @@ impl MatchStore for IndependentStore {
             vec![parent, comp]
         } else {
             let (_, pslot) = decode(parent);
-            let mut comps = self.l0[i - 2].rows.live(pslot).comps.clone();
+            let mut comps = self.l0[i - 2].rows.live(pslot).data.clone();
             comps.push(comp);
             comps
         };
         let item = self.l0_item_id(i);
         let L0Item { rows, index } = &mut self.l0[i - 1];
-        let slot = rows.insert(L0Row { comps, ts, key, key_pos: 0 });
-        rows.live_mut(slot).key_pos = index.file(key, slot, ts);
+        let slot = rows.insert(Row::new(comps, ts, key));
+        index.file(rows, key, slot);
         encode(item, slot)
     }
 
@@ -420,7 +415,7 @@ impl MatchStore for IndependentStore {
             let item = self.sub_item_id(sub, level);
             if (handle >> 32) as u32 == item {
                 if let Some(row) = self.subs[sub][level].rows.get(slot) {
-                    out.extend_from_slice(&row.edges);
+                    out.extend_from_slice(&row.data.edges);
                 }
                 return;
             }
@@ -439,48 +434,36 @@ impl MatchStore for IndependentStore {
             let leaf_level = self.layout.sub_lens[sub] - 1;
             for level in pos_level..=leaf_level {
                 let item = self.sub_item_id(sub, level);
-                let SubItem { rows, index, timeline, payload } = &mut self.subs[sub][level];
+                let SubItem { rows, index, payload } = &mut self.subs[sub][level];
                 // The payload index answers "which rows hold `edge` at
                 // `pos_level`?" directly — and every such row is dead by
-                // definition, so the lookup *is* the death set. No
-                // timeline suffix scan.
-                let refs = payload[pos_level].get(edge);
-                if refs.is_empty() {
+                // definition, so the lookup *is* the death set.
+                let dead = payload[pos_level].get(edge).to_vec();
+                if dead.is_empty() {
                     // A deeper death would extend a row dying here; none
                     // exists, so the cascade is over for this position.
                     break;
                 }
-                // Deaths as (absolute timeline position, slot), processed
-                // in timestamp order like the old walk.
-                let mut dead: Vec<(u32, u32)> =
-                    refs.iter().map(|&slot| (rows.live(slot).tl_pos, slot)).collect();
-                dead.sort_unstable();
-                let mut touched: Vec<JoinKey> = Vec::with_capacity(dead.len());
-                for &(tpos, slot) in &dead {
-                    let row =
+                for slot in dead {
+                    let key = rows.live(slot).key;
+                    index.unlink(rows, key, slot);
+                    let Row { data, ts: row_ts, .. } =
                         rows.remove(slot).unwrap_or_else(|| unreachable!("indexed row is live"));
-                    debug_assert_eq!(row.edges[pos_level], edge);
-                    debug_assert!(level > pos_level || row.ts == ts, "one edge, one timestamp");
+                    debug_assert_eq!(data.edges[pos_level], edge);
+                    debug_assert!(level > pos_level || row_ts == ts, "one edge, one timestamp");
                     // Deregister the row from every payload position
                     // (swap-remove + moved-row fixup, O(1) each).
                     for (pos, lists) in payload.iter_mut().enumerate() {
-                        let rp = row.ref_pos[pos];
-                        if let Some(moved) = lists.remove(row.edges[pos], rp, slot) {
-                            rows.live_mut(moved).ref_pos[pos] = rp;
+                        let rp = data.ref_pos[pos];
+                        if let Some(moved) = lists.remove(data.edges[pos], rp, slot) {
+                            rows.live_mut(moved).data.ref_pos[pos] = rp;
                         }
                     }
-                    index.punch(row.key, row.key_pos, slot);
-                    touched.push(row.key);
-                    timeline.punch(tpos, slot);
                     deleted += 1;
                     if level == leaf_level {
                         dead_handles.insert(encode(item, slot));
                     }
                 }
-                index.finish(&mut touched, |s, pos| rows.live_mut(s).key_pos = pos);
-                // Timeline survivors re-record their position on
-                // compaction; a drained timeline resets and stays.
-                timeline.finish_cascade(|s, pos| rows.live_mut(s).tl_pos = pos);
             }
         }
         if !dead_handles.is_empty() {
@@ -489,23 +472,20 @@ impl MatchStore for IndependentStore {
                 // pointers from leaves into L₀ rows, finding dependents
                 // means inspecting row contents — that scan is the
                 // ablation the paper measures.
-                let dead: Vec<(u32, JoinKey, u32)> = rows
+                let dead: Vec<(u32, JoinKey)> = rows
                     .iter()
-                    .filter(|(_, row)| row.comps.iter().any(|c| dead_handles.contains(c)))
-                    .map(|(slot, row)| (slot, row.key, row.key_pos))
+                    .filter(|(_, row)| row.data.iter().any(|c| dead_handles.contains(c)))
+                    .map(|(slot, row)| (slot, row.key))
                     .collect();
-                let mut touched: Vec<JoinKey> = Vec::with_capacity(dead.len());
-                for &(slot, key, key_pos) in &dead {
+                for (slot, key) in dead {
+                    index.unlink(rows, key, slot);
                     let row =
                         rows.remove(slot).unwrap_or_else(|| unreachable!("scanned row is live"));
                     // A row dying through a dead leaf completed no earlier
                     // than that leaf's newest edge — i.e. the expired edge.
                     debug_assert!(row.ts >= ts, "L0 row older than the edge that killed it");
-                    index.punch(key, key_pos, slot);
-                    touched.push(key);
                     deleted += 1;
                 }
-                index.finish(&mut touched, |s, pos| rows.live_mut(s).key_pos = pos);
             }
         }
         deleted
@@ -519,22 +499,24 @@ impl MatchStore for IndependentStore {
         self.l0[i - 1].rows.len
     }
 
+    /// Live rows with their heap, plus the indexes. Free slab slots are
+    /// not counted, as the trees do not count their free nodes.
     fn space_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = 0;
         for it in self.subs.iter().flatten() {
-            bytes += it.rows.slots.capacity() * size_of::<Option<SubRow>>();
+            bytes += it.rows.len * size_of::<Option<SubRow>>();
             for (_, row) in it.rows.iter() {
-                bytes += row.edges.capacity() * size_of::<EdgeId>();
-                bytes += row.ref_pos.capacity() * size_of::<u32>();
+                bytes += row.data.edges.capacity() * size_of::<EdgeId>();
+                bytes += row.data.ref_pos.capacity() * size_of::<u32>();
             }
-            bytes += it.index.heap_bytes() + it.timeline.heap_bytes();
+            bytes += it.index.heap_bytes();
             bytes += it.payload.iter().map(RefLists::heap_bytes).sum::<usize>();
         }
         for it in &self.l0 {
-            bytes += it.rows.slots.capacity() * size_of::<Option<L0Row>>();
+            bytes += it.rows.len * size_of::<Option<L0Row>>();
             for (_, row) in it.rows.iter() {
-                bytes += row.comps.capacity() * size_of::<Handle>();
+                bytes += row.data.capacity() * size_of::<Handle>();
             }
             bytes += it.index.heap_bytes();
         }
@@ -614,14 +596,18 @@ mod tests {
         conformance::same_bucket_double_death_in_one_cascade::<IndependentStore>();
     }
     #[test]
-    fn conformance_tombstones_match_model() {
-        conformance::tombstoned_buckets_match_model_store::<IndependentStore>();
+    fn conformance_key_lists_match_model() {
+        conformance::key_lists_match_model_store::<IndependentStore>();
     }
     #[test]
-    fn conformance_interior_compaction() {
-        conformance::interior_deaths_compact_past_the_threshold::<IndependentStore>(|s| {
-            s.subs[0][1].index.get(7)
+    fn conformance_interior_deaths_unlink_in_place() {
+        conformance::interior_deaths_unlink_in_place::<IndependentStore>(|s| {
+            s.subs[0][1].index.contains(7)
         });
+    }
+    #[test]
+    fn conformance_state_tracks_live_rows() {
+        conformance::state_tracks_live_rows::<IndependentStore>();
     }
 
     #[test]
@@ -695,8 +681,8 @@ mod tests {
         // on a fresh store.
         type Corrupt = fn(&mut Slab<SubRow>);
         let cases: [(&str, Corrupt); 3] = [
-            ("bucket-position", |slab| slab.live_mut(0).key_pos += 1),
-            ("payload-position", |slab| slab.live_mut(0).ref_pos[0] += 1),
+            ("bucket-position", |slab| slab.live_mut(0).key_prev = 0),
+            ("payload-position", |slab| slab.live_mut(0).data.ref_pos[0] += 1),
             ("slab-accounting", |slab| slab.len += 1),
         ];
         for (slug, corrupt) in cases {

@@ -3,7 +3,7 @@
 //!
 //! Every store in this workspace leans on the PR-2 ordered-bucket
 //! invariant: item lists and key buckets are nondecreasing in newest-edge
-//! timestamp, and every timing filter binary-searches instead of scanning.
+//! timestamp, and every timing filter stops at its cutoff instead of scanning.
 //! Until this module, that invariant was only *debug*-asserted — a release
 //! build fed an out-of-order edge would file rows at the wrong bucket
 //! positions and quietly return wrong (not just incomplete) results ever

@@ -168,7 +168,7 @@ impl RowArena {
     /// collects the parents `σ` extends, each with the key the extension
     /// is stored under. At level 0 the one parent is [`ROOT`] (a fresh
     /// match). At level `j ≥ 1` only the bucket of `σ`'s endpoint bindings
-    /// in `L^{j-1}_i` is read, cut at `σ.ts` by binary search, and a
+    /// in `L^{j-1}_i` is read, walked up to `σ.ts` and no further, and a
     /// prefix is kept when it passes the timing and full compatibility
     /// checks. Returns whether any parent was found.
     pub fn chain_parents<J: JoinReads, L: LiveEdgeView>(
@@ -256,7 +256,7 @@ impl RowArena {
     /// subquery 0's leaves); rows over subqueries `0..level` join the
     /// complete matches of subquery `level`. Each read is the bucket of
     /// the row's shared-vertex bindings, with everything below the
-    /// cross-subquery ≺ floor skipped by binary search before any merged
+    /// cross-subquery ≺ floor never visited, before any merged
     /// assignment is built. Returns whether any pair joins.
     pub fn probe<J: JoinReads, L: LiveEdgeView>(
         &mut self,

@@ -32,17 +32,17 @@
 //! Item lists and key buckets obey the timestamp-ordered invariant of the
 //! `store.rs` module docs: nodes carry the timestamp of their match's
 //! newest edge and appends are checked nondecreasing. The engines rely on
-//! it for binary-search range probes
+//! it for range probes that stop at the cutoff
 //! ([`MatchStore::for_each_sub_keyed_before`] / `..._from`) and for the
 //! oldest-first early exit of `expire_edge`'s payload scans.
 //!
-//! Deletion costs what it deletes: item lists are intrusive (O(1) unlink
-//! per node) and key buckets are [`DrainBucket`]s — a dying row punches a
-//! timestamp-keeping tombstone at its stored bucket position, the end of
-//! the cascade front-drains the leading tombstones (payload-level deaths
-//! are always a bucket's oldest prefix), and interior holes from cascaded
-//! descendants are physically compacted only once they outnumber the live
-//! entries (see the tombstone-lifecycle section of the `store.rs` docs).
+//! Deletion costs what it deletes: both of a node's lists are intrusive.
+//! Besides its item-list links every node carries `key_prev` / `key_next`,
+//! its place in the per-key list of its item's join-key index, so a dying
+//! node leaves its item list and its key list in O(1) wherever it sits (see
+//! the key-list section of the `store.rs` docs). The index itself is only
+//! a `JoinKey → {head, tail}` map; a node stays 64 bytes because its dead
+//! flag is the top bit of its item number.
 //!
 //! The tree owns only its node representation. The key index, the
 //! referencer lists and the audit are the shared [`KeyIndex`],
@@ -50,7 +50,7 @@
 //! concurrent tree and Timing-IND run.
 
 use crate::store::{
-    audit_tree, AuditViolation, DrainBucket, Handle, ItemView, JoinKey, KeyIndex, MatchStore,
+    audit_tree, AuditViolation, Handle, ItemView, JoinKey, KeyIndex, KeyLinks, MatchStore,
     NodeView, RefLists, StoreAudit, StoreLayout, NIL, ROOT,
 };
 use tcs_graph::query::MAX_QUERY_EDGES;
@@ -70,19 +70,57 @@ struct Node {
     /// Intrusive per-item (level) doubly linked list.
     next: u32,
     prev: u32,
-    /// Which item (level list) this node belongs to.
+    /// Which item (level list) this node belongs to, with [`DEAD`] set
+    /// once a cascade marks it.
     item: u32,
     /// Join key the node was filed under (see `store.rs` module docs).
     key: JoinKey,
-    /// Absolute position inside its item's key bucket (O(1) tombstone
-    /// punching on removal; re-recorded whenever the bucket compacts).
-    key_pos: u32,
+    /// Intrusive per-key doubly linked list of the item's key index.
+    key_prev: u32,
+    key_next: u32,
     /// For `L₀` nodes (`item ≥ l0_base`): position inside the referencer
     /// list `l0_refs[item − l0_base][payload]` (O(1) deregistration;
     /// re-recorded when a swap-remove moves another node into the slot).
     /// Unused for subquery nodes.
     ref_pos: u32,
-    dead: bool,
+}
+
+/// The dead flag: the top bit of a node's `item` field.
+const DEAD: u32 = 1 << 31;
+
+impl Node {
+    #[inline]
+    fn item(&self) -> usize {
+        (self.item & !DEAD) as usize
+    }
+
+    #[inline]
+    fn dead(&self) -> bool {
+        self.item & DEAD != 0
+    }
+}
+
+impl KeyLinks for Vec<Node> {
+    #[inline]
+    fn ts(&self, row: u32) -> u64 {
+        self[row as usize].ts
+    }
+    #[inline]
+    fn key_prev(&self, row: u32) -> u32 {
+        self[row as usize].key_prev
+    }
+    #[inline]
+    fn key_next(&self, row: u32) -> u32 {
+        self[row as usize].key_next
+    }
+    #[inline]
+    fn set_key_prev(&mut self, row: u32, to: u32) {
+        self[row as usize].key_prev = to;
+    }
+    #[inline]
+    fn set_key_next(&mut self, row: u32, to: u32) {
+        self[row as usize].key_next = to;
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -98,9 +136,8 @@ pub struct MsTreeStore {
     nodes: Vec<Node>,
     free: Vec<u32>,
     items: Vec<ItemList>,
-    /// Per-item join-key index: key → tombstoned ordered bucket of node
-    /// indices, kept coherent with the intrusive item lists through
-    /// `expire_edge`.
+    /// Per-item join-key index: key → the ends of that key's node list,
+    /// kept coherent with the intrusive item lists through `expire_edge`.
     indexes: Vec<KeyIndex>,
     /// Start of each subquery's item range in `items`.
     sub_offsets: Vec<usize>,
@@ -126,10 +163,6 @@ struct ExpireScratch {
     /// Items whose payload scan already ran (one per distinct position,
     /// so a short list).
     seen_items: Vec<usize>,
-    /// `(item, key)` of every punched bucket entry.
-    touched: Vec<(usize, JoinKey)>,
-    /// One item's share of `touched`, handed to [`KeyIndex::finish`].
-    keys: Vec<JoinKey>,
 }
 
 impl MsTreeStore {
@@ -157,9 +190,9 @@ impl MsTreeStore {
             prev: NIL,
             item,
             key,
-            key_pos: 0,
+            key_prev: NIL,
+            key_next: NIL,
             ref_pos: 0,
-            dead: false,
         };
         match self.free.pop() {
             Some(idx) => {
@@ -174,7 +207,7 @@ impl MsTreeStore {
     }
 
     fn link_into_item(&mut self, idx: u32) {
-        let item = self.nodes[idx as usize].item as usize;
+        let item = self.nodes[idx as usize].item();
         let list = &mut self.items[item];
         if list.tail == NIL {
             list.head = idx;
@@ -207,7 +240,7 @@ impl MsTreeStore {
     ) -> Handle {
         // Ordered-bucket invariant: appends arrive in nondecreasing
         // timestamp order (the stream is strictly increasing), checked
-        // against the item tail — the bucket tail is never newer.
+        // against the item tail here and the key-list tail on filing.
         debug_assert!(
             self.items[item].tail == NIL || self.nodes[self.items[item].tail as usize].ts <= ts,
             "item {item} insert violates the timestamp-ordered invariant"
@@ -218,7 +251,7 @@ impl MsTreeStore {
             self.link_under_parent(idx, parent_idx);
         }
         self.link_into_item(idx);
-        self.nodes[idx as usize].key_pos = self.indexes[item].file(key, idx, ts);
+        self.indexes[item].file(&mut self.nodes, key, idx);
         idx as Handle
     }
 
@@ -226,18 +259,18 @@ impl MsTreeStore {
     /// Touches nothing but the nodes, so callers may hold other fields
     /// (the referencer index) borrowed across it.
     fn mark_cascade(nodes: &mut [Node], idx: u32, marked: &mut Vec<u32>) {
-        if nodes[idx as usize].dead {
+        if nodes[idx as usize].dead() {
             return;
         }
-        nodes[idx as usize].dead = true;
+        nodes[idx as usize].item |= DEAD;
         marked.push(idx);
         let mut head = marked.len() - 1;
         while head < marked.len() {
             let n = marked[head];
             let mut c = nodes[n as usize].first_child;
             while c != NIL {
-                if !nodes[c as usize].dead {
-                    nodes[c as usize].dead = true;
+                if !nodes[c as usize].dead() {
+                    nodes[c as usize].item |= DEAD;
                     marked.push(c);
                 }
                 c = nodes[c as usize].next_sib;
@@ -246,28 +279,12 @@ impl MsTreeStore {
         }
     }
 
-    /// End-of-cascade bucket maintenance: one [`KeyIndex::finish`] per
-    /// touched item. Survivors keep their relative (timestamp) order and
-    /// get their positions re-recorded on compaction.
-    fn finish_buckets(&mut self, touched: &mut [(usize, JoinKey)], keys: &mut Vec<JoinKey>) {
-        touched.sort_unstable();
-        for of_item in touched.chunk_by(|a, b| a.0 == b.0) {
-            keys.clear();
-            keys.extend(of_item.iter().map(|&(_, key)| key));
-            let nodes = &mut self.nodes;
-            self.indexes[of_item[0].0].finish(keys, |slot, pos| nodes[slot as usize].key_pos = pos);
-        }
-    }
-
-    /// Unlinks a dead node from its item list, its key bucket (punching a
-    /// tombstone and recording the touched `(item, key)` for
-    /// [`MsTreeStore::finish_buckets`]), its L₀ referencer list (if it is
-    /// an L₀ node), and its parent's child list.
-    fn unlink(&mut self, idx: u32, touched: &mut Vec<(usize, JoinKey)>) {
+    /// Unlinks a dead node from its item list, its key list, its L₀
+    /// referencer list (if it is an L₀ node), and its parent's child list.
+    fn unlink(&mut self, idx: u32) {
         let n = self.nodes[idx as usize];
-        let item = n.item as usize;
-        self.indexes[item].punch(n.key, n.key_pos, idx);
-        touched.push((item, n.key));
+        let item = n.item();
+        self.indexes[item].unlink(&mut self.nodes, n.key, idx);
         if let Some(refs) = item.checked_sub(self.l0_base) {
             if let Some(moved) = self.l0_refs[refs].remove(n.payload, n.ref_pos, idx) {
                 self.nodes[moved as usize].ref_pos = n.ref_pos;
@@ -335,30 +352,22 @@ impl MsTreeStore {
         comps[0] = cur as Handle;
         f(n as Handle, comps);
     }
-
-    /// The timestamp-ordered bucket of `(item, key)`, if any. Buckets hold
-    /// node indices in nondecreasing node-timestamp order (tombstones keep
-    /// their timestamps), so range reads binary-search the entries.
-    #[inline]
-    fn bucket(&self, item: usize, key: JoinKey) -> Option<&DrainBucket> {
-        self.indexes[item].get(key)
-    }
 }
 
 impl StoreAudit for MsTreeStore {
     fn audit(&self) -> Vec<AuditViolation> {
         let node = |n: u32| {
-            let Node { payload, ts, parent, next, prev, item, key, key_pos, ref_pos, dead, .. } =
-                self.nodes[n as usize];
-            let item = Some(item);
-            NodeView { payload, ts, parent, prev, next, dead, item, key, key_pos, ref_pos }
+            let v = self.nodes[n as usize];
+            let Node { payload, ts, parent, next, prev, key, ref_pos, .. } = v;
+            let (dead, item) = (v.dead(), Some(v.item() as u32));
+            NodeView { payload, ts, parent, prev, next, dead, item, key, ref_pos }
         };
         let item = |i: usize, f: &mut dyn FnMut(ItemView<'_>)| {
             let ItemList { head, tail, len } = self.items[i];
             let refs = i.checked_sub(self.l0_base).map(|j| &self.l0_refs[j]);
             f(ItemView { head, tail, len, index: &self.indexes[i], refs })
         };
-        audit_tree("ms-tree", &self.layout, node, item, &self.free, self.nodes.len())
+        audit_tree("ms-tree", &self.layout, node, &self.nodes, item, &self.free, self.nodes.len())
     }
 }
 
@@ -404,11 +413,8 @@ impl MatchStore for MsTreeStore {
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
         let item = self.sub_item(sub, level);
-        let Some(bucket) = self.bucket(item, key) else {
-            return;
-        };
         let mut buf = [EdgeId(0); MAX_QUERY_EDGES];
-        for n in bucket.live_before(cutoff_ts) {
+        for n in self.indexes[item].before(&self.nodes, key, cutoff_ts) {
             self.emit_sub_path(n, level, &mut buf[..=level], f);
         }
     }
@@ -422,11 +428,8 @@ impl MatchStore for MsTreeStore {
         f: &mut dyn FnMut(Handle, &[EdgeId]),
     ) {
         let item = self.sub_item(sub, level);
-        let Some(bucket) = self.bucket(item, key) else {
-            return;
-        };
         let mut buf = [EdgeId(0); MAX_QUERY_EDGES];
-        for n in bucket.live_from(min_ts) {
+        for n in self.indexes[item].from(&self.nodes, key, min_ts) {
             self.emit_sub_path(n, level, &mut buf[..=level], f);
         }
     }
@@ -463,11 +466,8 @@ impl MatchStore for MsTreeStore {
         f: &mut dyn FnMut(Handle, &[Handle]),
     ) {
         let item = self.l0_item(i);
-        let Some(bucket) = self.bucket(item, key) else {
-            return;
-        };
         let mut comps = [0 as Handle; MAX_QUERY_EDGES];
-        for n in bucket.live_from(min_ts) {
+        for n in self.indexes[item].from(&self.nodes, key, min_ts) {
             self.emit_l0_row(n, i, &mut comps[..=i], f);
         }
     }
@@ -503,7 +503,6 @@ impl MatchStore for MsTreeStore {
         let mut sc = std::mem::take(&mut self.scratch);
         sc.marked.clear();
         sc.seen_items.clear();
-        sc.touched.clear();
         // Phase 1: payload scans at the positions the edge can occupy,
         // cascading into descendants (which reach grafted L₀ levels for
         // subquery 0 automatically). Item lists are timestamp-ordered and
@@ -544,7 +543,7 @@ impl MatchStore for MsTreeStore {
             let Self { nodes, l0_refs, .. } = self;
             for x in 0..phase1 {
                 let leaf = sc.marked[x];
-                if nodes[leaf as usize].item as usize != leaf_item {
+                if nodes[leaf as usize].item() != leaf_item {
                     continue;
                 }
                 for &n in l0_refs[i - 1].get(u64::from(leaf)) {
@@ -552,14 +551,11 @@ impl MatchStore for MsTreeStore {
                 }
             }
         }
-        // Unlink everything (punching tombstones into the touched
-        // buckets), run the end-of-cascade front-drain / threshold
-        // compaction once, then reclaim. Tombstoned entries keep their
-        // timestamps, so reusing the freed nodes immediately is safe.
+        // Unlink everything, then reclaim: no list links a freed node, so
+        // reusing it immediately is safe.
         for &m in &sc.marked {
-            self.unlink(m, &mut sc.touched);
+            self.unlink(m);
         }
-        self.finish_buckets(&mut sc.touched, &mut sc.keys);
         self.free.extend_from_slice(&sc.marked);
         let removed = sc.marked.len();
         self.scratch = sc;
@@ -578,7 +574,11 @@ impl MatchStore for MsTreeStore {
         use std::mem::size_of;
         let live = self.nodes.len() - self.free.len();
         let index_bytes: usize = self.indexes.iter().map(KeyIndex::heap_bytes).sum();
-        live * size_of::<Node>() + self.items.len() * size_of::<ItemList>() + index_bytes
+        let ref_bytes: usize = self.l0_refs.iter().map(RefLists::heap_bytes).sum();
+        live * size_of::<Node>()
+            + self.items.len() * size_of::<ItemList>()
+            + index_bytes
+            + ref_bytes
     }
 }
 
@@ -653,14 +653,38 @@ mod tests {
         conformance::same_bucket_double_death_in_one_cascade::<MsTreeStore>();
     }
     #[test]
-    fn conformance_tombstones_match_model() {
-        conformance::tombstoned_buckets_match_model_store::<MsTreeStore>();
+    fn conformance_key_lists_match_model() {
+        conformance::key_lists_match_model_store::<MsTreeStore>();
     }
     #[test]
-    fn conformance_interior_compaction() {
-        conformance::interior_deaths_compact_past_the_threshold::<MsTreeStore>(|s| {
-            s.indexes[1].get(7)
-        });
+    fn conformance_interior_deaths_unlink_in_place() {
+        conformance::interior_deaths_unlink_in_place::<MsTreeStore>(|s| s.indexes[1].contains(7));
+    }
+    #[test]
+    fn conformance_state_tracks_live_rows() {
+        conformance::state_tracks_live_rows::<MsTreeStore>();
+    }
+
+    #[test]
+    fn node_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 64);
+    }
+
+    #[test]
+    fn space_bytes_counts_referencer_lists() {
+        // N L₀ rows referencing N distinct leaves: each costs its node and
+        // at least one referencer-list entry.
+        const N: usize = 100;
+        let mut s = MsTreeStore::new(StoreLayout { sub_lens: vec![1, 1] });
+        let a = s.insert_sub(0, 0, ROOT, EdgeId(0), 0, 0);
+        let leaves: Vec<Handle> =
+            (1..=N as u64).map(|t| s.insert_sub(1, 0, ROOT, EdgeId(t), t, 0)).collect();
+        let base = s.space_bytes();
+        for (&b, t) in leaves.iter().zip(N as u64 + 1..) {
+            s.insert_l0(1, a, b, t, 0);
+        }
+        let grown = N * (std::mem::size_of::<Node>() + std::mem::size_of::<u32>());
+        assert!(s.space_bytes() >= base + grown, "{} < {base} + {grown}", s.space_bytes());
     }
 
     #[test]
@@ -820,8 +844,8 @@ mod tests {
         // Layout: subquery 0 with two levels, subquery 1 with one, one L₀
         // item. Each cascade reuses the store's expiry scratch; a buffer
         // that kept the previous cascade's entries would re-unlink freed
-        // (or reused) nodes, skip an already-scanned item, or finish a
-        // dropped bucket — every one of which the checks below catch.
+        // (or reused) nodes or skip an already-scanned item — each of
+        // which the checks below catch.
         let layout = || StoreLayout { sub_lens: vec![2, 1] };
         let mut ops = vec![
             Op::Sub(0, vec![1]),
@@ -889,7 +913,7 @@ mod tests {
         // holding an L₀ row `r` and one freed node.
         type Corrupt = fn(&mut MsTreeStore, usize);
         let cases: [(&str, Corrupt); 4] = [
-            ("bucket-position", |s, r| s.nodes[r].key_pos += 1),
+            ("bucket-position", |s, r| s.nodes[r].key_prev = r as u32),
             ("referencer-position", |s, r| s.nodes[r].ref_pos += 1),
             ("list-backlink", |s, r| s.nodes[r].prev = r as u32),
             ("free-list-duplicates", |s, _| s.free.push(s.free[0])),

@@ -119,8 +119,8 @@ pub struct QueryPlan {
     /// precede at least one edge of subqueries `0..i`. When a fresh
     /// complete match Δ of `Q^{i+1}` probes the `L₀^{i-1}` rows, any row
     /// whose newest timestamp is ≤ `ts(Δ[d])` cannot satisfy that
-    /// constraint — the engine binary-searches the timestamp-ordered
-    /// bucket past those rows before building any merged assignment.
+    /// constraint — the engine's walk of the timestamp-ordered bucket
+    /// never reaches those rows, so no merged assignment is built for them.
     /// Index 0 is empty padding.
     pub l0_delta_floor_levels: Vec<Vec<usize>>,
     /// `leaf_floor_positions[s]` (for `1 ≤ s < k`): positions
@@ -777,7 +777,7 @@ fn l0_key_specs(q: &QueryGraph, subs: &[TcSubquery]) -> Vec<Vec<L0KeyPart>> {
 /// whose edge a cross-subquery ≺ constraint places before some row-side
 /// edge. A row older than (or as old as) all of Δ's bindings at those
 /// levels cannot satisfy the constraints, whatever its own bindings are —
-/// the necessary condition the ordered-bucket binary search exploits.
+/// the necessary condition the ordered-bucket range walk exploits.
 fn l0_delta_floor_specs(q: &QueryGraph, subs: &[TcSubquery]) -> Vec<Vec<usize>> {
     let k = subs.len();
     let mut out = vec![Vec::new()];

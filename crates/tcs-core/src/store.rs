@@ -53,8 +53,8 @@
 //!   full compatibility check on every probe hit, so semantics are
 //!   identical to the full-scan path.
 //! * `expire_edge`'s cascading deletes keep the indexes coherent: every
-//!   unlink also removes the match from its key bucket (a punched hole,
-//!   compacted once per cascade so bucket order survives).
+//!   unlink also unlinks the match from its key list, in O(1) wherever it
+//!   sits in the list.
 //!
 //! A spec with no shared vertices folds to [`crate::plan::KEY_EMPTY`] on
 //! both sides — one bucket holding the whole item, which degrades
@@ -72,20 +72,22 @@
 //! timestamp order, and the stores promote that from an accident of
 //! append order to a **checked invariant**:
 //!
-//! * every item list and every key bucket iterates in nondecreasing
-//!   timestamp order, oldest first (asserted on insert in debug builds);
-//! * `expire_edge` preserves the order — removals hole-compact the touched
-//!   buckets instead of swap-removing into the middle.
+//! * every item list and every key list (a key's *bucket*) iterates in
+//!   nondecreasing timestamp order, oldest first (asserted on insert in
+//!   debug builds);
+//! * `expire_edge` preserves the order — a removal unlinks the row in
+//!   place, so the survivors keep their neighbours.
 //!
 //! Three consumers exploit the sortedness to *stop* instead of *filter*:
 //!
-//! * [`MatchStore::for_each_sub_keyed_before`] binary-searches the bucket
-//!   for the chain join's `last.ts < σ.ts` cutoff and visits only the
-//!   valid prefix;
+//! * [`MatchStore::for_each_sub_keyed_before`] walks the key list from
+//!   its oldest row and stops at the first row not older than the chain
+//!   join's `last.ts < σ.ts` cutoff;
 //! * [`MatchStore::for_each_sub_keyed_from`] /
-//!   [`MatchStore::for_each_l0_keyed_from`] binary-search for a minimum
-//!   timestamp and visit only the valid suffix — the engine derives the
-//!   floor from cross-subquery ≺ constraints
+//!   [`MatchStore::for_each_l0_keyed_from`] walk back from the newest row
+//!   to the oldest one at or above a minimum timestamp, then visit that
+//!   suffix oldest first — the engine derives the floor from
+//!   cross-subquery ≺ constraints
 //!   ([`crate::plan::QueryPlan::l0_delta_floor_levels`]), skipping rows
 //!   that cannot satisfy them *before* their merged assignment is built;
 //! * `expire_edge` walks items oldest-first and stops at the first entry
@@ -101,41 +103,25 @@
 //! timestamp": distinct stream edges never share a timestamp (Definition 1
 //! gives strictly increasing arrivals).
 //!
-//! # Expiry cost and the tombstone lifecycle
+//! # Expiry cost and the key lists
 //!
-//! Because buckets are timestamp-ordered and edges leave the window
-//! oldest-first, every *payload-level* death (a row whose newest edge is
-//! the expired edge) sits in a contiguous oldest prefix of its item and
-//! bucket: a live row older than the expired edge cannot exist, since its
-//! own newest edge would already have expired. Cascade deaths (descendants
-//! of a dying prefix, and `L₀` rows referencing a dead leaf) are strictly
-//! newer and land anywhere in their buckets. Expiry therefore must be
-//! cheap at the front and tolerable in the middle, which is exactly what
-//! [`DrainBucket`] provides; all three stores (MS-tree, Timing-IND, and
-//! the concurrent CmsTree) file their key buckets in one:
+//! An item's join-key index is a map from each live key to the head and
+//! tail of a doubly linked list threaded through the item's rows: every
+//! row carries a `key_prev` / `key_next` link pair beside its own fields,
+//! the way the MS-tree's item lists thread through its nodes (§IV-C's
+//! horizontal access). Rows join a list at its tail — appends arrive in
+//! timestamp order, so the list stays ordered — and leave it in O(1) from
+//! any position.
 //!
-//! 1. **Punch** — removing a row overwrites its bucket entry's slot with
-//!    [`TOMBSTONE`] in O(1) via the row's stored bucket position. The
-//!    entry *keeps its timestamp*, so binary searches over the bucket stay
-//!    valid and reclaimed slots can be reused immediately without
-//!    aliasing.
-//! 2. **Front-drain** — at the end of each expiry cascade the bucket's
-//!    logical `start` advances past every leading tombstone, so the
-//!    steady-state case (the window retiring the oldest rows) costs
-//!    O(deaths), never O(bucket).
-//! 3. **Threshold compaction** — interior tombstones are merely counted;
-//!    live entries are physically re-packed (and their stored positions
-//!    re-recorded) only once dead entries outnumber live ones, which
-//!    amortizes to O(1) per death and bounds a bucket's memory at ~2×
-//!    its live size. A bucket with no live entries is dropped whole.
-//!
-//! Steps 2–3 and the empty-bucket drop run unconditionally at the end of
-//! every cascade, through one routine all three stores call per touched
-//! item: [`KeyIndex::finish`].
-//!
-//! Iterators skip tombstones, so readers never observe them; `len_sub` /
-//! `len_l0` count live rows only, which keeps the engines'
-//! `live_partials == store_rows()` accounting exact under tombstones.
+//! Because edges leave the window oldest-first, every *payload-level*
+//! death (a row whose newest edge is the expired edge) is its list's
+//! oldest prefix; cascade deaths (descendants of a dying prefix, and `L₀`
+//! rows referencing a dead leaf) are newer and sit anywhere in their
+//! lists. Both cost one unlink, so expiry costs O(deaths) with no
+//! end-of-cascade pass, and a list never holds anything but live rows. A
+//! list that loses its last row drops its map entry, so an index holds
+//! one `JoinKey → {head, tail}` entry per live key plus 8 bytes of links
+//! per row, whatever the item's history.
 //!
 //! # Shared per-item bookkeeping
 //!
@@ -143,8 +129,9 @@
 //! flat row, guarded atomic node). Everything else about an item is
 //! written once, here, and is the only implementation of it:
 //!
-//! * [`KeyIndex`] — the item's `JoinKey → DrainBucket` map: filing,
-//!   punching, the end-of-cascade finish, byte accounting and its audit;
+//! * [`KeyIndex`] — the item's `JoinKey → {head, tail}` map over the
+//!   rows' key links, which each store exposes through [`KeyLinks`]:
+//!   filing, unlinking, the ordered walks, byte accounting and its audit;
 //! * [`RefLists`] — lists whose members record their own position (the
 //!   trees' `L₀` referencer index, Timing-IND's payload index), with the
 //!   swap-remove that hands back the moved member, and its audit;
@@ -195,16 +182,11 @@ pub fn format_violations(found: &[AuditViolation]) -> String {
 ///
 /// One call checks every documented invariant at once:
 ///
-/// * **ordered buckets** — every item list and key bucket iterates in
-///   nondecreasing newest-edge-timestamp order (tombstones keep their
-///   timestamps, so the order holds across holes);
-/// * **tombstone lifecycle** — tombstone counts are exact, no bucket
-///   keeps a tombstone at its front after the end-of-cascade front-drain,
-///   and dead space never crosses the threshold `finish_cascade` would
-///   have compacted at;
-/// * **index coherence** — key buckets hold exactly the live rows of
-///   their item, every row's recorded bucket position round-trips, and
-///   live-empty buckets have been dropped;
+/// * **ordered buckets** — every item list and key list iterates in
+///   nondecreasing newest-edge-timestamp order;
+/// * **index coherence** — key lists link exactly the live rows of their
+///   item, each under its own key, every link has its backlink and every
+///   list ends at its recorded tail;
 /// * **no dangling references** — parent/prefix links and `L₀` component
 ///   handles resolve to live rows of the right item;
 /// * **allocator accounting** — live rows plus free slots cover the arena
@@ -238,306 +220,223 @@ pub type JoinKey = u64;
 /// Sentinel parent for level-0 insertions.
 pub const ROOT: Handle = Handle::MAX;
 
-/// How a store retires the bucket entries of expired rows (see the
-/// "Expiry cost and the tombstone lifecycle" section of the module docs).
-/// One policy is left, so the type selects nothing; it stays only because
+/// How a store retires the key-index entries of expired rows (see the
+/// "Expiry cost and the key lists" section of the module docs). One
+/// policy is left, so the type selects nothing; it stays only because
 /// the frozen benchmark's `TracedStore` names it (through
 /// [`MatchStore::set_expiry_mode`]). Queued for the benchmark PR that
 /// drops it there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExpiryMode {
-    /// Front-drain the oldest prefix, tombstone interior holes, compact a
-    /// bucket only once dead entries outnumber live ones (steady-state
-    /// expiry is O(deaths)).
+    /// Unlink each dying row from its key list in place (expiry is
+    /// O(deaths)).
     #[default]
     FrontDrain,
 }
 
-/// Slot value marking a punched (tombstoned) [`DrainBucket`] entry.
-pub const TOMBSTONE: u32 = u32::MAX;
+/// Row access a [`KeyIndex`] needs: each row's timestamp and its two key
+/// links. Rows are named by the store's `u32` slot (node index / slab
+/// slot); [`NIL`] is the null link. Every store implements it over its own
+/// row representation.
+pub trait KeyLinks {
+    /// Timestamp of row `row`'s newest edge.
+    fn ts(&self, row: u32) -> u64;
+    /// The row before `row` in its key list.
+    fn key_prev(&self, row: u32) -> u32;
+    /// The row after `row` in its key list.
+    fn key_next(&self, row: u32) -> u32;
+    /// Sets the row before `row`.
+    fn set_key_prev(&mut self, row: u32, to: u32);
+    /// Sets the row after `row`.
+    fn set_key_next(&mut self, row: u32, to: u32);
+}
 
-/// One slot of a [`DrainBucket`]: a store-specific row reference (node
-/// index / slab slot) plus the row's newest-edge timestamp. The timestamp
-/// outlives the row — a punched entry keeps it so binary searches over
-/// the bucket remain valid and the store may reuse the slot immediately.
+/// Both ends of one key list.
 #[derive(Clone, Copy, Debug)]
-pub struct BucketEntry {
-    /// Row reference, or [`TOMBSTONE`] once punched.
-    pub slot: u32,
-    /// The row's timestamp (nondecreasing along the bucket).
-    pub ts: u64,
+struct KeyList {
+    head: u32,
+    tail: u32,
 }
 
-/// A timestamp-ordered key bucket supporting O(1) hole-punching, O(drained)
-/// front-drain, and amortized-O(1) threshold compaction — the storage
-/// behind every item's join-key index (module docs: "Expiry cost and the
-/// tombstone lifecycle"). Live entries are `entries[start..]` minus the
-/// `tombs` tombstones among them; positions handed out by
-/// [`DrainBucket::push`] are absolute indices into `entries` and stay
-/// valid until the next compaction re-records them.
-#[derive(Clone, Debug, Default)]
-pub struct DrainBucket {
-    entries: Vec<BucketEntry>,
-    /// Logical front: everything before it is dead and drained.
-    start: u32,
-    /// Tombstones at positions `>= start`.
-    tombs: u32,
-}
-
-/// Compact once dead entries outnumber live ones (amortized O(1) per
-/// death), but never for a handful of holes — tiny buckets would thrash.
-const COMPACT_MIN_DEAD: u32 = 8;
-
-impl DrainBucket {
-    /// Appends a live entry; returns its absolute position (the row's
-    /// back-reference for later punching). Checks the timestamp-ordered
-    /// invariant against the bucket tail (tombstoned or not — tombstones
-    /// keep their timestamps).
-    #[inline]
-    pub fn push(&mut self, slot: u32, ts: u64) -> u32 {
-        debug_assert_ne!(slot, TOMBSTONE);
-        debug_assert!(
-            self.entries.last().is_none_or(|e| e.ts <= ts),
-            "bucket insert violates the timestamp-ordered invariant"
-        );
-        self.entries.push(BucketEntry { slot, ts });
-        (self.entries.len() - 1) as u32
-    }
-
-    /// Punches the entry at absolute position `pos` (which must currently
-    /// reference `expect`), leaving a counted tombstone.
-    #[inline]
-    pub fn punch(&mut self, pos: u32, expect: u32) {
-        let e = &mut self.entries[pos as usize];
-        debug_assert_eq!(e.slot, expect, "stale bucket back-reference");
-        debug_assert!(pos >= self.start, "punching an already-drained entry");
-        e.slot = TOMBSTONE;
-        self.tombs += 1;
-    }
-
-    /// Number of live entries.
-    #[inline]
-    pub fn live_len(&self) -> usize {
-        self.entries.len() - self.start as usize - self.tombs as usize
-    }
-
-    /// Entries still indexed (live and tombstoned), oldest first.
-    #[inline]
-    pub fn indexed(&self) -> &[BucketEntry] {
-        &self.entries[self.start as usize..]
-    }
-
-    /// Absolute position of the first indexed entry (for punch-by-walk).
-    #[inline]
-    pub fn front(&self) -> u32 {
-        self.start
-    }
-
-    /// Tombstones currently counted behind the front (test introspection).
-    #[inline]
-    pub fn tombstones(&self) -> u32 {
-        self.tombs
-    }
-
-    /// `true` when absolute position `pos` holds live row `slot` with
-    /// timestamp `ts` — a row's stored back-reference round-trips.
-    #[inline]
-    pub fn holds(&self, pos: u32, slot: u32, ts: u64) -> bool {
-        let at = pos.checked_sub(self.start).and_then(|i| self.indexed().get(i as usize));
-        at.is_some_and(|e| e.slot == slot && e.ts == ts)
-    }
-
-    /// Live slots of the whole bucket, oldest first.
-    #[inline]
-    pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.indexed().iter().filter(|e| e.slot != TOMBSTONE).map(|e| e.slot)
-    }
-
-    /// Live slots with `ts < cutoff_ts` (binary-searched prefix).
-    #[inline]
-    pub fn live_before(&self, cutoff_ts: u64) -> impl Iterator<Item = u32> + '_ {
-        let ix = self.indexed();
-        let n = ix.partition_point(|e| e.ts < cutoff_ts);
-        ix[..n].iter().filter(|e| e.slot != TOMBSTONE).map(|e| e.slot)
-    }
-
-    /// Live slots with `ts >= min_ts` (binary-searched suffix).
-    #[inline]
-    pub fn live_from(&self, min_ts: u64) -> impl Iterator<Item = u32> + '_ {
-        let ix = self.indexed();
-        let n = ix.partition_point(|e| e.ts < min_ts);
-        ix[n..].iter().filter(|e| e.slot != TOMBSTONE).map(|e| e.slot)
-    }
-
-    /// End-of-cascade maintenance: drain leading tombstones off the front,
-    /// then compact if dead space crossed the threshold, re-recording
-    /// every surviving row's position through `reindex(slot, new_pos)`.
-    /// Returns `true` when no live entry remains (the caller drops the
-    /// bucket).
-    pub fn finish_cascade(&mut self, reindex: impl FnMut(u32, u32)) -> bool {
-        while let Some(e) = self.entries.get(self.start as usize) {
-            if e.slot != TOMBSTONE {
-                break;
-            }
-            self.start += 1;
-            self.tombs -= 1;
-        }
-        debug_assert!(self.start as usize <= self.entries.len());
-        // Fully drained buckets reset so long-lived buckets (the per-item
-        // timelines) start clean instead of accumulating dead space.
-        if self.live_len() == 0 {
-            self.entries.clear();
-            self.start = 0;
-            self.tombs = 0;
-            return true;
-        }
-        if self.past_threshold() {
-            self.compact(reindex);
-        }
-        false
-    }
-
-    /// Physically removes drained space and tombstones, re-recording
-    /// survivor positions.
-    fn compact(&mut self, mut reindex: impl FnMut(u32, u32)) {
-        self.entries.drain(..self.start as usize);
-        self.entries.retain(|e| e.slot != TOMBSTONE);
-        self.start = 0;
-        self.tombs = 0;
-        for (pos, e) in self.entries.iter().enumerate() {
-            reindex(e.slot, pos as u32);
-        }
-    }
-
-    /// Heap bytes held by the bucket.
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<BucketEntry>()
-    }
-
-    /// Audits the bucket's own invariants at a cascade boundary (i.e.
-    /// after [`DrainBucket::finish_cascade`] ran for the last cascade that
-    /// touched it): timestamp order across live entries *and* tombstones,
-    /// an exact tombstone count, no tombstone left at the front, and dead
-    /// space below the compaction threshold. `store`/`what` label the
-    /// violations (e.g. `"ms-tree"`, `"item 3 key 7"`).
-    pub fn audit(&self, store: &'static str, what: &str, out: &mut Vec<AuditViolation>) {
-        let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
-        let ix = self.indexed();
-        if let Some(pos) = ix.windows(2).position(|w| w[0].ts > w[1].ts) {
-            report("bucket-timestamp-order", format!("{what}: entry {pos} newer than the next"));
-        }
-        let tombs = ix.iter().filter(|e| e.slot == TOMBSTONE).count() as u32;
-        if tombs != self.tombs {
-            report(
-                "tombstone-count",
-                format!("{what}: {tombs} tombstones, recorded {}", self.tombs),
-            );
-        }
-        if ix.first().is_some_and(|e| e.slot == TOMBSTONE) {
-            report("front-drain", format!("{what}: tombstone at the front after finish_cascade"));
-        }
-        if self.past_threshold() {
-            report("dead-space-threshold", format!("{what}: dead space past the threshold"));
-        }
-    }
-
-    /// Dead entries (drained or tombstoned) reached the compaction
-    /// threshold.
-    #[inline]
-    fn past_threshold(&self) -> bool {
-        let dead = self.start + self.tombs;
-        dead >= COMPACT_MIN_DEAD && dead as usize >= self.live_len()
-    }
-}
-
-/// One item's join-key index: `JoinKey →` [`DrainBucket`] of row slots.
-/// Every store keeps one per item; a row stores the position
-/// [`KeyIndex::file`] hands back and is re-recorded through the `reindex`
-/// callback of [`KeyIndex::finish`] when its bucket compacts.
+/// One item's join-key index: `JoinKey →` the ends of a doubly linked
+/// list threaded through the rows' own key links (module docs: "Expiry
+/// cost and the key lists"), oldest row first. Every store keeps one per
+/// item and reaches its rows through [`KeyLinks`].
 #[derive(Clone, Debug, Default)]
 pub struct KeyIndex {
-    buckets: IdMap<JoinKey, DrainBucket>,
+    lists: IdMap<JoinKey, KeyList>,
 }
 
 impl KeyIndex {
-    /// Files row `slot` with timestamp `ts` under `key`; returns its bucket
-    /// position (the row's back-reference for [`KeyIndex::punch`]).
+    /// Appends row `row` to `key`'s list. The row's timestamp must be no
+    /// older than the list's tail (checked in debug builds).
     #[inline]
-    pub fn file(&mut self, key: JoinKey, slot: u32, ts: u64) -> u32 {
-        self.buckets.entry(key).or_default().push(slot, ts)
-    }
-
-    /// The bucket of `key`, if any live row is filed under it.
-    #[inline]
-    pub fn get(&self, key: JoinKey) -> Option<&DrainBucket> {
-        self.buckets.get(&key)
-    }
-
-    /// Punches row `slot` at its recorded position `pos` in `key`'s bucket.
-    #[inline]
-    pub fn punch(&mut self, key: JoinKey, pos: u32, slot: u32) {
-        let bucket = self.buckets.get_mut(&key);
-        bucket.unwrap_or_else(|| unreachable!("filed row has a bucket")).punch(pos, slot);
-    }
-
-    /// The end of a cascade that punched rows under the `touched` keys
-    /// (any order, repeats allowed): each touched bucket gets one
-    /// [`DrainBucket::finish_cascade`], survivors of a compaction re-record
-    /// their position through `reindex(slot, new_pos)`, and buckets left
-    /// with no live entry are dropped.
-    pub fn finish(&mut self, touched: &mut Vec<JoinKey>, mut reindex: impl FnMut(u32, u32)) {
-        touched.sort_unstable();
-        touched.dedup();
-        for key in touched.iter() {
-            let bucket = self.buckets.get_mut(key).unwrap_or_else(|| unreachable!("touched"));
-            if bucket.finish_cascade(&mut reindex) {
-                self.buckets.remove(key);
+    pub fn file(&mut self, rows: &mut impl KeyLinks, key: JoinKey, row: u32) {
+        rows.set_key_next(row, NIL);
+        match self.lists.get_mut(&key) {
+            Some(list) => {
+                debug_assert!(
+                    rows.ts(list.tail) <= rows.ts(row),
+                    "key list insert violates the timestamp-ordered invariant"
+                );
+                rows.set_key_prev(row, list.tail);
+                rows.set_key_next(list.tail, row);
+                list.tail = row;
+            }
+            None => {
+                rows.set_key_prev(row, NIL);
+                self.lists.insert(key, KeyList { head: row, tail: row });
             }
         }
     }
 
-    /// Bytes held: one map entry per key plus every bucket's heap.
-    pub fn heap_bytes(&self) -> usize {
-        self.buckets.len() * (size_of::<JoinKey>() + size_of::<DrainBucket>())
-            + self.buckets.values().map(DrainBucket::heap_bytes).sum::<usize>()
+    /// Unlinks row `row`, filed under `key`, from its list; a list left
+    /// empty drops its key.
+    #[inline]
+    pub fn unlink(&mut self, rows: &mut impl KeyLinks, key: JoinKey, row: u32) {
+        let (prev, next) = (rows.key_prev(row), rows.key_next(row));
+        if prev != NIL && next != NIL {
+            rows.set_key_next(prev, next);
+            rows.set_key_prev(next, prev);
+            return;
+        }
+        let list = self.lists.get_mut(&key).unwrap_or_else(|| unreachable!("filed row"));
+        if prev == NIL && next == NIL {
+            debug_assert!(list.head == row && list.tail == row, "stale key link");
+            self.lists.remove(&key);
+            return;
+        }
+        if prev == NIL {
+            list.head = next;
+            rows.set_key_prev(next, NIL);
+        } else {
+            list.tail = prev;
+            rows.set_key_next(prev, NIL);
+        }
     }
 
-    /// Audits the index against the item's live rows, given as `(slot,
-    /// key, key_pos, ts)`, `len` being the item's recorded live count:
-    /// every row's bucket entry round-trips, the buckets hold `len` live
-    /// entries, no live-empty bucket survives, and each bucket passes
-    /// [`DrainBucket::audit`]. `what` labels the item.
+    /// Whether any row is filed under `key`.
+    #[inline]
+    pub fn contains(&self, key: JoinKey) -> bool {
+        self.lists.contains_key(&key)
+    }
+
+    /// The rows filed under `key` with `ts < cutoff_ts`, oldest first: a
+    /// walk from the head that stops at the first newer row.
+    #[inline]
+    pub fn before<'a, R: KeyLinks>(
+        &self,
+        rows: &'a R,
+        key: JoinKey,
+        cutoff_ts: u64,
+    ) -> KeyWalk<'a, R> {
+        let at = self.lists.get(&key).map_or(NIL, |l| l.head);
+        KeyWalk { rows, at, cutoff: Some(cutoff_ts) }
+    }
+
+    /// The rows filed under `key` with `ts ≥ min_ts`, oldest first: a walk
+    /// back from the tail finds the oldest of them, so the cost is the
+    /// suffix's length, not the list's.
+    #[inline]
+    pub fn from<'a, R: KeyLinks>(&self, rows: &'a R, key: JoinKey, min_ts: u64) -> KeyWalk<'a, R> {
+        let mut at = NIL;
+        if let Some(list) = self.lists.get(&key) {
+            if rows.ts(list.head) >= min_ts {
+                at = list.head;
+            } else {
+                let mut n = list.tail;
+                while rows.ts(n) >= min_ts {
+                    at = n;
+                    n = rows.key_prev(n);
+                }
+            }
+        }
+        KeyWalk { rows, at, cutoff: None }
+    }
+
+    /// Bytes held: one map entry per live key (the links live in the
+    /// rows, which their store counts).
+    pub fn heap_bytes(&self) -> usize {
+        self.lists.len() * (size_of::<JoinKey>() + size_of::<KeyList>())
+    }
+
+    /// Audits the index against the item's live rows, given as `(row,
+    /// key)`, `len` being the item's recorded live count: every list links
+    /// only live rows of its own key, each once, with matching backlinks,
+    /// in timestamp order, ending at its recorded tail; every live row is
+    /// linked; and the lists hold `len` rows. `what` labels the item.
     pub fn audit(
         &self,
         store: &'static str,
         what: &str,
-        rows: impl IntoIterator<Item = (u32, JoinKey, u32, u64)>,
+        rows: &impl KeyLinks,
+        members: impl IntoIterator<Item = (u32, JoinKey)>,
         len: usize,
         out: &mut Vec<AuditViolation>,
     ) {
         let mut report = |invariant, detail| out.push(AuditViolation { store, invariant, detail });
-        for (slot, key, pos, ts) in rows {
-            let Some(bucket) = self.get(key) else {
-                report("missing-bucket", format!("{what}: row {slot} under absent key {key}"));
-                continue;
-            };
-            if !bucket.holds(pos, slot, ts) {
-                report("bucket-position", format!("{what}: row {slot} not at {pos} of key {key}"));
+        let members: IdMap<u32, JoinKey> = members.into_iter().collect();
+        let mut linked = HashSet::new();
+        for (&key, list) in &self.lists {
+            let (mut n, mut prev, mut prev_ts) = (list.head, NIL, 0);
+            if n == NIL {
+                report("empty-bucket-retained", format!("{what} key {key}: empty list kept"));
+            }
+            while n != NIL {
+                if members.get(&n) != Some(&key) || !linked.insert(n) {
+                    let detail = format!("{what} key {key}: links row {n} twice or not its own");
+                    report("bucket-position", detail);
+                    break;
+                }
+                if rows.key_prev(n) != prev {
+                    let detail = format!("{what} key {key}: row {n} backlink != {prev}");
+                    report("bucket-position", detail);
+                }
+                let ts = rows.ts(n);
+                if ts < prev_ts {
+                    let detail = format!("{what} key {key}: row {n} older than its predecessor");
+                    report("bucket-timestamp-order", detail);
+                }
+                (prev, prev_ts, n) = (n, ts, rows.key_next(n));
+            }
+            if n == NIL && list.tail != prev {
+                let detail = format!("{what} key {key}: tail {} is not {prev}", list.tail);
+                report("bucket-position", detail);
             }
         }
-        let indexed: usize = self.buckets.values().map(DrainBucket::live_len).sum();
-        if indexed != len {
-            report("index-live-size", format!("{what}: {indexed} live index entries vs len {len}"));
-        }
-        for (key, bucket) in &self.buckets {
-            let what = format!("{what} key {key}");
-            if bucket.live_len() == 0 {
-                let detail = format!("{what}: bucket has no live entry");
-                out.push(AuditViolation { store, invariant: "empty-bucket-retained", detail });
+        for (&row, &key) in members.iter().filter(|(row, _)| !linked.contains(*row)) {
+            if self.contains(key) {
+                report("bucket-position", format!("{what}: row {row} missing from key {key}"));
+            } else {
+                report("missing-bucket", format!("{what}: row {row} under absent key {key}"));
             }
-            bucket.audit(store, &what, out);
         }
+        if linked.len() != len {
+            let detail = format!("{what}: {} linked rows vs len {len}", linked.len());
+            report("index-live-size", detail);
+        }
+    }
+}
+
+/// The walk [`KeyIndex::before`] / [`KeyIndex::from`] hand out: rows
+/// forward along one key list, stopping at `cutoff` if there is one.
+pub struct KeyWalk<'a, R> {
+    rows: &'a R,
+    at: u32,
+    cutoff: Option<u64>,
+}
+
+impl<R: KeyLinks> Iterator for KeyWalk<'_, R> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let n = self.at;
+        if n == NIL || self.cutoff.is_some_and(|c| self.rows.ts(n) >= c) {
+            return None;
+        }
+        self.at = self.rows.key_next(n);
+        Some(n)
     }
 }
 
@@ -647,8 +546,6 @@ pub struct NodeView {
     pub item: Option<u32>,
     /// Join key the node is filed under.
     pub key: JoinKey,
-    /// Position in the item's key bucket.
-    pub key_pos: u32,
     /// Position in its `L₀` referencer list (`L₀` nodes only).
     pub ref_pos: u32,
 }
@@ -672,7 +569,8 @@ pub struct ItemView<'a> {
 /// The audit both MS-trees (serial and concurrent) share. Items are
 /// numbered the way both trees number them: each subquery's levels in
 /// order, then the `L₀` items; `item(i, f)` calls `f` with item `i`'s
-/// view (the concurrent tree under that item's list mutex). It checks:
+/// view (the concurrent tree under that item's list mutex), and `links`
+/// reads the nodes' key links. It checks:
 ///
 /// * every item list — cycles, dead nodes still linked, backlinks,
 ///   membership, timestamp order, length and tail — with the item's
@@ -685,6 +583,7 @@ pub fn audit_tree(
     store: &'static str,
     layout: &StoreLayout,
     node: impl Fn(u32) -> NodeView,
+    links: &impl KeyLinks,
     item: impl Fn(usize, &mut dyn FnMut(ItemView<'_>)),
     free: &[u32],
     arena: usize,
@@ -722,7 +621,7 @@ pub fn audit_tree(
                 if v.ts < prev_ts {
                     report("item-timestamp-order", format!("item {i}: node {n} ts < {prev_ts}"));
                 }
-                rows.push((n, v.key, v.key_pos, v.ts));
+                rows.push((n, v.key));
                 (prev, prev_ts, n) = (n, v.ts, v.next);
             }
             if live.len() != list.len {
@@ -735,7 +634,7 @@ pub fn audit_tree(
                 report("list-tail", format!("item {i}: tail is {} not {prev}", list.tail));
             }
             let what = format!("item {i}");
-            list.index.audit(store, &what, rows, list.len, &mut out);
+            list.index.audit(store, &what, links, rows, list.len, &mut out);
             if let Some(refs) = list.refs {
                 let slugs = ["referencer-position", "referencer-size", "empty-referencer-list"];
                 let expect = if i >= l0_base { list.len } else { 0 };
@@ -838,9 +737,9 @@ pub trait MatchStore: StoreAudit {
     }
 
     /// Like [`MatchStore::for_each_sub_keyed`], but visits only the bucket
-    /// prefix of matches strictly older than `cutoff_ts`: the bucket is
-    /// timestamp-ordered (module docs), so the cutoff is found by binary
-    /// search and iteration stops instead of filtering per candidate.
+    /// prefix of matches strictly older than `cutoff_ts`, oldest first:
+    /// the key list is timestamp-ordered (module docs), so the walk stops
+    /// at the first newer match instead of filtering per candidate.
     fn for_each_sub_keyed_before(
         &self,
         sub: usize,
@@ -851,8 +750,9 @@ pub trait MatchStore: StoreAudit {
     );
 
     /// Like [`MatchStore::for_each_sub_keyed`], but visits only the bucket
-    /// suffix of matches with timestamp `≥ min_ts` (binary search on the
-    /// ordered bucket; `min_ts == 0` is the whole bucket).
+    /// suffix of matches with timestamp `≥ min_ts`, oldest first (found by
+    /// a walk back from the newest match; `min_ts == 0` is the whole
+    /// bucket).
     fn for_each_sub_keyed_from(
         &self,
         sub: usize,
@@ -891,8 +791,8 @@ pub trait MatchStore: StoreAudit {
     }
 
     /// Like [`MatchStore::for_each_l0_keyed`], but visits only the bucket
-    /// suffix of rows with timestamp `≥ min_ts` (binary search on the
-    /// ordered bucket; `min_ts == 0` is the whole bucket).
+    /// suffix of rows with timestamp `≥ min_ts`, oldest first (found by a
+    /// walk back from the newest row; `min_ts == 0` is the whole bucket).
     fn for_each_l0_keyed_from(
         &self,
         i: usize,
@@ -927,9 +827,9 @@ pub trait MatchStore: StoreAudit {
     /// timestamp: the position scans walk items oldest-first and stop at
     /// the first entry newer than `ts` (every entry whose newest edge is
     /// `edge` carries exactly `ts`). Removals preserve the ordered-bucket
-    /// invariant: bucket entries are front-drained or tombstoned (see the
-    /// module docs). Returns the number of partial matches removed (over
-    /// all items).
+    /// invariant: each dying row is unlinked from its key list in place
+    /// (see the module docs). Returns the number of partial matches
+    /// removed (over all items).
     fn expire_edge(&mut self, edge: EdgeId, ts: u64, positions: &[(usize, usize)]) -> usize;
 
     /// Inert: [`ExpiryMode`] has one variant, so there is nothing to
@@ -938,8 +838,8 @@ pub trait MatchStore: StoreAudit {
     /// that drops it there. No store overrides it.
     fn set_expiry_mode(&mut self, _mode: ExpiryMode) {}
 
-    /// Inert since PR 14 (bucket compaction is never metered or deferred:
-    /// every cascade ends with [`KeyIndex::finish`]), kept only because
+    /// Inert (expiry has no deferred maintenance: every dying row leaves
+    /// its key list at once), kept only because
     /// the frozen benchmark's `TracedStore` implements it. Queued, with
     /// [`MatchStore::set_expiry_mode`], for the benchmark PR that drops it
     /// there. No store overrides it.
@@ -1526,10 +1426,9 @@ pub(crate) mod conformance {
     }
 
     /// Regression (same-cascade bucket staleness): two rows in the SAME
-    /// key bucket dying in one `expire_edge` cascade must both be punched
-    /// at their recorded positions, and a survivor behind them must keep a
-    /// valid back-reference (re-recorded if the cascade compacts the
-    /// bucket) so a *follow-up* expiry can remove it too.
+    /// key list dying in one `expire_edge` cascade must both be unlinked,
+    /// and a survivor behind them must keep valid links so a *follow-up*
+    /// expiry can remove it too.
     pub fn same_bucket_double_death_in_one_cascade<S: MatchStore>() {
         let mut s = S::new(StoreLayout { sub_lens: vec![2] });
         let a1 = s.insert_sub(0, 0, ROOT, e(1), 1, 5);
@@ -1543,8 +1442,8 @@ pub(crate) mod conformance {
         assert_eq!(n, 3, "a1 and its two same-bucket children");
         assert_eq!(collect_sub_keyed(&s, 0, 0, 5), vec![vec![2]]);
         assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![2, 5]]);
-        // The survivor's back-reference must still be exact: expiring a2
-        // punches {2,5} at its (possibly remapped) position.
+        // The survivor's links must still be exact: expiring a2 unlinks
+        // {2,5} from the list the first cascade left.
         let n2 = s.expire_edge(e(2), 2, &[(0, 0)]);
         assert_eq!(n2, 2);
         assert!(collect_sub_keyed(&s, 0, 1, 7).is_empty());
@@ -1556,15 +1455,13 @@ pub(crate) mod conformance {
         assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![10, 11]]);
     }
 
-    /// Threshold compaction with a live front: a2's child heads bucket 7,
+    /// Interior deaths with a live front: a2's child heads key 7's list,
     /// then nine children of a1, then a second child of a2. Expiring a1
-    /// kills the nine interior rows in one cascade; nothing front-drains,
-    /// so the bucket (`bucket(s)`: sub 0 level 1, key 7) must compact to
-    /// its two survivors and re-record their positions, which a follow-up
-    /// expiry of a2 then punches.
-    pub fn interior_deaths_compact_past_the_threshold<S: MatchStore>(
-        bucket: fn(&S) -> Option<&DrainBucket>,
-    ) {
+    /// kills the nine interior rows in one cascade; each is unlinked in
+    /// place, so the list reads back as its two survivors, whose links a
+    /// follow-up expiry of a2 then follows. `indexed(s)` says whether sub
+    /// 0 level 1 still files anything under key 7.
+    pub fn interior_deaths_unlink_in_place<S: MatchStore>(indexed: fn(&S) -> bool) {
         let mut s = S::new(StoreLayout { sub_lens: vec![2] });
         let a1 = s.insert_sub(0, 0, ROOT, e(1), 1, 5);
         let a2 = s.insert_sub(0, 0, ROOT, e(2), 2, 5);
@@ -1572,23 +1469,41 @@ pub(crate) mod conformance {
             s.insert_sub(0, 1, if t == 3 || t == 13 { a2 } else { a1 }, e(t), t, 7);
         }
         assert_eq!(s.expire_edge(e(1), 1, &[(0, 0)]), 10, "a1 and its nine children");
-        let b = bucket(&s).expect("bucket 7 keeps two rows");
-        assert_eq!((b.indexed().len(), b.live_len()), (2, 2), "compacted to the survivors");
+        assert!(indexed(&s), "key 7 keeps two rows");
         s.assert_clean();
         assert_eq!(collect_sub_keyed(&s, 0, 1, 7), vec![vec![2, 3], vec![2, 13]]);
         assert_eq!(s.expire_edge(e(2), 2, &[(0, 0)]), 3, "a2 and both survivors");
-        assert!(bucket(&s).is_none());
+        assert!(!indexed(&s), "key 7 is gone");
         s.assert_clean();
     }
 
-    /// The tombstone property test: a naive no-tombstone model (rows per
-    /// level in insertion order, retain-based expiry) must stay
-    /// indistinguishable from the real store through any interleaving of
-    /// inserts, front-drained oldest-prefix expiries, scattered descendant
-    /// deaths and threshold compactions. Uses the ts = edge-id convention
-    /// and two fat buckets per item so tombstones pile up past the
-    /// compaction threshold.
-    pub fn tombstoned_buckets_match_model_store<S: MatchStore>() {
+    /// State follows the live rows, not the history: 1,000 rows filed
+    /// under 10 keys, the oldest 990 expired, must hold exactly the bytes
+    /// of a fresh store fed only the 10 survivors.
+    pub fn state_tracks_live_rows<S: MatchStore>() {
+        let layout = || StoreLayout { sub_lens: vec![1] };
+        let (mut s, mut fresh) = (S::new(layout()), S::new(layout()));
+        for t in 1..=1000u64 {
+            s.insert_sub(0, 0, ROOT, e(t), t, t % 10);
+        }
+        for t in 1..=990u64 {
+            assert_eq!(s.expire_edge(e(t), t, &[(0, 0)]), 1);
+        }
+        for t in 991..=1000u64 {
+            fresh.insert_sub(0, 0, ROOT, e(t), t, t % 10);
+        }
+        s.assert_clean();
+        assert_eq!(s.len_sub(0, 0), 10);
+        assert_eq!(s.space_bytes(), fresh.space_bytes());
+    }
+
+    /// The key-list property test: a naive model (rows per level in
+    /// insertion order, retain-based expiry) must stay indistinguishable
+    /// from the real store through any interleaving of inserts,
+    /// oldest-prefix expiries and scattered descendant deaths. Uses the
+    /// ts = edge-id convention and two fat key lists per item, so deaths
+    /// land at the head, the tail and in between.
+    pub fn key_lists_match_model_store<S: MatchStore>() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         #[derive(Clone)]
@@ -1643,7 +1558,7 @@ pub(crate) mod conformance {
                     5 | 6 => {
                         // Scattered deaths: expire the newest edge of a
                         // random live row at a random level — descendants
-                        // punch interior tombstones.
+                        // leave the middle of their key lists.
                         let level = rng.gen_range(0..3usize);
                         let rows = rows_at(&s, level);
                         if let Some(&(_, edge)) = rows.get(rng.gen_range(0..rows.len().max(1))) {
@@ -1742,44 +1657,5 @@ pub(crate) mod conformance {
         assert!(collect_l0_keyed(&s, 1, 500).is_empty());
         assert_eq!(collect_l0_keyed(&s, 1, 501), vec![vec![c0, c1b]]);
         assert_eq!(collect_l0_keyed(&s, 2, 600), vec![vec![c0, c1b, c2]]);
-    }
-}
-
-#[cfg(test)]
-mod bucket_tests {
-    use super::*;
-
-    /// The audit's dead-space check is unconditional, so `finish_cascade`
-    /// must compact every bucket that reaches the threshold: whatever
-    /// interior subset dies (the front stays live, so nothing front-drains
-    /// the dead space away), the bucket audits clean afterwards, and from
-    /// the threshold on no tombstone survives.
-    #[test]
-    fn finish_cascade_always_compacts_past_the_threshold() {
-        for n in [9u32, 16, 20, 64] {
-            for dead in 1..n {
-                let mut b = DrainBucket::default();
-                let pos: Vec<u32> = (0..n).map(|t| b.push(t, u64::from(t))).collect();
-                for i in 1..=dead {
-                    b.punch(pos[i as usize], i);
-                }
-                let mut remap = Vec::new();
-                let drained = b.finish_cascade(|s, p| remap.push((s, p)));
-                assert!(!drained, "entry 0 is live");
-                let live = (n - dead) as usize;
-                assert_eq!(b.live_len(), live);
-                if dead >= COMPACT_MIN_DEAD && dead as usize >= live {
-                    assert_eq!(b.tombstones(), 0, "n {n} dead {dead}: over threshold, kept");
-                    assert_eq!(remap.len(), live, "every survivor re-recorded");
-                    assert_eq!(b.front(), 0);
-                } else {
-                    assert_eq!(b.tombstones(), dead, "n {n} dead {dead}: compacted early");
-                    assert!(remap.is_empty());
-                }
-                let mut found = Vec::new();
-                b.audit("test", "bucket", &mut found);
-                assert!(found.is_empty(), "n {n} dead {dead}: {found:?}");
-            }
-        }
     }
 }

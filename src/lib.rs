@@ -36,9 +36,9 @@
 //!   soundness limits of preemption bounding).
 //! * **Store invariant audits** — every match store implements
 //!   [`core::store::StoreAudit`], one sweep over all documented
-//!   invariants: nondecreasing bucket timestamps, the tombstone
-//!   lifecycle (front-drained prefixes, the dead-space compaction
-//!   threshold), index/list coherence, no dangling parent or component
+//!   invariants: nondecreasing bucket timestamps, key-list coherence
+//!   (every link has its backlink, only live rows are linked),
+//!   index/list coherence, no dangling parent or component
 //!   references, and allocator accounting — plus the engine's
 //!   `live_partials == store_rows` cross-check. The workspace
 //!   `debug-audit` feature arms the sweep at every end-of-cascade,

@@ -202,7 +202,7 @@ fn exact_boundary_expiry_is_identical_across_engines_and_baselines() {
 fn boundary_expiry_retracts_live_matches_in_both_stores() {
     // The match itself must disappear the instant its oldest edge sits
     // exactly on t − |W|, in both serial stores (live_match_count probes
-    // the store's own row accounting, exercised under tombstones).
+    // the store's own row accounting, exercised by in-place unlinks).
     const W: u64 = 7;
     fn live_after<S: MatchStore>(q: &QueryGraph, slide_to: u64) -> usize {
         let mut eng: TimingEngine<S> =
