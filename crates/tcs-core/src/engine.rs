@@ -21,8 +21,8 @@
 //! constraint floors, `L₀` extension and record building — is the kernel
 //! in [`crate::join`], which the concurrent engine runs too. This module
 //! keeps what is serial-engine-specific around it: the ingestion boundary,
-//! the private live-edge table, [`EngineStats`], the partial cap,
-//! emission floors and telemetry.
+//! the private live-edge table, [`EngineStats`], the partial cap and
+//! telemetry.
 //!
 //! If [`TimingEngine::set_partial_cap`] is engaged and the cap saturates
 //! mid-join, which (equally incomplete) subset of partial matches is kept
@@ -32,8 +32,8 @@
 //! # Batch-at-a-time ingestion
 //!
 //! [`TimingEngine::insert_batch_at`] applies a routed sub-batch against a
-//! caller-owned [`LiveEdgeView`] (the multi-query front-end's shared
-//! snapshot). It is one admission loop — admit an arrival, run the same
+//! caller-owned [`LiveEdgeView`] (the multi-query front-end's live-edge
+//! table). It is one admission loop — admit an arrival, run the same
 //! insert body [`TimingEngine::try_insert`] runs, stop at the first
 //! rejection — so the match stream, [`EngineStats`] and [`IngestStats`]
 //! are byte-identical to folding the per-edge path over the same edges
@@ -141,28 +141,12 @@ pub struct TimingEngine<S: MatchStore> {
     ingest: IngestStats,
     /// The join kernel's scratch (reused across arrivals).
     arena: RowArena,
-    /// The subscriber seam: `None` (default) until a window-sharing
-    /// front-end arms it — single-subscriber engines pay nothing. See
-    /// [`TimingEngine::arm_emission_floors`].
-    seam: Option<EmissionSeam>,
     /// The telemetry seam: `None` (default) until a harness arms a
     /// recorder — see [`TimingEngine::set_recorder`]. Recording never
     /// touches [`EngineStats`] or the match stream.
     tel: Option<TelemetrySeam>,
 }
 
-/// Emission-floor bookkeeping for engines shared by several subscribers
-/// with different registration epochs (multi-query template sharing).
-///
-/// While armed, the engine numbers its processed arrivals `1, 2, …` and
-/// tags every emitted match with a *floor*: the smallest arrival number
-/// among the match's constituent edges, `0` for any edge stored before
-/// arming. A subscriber that registered at epoch `E` (the arrival
-/// counter at registration) owns exactly the matches with `floor > E` —
-/// every constituent edge arrived after it subscribed, which is
-/// precisely the set a private engine registered at that moment would
-/// have found. Fresh-start semantics are thus enforced at the emission
-/// point; the shared store is never filtered or copied.
 /// The armed telemetry sink plus engine-local sampling state: a cached
 /// detection-latency histogram handle (scope 0 — a bare engine has no
 /// query id, so it records under the reserved standalone scope) and the
@@ -173,18 +157,6 @@ struct TelemetrySeam {
     rec: Arc<Recorder>,
     det: Arc<LatencyHistogram>,
     tick: u32,
-}
-
-#[derive(Default)]
-struct EmissionSeam {
-    /// Arrival counter: increments once per processed arrival.
-    seq: u64,
-    /// Arrival number of each live stored edge (entries are dropped on
-    /// expiry, so the map tracks the window, not the stream).
-    edge_seqs: IdMap<EdgeId, u64>,
-    /// Floors of the records the last [`TimingEngine::insert_batch_at`]
-    /// call appended, index-parallel to them.
-    floors: Vec<u64>,
 }
 
 impl<S: MatchStore> TimingEngine<S> {
@@ -202,7 +174,6 @@ impl<S: MatchStore> TimingEngine<S> {
             order_policy: OrderPolicy::default(),
             ingest: IngestStats::default(),
             arena: RowArena::default(),
-            seam: None,
             tel: None,
         }
     }
@@ -223,38 +194,6 @@ impl<S: MatchStore> TimingEngine<S> {
     /// Disarms the telemetry seam; the recorder keeps what it has.
     pub fn clear_recorder(&mut self) {
         self.tel = None;
-    }
-
-    /// Arms the subscriber seam (idempotent): from now on every arrival
-    /// is numbered and every emitted match carries an emission floor
-    /// readable through [`TimingEngine::last_emission_floors`]. Meant
-    /// for window-sharing front-ends that fan one engine's matches out
-    /// to subscribers with different registration epochs; the floors
-    /// are maintained on the [`TimingEngine::insert_batch_at`] path (the
-    /// standalone `insert` family is not part of the seam contract). Edges stored
-    /// before arming have no arrival number and give their matches
-    /// floor `0` — correctly invisible to any subscriber registered at
-    /// or after the arming epoch.
-    pub fn arm_emission_floors(&mut self) {
-        if self.seam.is_none() {
-            self.seam = Some(EmissionSeam::default());
-        }
-    }
-
-    /// The current registration epoch: the number of arrivals processed
-    /// since the seam was armed (`0` while disarmed). A subscriber
-    /// registering now records this value and owns exactly the future
-    /// matches whose floor exceeds it.
-    pub fn emission_epoch(&self) -> u64 {
-        self.seam.as_ref().map_or(0, |s| s.seq)
-    }
-
-    /// Emission floors of the records the last
-    /// [`TimingEngine::insert_batch_at`] call appended to its sink,
-    /// index-parallel to them (`floors[x]` belongs to `sink[len_before +
-    /// x]`); empty while the seam is disarmed.
-    pub fn last_emission_floors(&self) -> &[u64] {
-        self.seam.as_ref().map_or(&[], |s| s.floors.as_slice())
     }
 
     /// Caps the number of *live* partial matches. Beyond the cap the engine
@@ -429,12 +368,9 @@ impl<S: MatchStore> TimingEngine<S> {
     /// The store half of Algorithm 2: removes every partial match
     /// containing the expired edge without touching any live-edge table.
     /// The caller owns window maintenance — either
-    /// [`TimingEngine::expire`] (private map) or a shared snapshot that
-    /// several engines read through [`LiveEdgeView`].
+    /// [`TimingEngine::expire`] (private map) or a shared live-edge table
+    /// that several engines read through [`LiveEdgeView`].
     pub fn expire_partials(&mut self, e: &StreamEdge) {
-        if let Some(seam) = &mut self.seam {
-            seam.edge_seqs.remove(&e.id);
-        }
         let positions = self.plan.positions(e.signature());
         if !positions.is_empty() {
             let n = self.store.expire_edge(e.id, e.ts.0, positions);
@@ -539,8 +475,8 @@ impl<S: MatchStore> TimingEngine<S> {
     /// [`TimingEngine::try_insert`] over the batch.
     ///
     /// The caller must have admitted every batch edge to `live` already
-    /// (the multi-query front-end admits each arrival to the shared
-    /// snapshot once, then routes it to every engine whose plan can react)
+    /// (the multi-query front-end admits each arrival to its live-edge
+    /// table once, then routes it to every engine whose plan can react)
     /// and guarantees stream-wide id uniqueness (its
     /// [`IngestGate`](crate::ingest::IngestGate) enforces both). The
     /// engine's private table is neither read nor written on this path.
@@ -555,9 +491,6 @@ impl<S: MatchStore> TimingEngine<S> {
         live: &L,
         out: &mut Vec<MatchRecord>,
     ) -> Result<(), IngestError> {
-        if let Some(seam) = &mut self.seam {
-            seam.floors.clear();
-        }
         for mut sigma in batch.iter().copied() {
             if self.admit(&mut sigma)? {
                 self.insert_admitted(sigma, live, out);
@@ -571,7 +504,7 @@ impl<S: MatchStore> TimingEngine<S> {
 
     /// The shared insert body of both entry points: runs the join for
     /// one admitted arrival and appends its complete matches to `out`,
-    /// maintaining counters, emission floors and telemetry.
+    /// maintaining counters and telemetry.
     fn insert_admitted<L: LiveEdgeView>(
         &mut self,
         sigma: StreamEdge,
@@ -594,9 +527,6 @@ impl<S: MatchStore> TimingEngine<S> {
             None => None,
         };
         self.stats.edges_processed += 1;
-        if let Some(seam) = &mut self.seam {
-            seam.seq += 1;
-        }
         let start = out.len();
         let Some(stored) = self.join(&sigma, live, out) else {
             self.stats.edges_discarded += 1;
@@ -606,23 +536,6 @@ impl<S: MatchStore> TimingEngine<S> {
             self.stats.edges_discarded += 1;
         }
         let emitted = &out[start..];
-        if let Some(seam) = &mut self.seam {
-            // Expiry drops the entry again, so the map tracks only
-            // window-live edges the plan can react to.
-            seam.edge_seqs.insert(sigma.id, seam.seq);
-            // Floor of a match: the oldest constituent edge's arrival
-            // number (0 for edges stored before arming) — the epoch cut
-            // deciding which subscribers own the match.
-            for rec in emitted {
-                let floor = rec
-                    .edges()
-                    .iter()
-                    .map(|id| seam.edge_seqs.get(id).copied().unwrap_or(0))
-                    .min()
-                    .unwrap_or(0);
-                seam.floors.push(floor);
-            }
-        }
         self.stats.matches_emitted += emitted.len() as u64;
         if let (Some(t0), Some(tel)) = (tel_t0, &self.tel) {
             let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -1172,74 +1085,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn emission_floors_partition_matches_by_epoch() {
-        let q = path2_query(&[(0, 1)]);
-        let mut eng: TimingEngine<MsTreeStore> = mk(q);
-        let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
-        // Disarmed engines expose no floors and pay no bookkeeping.
-        let e1 = StreamEdge::new(1, 10, 0, 11, 1, 0, 1);
-        live.insert(e1.id, e1);
-        let mut out = Vec::new();
-        eng.insert_batch_at(&[e1], &live, &mut out).unwrap();
-        assert!(out.is_empty());
-        assert!(eng.last_emission_floors().is_empty());
-        assert_eq!(eng.emission_epoch(), 0);
-
-        // Arm at the moment a second subscriber joins the warm engine.
-        eng.arm_emission_floors();
-        eng.arm_emission_floors(); // idempotent
-        let joiner_epoch = eng.emission_epoch();
-
-        // Closing the pre-arm prefix emits a match flooring to 0: the
-        // founder (unfiltered) owns it, the joiner must not — one of its
-        // edges predates the subscription.
-        let e2 = StreamEdge::new(2, 11, 1, 12, 2, 0, 2);
-        live.insert(e2.id, e2);
-        eng.insert_batch_at(&[e2], &live, &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(eng.last_emission_floors(), &[0]);
-        assert!(eng.last_emission_floors()[0] <= joiner_epoch);
-
-        // A chain fully after the joiner's epoch floors above it.
-        let e3 = StreamEdge::new(3, 20, 0, 21, 1, 0, 3);
-        live.insert(e3.id, e3);
-        eng.insert_batch_at(&[e3], &live, &mut out).unwrap();
-        assert_eq!(out.len(), 1, "nothing new");
-        assert!(eng.last_emission_floors().is_empty());
-        let late_epoch = eng.emission_epoch();
-        let e4 = StreamEdge::new(4, 21, 1, 22, 2, 0, 4);
-        live.insert(e4.id, e4);
-        eng.insert_batch_at(&[e4], &live, &mut out).unwrap();
-        assert_eq!(out.len(), 2, "appended after the earlier match");
-        let floors = eng.last_emission_floors();
-        assert_eq!(floors.len(), 1, "floors cover this call's records only");
-        assert!(floors[0] > joiner_epoch, "post-subscription match is the joiner's");
-        assert!(floors[0] <= late_epoch, "but not a later subscriber's: its prefix predates it");
-    }
-
-    #[test]
-    fn emission_floors_stay_parallel_to_batch_records() {
-        let q = path2_query(&[(0, 1)]);
-        let mut eng: TimingEngine<MsTreeStore> = mk(q);
-        eng.arm_emission_floors();
-        let batch = [
-            StreamEdge::new(1, 10, 0, 11, 1, 0, 1),
-            StreamEdge::new(2, 11, 1, 12, 2, 0, 2),
-            StreamEdge::new(3, 20, 0, 21, 1, 0, 3),
-            StreamEdge::new(4, 21, 1, 22, 2, 0, 4),
-        ];
-        let mut live: HashMap<EdgeId, StreamEdge> = HashMap::new();
-        for e in batch {
-            live.insert(e.id, e);
-        }
-        let mut ms = Vec::new();
-        eng.insert_batch_at(&batch, &live, &mut ms).unwrap();
-        assert_eq!(ms.len(), 2);
-        // One floor per record, in emission order: each match floors at
-        // its opening edge's arrival number (1-based).
-        assert_eq!(eng.last_emission_floors(), &[1, 3]);
     }
 }

@@ -15,8 +15,8 @@
 //! Two more malformation classes are caught at the same boundary:
 //!
 //! * [`IngestError::DuplicateEdgeId`] — stream ids must be unique among
-//!   live edges (the shared snapshot indexes by id; a duplicate would
-//!   alias another query's bindings).
+//!   live edges (the registry's live-edge table indexes by id; a
+//!   duplicate would alias another query's bindings).
 //! * [`IngestError::DanglingEndpoint`] — an endpoint that cannot denote a
 //!   real vertex: a self-loop whose two endpoint labels disagree, or a
 //!   vertex already live in the window under a different label. Stored

@@ -7,9 +7,8 @@
 //! computation. The paper's own method deliberately does *not* keep this
 //! structure (§VII-C2 credits part of its space advantage to that), which is
 //! why the snapshot lives in the substrate crate and is only wired into the
-//! baselines — and, since the multi-query subsystem, into `tcs-multi`, where
-//! ONE snapshot is shared by every registered query as their common
-//! [`LiveEdgeView`] so N queries no longer cost N copies of the window.
+//! baselines and the oracle. The paper's engines resolve stored edge ids
+//! through a [`LiveEdgeView`] instead: an id-keyed table and nothing more.
 
 use crate::edge::StreamEdge;
 use crate::hash::{IdMap, IdSet};
@@ -20,12 +19,12 @@ use std::hash::BuildHasher;
 /// Read access to the live edges of the current window, independent of who
 /// owns them.
 ///
-/// The serial engine historically kept its own `EdgeId → StreamEdge` map;
-/// the multi-query subsystem instead maintains **one** shared window per
-/// engine group and hands every registered query a view of it. Anything
-/// that can resolve a live edge id qualifies: the plain map (private
-/// engines), a [`Snapshot`] (the shared multi-query window, which also
-/// carries the signature index), or a shard-local table.
+/// A standalone serial engine keeps its own `EdgeId → StreamEdge` map; the
+/// multi-query registry keeps **one** live-edge table per registry (one
+/// per shard under the sharded front-end) and hands every registered
+/// query a view of it. Anything that can resolve a live edge id
+/// qualifies: the plain map (private engines and tests) or the registry's
+/// table, which also numbers each edge's admission.
 ///
 /// Implementations must return `Some` for every edge currently inside the
 /// window and `None` only for edges that already expired — consumers store
@@ -40,13 +39,6 @@ impl<S: BuildHasher> LiveEdgeView for HashMap<EdgeId, StreamEdge, S> {
     #[inline]
     fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
         self.get(&id)
-    }
-}
-
-impl LiveEdgeView for Snapshot {
-    #[inline]
-    fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
-        self.edge(id)
     }
 }
 

@@ -1,11 +1,11 @@
-//! The shared-snapshot query registry with signature-routed dispatch and
+//! The shared-window query registry with signature-routed dispatch and
 //! cross-tenant template sharing.
 //!
-//! One [`MultiQueryEngine`] owns one [`SlidingWindow`] and one
-//! [`Snapshot`]; registered queries are grouped by canonical plan
-//! fingerprint into *shared templates* — one [`TimingEngine`] per
-//! distinct template, fanned out to every subscriber — and each template
-//! runs against the shared snapshot through the
+//! One [`MultiQueryEngine`] owns one [`SlidingWindow`] and one live-edge
+//! table; registered queries are grouped by canonical plan fingerprint
+//! into *shared templates* — one [`TimingEngine`] per distinct template,
+//! fanned out to every subscriber — and each template resolves stored
+//! edge ids through the table via the
 //! `insert_batch_at`/`expire_partials` split (see the crate docs for the
 //! sharing model, the dispatch-index lifecycle and registration
 //! semantics, and `tcs_core::engine` for the split itself).
@@ -23,7 +23,9 @@ use tcs_core::{
     IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
     TimingEngine,
 };
-use tcs_graph::{ELabel, IdMap, MatchRecord, SlidingWindow, Snapshot, StreamEdge, VLabel};
+use tcs_graph::{
+    ELabel, EdgeId, IdMap, LiveEdgeView, MatchRecord, SlidingWindow, StreamEdge, VLabel,
+};
 use tcs_telemetry::{EventKind, Recorder};
 
 /// Identifier of a registered query, unique for the lifetime of the
@@ -60,7 +62,7 @@ pub struct QueryStats {
     pub emitted: u64,
     /// Bytes attributable to this query alone: its template's
     /// partial-match store, reported once per template on the template's
-    /// earliest live subscriber and 0 on the others (the shared snapshot
+    /// earliest live subscriber and 0 on the others (the live-edge table
     /// is reported once, in [`MultiStats::snapshot_bytes`]).
     pub store_bytes: usize,
 }
@@ -88,8 +90,9 @@ pub struct MultiStats {
     pub queries: Vec<QueryStats>,
     /// One entry per shared template, in template-creation order.
     pub templates: Vec<TemplateStats>,
-    /// Bytes of the shared snapshot — the whole point of the shared
-    /// window is that this appears once here instead of once per query.
+    /// Bytes of the registry's live-edge table (each live edge with its
+    /// admission number) — the whole point of the shared window is that
+    /// this appears once here instead of once per query.
     pub snapshot_bytes: usize,
     /// Arrivals the engine has seen since construction.
     pub edges_seen: u64,
@@ -108,7 +111,7 @@ pub struct MultiStats {
 }
 
 impl MultiStats {
-    /// Total bytes: the shared snapshot once plus every query's own
+    /// Total bytes: the live-edge table once plus every query's own
     /// store (each template's store appears exactly once).
     pub fn space_bytes(&self) -> usize {
         self.snapshot_bytes + self.queries.iter().map(|q| q.store_bytes).sum::<usize>()
@@ -149,14 +152,18 @@ struct SharedTemplate<S: MatchStore> {
     /// The distinct non-identity remaps among the live subscribers,
     /// indexed by [`Slot::group`].
     groups: Vec<RemapGroup>,
+    /// The current burst's emission floors, index-parallel to it; filled
+    /// only while some slot is epoch-filtered (empty between bursts).
+    floors: Vec<u64>,
 }
 
 /// One subscriber's delivery state, kept on its template.
 struct Slot {
     id: QueryId,
     /// Emission epoch: `None` for a founder (saw the engine from birth,
-    /// unfiltered); `Some(e)` for a late joiner to a warm engine, which
-    /// sees exactly the matches whose emission floor exceeds `e` — i.e.
+    /// unfiltered); `Some(e)` for a late joiner to a warm engine, where
+    /// `e` is the registry's arrival count at registration. It sees
+    /// exactly the matches whose emission floor exceeds `e` — i.e.
     /// matches made entirely of post-registration edges (fresh-start
     /// semantics, enforced at the emission point).
     epoch: Option<u64>,
@@ -226,8 +233,9 @@ const EVENT_PAYLOAD_CAP: usize = 120;
 /// against independent engines.
 pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     window: SlidingWindow,
-    /// The shared live window `G_t`, one copy for all queries.
-    snapshot: Snapshot,
+    /// The live edges of the window, one copy for all queries; its
+    /// admission count is the registry's `edges_seen`.
+    live: LiveEdges,
     /// One engine per distinct canonical plan.
     templates: BTreeMap<TemplateId, SharedTemplate<S>>,
     /// Every registered query, in id order.
@@ -237,12 +245,11 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     /// signature → templates with a query edge of that signature, each
     /// bucket in template-creation order.
     dispatch: IdMap<(VLabel, VLabel, ELabel), Vec<TemplateId>>,
-    edges_seen: u64,
     next_id: u64,
     id_stride: u64,
     next_template: u64,
     /// The typed ingestion boundary: every arrival passes the gate before
-    /// it can touch the window, the snapshot, or any engine.
+    /// it can touch the window, the live-edge table, or any engine.
     gate: IngestGate,
     /// What a panic inside one template's per-arrival work becomes.
     fault_policy: FaultPolicy,
@@ -269,6 +276,51 @@ struct BatchScratch {
     arrivals: Vec<StreamEdge>,
     /// One routed run's emissions, before fan-out.
     emitted: Vec<MatchRecord>,
+}
+
+/// The registry's live-edge table: every edge inside the shared window
+/// with its admission number — 1-based, in admission order, never
+/// reused. Every template's engine resolves stored edge ids through it
+/// ([`LiveEdgeView`]), and fan-out reads a match's emission floor from
+/// the numbers. Arrival numbers, not timestamps: equal timestamps are
+/// admissible, so only a number tells apart two arrivals a registration
+/// falls between.
+#[derive(Default)]
+struct LiveEdges {
+    edges: IdMap<EdgeId, (StreamEdge, u64)>,
+    /// Arrivals admitted since construction: the last number handed out.
+    admitted: u64,
+}
+
+impl LiveEdges {
+    /// Admits an arrival under the next admission number. A live
+    /// duplicate id is an owner bug (the gate rejects it) and panics.
+    fn insert(&mut self, e: StreamEdge) {
+        self.admitted += 1;
+        let prev = self.edges.insert(e.id, (e, self.admitted));
+        assert!(prev.is_none(), "duplicate edge id {:?}", e.id);
+    }
+
+    /// A match's emission floor: the smallest admission number among its
+    /// edges. They are all live while the match is delivered; a missing
+    /// one would read 0 and withhold the match from every late subscriber.
+    fn floor(&self, m: &MatchRecord) -> u64 {
+        let number = |id| self.edges.get(id).map_or(0, |&(_, n)| n);
+        m.edges().iter().map(number).min().unwrap_or(0)
+    }
+
+    /// Everything the table holds per live edge: the id key and the entry.
+    fn space_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.edges.len() * (size_of::<EdgeId>() + size_of::<(StreamEdge, u64)>())
+    }
+}
+
+impl LiveEdgeView for LiveEdges {
+    #[inline]
+    fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
+        self.edges.get(&id).map(|(e, _)| e)
+    }
 }
 
 /// Component-wise delta of two monotone counter snapshots.
@@ -329,17 +381,26 @@ impl<S: MatchStore> SharedTemplate<S> {
 
     /// Delivers the engine's reply `ms` to a routed run of `run_len`
     /// arrivals: per-subscriber epoch filtering against the emission
-    /// floors, then one pushed handle per delivery — the engine's own
-    /// record for the founder's edge order, the group's record (remapped
-    /// once per burst, on first demand) for a permuted twin. A run that
-    /// emitted nothing costs one counter bump.
-    fn fan_out(&mut self, ms: &[MatchRecord], run_len: u64, out: &mut Vec<(QueryId, MatchRecord)>) {
+    /// floors (read from `live` once per record, and only while some
+    /// subscriber is epoch-filtered), then one pushed handle per
+    /// delivery — the engine's own record for the founder's edge order,
+    /// the group's record (remapped once per burst, on first demand) for
+    /// a permuted twin. A run that emitted nothing costs one counter bump.
+    fn fan_out(
+        &mut self,
+        ms: &[MatchRecord],
+        run_len: u64,
+        live: &LiveEdges,
+        out: &mut Vec<(QueryId, MatchRecord)>,
+    ) {
         self.routed += run_len;
         if ms.is_empty() {
             return;
         }
-        let Self { engine, slots, groups, .. } = self;
-        let floors = engine.last_emission_floors();
+        let Self { slots, groups, floors, .. } = self;
+        if slots.iter().any(|s| s.epoch.is_some()) {
+            floors.extend(ms.iter().map(|m| live.floor(m)));
+        }
         for g in groups.iter_mut() {
             g.burst.resize(ms.len(), None);
         }
@@ -347,14 +408,10 @@ impl<S: MatchStore> SharedTemplate<S> {
         for slot in slots.iter_mut() {
             let before = out.len();
             for (mi, m) in ms.iter().enumerate() {
-                if let Some(ep) = slot.epoch {
-                    // Floor = min arrival number over the match's edges;
-                    // 0 for any edge that predates floor arming. A late
-                    // subscriber sees the match iff every constituent
-                    // edge arrived after its epoch.
-                    if floors.get(mi).copied().unwrap_or(0) <= ep {
-                        continue;
-                    }
+                // A late subscriber sees the match iff every constituent
+                // edge arrived after its epoch.
+                if slot.epoch.is_some_and(|ep| floors[mi] <= ep) {
+                    continue;
                 }
                 let rec = match slot.group {
                     None => m.clone(),
@@ -370,6 +427,7 @@ impl<S: MatchStore> SharedTemplate<S> {
         for g in groups.iter_mut() {
             g.burst.clear();
         }
+        floors.clear();
     }
 }
 
@@ -392,12 +450,11 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         assert!(stride >= 1, "id stride must be positive");
         MultiQueryEngine {
             window: SlidingWindow::new(window),
-            snapshot: Snapshot::new(),
+            live: LiveEdges::default(),
             templates: BTreeMap::new(),
             subscribers: BTreeMap::new(),
             by_fp: IdMap::default(),
             dispatch: IdMap::default(),
-            edges_seen: 0,
             next_id: first,
             id_stride: stride,
             next_template: 0,
@@ -618,17 +675,15 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             let Some(t) = self.templates.get_mut(&tid) else {
                 unreachable!("fingerprint index targets a live template");
             };
-            // A late joiner: arm the emission seam (idempotent) and
-            // record the epoch so only post-registration matches reach
-            // this subscriber.
-            t.engine.arm_emission_floors();
-            let epoch = Some(t.engine.emission_epoch());
+            // A late joiner: its epoch is the arrival count now, so only
+            // matches of later arrivals reach this subscriber.
+            let epoch = Some(self.live.admitted);
             let remap: Vec<usize> = perm.iter().map(|&c| t.inv_perm[c]).collect();
             let identity = remap.iter().enumerate().all(|(s, &f)| s == f);
             t.subscribe(id, epoch, (!identity).then_some(remap));
             let sub = Subscriber {
                 template: tid,
-                seen_base: self.edges_seen,
+                seen_base: self.live.admitted,
                 stats_base: t.engine.stats(),
                 plan: (!identity).then_some(plan),
             };
@@ -640,7 +695,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let tid = self.fresh_template(plan, fp, &perm, id);
         let sub = Subscriber {
             template: tid,
-            seen_base: self.edges_seen,
+            seen_base: self.live.admitted,
             stats_base: EngineStats::default(),
             plan: None,
         };
@@ -674,8 +729,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         }
         self.by_fp.insert(fp.clone(), tid);
         let engine = TimingEngine::new(plan);
-        let (slots, groups) = (Vec::new(), Vec::new());
-        let mut t = SharedTemplate { engine, fp, inv_perm, routed: 0, slots, groups };
+        let (slots, groups, floors) = (Vec::new(), Vec::new(), Vec::new());
+        let mut t = SharedTemplate { engine, fp, inv_perm, routed: 0, slots, groups, floors };
         t.subscribe(founder, None, None);
         self.templates.insert(tid, t);
         tid
@@ -780,8 +835,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// [`MultiQueryEngine::advance`] with the ingestion boundary surfaced:
-    /// an invalid arrival becomes a typed [`IngestError`] with every
-    /// window, snapshot and engine untouched; out-of-order arrivals follow
+    /// an invalid arrival becomes a typed [`IngestError`] with the
+    /// window, the live-edge table and every engine untouched; out-of-order arrivals follow
     /// the gate's [`OrderPolicy`]. Under [`FaultPolicy::Quarantine`] a
     /// panic inside one template's work quarantines that template — every
     /// subscriber gets one [`QueryFault`] (recorded in
@@ -812,13 +867,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 debug_assert!(removed, "faulted subscriber was registered");
                 self.tel_event(EventKind::Quarantine {
                     qid: qid.0,
-                    edge_seq: self.edges_seen,
+                    edge_seq: self.live.admitted,
                     payload: payload.chars().take(EVENT_PAYLOAD_CAP).collect(),
                 });
                 self.faults.push(QueryFault {
                     qid,
                     payload: payload.clone(),
-                    edge_seq: self.edges_seen,
+                    edge_seq: self.live.admitted,
                 });
             }
         }
@@ -943,7 +998,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
 
     /// One window step: routes `expired` to the templates holding
     /// deletion positions for each signature, admits `arrivals` to the
-    /// shared snapshot, then delivers them as same-signature runs to the
+    /// live-edge table, then delivers them as same-signature runs to the
     /// templates that can react and fans each emission burst (collected
     /// in the `emitted` scratch) out to the template's subscribers.
     fn step(
@@ -964,16 +1019,15 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 };
                 Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work);
             }
-            self.snapshot.remove(x.id);
+            self.live.edges.remove(&x.id);
         }
-        self.edges_seen += arrivals.len() as u64;
-        // The whole step enters the snapshot before dispatch: engines only
+        // The whole step enters the table before dispatch: engines only
         // resolve ids they have stored, so edges admitted ahead of their
         // own processing are invisible until their run is delivered.
         for &a in arrivals {
-            self.snapshot.insert(a);
+            self.live.insert(a);
         }
-        let snapshot = &self.snapshot;
+        let live = &self.live;
         for run in arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
             for &tid in self.dispatch.get(&run[0].signature()).map_or(&[][..], Vec::as_slice) {
                 emitted.clear();
@@ -984,7 +1038,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                     // The gate sanitized the stream, so an engine-level
                     // rejection is a bug in THIS template's plumbing:
                     // under Quarantine it condemns only the template.
-                    if let Err(err) = engine.insert_batch_at(run, snapshot, emitted) {
+                    if let Err(err) = engine.insert_batch_at(run, live, emitted) {
                         panic!("sanitized stream rejected: {err}");
                     }
                     for s in slots {
@@ -994,7 +1048,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 if let Some((t, ())) =
                     Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work)
                 {
-                    t.fan_out(emitted, run.len() as u64, out);
+                    t.fan_out(emitted, run.len() as u64, live, out);
                 }
             }
         }
@@ -1034,7 +1088,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// Per-query counters (normalized — see [`QueryStats::stats`]) and
-    /// per-template counters, plus the shared-snapshot bytes, counted
+    /// per-template counters, plus the live-edge table's bytes, counted
     /// once. Template store bytes appear once each, attributed to the
     /// template's earliest live subscriber.
     pub fn stats(&self) -> MultiStats {
@@ -1059,8 +1113,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         MultiStats {
             queries,
             templates,
-            snapshot_bytes: self.snapshot.space_bytes(),
-            edges_seen: self.edges_seen,
+            snapshot_bytes: self.live.space_bytes(),
+            edges_seen: self.live.admitted,
             faults: self.faults.clone(),
             ingest: self.gate.stats(),
             shards: Vec::new(),
@@ -1081,7 +1135,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         // Arrivals since registration the dispatch index filtered out: an
         // independent engine would have processed and discarded them (no
         // candidate query edge, by construction of the index).
-        let unrouted = (self.edges_seen - sub.seen_base) - routed;
+        let unrouted = (self.live.admitted - sub.seen_base) - routed;
         stats.edges_processed += unrouted;
         stats.edges_discarded += unrouted;
         let first = t.slots.first().map(|s| s.id) == Some(id);
@@ -1109,7 +1163,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         self.templates.get(&sub.template).map(|t| t.engine.live_match_count())
     }
 
-    /// Total bytes: shared snapshot once plus every template's store
+    /// Total bytes: the live-edge table once plus every template's store
     /// once (see [`MultiStats::space_bytes`]).
     pub fn space_bytes(&self) -> usize {
         self.stats().space_bytes()
@@ -1264,7 +1318,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(multi.live_match_count(q0), Some(1));
         // ts=10 expires both pattern edges: the match disappears and the
-        // snapshot shrinks with the window.
+        // live-edge table shrinks with the window.
         multi.advance(open_edge(3, 1, 10));
         assert_eq!(multi.live_match_count(q0), Some(0));
         assert_eq!(multi.window_len(), 1);
@@ -1407,6 +1461,84 @@ mod tests {
         assert_eq!(s1.matches_emitted, 1);
         assert_eq!(s1.edges_processed, 3);
         assert_eq!(shared.counters_of(q1), Some((3, 1)));
+    }
+
+    /// The bytes the registry reports are exactly what its live-edge
+    /// table holds: with no template, the table is the whole state, and
+    /// it follows the window through every expiry.
+    #[test]
+    fn live_edge_bytes_follow_the_window() {
+        let per_edge = std::mem::size_of::<EdgeId>() + std::mem::size_of::<(StreamEdge, u64)>();
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(6);
+        for id in 1..=60u64 {
+            // Two arrivals per timestamp: the window holds 12 edges once
+            // full, and every later arrival expires old ones.
+            multi.advance(open_edge(id, (id % 3) as u16, id.div_ceil(2)));
+            let st = multi.stats();
+            assert_eq!(st.space_bytes(), st.snapshot_bytes, "after edge {id}");
+            assert_eq!(st.snapshot_bytes, multi.window_len() * per_edge, "after edge {id}");
+        }
+        assert_eq!(multi.window_len(), 12);
+    }
+
+    /// The founder owns the match that closes a prefix opened before a
+    /// joiner registered; the joiner does not. A chain wholly after the
+    /// joiner's epoch reaches it, but not a subscriber registered after
+    /// the chain opened.
+    #[test]
+    fn emission_floors_partition_matches_by_epoch() {
+        let m = |a: u64, b: u64| MatchRecord::from(vec![EdgeId(a), EdgeId(b)]);
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let founder = multi.register(plan(0));
+        multi.advance(open_edge(1, 0, 1));
+        let joiner = multi.register(plan(0));
+        assert_eq!(multi.advance(close_edge(2, 0, 2)), vec![(founder, m(1, 2))]);
+        multi.advance(open_edge(3, 0, 3));
+        let later = multi.register(plan(0));
+        let out = multi.advance(close_edge(4, 0, 4));
+        assert_eq!(out, vec![(founder, m(1, 4)), (founder, m(3, 4)), (joiner, m(3, 4))]);
+        assert_eq!(multi.counters_of(later), Some((1, 0)), "its chain's opener predates it");
+    }
+
+    /// Floors stay index-parallel to a burst: one run of two closers
+    /// emits four records, alternating between a prefix opened before
+    /// the joiner registered and one opened after, and the joiner gets
+    /// exactly the second and fourth.
+    #[test]
+    fn emission_floors_stay_parallel_to_batch_records() {
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let founder = multi.register(plan(0));
+        multi.advance(open_edge(1, 0, 1));
+        let joiner = multi.register(plan(0));
+        let batch = [open_edge(3, 0, 3), close_edge(4, 0, 4), close_edge(5, 0, 5)];
+        let out = multi.advance_batch(&batch);
+        let m = |a: u64, b: u64| MatchRecord::from(vec![EdgeId(a), EdgeId(b)]);
+        // The two closers form one run, so the burst is delivered per
+        // subscriber: the founder's four records, then the joiner's two.
+        let want = vec![
+            (founder, m(1, 4)),
+            (founder, m(3, 4)),
+            (founder, m(1, 5)),
+            (founder, m(3, 5)),
+            (joiner, m(3, 4)),
+            (joiner, m(3, 5)),
+        ];
+        assert_eq!(out, want);
+    }
+
+    /// A registration between two arrivals with the same timestamp: the
+    /// late subscriber sees no match that uses the earlier one, which a
+    /// timestamp floor could not tell apart from the later one.
+    #[test]
+    fn equal_timestamps_split_by_a_registration() {
+        let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
+        let founder = multi.register(plan(0));
+        multi.advance(open_edge(1, 0, 5));
+        let late = multi.register(plan(0));
+        multi.advance(open_edge(2, 0, 5));
+        let out = multi.advance(close_edge(3, 0, 6));
+        let m = |a: u64| MatchRecord::from(vec![EdgeId(a), EdgeId(3)]);
+        assert_eq!(out, vec![(founder, m(1)), (founder, m(2)), (late, m(2))]);
     }
 
     /// A plan with duplicate leaf signatures (two query edges sharing one

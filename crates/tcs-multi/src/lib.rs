@@ -9,11 +9,12 @@
 //! multipliers:
 //!
 //! * [`MultiQueryEngine`] — a dynamic query registry over **one** shared
-//!   [`SlidingWindow`](tcs_graph::SlidingWindow) +
-//!   [`Snapshot`](tcs_graph::Snapshot). Every registered query's engine
-//!   resolves stored edge ids through the shared snapshot (the
-//!   [`LiveEdgeView`](tcs_graph::LiveEdgeView) seam in `tcs-core`), so
-//!   the window is held once, not once per query.
+//!   [`SlidingWindow`](tcs_graph::SlidingWindow) and one live-edge table
+//!   (each live edge with its admission number, and nothing else). Every
+//!   registered query's engine resolves stored edge ids through the table
+//!   (the [`LiveEdgeView`](tcs_graph::LiveEdgeView) seam in `tcs-core`),
+//!   so the window is held once, not once per query. Like the paper's
+//!   method, the registry keeps no snapshot graph of the window.
 //! * **Signature-routed dispatch** — per-edge work is proportional to the
 //!   queries that can actually react, not to the number registered (see
 //!   the dispatch-index lifecycle below).
@@ -51,7 +52,7 @@
 //! stream position `p` behaves exactly like a fresh independent
 //! [`TimingEngine`] that starts consuming the stream at `p`: edges
 //! already inside the window when it registers are *not* replayed into
-//! it (they can resolve through the shared snapshot but never enter the
+//! it (they can resolve through the live-edge table but never enter the
 //! newcomer's partial-match store, so they never appear in its matches).
 //! Unregistering drops the query's store immediately; its
 //! [`QueryId`] is never reused. Expiry routing to a query registered
@@ -74,10 +75,13 @@
 //!   *subscriber* on the existing template. Store bytes and per-edge
 //!   work are paid once per template, never per subscriber.
 //! * **Late joiners stay exact.** A subscriber joining a warm template
-//!   records the engine's emission *epoch* (arrival count at join);
-//!   every match carries an emission *floor* — the earliest arrival
-//!   ordinal among its constituent edges — and fan-out delivers a match
-//!   to a subscriber only if `floor > epoch`. A late joiner therefore
+//!   records an emission *epoch*: the registry's arrival count at join.
+//!   Fan-out reads each match's emission *floor* — the smallest
+//!   admission number among its constituent edges — from the live-edge
+//!   table, once per match and only for templates with such a
+//!   subscriber, and delivers the match to a late subscriber only if
+//!   `floor > epoch`. Admission numbers, not timestamps: two arrivals
+//!   with one timestamp can fall on either side of a registration. A late joiner therefore
 //!   sees exactly the matches built entirely from edges that arrived
 //!   after it registered — byte-identical to a fresh independent
 //!   engine, which the equivalence suites enforce under churn.
@@ -121,8 +125,8 @@
 //! [`ShardedMultiEngine`] owns `n_shards` single-threaded
 //! [`MultiQueryEngine`]s. Each query is **homed** on exactly one shard
 //! (least-loaded at registration) and never migrates; each shard owns its
-//! own window + snapshot holding only the edges routed to it, so shards
-//! share nothing and need no locks. The front-end keeps a per-signature
+//! own window + live-edge table holding only the edges routed to it, so
+//! shards share nothing and need no locks. The front-end keeps a per-signature
 //! shard-routing table (the union of its shards' dispatch indexes) and,
 //! during [`ShardedMultiEngine::process`], fans each edge out over
 //! `tcs-concurrent`'s bounded channels to the shards that can react; a

@@ -6,7 +6,7 @@
 //! multi-tenant deployment has thousands of independent queries and
 //! machines with many cores. [`ShardedMultiEngine`] homes every query on
 //! exactly one shard (see the crate docs, "Shard ownership"), gives each
-//! shard its own window + snapshot + dispatch index, and during
+//! shard its own window + live-edge table + dispatch index, and during
 //! [`ShardedMultiEngine::process`] streams **chunks** of edges over a
 //! bounded channel (`tcs_concurrent::chan`) to exactly the shards whose
 //! routing entry says some homed query can react: the dispatcher
@@ -738,7 +738,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     }
 
     /// Merged per-query stats across shards. Space is exact (each shard's
-    /// snapshot appears once, per-query stores on top) and `edges_seen`
+    /// live-edge table appears once, per-query stores on top) and `edges_seen`
     /// is the front-end's own admitted-arrival count (per-shard counts
     /// would double-count signatures homed on several shards and miss
     /// edges no query reacts to). The report also carries every shard's
@@ -893,6 +893,24 @@ mod tests {
         let st = sharded.stats();
         assert_eq!(st.queries.len(), 2);
         assert!(st.space_bytes() >= st.snapshot_bytes);
+    }
+
+    /// The merged live-edge bytes are the shards' tables, summed: each
+    /// shard holds exactly the routed edges still in its window.
+    #[test]
+    fn live_edge_bytes_sum_over_the_shards() {
+        let per_edge =
+            std::mem::size_of::<tcs_graph::EdgeId>() + std::mem::size_of::<(StreamEdge, u64)>();
+        let mut sharded: ShardedMultiEngine = ShardedMultiEngine::new(10, 2);
+        for t in 0..4u16 {
+            sharded.register(plan(t));
+        }
+        for batch in tenant_stream(4, 200).chunks(9) {
+            sharded.process(batch);
+            let held: usize = sharded.shards.iter().map(|sh| sh.window_len()).sum();
+            assert!(held > 0);
+            assert_eq!(sharded.stats().snapshot_bytes, held * per_edge);
+        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn sixty_four_queries_match_sixty_four_independent_engines() {
         assert_eq!(&per_query[i], want, "query {i} stream");
         assert_eq!(multi.stats_of(ids[i]).unwrap(), eng.stats(), "query {i} stats");
     }
-    // The shared snapshot is counted once: the registry holds strictly
+    // The live-edge table is counted once: the registry holds strictly
     // less than 64 engines each paying for a window copy.
     let shared = multi.stats();
     let private: usize = independent.iter().map(|(eng, _, _)| eng.space_bytes()).sum();
