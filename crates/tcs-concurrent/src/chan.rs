@@ -50,26 +50,6 @@ impl<T> std::fmt::Debug for SendError<T> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecvError;
 
-/// Error returned by [`Sender::try_send`]: the non-blocking send either
-/// found the buffer at capacity or the receivers gone; the value comes
-/// back either way so the caller's overload policy can decide its fate.
-#[derive(PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// Buffer at capacity — a blocking [`Sender::send`] would park.
-    Full(T),
-    /// Every receiver is gone; nobody will ever drain the buffer.
-    Disconnected(T),
-}
-
-impl<T> std::fmt::Debug for TrySendError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySendError::Full(_) => f.write_str("TrySendError::Full(..)"),
-            TrySendError::Disconnected(_) => f.write_str("TrySendError::Disconnected(..)"),
-        }
-    }
-}
-
 /// Creates a bounded channel with capacity `cap` (≥ 1).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
@@ -103,41 +83,6 @@ impl<T> Sender<T> {
         drop(st);
         self.0.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Non-blocking send: enqueues if space is available, otherwise
-    /// returns the value in [`TrySendError::Full`] (shed-newest overload
-    /// handling) or [`TrySendError::Disconnected`] when every receiver is
-    /// gone.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut st = self.0.state.lock();
-        if st.receivers == 0 {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if st.buf.len() >= self.0.cap {
-            return Err(TrySendError::Full(value));
-        }
-        st.buf.push_back(value);
-        drop(st);
-        self.0.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking send that never refuses for capacity: when the buffer
-    /// is full the *oldest* queued value is evicted to make room
-    /// (shed-oldest overload handling) and returned as `Ok(Some(evicted))`
-    /// so the caller can count what was lost. `Err` only when every
-    /// receiver is gone.
-    pub fn send_evict(&self, value: T) -> Result<Option<T>, SendError<T>> {
-        let mut st = self.0.state.lock();
-        if st.receivers == 0 {
-            return Err(SendError(value));
-        }
-        let evicted = if st.buf.len() >= self.0.cap { st.buf.pop_front() } else { None };
-        st.buf.push_back(value);
-        drop(st);
-        self.0.not_empty.notify_one();
-        Ok(evicted)
     }
 
     /// Values currently queued — a load gauge, racy by nature: the
@@ -270,30 +215,6 @@ mod tests {
         drop(tx);
         let total: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, n * (n + 1) / 2);
-    }
-
-    #[test]
-    fn try_send_full_and_disconnected() {
-        let (tx, rx) = bounded::<u32>(1);
-        tx.try_send(1).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-    }
-
-    #[test]
-    fn send_evict_sheds_oldest() {
-        let (tx, rx) = bounded::<u32>(2);
-        assert_eq!(tx.send_evict(1), Ok(None));
-        assert_eq!(tx.send_evict(2), Ok(None));
-        // Full: 1 (the oldest) is evicted to admit 3.
-        assert_eq!(tx.send_evict(3), Ok(Some(1)));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-        drop(rx);
-        assert_eq!(tx.send_evict(4), Err(SendError(4)));
     }
 
     #[test]

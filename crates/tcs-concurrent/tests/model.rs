@@ -24,7 +24,7 @@
 #![cfg(tcs_model)]
 
 use std::sync::Arc;
-use tcs_concurrent::chan::{self, RecvError, SendError, TrySendError};
+use tcs_concurrent::chan::{self, RecvError, SendError};
 use tcs_concurrent::cmstree::CmsTree;
 use tcs_concurrent::lock::{LockManager, Mode};
 use tcs_core::store::StoreLayout;
@@ -119,45 +119,6 @@ fn chan_sender_death_wakes_blocked_receiver() {
         tx.send(7).unwrap_or_else(|_| panic!("receiver alive"));
         drop(tx);
         assert_eq!(t.join(), (Ok(7), Err(RecvError)));
-    });
-    report.assert_pass();
-    assert!(report.complete);
-}
-
-#[test]
-fn chan_try_send_and_evict_keep_fifo_order() {
-    // try_send never blocks (every schedule terminates — checked by the
-    // absence of deadlock) and send_evict sheds the *oldest* element, so
-    // whatever subset the receiver observes must be strictly increasing.
-    let report = check(Options::exhaustive(2), || {
-        let (tx, rx) = chan::bounded::<u32>(1);
-        let t = thread::spawn(move || {
-            let mut seen = Vec::new();
-            while let Ok(v) = rx.recv() {
-                seen.push(v);
-            }
-            seen
-        });
-        let mut shed = Vec::new();
-        for v in 1..=3u32 {
-            match tx.send_evict(v) {
-                Ok(Some(old)) => shed.push(old),
-                Ok(None) => {}
-                Err(SendError(_)) => panic!("receiver died early"),
-            }
-        }
-        // A try_send on a possibly-full buffer must refuse, not park.
-        if let Err(TrySendError::Disconnected(_)) = tx.try_send(4) {
-            panic!("receiver still alive");
-        }
-        drop(tx);
-        let seen = t.join();
-        for w in seen.windows(2) {
-            assert!(w[0] < w[1], "FIFO order violated: {seen:?}");
-        }
-        for w in shed.windows(2) {
-            assert!(w[0] < w[1], "evictions must shed oldest-first: {shed:?}");
-        }
     });
     report.assert_pass();
     assert!(report.complete);

@@ -52,14 +52,14 @@
 //!   and vectors whose capacity is reused across the arrivals of a batch
 //!   and across batches.
 
-use crate::ingest::{IngestError, IngestStats, OrderPolicy};
+use crate::ingest::{IngestError, IngestStats};
 use crate::join::RowArena;
 use crate::plan::QueryPlan;
 use crate::store::{AuditViolation, Handle, MatchStore, StoreLayout};
 use std::sync::Arc;
 use std::time::Instant;
 use tcs_graph::window::WindowEvent;
-use tcs_graph::{EdgeId, IdMap, LiveEdgeView, MatchRecord, StreamEdge, Timestamp};
+use tcs_graph::{EdgeId, IdMap, LiveEdgeView, MatchRecord, StreamEdge};
 use tcs_telemetry::{LatencyHistogram, Recorder};
 
 /// Counters the experiments report.
@@ -133,8 +133,6 @@ pub struct TimingEngine<S: MatchStore> {
     /// release-build guard. One comparison per arrival at the boundary;
     /// the hot join/expiry loops stay check-free.
     watermark: Option<u64>,
-    /// What an out-of-order arrival becomes (see [`OrderPolicy`]).
-    order_policy: OrderPolicy,
     /// Boundary counters, kept OUTSIDE [`EngineStats`] so engine
     /// counters stay byte-identical to an oracle fed the sanitized
     /// stream.
@@ -171,7 +169,6 @@ impl<S: MatchStore> TimingEngine<S> {
             partial_cap: u64::MAX,
             saturated: false,
             watermark: None,
-            order_policy: OrderPolicy::default(),
             ingest: IngestStats::default(),
             arena: RowArena::default(),
             tel: None,
@@ -299,19 +296,7 @@ impl<S: MatchStore> TimingEngine<S> {
         self.watermark
     }
 
-    /// The active out-of-order arrival policy (default
-    /// [`OrderPolicy::Reject`]).
-    pub fn order_policy(&self) -> OrderPolicy {
-        self.order_policy
-    }
-
-    /// Replaces the out-of-order arrival policy (effective from the next
-    /// arrival).
-    pub fn set_order_policy(&mut self, policy: OrderPolicy) {
-        self.order_policy = policy;
-    }
-
-    /// Boundary counters: admissions, clamps, drops and rejections. Kept
+    /// Boundary counters: admissions and rejections. Kept
     /// outside [`EngineStats`] on purpose — engine counters stay
     /// byte-identical to an oracle engine fed the sanitized stream.
     pub fn ingest_stats(&self) -> IngestStats {
@@ -389,10 +374,8 @@ impl<S: MatchStore> TimingEngine<S> {
     }
 
     /// The ingestion boundary: validates one arrival against the
-    /// watermark and the self-loop label invariant, applying the active
-    /// [`OrderPolicy`]. `Ok(true)` admits the (possibly clamped) edge for
-    /// processing, `Ok(false)` drops it silently per policy, `Err`
-    /// rejects it leaving the engine untouched.
+    /// watermark and the self-loop label invariant. `Ok` admits the edge
+    /// unchanged; `Err` rejects it leaving the engine untouched.
     ///
     /// This is the *only* release-build check on the arrival path — one
     /// timestamp comparison; the hot join and expiry loops stay
@@ -401,34 +384,21 @@ impl<S: MatchStore> TimingEngine<S> {
     /// here: it needs a live-id window, which the stream owner's
     /// [`IngestGate`](crate::ingest::IngestGate) maintains once per
     /// stream, not once per engine.
-    fn admit(&mut self, sigma: &mut StreamEdge) -> Result<bool, IngestError> {
-        // A self-loop whose endpoint labels disagree denotes no vertex:
-        // never admissible under any policy.
+    fn admit(&mut self, sigma: &StreamEdge) -> Result<(), IngestError> {
+        // A self-loop whose endpoint labels disagree denotes no vertex.
         if sigma.src == sigma.dst && sigma.src_label != sigma.dst_label {
             self.ingest.rejected_dangling += 1;
             return Err(IngestError::DanglingEndpoint { id: sigma.id, vertex: sigma.src });
         }
         if let Some(w) = self.watermark {
             if sigma.ts.0 < w {
-                match self.order_policy {
-                    OrderPolicy::Reject => {
-                        self.ingest.rejected_out_of_order += 1;
-                        return Err(IngestError::OutOfOrder { ts: sigma.ts.0, watermark: w });
-                    }
-                    OrderPolicy::ClampToWatermark => {
-                        sigma.ts = Timestamp(w);
-                        self.ingest.clamped += 1;
-                    }
-                    OrderPolicy::DropSilently => {
-                        self.ingest.dropped_out_of_order += 1;
-                        return Ok(false);
-                    }
-                }
+                self.ingest.rejected_out_of_order += 1;
+                return Err(IngestError::OutOfOrder { ts: sigma.ts.0, watermark: w });
             }
         }
-        self.watermark = Some(self.watermark.map_or(sigma.ts.0, |w| w.max(sigma.ts.0)));
+        self.watermark = Some(sigma.ts.0);
         self.ingest.admitted += 1;
-        Ok(true)
+        Ok(())
     }
 
     /// Algorithm 1: processes an arrival; returns new complete matches.
@@ -443,15 +413,13 @@ impl<S: MatchStore> TimingEngine<S> {
             .unwrap_or_else(|err| panic!("TimingEngine::insert fed invalid input: {err}"))
     }
 
-    /// [`TimingEngine::insert`] with the boundary check surfaced: invalid
-    /// arrivals become a typed [`IngestError`] (engine untouched) instead
-    /// of a panic; out-of-order arrivals follow the active
-    /// [`OrderPolicy`].
-    pub fn try_insert(&mut self, mut sigma: StreamEdge) -> Result<Vec<MatchRecord>, IngestError> {
+    /// [`TimingEngine::insert`] with the boundary check surfaced: an
+    /// out-of-order arrival or a self-loop with disagreeing labels becomes
+    /// a typed [`IngestError`] that leaves the engine untouched, instead
+    /// of a panic.
+    pub fn try_insert(&mut self, sigma: StreamEdge) -> Result<Vec<MatchRecord>, IngestError> {
         let mut out = Vec::new();
-        if !self.admit(&mut sigma)? {
-            return Ok(out);
-        }
+        self.admit(&sigma)?;
         if !self.plan.candidates(sigma.signature()).is_empty() {
             self.live.insert(sigma.id, sigma);
         }
@@ -491,10 +459,9 @@ impl<S: MatchStore> TimingEngine<S> {
         live: &L,
         out: &mut Vec<MatchRecord>,
     ) -> Result<(), IngestError> {
-        for mut sigma in batch.iter().copied() {
-            if self.admit(&mut sigma)? {
-                self.insert_admitted(sigma, live, out);
-            }
+        for &sigma in batch {
+            self.admit(&sigma)?;
+            self.insert_admitted(sigma, live, out);
         }
         // End-of-batch boundary sweep (a rejected batch returned above).
         #[cfg(feature = "debug-audit")]
@@ -852,37 +819,18 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_arrivals_follow_policy() {
-        use crate::ingest::{IngestError, OrderPolicy};
+    fn out_of_order_arrivals_are_rejected() {
+        use crate::ingest::IngestError;
         let q = path2_query(&[]);
 
-        // Reject (default): typed error, engine untouched.
-        let mut eng: TimingEngine<MsTreeStore> = mk(q.clone());
+        // Typed error, engine untouched.
+        let mut eng: TimingEngine<MsTreeStore> = mk(q);
         eng.try_insert(StreamEdge::new(1, 10, 0, 11, 1, 0, 5)).unwrap();
         let err = eng.try_insert(StreamEdge::new(2, 11, 1, 12, 2, 0, 3)).unwrap_err();
         assert_eq!(err, IngestError::OutOfOrder { ts: 3, watermark: 5 });
         assert_eq!(eng.stats().edges_processed, 1);
         assert_eq!(eng.ingest_stats().rejected_out_of_order, 1);
         assert_eq!(eng.watermark(), Some(5));
-
-        // ClampToWatermark: admitted as "just now", joins like any other
-        // arrival.
-        let mut eng: TimingEngine<MsTreeStore> = mk(q.clone());
-        eng.set_order_policy(OrderPolicy::ClampToWatermark);
-        eng.try_insert(StreamEdge::new(1, 10, 0, 11, 1, 0, 5)).unwrap();
-        let m = eng.try_insert(StreamEdge::new(2, 11, 1, 12, 2, 0, 3)).unwrap();
-        assert_eq!(m.len(), 1, "clamped straggler still completes the match");
-        assert_eq!(eng.ingest_stats().clamped, 1);
-        assert_eq!(eng.watermark(), Some(5));
-
-        // DropSilently: no matches, no error, counter moves.
-        let mut eng: TimingEngine<MsTreeStore> = mk(q);
-        eng.set_order_policy(OrderPolicy::DropSilently);
-        eng.try_insert(StreamEdge::new(1, 10, 0, 11, 1, 0, 5)).unwrap();
-        let m = eng.try_insert(StreamEdge::new(2, 11, 1, 12, 2, 0, 3)).unwrap();
-        assert!(m.is_empty());
-        assert_eq!(eng.stats().edges_processed, 1);
-        assert_eq!(eng.ingest_stats().dropped_out_of_order, 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! feature).
 //!
 //! A *failpoint* is a named site in production code where a test can arm
-//! a fault — a panic with a chosen payload, or an artificial stall —
-//! without touching the code under test. Sites are compiled in only with
+//! a fault — a panic with a chosen payload — without touching the code
+//! under test. Sites are compiled in only with
 //! `--features failpoints`; the default build expands every
 //! [`fail_point!`](crate::fail_point) to a no-op function call that the
 //! optimizer deletes, so the default test matrix and every benchmark are
@@ -86,9 +86,6 @@ pub enum Action {
     /// conventionally prefixed `"failpoint:"` so panic hooks can tell
     /// injected faults from real ones.
     Panic(String),
-    /// Sleep this many milliseconds — the knob for making one worker
-    /// artificially slow (overload / shedding tests).
-    SleepMs(u64),
 }
 
 #[cfg(feature = "failpoints")]
@@ -132,9 +129,8 @@ pub fn reset() {
 /// [`fail_point!`](crate::fail_point), never directly.
 #[cfg(feature = "failpoints")]
 pub fn hit(site: &str, tag: u64) {
-    // Decide under the lock, act outside it: panicking (or sleeping)
-    // while holding the registry mutex would poison (or stall) every
-    // other hit in the process.
+    // Decide under the lock, act outside it: panicking while holding the
+    // registry mutex would poison it for every other hit in the process.
     let action = {
         let reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match reg.get(site) {
@@ -144,7 +140,6 @@ pub fn hit(site: &str, tag: u64) {
     };
     match action {
         Some(Action::Panic(payload)) => std::panic::panic_any(payload),
-        Some(Action::SleepMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         None => {}
     }
 }

@@ -9,8 +9,9 @@
 //! positions and quietly return wrong (not just incomplete) results ever
 //! after. The fault-tolerance layer promotes the check to a typed result
 //! at the **engine boundary only**: one comparison against a watermark per
-//! arrival, zero checks in the hot inner loops, and a configurable
-//! [`OrderPolicy`] deciding what a violating arrival becomes.
+//! arrival and zero checks in the hot inner loops. A violating arrival is
+//! always an [`IngestError::OutOfOrder`] that leaves all state untouched;
+//! nothing is rewritten or dropped.
 //!
 //! Two more malformation classes are caught at the same boundary:
 //!
@@ -29,7 +30,7 @@
 //! re-check the watermark, which their filtered substream preserves.
 
 use std::collections::VecDeque;
-use tcs_graph::{EdgeId, IdMap, IdSet, StreamEdge, Timestamp, VLabel, VertexId};
+use tcs_graph::{EdgeId, IdMap, IdSet, StreamEdge, VLabel, VertexId};
 
 /// A rejected arrival, with enough context to log or alert on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,41 +77,31 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// What an out-of-order arrival becomes at the boundary.
+/// What an out-of-order arrival becomes at the boundary: always
+/// [`IngestError::OutOfOrder`], with the store untouched (the strict
+/// stream model of Definition 1).
 ///
-/// Only *ordering* violations are policy-controlled; duplicate ids and
-/// dangling endpoints are always errors (there is no safe rewrite for
-/// them).
+/// `Reject` is the only value. The type survives only because the
+/// frozen benchmark passes it to [`IngestGate::new`]; ROADMAP Step 0a
+/// removes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderPolicy {
-    /// Return [`IngestError::OutOfOrder`]; the store is untouched
-    /// (default — matches the strict stream model of Definition 1).
+    /// Return [`IngestError::OutOfOrder`]; the store is untouched.
     #[default]
     Reject,
-    /// Admit the arrival with its timestamp raised to the watermark — it
-    /// is treated as "just now". The clamped edge participates in joins
-    /// like any other arrival; clamps are counted in
-    /// [`IngestStats::clamped`].
-    ClampToWatermark,
-    /// Drop the arrival silently and count it in
-    /// [`IngestStats::dropped_out_of_order`] — the lossy policy for
-    /// sources known to emit stragglers nobody wants.
-    DropSilently,
 }
 
-/// Boundary counters: what the gate admitted, rewrote, dropped and
-/// rejected. Deliberately **not** part of
-/// [`EngineStats`](crate::engine::EngineStats) — engine counters must
-/// stay byte-identical to an oracle engine fed the sanitized stream, so
-/// ingest accounting lives beside them, not inside them.
+/// Boundary counters: what the gate admitted and rejected. Deliberately
+/// **not** part of [`EngineStats`](crate::engine::EngineStats) — engine
+/// counters must stay byte-identical to an oracle engine fed the
+/// sanitized stream, so ingest accounting lives beside them, not inside
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Arrivals admitted (including clamped ones).
+    /// Arrivals admitted.
     pub admitted: u64,
-    /// Arrivals admitted with their timestamp clamped to the watermark
-    /// ([`OrderPolicy::ClampToWatermark`]).
-    pub clamped: u64,
-    /// Arrivals silently dropped ([`OrderPolicy::DropSilently`]).
+    /// Always 0: no arrival is dropped. Kept only because the frozen
+    /// benchmark reads it; ROADMAP Step 0a removes it.
     pub dropped_out_of_order: u64,
     /// Arrivals rejected with [`IngestError::OutOfOrder`].
     pub rejected_out_of_order: u64,
@@ -127,8 +118,9 @@ impl IngestStats {
     }
 }
 
-/// The admission decision of a gate: the (possibly clamped) edge to
-/// process, or nothing (dropped under [`OrderPolicy::DropSilently`]).
+/// The admission decision of a gate: the admitted edge, unchanged. It is
+/// always `Some`; the `Option` remains only because the frozen benchmark
+/// matches on it, and ROADMAP Step 0a removes it.
 pub type Admission = Option<StreamEdge>;
 
 /// A full stream-boundary validator for owners of a shared window: tracks
@@ -146,7 +138,6 @@ pub type Admission = Option<StreamEdge>;
 #[derive(Clone, Debug)]
 pub struct IngestGate {
     duration: u64,
-    policy: OrderPolicy,
     watermark: Option<u64>,
     /// Ids of edges whose timestamps are still inside the window, with
     /// the arrival queue that expires them.
@@ -160,26 +151,17 @@ pub struct IngestGate {
 impl IngestGate {
     /// A gate for a window of the given duration (same half-open
     /// `(t − |W|, t]` timespan as [`tcs_graph::SlidingWindow`]).
-    pub fn new(duration: u64, policy: OrderPolicy) -> Self {
+    /// `OrderPolicy` has one value, so the second argument changes
+    /// nothing.
+    pub fn new(duration: u64, _policy: OrderPolicy) -> Self {
         IngestGate {
             duration,
-            policy,
             watermark: None,
             live_ids: IdSet::default(),
             arrivals: VecDeque::new(),
             labels: IdMap::default(),
             stats: IngestStats::default(),
         }
-    }
-
-    /// The active ordering policy.
-    pub fn policy(&self) -> OrderPolicy {
-        self.policy
-    }
-
-    /// Replaces the ordering policy (effective from the next arrival).
-    pub fn set_policy(&mut self, policy: OrderPolicy) {
-        self.policy = policy;
     }
 
     /// The newest accepted timestamp, if any arrival was admitted yet.
@@ -192,36 +174,21 @@ impl IngestGate {
         self.stats
     }
 
-    /// Validates one arrival. `Ok(Some(e))` admits `e` (timestamp
-    /// possibly clamped), `Ok(None)` drops it silently per policy, and
+    /// Validates one arrival. `Ok(Some(e))` admits `e` unchanged, and
     /// `Err` rejects it leaving every structure untouched.
-    pub fn admit(&mut self, mut e: StreamEdge) -> Result<Admission, IngestError> {
-        // Ordering first: the policy may rewrite the timestamp the other
-        // checks and the bookkeeping then use.
+    pub fn admit(&mut self, e: StreamEdge) -> Result<Admission, IngestError> {
         if let Some(w) = self.watermark {
             if e.ts.0 < w {
-                match self.policy {
-                    OrderPolicy::Reject => {
-                        self.stats.rejected_out_of_order += 1;
-                        return Err(IngestError::OutOfOrder { ts: e.ts.0, watermark: w });
-                    }
-                    OrderPolicy::ClampToWatermark => {
-                        e.ts = Timestamp(w);
-                        self.stats.clamped += 1;
-                    }
-                    OrderPolicy::DropSilently => {
-                        self.stats.dropped_out_of_order += 1;
-                        return Ok(None);
-                    }
-                }
+                self.stats.rejected_out_of_order += 1;
+                return Err(IngestError::OutOfOrder { ts: e.ts.0, watermark: w });
             }
         }
-        // The arrivals this (possibly clamped) one expires. Their ids and
-        // vertex labels are still on the books — retirement waits for
-        // admission, so a rejection leaves every structure untouched —
-        // but a re-used id of such an edge is NOT a duplicate and a
-        // relabelled vertex with no younger incident edge is NOT
-        // dangling: a hit below is checked against this prefix.
+        // The arrivals this one expires. Their ids and vertex labels are
+        // still on the books — retirement waits for admission, so a
+        // rejection leaves every structure untouched — but a re-used id
+        // of such an edge is NOT a duplicate and a relabelled vertex with
+        // no younger incident edge is NOT dangling: a hit below is
+        // checked against this prefix.
         let bound = e.ts.0.checked_sub(self.duration);
         let arrivals = &self.arrivals;
         let expiring = || arrivals.iter().take_while(|a| bound.is_some_and(|b| a.0 <= b));
@@ -256,7 +223,7 @@ impl IngestGate {
                 }
             }
         }
-        self.watermark = Some(self.watermark.map_or(e.ts.0, |w| w.max(e.ts.0)));
+        self.watermark = Some(e.ts.0);
         self.live_ids.insert(e.id);
         self.arrivals.push_back((e.ts.0, e.id, e.src, e.dst));
         self.retain_vertex(e.src, e.src_label);
@@ -344,25 +311,6 @@ mod tests {
         // The arrival that does expire both may reuse an id and relabel
         // their vertices (v1 is bound by both edges).
         assert!(g.admit(edge(1, 0, 7, 1, 8, 100)).unwrap().is_some());
-    }
-
-    #[test]
-    fn clamp_policy_raises_timestamp_to_watermark() {
-        let mut g = IngestGate::new(10, OrderPolicy::ClampToWatermark);
-        g.admit(edge(1, 0, 0, 1, 1, 5)).unwrap();
-        let admitted = g.admit(edge(2, 1, 1, 2, 2, 3)).unwrap().expect("clamped, not dropped");
-        assert_eq!(admitted.ts.0, 5);
-        assert_eq!(g.stats().clamped, 1);
-        assert_eq!(g.watermark(), Some(5));
-    }
-
-    #[test]
-    fn drop_policy_counts_and_returns_none() {
-        let mut g = IngestGate::new(10, OrderPolicy::DropSilently);
-        g.admit(edge(1, 0, 0, 1, 1, 5)).unwrap();
-        assert!(g.admit(edge(2, 0, 0, 1, 1, 2)).unwrap().is_none());
-        assert_eq!(g.stats().dropped_out_of_order, 1);
-        assert_eq!(g.stats().admitted, 1);
     }
 
     #[test]

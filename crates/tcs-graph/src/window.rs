@@ -120,9 +120,7 @@ impl SlidingWindow {
     /// # Panics
     /// Panics if timestamps are not nondecreasing. Equal timestamps are
     /// accepted: batched sources legitimately stamp several edges with one
-    /// tick, and the `ClampToWatermark` ingestion policy (`tcs-core`)
-    /// rewrites stragglers to exactly the watermark — the buffer stays
-    /// sorted either way, which is all expiry needs.
+    /// tick, and the buffer stays sorted, which is all expiry needs.
     pub fn advance_into(&mut self, arrival: StreamEdge, expired: &mut Vec<StreamEdge>) {
         if let Some(last) = self.last_ts {
             assert!(
@@ -247,9 +245,9 @@ mod tests {
 
     #[test]
     fn equal_timestamps_are_accepted() {
-        // Nondecreasing, not strictly increasing: batched ticks and
-        // watermark-clamped stragglers share a timestamp legally, and both
-        // edges expire together when the window passes them.
+        // Nondecreasing, not strictly increasing: edges of one batched
+        // tick share a timestamp legally, and both expire together when
+        // the window passes them.
         let mut w = SlidingWindow::new(5);
         w.advance(edge(1, 10));
         let ev = w.advance(edge(2, 10));

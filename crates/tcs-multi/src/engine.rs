@@ -100,11 +100,11 @@ pub struct MultiStats {
     /// [`FaultPolicy::Quarantine`]). Quarantined queries no longer appear
     /// in [`MultiStats::queries`]; this log is how their fate is read.
     pub faults: Vec<QueryFault>,
-    /// Ingestion-boundary counters: what the gate admitted, clamped,
-    /// dropped and rejected (see `tcs_core::ingest`). Kept apart from the
-    /// per-query [`EngineStats`] so those stay oracle-comparable.
+    /// Ingestion-boundary counters: what the gate admitted and rejected
+    /// (see `tcs_core::ingest`). Kept apart from the per-query
+    /// [`EngineStats`] so those stay oracle-comparable.
     pub ingest: IngestStats,
-    /// Per-shard health (shed counts, worker restarts) — filled by
+    /// Per-shard health (worker restarts) — filled by
     /// [`ShardedMultiEngine::stats`](crate::ShardedMultiEngine::stats),
     /// empty for a serial registry.
     pub shards: Vec<ShardHealth>,
@@ -268,8 +268,6 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
 /// returns. Taken out for the call and cleared before use.
 #[derive(Default)]
 struct BatchScratch {
-    /// Arrivals the gate admitted (possibly clamped).
-    admitted: Vec<StreamEdge>,
     /// The current window step's expiries, oldest first.
     expired: Vec<StreamEdge>,
     /// The current window step's arrivals.
@@ -579,17 +577,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         }
     }
 
-    /// The active out-of-order arrival policy of the ingestion gate.
-    pub fn order_policy(&self) -> OrderPolicy {
-        self.gate.policy()
-    }
-
-    /// Replaces the ingestion gate's out-of-order policy (effective from
-    /// the next arrival).
-    pub fn set_order_policy(&mut self, policy: OrderPolicy) {
-        self.gate.set_policy(policy);
-    }
-
     /// Ingestion-boundary counters so far.
     pub fn ingest_stats(&self) -> IngestStats {
         self.gate.stats()
@@ -825,8 +812,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// registration order, each subscriber's matches in emission order.
     ///
     /// Panics on invalid input ([`IngestError`]) — stream owners that must
-    /// survive a misbehaving source use [`MultiQueryEngine::try_advance`]
-    /// or a lenient [`OrderPolicy`] instead.
+    /// survive a misbehaving source validate first:
+    /// [`MultiQueryEngine::try_advance`] returns the error instead.
     pub fn advance(&mut self, e: StreamEdge) -> Vec<(QueryId, MatchRecord)> {
         match self.try_advance(e) {
             Ok(out) => out,
@@ -835,9 +822,9 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// [`MultiQueryEngine::advance`] with the ingestion boundary surfaced:
-    /// an invalid arrival becomes a typed [`IngestError`] with the
-    /// window, the live-edge table and every engine untouched; out-of-order arrivals follow
-    /// the gate's [`OrderPolicy`]. Under [`FaultPolicy::Quarantine`] a
+    /// an invalid arrival, out-of-order ones included, becomes a typed
+    /// [`IngestError`] with the window, the live-edge table and every
+    /// engine untouched. Under [`FaultPolicy::Quarantine`] a
     /// panic inside one template's work quarantines that template — every
     /// subscriber gets one [`QueryFault`] (recorded in
     /// [`MultiQueryEngine::faults`]) — and the remaining templates still
@@ -913,8 +900,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     /// but those matches are dropped with the `Ok` value, never returned.
     /// Feeding on from the arrival after the rejected one is
     /// well-defined; the lost deliveries cannot be recovered, so feeders
-    /// that must not lose any validate first or use a lenient
-    /// [`OrderPolicy`]. One layer down the loss is closed —
+    /// that must not lose any validate first. One layer down the loss is closed —
     /// [`TimingEngine::insert_batch_at`] appends to a caller-owned sink
     /// that keeps what was emitted before the error — but this method's
     /// return type is what the frozen benchmark calls, so moving it to a
@@ -946,22 +932,22 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             _ => tel_t0,
         };
         let mut sc = std::mem::take(&mut self.scratch);
-        sc.admitted.clear();
         sc.expired.clear();
         sc.arrivals.clear();
+        // The gate admits edges unchanged, so the admitted arrivals are
+        // the batch's prefix before the first rejection.
         let mut failure: Option<IngestError> = None;
+        let mut n_admitted = 0;
         for &e in batch {
-            match self.gate.admit(e) {
-                Ok(Some(e)) => sc.admitted.push(e),
-                Ok(None) => {}
-                Err(err) => {
-                    failure = Some(err);
-                    break;
-                }
+            if let Err(err) = self.gate.admit(e) {
+                failure = Some(err);
+                break;
             }
+            n_admitted += 1;
         }
+        let admitted = &batch[..n_admitted];
         if tel_t0.is_some() {
-            self.tel_record_keys(&sc.admitted);
+            self.tel_record_keys(admitted);
         }
         // Templates that panicked during THIS call: skipped for the rest
         // of it, torn down after it.
@@ -972,7 +958,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         // step may start without expiries), exactly the steps of
         // `SlidingWindow::advance_batch`. Steps never read the window, so
         // running each as soon as it closes changes nothing.
-        for &a in &sc.admitted {
+        for &a in admitted {
             let before = sc.expired.len();
             self.window.advance_into(a, &mut sc.expired);
             if sc.expired.len() > before && !sc.arrivals.is_empty() {
@@ -986,10 +972,9 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         if !sc.arrivals.is_empty() {
             self.step(&sc.expired, &sc.arrivals, &mut sc.emitted, &mut faulted, &mut out);
         }
-        let n_admitted = sc.admitted.len() as u64;
         self.scratch = sc;
         self.quarantine(faulted);
-        self.tel_finish(tel_t0, tel_arr, n_admitted, &out);
+        self.tel_finish(tel_t0, tel_arr, n_admitted as u64, &out);
         match failure {
             Some(err) => Err(err),
             None => Ok(out),
@@ -1035,11 +1020,11 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                     for s in slots {
                         fail_point!(sites::PRE_PROBE, s.id.0);
                     }
-                    // The gate sanitized the stream, so an engine-level
+                    // The gate validated the stream, so an engine-level
                     // rejection is a bug in THIS template's plumbing:
                     // under Quarantine it condemns only the template.
                     if let Err(err) = engine.insert_batch_at(run, live, emitted) {
-                        panic!("sanitized stream rejected: {err}");
+                        panic!("validated stream rejected: {err}");
                     }
                     for s in slots {
                         fail_point!(sites::POST_RECORD, s.id.0);
@@ -1703,7 +1688,7 @@ mod tests {
     fn rejection_mid_batch_drops_the_admitted_prefix_matches() {
         let mut multi: MultiQueryEngine = MultiQueryEngine::new(100);
         let q0 = multi.register(plan(0));
-        // The third arrival is out of order: the default policy rejects.
+        // The third arrival is out of order: the gate rejects it.
         let batch = [open_edge(1, 0, 5), close_edge(2, 0, 6), open_edge(3, 0, 4)];
         assert!(multi.try_advance_batch(&batch).is_err());
         assert_eq!(multi.window_len(), 2, "the prefix was admitted");

@@ -1,8 +1,8 @@
-//! Fault-domain types: what a per-query panic becomes, what an overloaded
-//! channel does, and what the health report carries.
+//! Fault-domain types: what a per-query panic becomes and what the health
+//! report carries.
 //!
-//! The failure model (crate docs, "Failure model") separates three fault
-//! classes with three different blast radii:
+//! The failure model (crate docs, "Failure model") separates two fault
+//! classes with two different blast radii:
 //!
 //! 1. **Query faults** — a panic inside one query's per-arrival work.
 //!    Under [`FaultPolicy::Quarantine`] the registry catches it, records
@@ -16,9 +16,10 @@
 //!    shard's in-window edges into it, so no match is lost
 //!    ([`ShardHealth::restarts`]; [`ShardHealth::replay_failures`]
 //!    counts the rebuilds whose replay died).
-//! 3. **Overload** — a worker that cannot keep up fills its channel. The
-//!    [`OverloadPolicy`] decides whether the dispatcher waits or sheds,
-//!    and [`ShardHealth`] counts what was shed.
+//!
+//! Overload is not a fault: a worker that cannot keep up fills its
+//! bounded channel, and the dispatcher blocks until it drains. No edge is
+//! ever shed.
 
 use crate::engine::QueryId;
 use std::any::Any;
@@ -37,23 +38,6 @@ pub enum FaultPolicy {
     /// [`ShardedMultiEngine`](crate::ShardedMultiEngine) — one tenant's
     /// bug must not take down its neighbours).
     Quarantine,
-}
-
-/// What the dispatcher does when a shard worker's channel is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Block until the worker drains (default — lossless, the slowest
-    /// shard paces the stream).
-    #[default]
-    Backpressure,
-    /// Evict the *oldest* queued edge to admit the new one — bounded
-    /// staleness: the worker always sees the freshest traffic, losing
-    /// history ([`ShardHealth::shed_oldest`] counts the losses).
-    ShedOldest,
-    /// Drop the *newest* edge (the arrival itself) when the buffer is
-    /// full — bounded effort: queued work is never wasted, fresh traffic
-    /// is sacrificed ([`ShardHealth::shed_newest`] counts the losses).
-    ShedNewest,
 }
 
 /// One quarantined query: the panic that condemned it and where in the
@@ -77,10 +61,12 @@ pub struct QueryFault {
 pub struct ShardHealth {
     /// The shard index.
     pub shard: usize,
-    /// Edges evicted from this shard's queue ([`OverloadPolicy::ShedOldest`]).
+    /// Always 0: a full queue back-pressures and sheds nothing. Kept
+    /// only because the frozen benchmark reads it; ROADMAP Step 0a
+    /// removes it.
     pub shed_oldest: u64,
-    /// Arrivals dropped at this shard's full queue
-    /// ([`OverloadPolicy::ShedNewest`]).
+    /// Always 0, like [`ShardHealth::shed_oldest`]; ROADMAP Step 0a
+    /// removes it.
     pub shed_newest: u64,
     /// Times the supervisor rebuilt this shard after its worker died.
     pub restarts: u64,

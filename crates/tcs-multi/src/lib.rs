@@ -140,18 +140,17 @@
 //! # Failure model
 //!
 //! A multi-tenant registry is exactly where faults hurt the most: one
-//! tenant's pathological query, one source's corrupted feed, or one slow
-//! core must not take down every other tenant. The crate names three
+//! tenant's pathological query, one source's corrupted feed, or one dead
+//! worker must not take down every other tenant. The crate names three
 //! fault classes and gives each the smallest blast radius that keeps the
 //! survivors' semantics exact:
 //!
 //! 1. **Bad input** is rejected *at the boundary, before any state
 //!    mutates*. Every arrival passes an [`IngestGate`](tcs_core::IngestGate)
-//!    (watermark + live-edge bookkeeping): out-of-order timestamps are
-//!    handled per the configured [`OrderPolicy`] (typed rejection by
-//!    default, or clamp-to-watermark / counted silent drop), duplicate
-//!    live edge ids and inconsistently-labelled endpoints are always
-//!    rejected. [`MultiQueryEngine::try_advance`] and
+//!    (watermark + live-edge bookkeeping): an out-of-order timestamp, a
+//!    duplicate live edge id or an inconsistently-labelled endpoint is a
+//!    typed rejection, never rewritten or dropped.
+//!    [`MultiQueryEngine::try_advance`] and
 //!    [`ShardedMultiEngine::try_process`] surface the
 //!    [`IngestError`]; the panicking `advance`/`process` wrappers keep
 //!    the happy-path API. `try_process` is batch-atomic: on `Err`
@@ -166,7 +165,7 @@
 //!    fix — the engines below already append to one
 //!    (`TimingEngine::insert_batch_at`), but this method's return type
 //!    is frozen by the benchmark; until it moves, feeders that cannot
-//!    afford the loss validate first or use a lenient policy.
+//!    afford the loss validate first.
 //! 2. **Query faults** — a panic inside one query's per-arrival work.
 //!    Under [`FaultPolicy::Quarantine`] (the default for shards of a
 //!    [`ShardedMultiEngine`]; bare engines default to
@@ -179,7 +178,7 @@
 //!    the shared engine (see the sharing model above). The shard,
 //!    worker thread and channel keep serving, and the dispatcher never
 //!    observes a dead channel for this class.
-//! 3. **Worker faults and overload** — a panic outside the per-query
+//! 3. **Worker faults** — a panic outside the per-query
 //!    boundary kills a shard worker; the dispatcher skips the dead
 //!    channel for the rest of the batch and the supervisor then rebuilds
 //!    the shard, re-homing surviving queries under their original ids
@@ -187,12 +186,12 @@
 //!    the window, so the batch's output and every later match are what
 //!    a run without the fault produces ([`ShardHealth::restarts`] counts
 //!    rebuilds; a replay that itself panics leaves the shard on empty
-//!    windows and counts in [`ShardHealth::replay_failures`]). A worker
-//!    that is merely *slow* fills its channel instead, and the
-//!    configured [`OverloadPolicy`] either back-pressures (default,
-//!    lossless) or sheds bounded work with per-shard counters. Blast
-//!    radius: one shard's per-query counters (restart) or the shed
-//!    edges (overload) — never another shard.
+//!    windows and counts in [`ShardHealth::replay_failures`]). Blast
+//!    radius: one shard's per-query counters — never another shard.
+//!
+//! A worker that is merely *slow* is not a fault: it fills its bounded
+//! channel and the dispatcher blocks until it drains, so no edge is ever
+//! shed.
 //!
 //! The `failpoints` cargo feature (off by default, zero-cost when off)
 //! compiles in the `tcs-core` fault-injection sites the chaos tests use
@@ -228,7 +227,7 @@
 //!   scopes get private histograms; the rest collapse into one overflow
 //!   scope.
 //! * **Skew and shard load** — per-shard gauges (edges routed, queue
-//!   depth high-water mark, shed edges, worker restarts) refreshed
+//!   depth high-water mark, worker restarts) refreshed
 //!   every `process` call, plus hot-key counters over arrival endpoints
 //!   (top-16 keys and log2-degree buckets: mass in high buckets *is*
 //!   hub skew). Hot keys ride the sampled cadence; gauges and events
@@ -238,9 +237,8 @@
 //! * **Structured events** — a bounded ring of sequence-numbered
 //!   lifecycle events: `Register`/`Unregister` (registration churn),
 //!   `Quarantine` (query fault: id, stream position, truncated
-//!   payload), `Shed` (overload: shard, edge count, which end),
-//!   `WorkerRestart` (shard rebuild). A quarantined query logs exactly
-//!   one `Quarantine` event, not an `Unregister`.
+//!   payload), `WorkerRestart` (shard rebuild). A quarantined query
+//!   logs exactly one `Quarantine` event, not an `Unregister`.
 //!
 //! `Recorder::snapshot()` exports everything as a
 //! [`TelemetrySnapshot`](tcs_telemetry::TelemetrySnapshot);
@@ -262,6 +260,6 @@ pub mod fault;
 pub mod shard;
 
 pub use engine::{MultiQueryEngine, MultiStats, QueryId, QueryStats, TemplateStats};
-pub use fault::{FaultPolicy, OverloadPolicy, QueryFault, ShardHealth};
+pub use fault::{FaultPolicy, QueryFault, ShardHealth};
 pub use shard::ShardedMultiEngine;
-pub use tcs_core::{IngestError, IngestStats, OrderPolicy};
+pub use tcs_core::{IngestError, IngestStats};

@@ -19,7 +19,7 @@
 //!
 //! # Fault handling
 //!
-//! Three fault classes, three blast radii (crate docs, "Failure model"):
+//! Two fault classes, two blast radii (crate docs, "Failure model"):
 //!
 //! * **Query faults.** Shards run under [`FaultPolicy::Quarantine`]: a
 //!   panic inside one query's per-arrival work condemns only that query.
@@ -39,11 +39,10 @@
 //!   matches and later batches find matches spanning the restart
 //!   ([`ShardHealth::restarts`](crate::ShardHealth::restarts) counts
 //!   rebuilds).
-//! * **Overload.** The dispatcher→worker channels apply the configured
-//!   [`OverloadPolicy`]: lossless back-pressure (default), or bounded
-//!   shedding with per-shard loss counters. Shedding happens at chunk
-//!   granularity (a full channel loses a whole pending chunk), but the
-//!   loss counters stay in **edges** — a shed chunk adds its length.
+//!
+//! Overload is not a fault: a full dispatcher→worker channel blocks the
+//! dispatcher until the worker drains it, so the slowest shard paces the
+//! stream and no edge is shed.
 //!
 //! # Loss-free restart
 //!
@@ -58,10 +57,8 @@
 //! it sees what it saw before (crate docs, "Registration semantics").
 //! Matches completed by edges of earlier batches were already delivered
 //! and are dropped; matches completed by the current batch's edges are
-//! returned with it. Under back-pressure the result is the output of a
-//! run without the fault. Under a shedding policy the log also holds the
-//! edges that were shed, so a rebuilt shard may see more than the dead
-//! one did. Per-query counters are not carried over: after a rebuild they
+//! returned with it, so the result is the output of a run without the
+//! fault. Per-query counters are not carried over: after a rebuild they
 //! count the replayed substream. The log is front-end memory and is not
 //! part of [`MultiStats::space_bytes`], which counts match state.
 //!
@@ -84,12 +81,12 @@
 //! edge would report).
 
 use crate::engine::{MultiQueryEngine, MultiStats, QueryId};
-use crate::fault::{FaultPolicy, OverloadPolicy, ShardHealth};
+use crate::fault::{FaultPolicy, ShardHealth};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use tcs_concurrent::chan::{self, TrySendError};
+use tcs_concurrent::chan;
 use tcs_core::fail_point;
 use tcs_core::failpoints::sites;
 use tcs_core::store::MatchStore;
@@ -102,10 +99,13 @@ use tcs_telemetry::{EventKind, Recorder, ShardLoad};
 /// Edges per dispatcher→worker chunk. Large enough that workers amortize
 /// channel synchronization and run the batched
 /// [`MultiQueryEngine::advance_batch`] ingest path over same-signature
-/// runs; small enough that a tight channel capacity
-/// ([`ShardedMultiEngine::set_channel_capacity`]) still exerts
-/// back-pressure and shedding on short streams.
+/// runs; small enough that workers start before the dispatcher has
+/// routed the whole call.
 pub const CHUNK: usize = 16;
+
+/// Dispatcher→worker channel capacity, in chunks of up to [`CHUNK`]
+/// edges. A full channel blocks the dispatcher until its worker drains.
+const CHANNEL_CAP: usize = 1024;
 
 /// One dispatcher→worker unit: a routed sub-batch plus — telemetry only
 /// — its enqueue instant, so a shard can charge queue wait to detection
@@ -115,18 +115,14 @@ struct Chunk {
     edges: Vec<StreamEdge>,
 }
 
-/// Sends one pending chunk to a worker under the configured overload
-/// policy. A disconnected channel (dead worker) retires the sender; loss
-/// counters are incremented by the shed chunk's length, keeping
-/// [`ShardHealth`] counters in edges. While a recorder is armed the
-/// chunk is stamped at enqueue, the queue-depth high-water mark is
-/// tracked, and every shed chunk logs one structured event.
+/// Sends one pending chunk to a worker, blocking while its channel is
+/// full. A disconnected channel (dead worker) retires the sender. While a
+/// recorder is armed the chunk is stamped at enqueue and the queue-depth
+/// high-water mark is tracked.
 fn flush_chunk(
     s: usize,
     txs: &mut [Option<chan::Sender<Chunk>>],
     edges: Vec<StreamEdge>,
-    overload: OverloadPolicy,
-    health: &mut [ShardHealth],
     rec: Option<&Recorder>,
     hwm: &mut [u64],
 ) {
@@ -139,40 +135,8 @@ fn flush_chunk(
         hwm[s] = hwm[s].max(tx.len() as u64 + 1);
     }
     let chunk = Chunk { at: rec.map(|_| Instant::now()), edges };
-    match overload {
-        OverloadPolicy::Backpressure => {
-            if tx.send(chunk).is_err() {
-                txs[s] = None;
-            }
-        }
-        OverloadPolicy::ShedNewest => match tx.try_send(chunk) {
-            Ok(()) => {}
-            Err(TrySendError::Full(c)) => {
-                health[s].shed_newest += c.edges.len() as u64;
-                if let Some(rec) = rec {
-                    rec.event(EventKind::Shed {
-                        shard: s as u64,
-                        edges: c.edges.len() as u64,
-                        newest: true,
-                    });
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => txs[s] = None,
-        },
-        OverloadPolicy::ShedOldest => match tx.send_evict(chunk) {
-            Ok(None) => {}
-            Ok(Some(c)) => {
-                health[s].shed_oldest += c.edges.len() as u64;
-                if let Some(rec) = rec {
-                    rec.event(EventKind::Shed {
-                        shard: s as u64,
-                        edges: c.edges.len() as u64,
-                        newest: false,
-                    });
-                }
-            }
-            Err(_) => txs[s] = None,
-        },
+    if tx.send(chunk).is_err() {
+        txs[s] = None;
     }
 }
 
@@ -211,11 +175,7 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     window: u64,
     /// The stream-boundary gate: full-batch validation before fan-out.
     gate: IngestGate,
-    /// What the dispatcher does at a full worker channel.
-    overload: OverloadPolicy,
-    /// Dispatcher→worker channel capacity.
-    channel_cap: usize,
-    /// Per-shard shed/restart counters.
+    /// Per-shard restart counters.
     health: Vec<ShardHealth>,
     /// Per-shard replay logs: `(admission ordinal, edge)` for every edge
     /// routed to the shard that may still join a later arrival, plus the
@@ -232,8 +192,7 @@ pub struct ShardedMultiEngine<S: MatchStore = MsTreeStore> {
     tel: Option<Arc<Recorder>>,
     /// Telemetry sampling tick for front-end hot-key recording.
     tel_tick: u32,
-    /// Edges routed to each shard since construction (telemetry gauge;
-    /// shed chunks still count — they were routed).
+    /// Edges routed to each shard since construction (telemetry gauge).
     routed: Vec<u64>,
     /// Per-shard dispatcher→worker queue-depth high-water mark, in
     /// chunks (telemetry gauge, tracked only while a recorder is armed).
@@ -265,8 +224,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
             edges_fed: 0,
             window,
             gate: IngestGate::new(window, OrderPolicy::default()),
-            overload: OverloadPolicy::default(),
-            channel_cap: 1024,
             health: (0..n_shards)
                 .map(|shard| ShardHealth { shard, ..Default::default() })
                 .collect(),
@@ -283,8 +240,8 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     /// Arms telemetry across the front-end and every shard. The
     /// front-end records endpoint hot-key traffic once at routing time,
     /// per-shard load gauges (routed edges, queue-depth high-water mark,
-    /// shed, restarts) after each batch, and shed / worker-restart
-    /// events; shards record advance latency, detection latency (chunks
+    /// restarts) after each batch, and worker-restart events; shards
+    /// record advance latency, detection latency (chunks
     /// are stamped at enqueue, so queue wait counts) and lifecycle
     /// events, with shard-level hot-key counting off — an edge fanned to
     /// several shards would otherwise be counted once per shard.
@@ -325,40 +282,11 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         self.home.get(&id).copied()
     }
 
-    /// The active out-of-order arrival policy of the front-end gate.
-    pub fn order_policy(&self) -> OrderPolicy {
-        self.gate.policy()
-    }
-
-    /// Replaces the front-end gate's out-of-order policy (effective from
-    /// the next batch). Shard-local gates never reject: routed substreams
-    /// of the sanitized stream are nondecreasing by construction.
-    pub fn set_order_policy(&mut self, policy: OrderPolicy) {
-        self.gate.set_policy(policy);
-    }
-
-    /// Ingestion-boundary counters of the front-end gate.
+    /// Ingestion-boundary counters of the front-end gate. Shard-local
+    /// gates never reject: routed substreams of the validated stream are
+    /// nondecreasing by construction.
     pub fn ingest_stats(&self) -> IngestStats {
         self.gate.stats()
-    }
-
-    /// The active overload policy (default
-    /// [`OverloadPolicy::Backpressure`]).
-    pub fn overload_policy(&self) -> OverloadPolicy {
-        self.overload
-    }
-
-    /// Replaces the overload policy (effective from the next batch).
-    pub fn set_overload_policy(&mut self, policy: OverloadPolicy) {
-        self.overload = policy;
-    }
-
-    /// Resizes the dispatcher→worker channels (effective from the next
-    /// batch; clamped to ≥ 1). Capacity counts **chunks** of up to
-    /// [`CHUNK`] edges, not single edges. Smaller buffers trade
-    /// throughput for earlier shedding/back-pressure.
-    pub fn set_channel_capacity(&mut self, cap: usize) {
-        self.channel_cap = cap.max(1);
     }
 
     /// Every quarantined query across all shards, in shard order (each
@@ -455,8 +383,8 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     /// one query it is stream order.
     ///
     /// Panics on invalid input ([`IngestError`]) — stream owners that
-    /// must survive a misbehaving source use
-    /// [`ShardedMultiEngine::try_process`] or a lenient [`OrderPolicy`].
+    /// must survive a misbehaving source validate first:
+    /// [`ShardedMultiEngine::try_process`] returns the error instead.
     pub fn process(&mut self, stream: &[StreamEdge]) -> Vec<(QueryId, MatchRecord)>
     where
         S: Send,
@@ -471,9 +399,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     /// surfaced, **batch-atomically**: the whole batch is validated
     /// through the front-end gate before any edge is dispatched, so on
     /// `Err` *no* edge of the batch was admitted anywhere — fix or drop
-    /// the offender and resubmit. Out-of-order arrivals follow the gate's
-    /// [`OrderPolicy`]; edges it clamps or drops are rewritten/silently
-    /// removed before fan-out.
+    /// the offender and resubmit.
     pub fn try_process(
         &mut self,
         stream: &[StreamEdge],
@@ -485,23 +411,20 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         // batch passes. The clone is proportional to the live window —
         // cheap next to dispatching the batch.
         let mut staged = self.gate.clone();
-        let mut sanitized = Vec::with_capacity(stream.len());
         for &e in stream {
-            if let Some(e) = staged.admit(e)? {
-                sanitized.push(e);
-            }
+            staged.admit(e)?;
         }
         self.gate = staged;
         // Admission ordinal of the batch's first edge: the replay log's
         // tag, compared against each query's `fed_base`.
         let batch_start = self.edges_fed;
-        self.edges_fed += sanitized.len() as u64;
+        self.edges_fed += stream.len() as u64;
         if let Some(rec) = &self.tel {
-            // Hot keys are counted HERE, once per sanitized edge (on the
+            // Hot keys are counted HERE, once per admitted edge (on the
             // latency sampling cadence) — shards run with hot-key
             // recording off so multi-shard fan-out cannot double-count.
             let every = rec.sample_every();
-            for e in &sanitized {
+            for e in stream {
                 self.tel_tick += 1;
                 if self.tel_tick >= every {
                     self.tel_tick = 0;
@@ -518,9 +441,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         let mut dead: Vec<usize> = Vec::new();
         {
             let route = &self.route;
-            let overload = self.overload;
-            let cap = self.channel_cap;
-            let health = &mut self.health;
             let rec = self.tel.as_deref();
             let routed = &mut self.routed;
             let hwm = &mut self.queue_hwm;
@@ -529,7 +449,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 let mut txs = Vec::with_capacity(n);
                 let mut handles = Vec::with_capacity(n);
                 for (i, sh) in self.shards.iter_mut().enumerate() {
-                    let (tx, rx) = chan::bounded::<Chunk>(cap);
+                    let (tx, rx) = chan::bounded::<Chunk>(CHANNEL_CAP);
                     txs.push(Some(tx));
                     handles.push(scope.spawn(move || {
                         let mut out = Vec::new();
@@ -542,7 +462,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                                 Ok(chunk) => {
                                     match sh.try_advance_batch_stamped(&chunk.edges, chunk.at) {
                                         Ok(ms) => out.extend(ms),
-                                        Err(err) => panic!("sanitized stream rejected: {err}"),
+                                        Err(err) => panic!("validated stream rejected: {err}"),
                                     }
                                 }
                                 Err(_) => break,
@@ -561,7 +481,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 // enters the shard's replay log, whether or not its
                 // worker is still alive to take it.
                 let mut pending: Vec<Vec<StreamEdge>> = vec![Vec::new(); n];
-                for (seq, &e) in (batch_start..).zip(&sanitized) {
+                for (seq, &e) in (batch_start..).zip(stream) {
                     let Some(shards) = route.get(&e.signature()) else {
                         continue;
                     };
@@ -574,13 +494,13 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                         pending[s].push(e);
                         if pending[s].len() >= CHUNK {
                             let chunk = std::mem::take(&mut pending[s]);
-                            flush_chunk(s, &mut txs, chunk, overload, health, rec, hwm);
+                            flush_chunk(s, &mut txs, chunk, rec, hwm);
                         }
                     }
                 }
                 for (s, chunk) in pending.into_iter().enumerate() {
                     if !chunk.is_empty() {
-                        flush_chunk(s, &mut txs, chunk, overload, health, rec, hwm);
+                        flush_chunk(s, &mut txs, chunk, rec, hwm);
                     }
                 }
                 // Dropping the senders disconnects the channels; workers
@@ -602,7 +522,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         for i in dead {
             outs.push(self.rebuild_shard(i, batch_start));
         }
-        if let Some(last) = sanitized.last() {
+        if let Some(last) = stream.last() {
             self.trim_replay_logs(last.ts.0);
         }
         self.reconcile_quarantines();
@@ -619,7 +539,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
                 shard: i as u64,
                 edges_routed: self.routed[i],
                 queue_depth_hwm: self.queue_hwm[i],
-                shed: h.shed_oldest + h.shed_newest,
                 restarts: h.restarts,
             });
         }
@@ -685,7 +604,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     }
 
     /// A fresh, query-less engine for shard `i`: the same id sequence,
-    /// policies, fault log and recorder as the shard it replaces. The
+    /// fault policy, fault log and recorder as the shard it replaces. The
     /// recorder is armed before anything registers, so each re-homed
     /// query's registration lands in the event log.
     fn respawn(&self, i: usize) -> MultiQueryEngine<S> {
@@ -693,7 +612,6 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
         let old = &self.shards[i];
         let mut fresh = MultiQueryEngine::with_id_stride(self.window, old.next_raw_id(), stride);
         fresh.set_fault_policy(FaultPolicy::Quarantine);
-        fresh.set_order_policy(old.order_policy());
         fresh.adopt_faults(old.faults().to_vec());
         if let Some(rec) = &self.tel {
             fresh.set_recorder_scoped(Arc::clone(rec), false);
@@ -770,10 +688,10 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     /// [`ShardedMultiEngine::stats`] with the per-query edge counters
     /// scaled to **full-stream** semantics: every admitted arrival since
     /// a query's registration that its home shard did not deliver to it
-    /// (not routed, shed, or counted only before its shard's last
-    /// rebuild, since a rebuilt shard's counters start over) is counted as
+    /// (not routed, or counted only before its shard's last rebuild,
+    /// since a rebuilt shard's counters start over) is counted as
     /// processed-and-discarded — what an independent engine fed the whole
-    /// sanitized stream would have done with it. Match, partial and join
+    /// admitted stream would have done with it. Match, partial and join
     /// counters are identical to [`ShardedMultiEngine::stats`].
     pub fn stats_normalized(&self) -> MultiStats {
         let mut st = self.stats();

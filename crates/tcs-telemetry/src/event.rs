@@ -1,8 +1,7 @@
 //! A bounded ring-buffer structured event log.
 //!
 //! Lifecycle transitions that today surface only as bare counters —
-//! quarantines, sheds, worker restarts, registration churn, deferred-
-//! maintenance settles — become ordered [`Event`]s with monotone
+//! quarantines, worker restarts, registration churn — become ordered [`Event`]s with monotone
 //! sequence numbers. The buffer is bounded ([`EventLog::with_capacity`]):
 //! when full, the *oldest* events are evicted and counted in
 //! `dropped`, so the log can run unattended forever; sequence numbers
@@ -49,16 +48,6 @@ pub enum EventKind {
         /// The stringified panic payload (truncated).
         payload: String,
     },
-    /// An overloaded shard queue shed work.
-    Shed {
-        /// The shard whose queue was full.
-        shard: u64,
-        /// Edges lost.
-        edges: u64,
-        /// `true` = the arrival was dropped (`ShedNewest`); `false` =
-        /// the oldest queued work was evicted (`ShedOldest`).
-        newest: bool,
-    },
     /// The supervisor rebuilt a shard after its worker died.
     WorkerRestart {
         /// The rebuilt shard.
@@ -73,7 +62,6 @@ impl EventKind {
             EventKind::Register { .. } => "register",
             EventKind::Unregister { .. } => "unregister",
             EventKind::Quarantine { .. } => "quarantine",
-            EventKind::Shed { .. } => "shed",
             EventKind::WorkerRestart { .. } => "worker_restart",
         }
     }
@@ -159,10 +147,9 @@ mod tests {
             EventKind::Register { qid: 0 },
             EventKind::Unregister { qid: 0 },
             EventKind::Quarantine { qid: 0, edge_seq: 0, payload: String::new() },
-            EventKind::Shed { shard: 0, edges: 0, newest: true },
             EventKind::WorkerRestart { shard: 0 },
         ];
         let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names, ["register", "unregister", "quarantine", "shed", "worker_restart"]);
+        assert_eq!(names, ["register", "unregister", "quarantine", "worker_restart"]);
     }
 }

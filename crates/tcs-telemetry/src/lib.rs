@@ -12,11 +12,11 @@
 //!   and per-query / per-template *detection* latency (emission time
 //!   minus completing-edge arrival time), under the sampling contract
 //!   documented in [`recorder`];
-//! * **Skew and load** — per-shard routed/queue-depth/shed/restart
+//! * **Skew and load** — per-shard routed/queue-depth/restart
 //!   gauges ([`ShardLoad`]) and degree-bucketed hot-key counters, the
 //!   inputs the future shard rebalancer needs;
 //! * **Events** — a bounded ring of sequence-numbered lifecycle
-//!   [`Event`]s (register/unregister, quarantine, shed, worker restart).
+//!   [`Event`]s (register/unregister, quarantine, worker restart).
 //!
 //! Everything exports through [`TelemetrySnapshot`]: Prometheus text
 //! ([`TelemetrySnapshot::to_prometheus`]) and a lossless JSON

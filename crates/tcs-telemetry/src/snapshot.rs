@@ -13,7 +13,6 @@
 //! | `tcs_hot_key_count` | hits | `key` (top keys only) |
 //! | `tcs_shard_edges_routed_total` | edges | `shard` |
 //! | `tcs_shard_queue_depth_hwm` | chunks | `shard` |
-//! | `tcs_shard_shed_total` | edges | `shard` |
 //! | `tcs_shard_restarts_total` | restarts | `shard` |
 //! | `tcs_events_total` / `tcs_events_dropped_total` | events | — |
 //! | `tcs_latency_sample_every` | edges per stamp | — |
@@ -36,8 +35,6 @@ pub struct ShardLoad {
     pub edges_routed: u64,
     /// High-water mark of the shard queue depth, in chunks.
     pub queue_depth_hwm: u64,
-    /// Edges shed at this shard's queue (oldest + newest policies).
-    pub shed: u64,
     /// Times the supervisor rebuilt this shard.
     pub restarts: u64,
 }
@@ -129,9 +126,6 @@ fn json_event(e: &Event) -> String {
             "{{\"seq\": {seq}, \"kind\": \"quarantine\", \"qid\": {qid}, \"edge_seq\": {edge_seq}, \"payload\": {}}}",
             json::escape(payload)
         ),
-        EventKind::Shed { shard, edges, newest } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"shed\", \"shard\": {shard}, \"edges\": {edges}, \"newest\": {newest}}}"
-        ),
         EventKind::WorkerRestart { shard } => {
             format!("{{\"seq\": {seq}, \"kind\": \"worker_restart\", \"shard\": {shard}}}")
         }
@@ -147,11 +141,6 @@ fn event_from_json(v: &Value) -> Result<Event, json::ParseError> {
             qid: v.req("qid")?.as_u64()?,
             edge_seq: v.req("edge_seq")?.as_u64()?,
             payload: v.req("payload")?.as_str()?.to_string(),
-        },
-        "shed" => EventKind::Shed {
-            shard: v.req("shard")?.as_u64()?,
-            edges: v.req("edges")?.as_u64()?,
-            newest: v.req("newest")?.as_bool()?,
         },
         "worker_restart" => EventKind::WorkerRestart { shard: v.req("shard")?.as_u64()? },
         other => return Err(json::ParseError(format!("unknown event kind {other:?}"))),
@@ -195,7 +184,6 @@ impl TelemetrySnapshot {
                 writeln!(out, "tcs_shard_edges_routed_total{{shard=\"{sh}\"}} {}", s.edges_routed);
             let _ =
                 writeln!(out, "tcs_shard_queue_depth_hwm{{shard=\"{sh}\"}} {}", s.queue_depth_hwm);
-            let _ = writeln!(out, "tcs_shard_shed_total{{shard=\"{sh}\"}} {}", s.shed);
             let _ = writeln!(out, "tcs_shard_restarts_total{{shard=\"{sh}\"}} {}", s.restarts);
         }
         let total = self.events.last().map(|e| e.seq).unwrap_or(self.events_dropped);
@@ -247,8 +235,8 @@ impl TelemetrySnapshot {
             }
             let _ = write!(
                 out,
-                "{{\"shard\": {}, \"edges_routed\": {}, \"queue_depth_hwm\": {}, \"shed\": {}, \"restarts\": {}}}",
-                s.shard, s.edges_routed, s.queue_depth_hwm, s.shed, s.restarts
+                "{{\"shard\": {}, \"edges_routed\": {}, \"queue_depth_hwm\": {}, \"restarts\": {}}}",
+                s.shard, s.edges_routed, s.queue_depth_hwm, s.restarts
             );
         }
         out.push_str("],\n  \"events\": [");
@@ -295,7 +283,6 @@ impl TelemetrySnapshot {
                 shard: s.req("shard")?.as_u64()?,
                 edges_routed: s.req("edges_routed")?.as_u64()?,
                 queue_depth_hwm: s.req("queue_depth_hwm")?.as_u64()?,
-                shed: s.req("shed")?.as_u64()?,
                 restarts: s.req("restarts")?.as_u64()?,
             });
         }
@@ -345,14 +332,12 @@ mod tests {
             edge_seq: 1234,
             payload: "panic: \"boom\"\nat line 7".into(),
         });
-        rec.event(EventKind::Shed { shard: 1, edges: 16, newest: false });
         rec.event(EventKind::WorkerRestart { shard: 1 });
         rec.event(EventKind::Unregister { qid: 3 });
         rec.set_shard_load(ShardLoad {
             shard: 0,
             edges_routed: 100,
             queue_depth_hwm: 3,
-            shed: 16,
             restarts: 1,
         });
         rec.snapshot()
@@ -388,9 +373,8 @@ mod tests {
             "tcs_hot_key_count{key=\"42\"} 10",
             "tcs_shard_edges_routed_total{shard=\"0\"} 100",
             "tcs_shard_queue_depth_hwm{shard=\"0\"} 3",
-            "tcs_shard_shed_total{shard=\"0\"} 16",
             "tcs_shard_restarts_total{shard=\"0\"} 1",
-            "tcs_events_total 5",
+            "tcs_events_total 4",
             "tcs_events_dropped_total 0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

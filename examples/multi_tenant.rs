@@ -257,8 +257,8 @@ fn main() {
     }
     for s in &snap.shards {
         println!(
-            "  shard {}: {} edges routed, queue hwm {} chunks, {} shed edges, {} restarts",
-            s.shard, s.edges_routed, s.queue_depth_hwm, s.shed, s.restarts
+            "  shard {}: {} edges routed, queue hwm {} chunks, {} restarts",
+            s.shard, s.edges_routed, s.queue_depth_hwm, s.restarts
         );
     }
     // Degree buckets: bucket b counts deliveries to keys with 2^b..2^(b+1)

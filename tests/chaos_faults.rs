@@ -4,9 +4,9 @@
 //! `tcs-core` failpoint sites compiled in by the `failpoints` feature —
 //! and checks the blast radii promised by the failure model (tcs-multi
 //! crate docs): a per-query panic quarantines exactly one query, a worker
-//! panic costs one shard a rebuild and no match, overload sheds boundedly
-//! and countedly, and survivors stay **byte-identical** to independent
-//! oracle engines fed the sanitized stream.
+//! panic costs one shard a rebuild and no match, and survivors stay
+//! **byte-identical** to independent oracle engines fed the sanitized
+//! stream.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! [`chaos_lock`] and resets the registry before and after itself.
@@ -25,8 +25,7 @@ use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
 use tcs_graph::{ELabel, MatchRecord, QueryGraph, StreamEdge, Timestamp, VLabel};
 use tcs_multi::{
-    FaultPolicy, IngestError, MultiQueryEngine, MultiStats, OverloadPolicy, QueryId,
-    ShardedMultiEngine,
+    FaultPolicy, IngestError, MultiQueryEngine, MultiStats, QueryId, ShardedMultiEngine,
 };
 
 /// Serializes chaos tests: the failpoint registry and panic hook are
@@ -312,41 +311,6 @@ fn failed_replay_rehomes_onto_empty_windows() {
     for &q in &ids {
         assert!(out2.iter().any(|(oq, _)| *oq == q), "query {q:?} serves after restart");
     }
-}
-
-/// Overload with a deliberately slow worker: back-pressure stays
-/// lossless; the shedding policies lose edges *boundedly and countedly*
-/// on exactly the overloaded shard.
-#[test]
-fn overload_policies_shed_countedly_or_not_at_all() {
-    let _g = chaos_lock();
-    quiet();
-    failpoints::reset();
-
-    let stream = tenant_stream(2, 120);
-    let run = |policy: OverloadPolicy| {
-        let mut sharded: ShardedMultiEngine<MsTreeStore> = ShardedMultiEngine::new(25, 2);
-        let ids: Vec<_> = (0..2u16).map(|t| sharded.register(plan(t))).collect();
-        let slow = sharded.shard_of(ids[0]).unwrap();
-        sharded.set_overload_policy(policy);
-        sharded.set_channel_capacity(2);
-        failpoints::arm(sites::WORKER_LOOP, Some(slow as u64), Action::SleepMs(1));
-        let out = sharded.process(&stream);
-        failpoints::reset();
-        (sharded.stats(), slow, ids, out)
-    };
-
-    let (st, slow, _, out) = run(OverloadPolicy::Backpressure);
-    assert_eq!(st.shards[slow].shed_oldest + st.shards[slow].shed_newest, 0, "lossless");
-    assert!(!out.is_empty());
-
-    let (st, slow, _, _) = run(OverloadPolicy::ShedNewest);
-    assert!(st.shards[slow].shed_newest > 0, "a slow worker at cap 2 must shed arrivals");
-    assert_eq!(st.shards[slow].shed_oldest, 0, "the policies never mix");
-
-    let (st, slow, _, _) = run(OverloadPolicy::ShedOldest);
-    assert!(st.shards[slow].shed_oldest > 0, "eviction shedding is counted per shard");
-    assert_eq!(st.shards[slow].shed_newest, 0);
 }
 
 // Randomized chaos: random tenant fleets, random per-query fault
