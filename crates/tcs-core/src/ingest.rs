@@ -16,21 +16,23 @@
 //! Two more malformation classes are caught at the same boundary:
 //!
 //! * [`IngestError::DuplicateEdgeId`] — stream ids must be unique among
-//!   live edges (the registry's live-edge table indexes by id; a
-//!   duplicate would alias another query's bindings).
+//!   live edges (engines resolve stored ids through the gate's live
+//!   edges; a duplicate would alias another query's bindings).
 //! * [`IngestError::DanglingEndpoint`] — an endpoint that cannot denote a
 //!   real vertex: a self-loop whose two endpoint labels disagree, or a
 //!   vertex already live in the window under a different label. Stored
 //!   rows resolve edge endpoints during joins; admitting such an edge
 //!   plants bindings that dangle semantically even though the id resolves.
 //!
-//! [`IngestGate`] packages the full check set (watermark, live-id window,
+//! [`IngestGate`] packages the full check set (watermark, live edges,
 //! vertex-label table) for owners of a whole stream boundary (the
-//! multi-query front-ends); engines embedded behind such a gate only
-//! re-check the watermark, which their filtered substream preserves.
+//! multi-query front-ends). Its live edges are the owner's window: the
+//! registry reads expiries, resolves edge ids and numbers admissions
+//! through the gate alone. Engines embedded behind a gate only re-check
+//! the watermark, which their filtered substream preserves.
 
 use std::collections::VecDeque;
-use tcs_graph::{EdgeId, IdMap, IdSet, StreamEdge, VLabel, VertexId};
+use tcs_graph::{EdgeId, IdMap, LiveEdgeView, MatchRecord, StreamEdge, VLabel, VertexId};
 
 /// A rejected arrival, with enough context to log or alert on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +100,7 @@ pub enum OrderPolicy {
 /// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Arrivals admitted.
+    /// Arrivals admitted: also the last admission number handed out.
     pub admitted: u64,
     /// Always 0: no arrival is dropped. Kept only because the frozen
     /// benchmark reads it; ROADMAP Step 0a removes it.
@@ -123,42 +125,49 @@ impl IngestStats {
 /// matches on it, and ROADMAP Step 0a removes it.
 pub type Admission = Option<StreamEdge>;
 
-/// A full stream-boundary validator for owners of a shared window: tracks
-/// the watermark, the ids live inside the window, and each live vertex's
-/// label, so every [`IngestError`] class is detected in release builds at
-/// O(1) amortized per arrival.
+/// A full stream-boundary validator that is also its owner's window:
+/// tracks the watermark, the live edges and each live vertex's label, so
+/// every [`IngestError`] class is detected in release builds at O(1)
+/// amortized per arrival.
 ///
-/// The gate keeps its own id/label bookkeeping (an [`IdSet`] + `VecDeque`
-/// sized to the window, and a refcounted vertex-label table) instead of
-/// borrowing the owner's snapshot, so it works identically for owners
-/// with no snapshot at all (broadcast mode, the sharded dispatcher).
-/// Those tables hash with the in-tree id hasher, which has no random
-/// seed: the gate is the trust boundary for ids, and a hostile id source
-/// must be remapped before it (see [`tcs_graph::hash`]).
+/// Each live edge is held once: in an admission-ordered queue (oldest
+/// first) plus an id → admission number entry (1-based, never reused).
+/// The number gives the edge's queue position and, for the registry, a
+/// match's emission [`floor`](Self::floor): numbers, not timestamps,
+/// because only a number tells apart two equal-timestamp arrivals a
+/// registration falls between. Engines resolve stored edge ids through
+/// the gate ([`LiveEdgeView`]). The id and label tables hash with the
+/// in-tree id hasher, which has no random seed: the gate is the trust
+/// boundary for ids, and a hostile id source must be remapped before it
+/// (see [`tcs_graph::hash`]).
 #[derive(Clone, Debug)]
 pub struct IngestGate {
     duration: u64,
     watermark: Option<u64>,
-    /// Ids of edges whose timestamps are still inside the window, with
-    /// the arrival queue that expires them.
-    live_ids: IdSet<EdgeId>,
-    arrivals: VecDeque<(u64, EdgeId, VertexId, VertexId)>,
+    /// The window: admitted edges still inside it, oldest first.
+    edges: VecDeque<StreamEdge>,
+    /// id → admission number of every edge in `edges`.
+    numbers: IdMap<EdgeId, u64>,
     /// vertex → (label, live incident-edge count).
     labels: IdMap<VertexId, (VLabel, u32)>,
     stats: IngestStats,
 }
 
 impl IngestGate {
-    /// A gate for a window of the given duration (same half-open
-    /// `(t − |W|, t]` timespan as [`tcs_graph::SlidingWindow`]).
-    /// `OrderPolicy` has one value, so the second argument changes
-    /// nothing.
+    /// A gate for a window of the given duration (the half-open
+    /// `(t − |W|, t]` timespan of Definition 2). `OrderPolicy` has one
+    /// value, so the second argument changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `duration == 0`; a zero-length window would expire every
+    /// edge at the instant it arrives.
     pub fn new(duration: u64, _policy: OrderPolicy) -> Self {
+        assert!(duration > 0, "window duration must be positive");
         IngestGate {
             duration,
             watermark: None,
-            live_ids: IdSet::default(),
-            arrivals: VecDeque::new(),
+            edges: VecDeque::new(),
+            numbers: IdMap::default(),
             labels: IdMap::default(),
             stats: IngestStats::default(),
         }
@@ -174,27 +183,71 @@ impl IngestGate {
         self.stats
     }
 
+    /// Number of live edges.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// True when no edge is live.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Whether an arrival at `ts` expires edge `x`: `x.ts ≤ ts − |W|`.
+    /// While `ts < |W|` the timespan `(ts − |W|, ts]` still covers every
+    /// timestamp down to 0, so nothing expires.
+    #[inline]
+    fn expired_by(&self, ts: u64) -> impl Fn(&StreamEdge) -> bool + Copy {
+        let bound = ts.checked_sub(self.duration);
+        move |x| bound.is_some_and(|b| x.ts.0 <= b)
+    }
+
+    /// Whether admitting an arrival at `ts` would retire the oldest live
+    /// edge. Owners that run work against the live edges read this before
+    /// [`admit_with`](Self::admit_with), to finish that work while the
+    /// edges the arrival expires still resolve.
+    #[inline]
+    pub fn retires(&self, ts: u64) -> bool {
+        self.edges.front().is_some_and(self.expired_by(ts))
+    }
+
     /// Validates one arrival. `Ok(Some(e))` admits `e` unchanged, and
-    /// `Err` rejects it leaving every structure untouched.
+    /// `Err` rejects it leaving every structure untouched — the one-edge
+    /// form of [`admit_with`](Self::admit_with) for callers that do not
+    /// want the retired edges.
     pub fn admit(&mut self, e: StreamEdge) -> Result<Admission, IngestError> {
+        self.admit_with(e, |_| {})
+    }
+
+    /// Validates one arrival and, if it is admitted, slides the window to
+    /// it: the edges it expires are retired, oldest first, each handed to
+    /// `retired`, before the arrival takes the next admission number. On
+    /// `Err` nothing is retired and every structure is untouched.
+    pub fn admit_with(
+        &mut self,
+        e: StreamEdge,
+        mut retired: impl FnMut(StreamEdge),
+    ) -> Result<Admission, IngestError> {
         if let Some(w) = self.watermark {
             if e.ts.0 < w {
                 self.stats.rejected_out_of_order += 1;
                 return Err(IngestError::OutOfOrder { ts: e.ts.0, watermark: w });
             }
         }
-        // The arrivals this one expires. Their ids and vertex labels are
-        // still on the books — retirement waits for admission, so a
-        // rejection leaves every structure untouched — but a re-used id
-        // of such an edge is NOT a duplicate and a relabelled vertex with
-        // no younger incident edge is NOT dangling: a hit below is
-        // checked against this prefix.
-        let bound = e.ts.0.checked_sub(self.duration);
-        let arrivals = &self.arrivals;
-        let expiring = || arrivals.iter().take_while(|a| bound.is_some_and(|b| a.0 <= b));
-        if self.live_ids.contains(&e.id) && !expiring().any(|a| a.1 == e.id) {
-            self.stats.rejected_duplicate += 1;
-            return Err(IngestError::DuplicateEdgeId { id: e.id });
+        // The edges this arrival expires are still on the books —
+        // retirement waits for admission, so a rejection leaves every
+        // structure untouched — but a re-used id of such an edge is NOT
+        // a duplicate and a relabelled vertex with no younger incident
+        // edge is NOT dangling: a hit below is checked against this
+        // prefix.
+        let expiring = self.expired_by(e.ts.0);
+        if let Some(&n) = self.numbers.get(&e.id) {
+            if !self.edges.get(self.position(n)).is_some_and(expiring) {
+                self.stats.rejected_duplicate += 1;
+                return Err(IngestError::DuplicateEdgeId { id: e.id });
+            }
         }
         if e.src == e.dst && e.src_label != e.dst_label {
             self.stats.rejected_dangling += 1;
@@ -202,36 +255,49 @@ impl IngestGate {
         }
         for (v, l) in [(e.src, e.src_label), (e.dst, e.dst_label)] {
             if let Some(&(have, live)) = self.labels.get(&v) {
-                if have != l && expiring().filter(|a| a.2 == v || a.3 == v).count() < live as usize
-                {
-                    self.stats.rejected_dangling += 1;
-                    return Err(IngestError::DanglingEndpoint { id: e.id, vertex: v });
+                if have != l {
+                    let gone = self.edges.iter().take_while(|x| expiring(x));
+                    if gone.filter(|x| x.src == v || x.dst == v).count() < live as usize {
+                        self.stats.rejected_dangling += 1;
+                        return Err(IngestError::DanglingEndpoint { id: e.id, vertex: v });
+                    }
                 }
             }
         }
         // Admitted: retire what it expires, then record it.
-        if let Some(bound) = bound {
-            while let Some(&(ts, id, src, dst)) = self.arrivals.front() {
-                if ts > bound {
-                    break;
-                }
-                self.arrivals.pop_front();
-                self.live_ids.remove(&id);
-                self.release_vertex(src);
-                if dst != src {
-                    self.release_vertex(dst);
-                }
+        while let Some(&x) = self.edges.front().filter(|&x| expiring(x)) {
+            self.edges.pop_front();
+            self.numbers.remove(&x.id);
+            self.release_vertex(x.src);
+            if x.dst != x.src {
+                self.release_vertex(x.dst);
             }
+            retired(x);
         }
         self.watermark = Some(e.ts.0);
-        self.live_ids.insert(e.id);
-        self.arrivals.push_back((e.ts.0, e.id, e.src, e.dst));
+        self.stats.admitted += 1;
+        self.numbers.insert(e.id, self.stats.admitted);
+        self.edges.push_back(e);
         self.retain_vertex(e.src, e.src_label);
         if e.dst != e.src {
             self.retain_vertex(e.dst, e.dst_label);
         }
-        self.stats.admitted += 1;
         Ok(Some(e))
+    }
+
+    /// The queue position of the live edge with admission number `n`.
+    #[inline]
+    fn position(&self, n: u64) -> usize {
+        // The front's number is `admitted − len + 1`.
+        (n + self.edges.len() as u64 - self.stats.admitted - 1) as usize
+    }
+
+    /// A match's emission floor: the smallest admission number among its
+    /// edges. They are all live while the match is delivered; a missing
+    /// one would read 0 and withhold the match from every late subscriber.
+    pub fn floor(&self, m: &MatchRecord) -> u64 {
+        let number = |id| self.numbers.get(id).copied().unwrap_or(0);
+        m.edges().iter().map(number).min().unwrap_or(0)
     }
 
     fn retain_vertex(&mut self, v: VertexId, l: VLabel) {
@@ -248,12 +314,18 @@ impl IngestGate {
         }
     }
 
-    /// Rough byte accounting of the gate's own bookkeeping.
-    pub fn space_bytes(&self) -> usize {
+    /// Everything the gate holds per live edge: the queue entry and its
+    /// id → admission-number entry. The vertex-label table is not counted.
+    pub fn live_edge_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.live_ids.len() * size_of::<EdgeId>()
-            + self.arrivals.len() * size_of::<(u64, EdgeId, VertexId, VertexId)>()
-            + self.labels.len() * (size_of::<VertexId>() + size_of::<(VLabel, u32)>())
+        self.edges.len() * (size_of::<StreamEdge>() + size_of::<EdgeId>() + size_of::<u64>())
+    }
+}
+
+impl LiveEdgeView for IngestGate {
+    #[inline]
+    fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
+        self.edges.get(self.position(*self.numbers.get(&id)?))
     }
 }
 

@@ -20,11 +20,11 @@ use std::hash::BuildHasher;
 /// owns them.
 ///
 /// A standalone serial engine keeps its own `EdgeId → StreamEdge` map; the
-/// multi-query registry keeps **one** live-edge table per registry (one
-/// per shard under the sharded front-end) and hands every registered
-/// query a view of it. Anything that can resolve a live edge id
-/// qualifies: the plain map (private engines and tests) or the registry's
-/// table, which also numbers each edge's admission.
+/// multi-query registry keeps its live edges **once**, in its ingestion
+/// gate (one per shard under the sharded front-end), and hands every
+/// registered query a view of it. Anything that can resolve a live edge
+/// id qualifies: the plain map (private engines and tests) or the
+/// registry's gate, which also numbers each edge's admission.
 ///
 /// Implementations must return `Some` for every edge currently inside the
 /// window and `None` only for edges that already expired — consumers store

@@ -79,11 +79,6 @@ impl SlidingWindow {
         self.duration
     }
 
-    /// Edges currently inside the window, oldest first.
-    pub fn edges(&self) -> impl Iterator<Item = &StreamEdge> {
-        self.buffer.iter()
-    }
-
     /// Number of live edges.
     #[inline]
     pub fn len(&self) -> usize {
@@ -170,20 +165,6 @@ impl SlidingWindow {
         }
         BatchEvent { steps }
     }
-
-    /// Drains every remaining edge as expired (stream end).
-    pub fn drain(&mut self) -> Vec<StreamEdge> {
-        self.buffer.drain(..).collect()
-    }
-}
-
-/// Adapts an edge iterator into a [`WindowEvent`] iterator.
-pub fn events<I>(duration: u64, edges: I) -> impl Iterator<Item = WindowEvent>
-where
-    I: IntoIterator<Item = StreamEdge>,
-{
-    let mut w = SlidingWindow::new(duration);
-    edges.into_iter().map(move |e| w.advance(e))
 }
 
 #[cfg(test)]
@@ -261,26 +242,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_duration_panics() {
         SlidingWindow::new(0);
-    }
-
-    #[test]
-    fn drain_returns_rest() {
-        let mut w = SlidingWindow::new(100);
-        for t in 1..=4 {
-            w.advance(edge(t, t));
-        }
-        let rest = w.drain();
-        assert_eq!(rest.len(), 4);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn events_adapter_matches_manual_loop() {
-        let es: Vec<_> = (1..=20).map(|t| edge(t, t * 3)).collect();
-        let via_adapter: Vec<_> = events(10, es.clone()).collect();
-        let mut w = SlidingWindow::new(10);
-        let manual: Vec<_> = es.into_iter().map(|e| w.advance(e)).collect();
-        assert_eq!(via_adapter, manual);
     }
 
     #[test]

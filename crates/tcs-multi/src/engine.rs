@@ -1,14 +1,14 @@
 //! The shared-window query registry with signature-routed dispatch and
 //! cross-tenant template sharing.
 //!
-//! One [`MultiQueryEngine`] owns one [`SlidingWindow`] and one live-edge
-//! table; registered queries are grouped by canonical plan fingerprint
-//! into *shared templates* — one [`TimingEngine`] per distinct template,
-//! fanned out to every subscriber — and each template resolves stored
-//! edge ids through the table via the
-//! `insert_batch_at`/`expire_partials` split (see the crate docs for the
-//! sharing model, the dispatch-index lifecycle and registration
-//! semantics, and `tcs_core::engine` for the split itself).
+//! One [`MultiQueryEngine`] owns one [`IngestGate`], which is both its
+//! window and its live-edge table; registered queries are grouped by
+//! canonical plan fingerprint into *shared templates* — one
+//! [`TimingEngine`] per distinct template, fanned out to every
+//! subscriber — and each template resolves stored edge ids through the
+//! gate via the `insert_batch_at`/`expire_partials` split (see the crate
+//! docs for the sharing model, the dispatch-index lifecycle and
+//! registration semantics, and `tcs_core::engine` for the split itself).
 
 use crate::fault::{payload_str, FaultPolicy, QueryFault, ShardHealth};
 use std::collections::BTreeMap;
@@ -23,9 +23,7 @@ use tcs_core::{
     IngestError, IngestGate, IngestStats, MsTreeStore, OrderPolicy, PlanFingerprint, QueryPlan,
     TimingEngine,
 };
-use tcs_graph::{
-    ELabel, EdgeId, IdMap, LiveEdgeView, MatchRecord, SlidingWindow, StreamEdge, VLabel,
-};
+use tcs_graph::{ELabel, IdMap, MatchRecord, StreamEdge, VLabel};
 use tcs_telemetry::{EventKind, Recorder};
 
 /// Identifier of a registered query, unique for the lifetime of the
@@ -62,8 +60,8 @@ pub struct QueryStats {
     pub emitted: u64,
     /// Bytes attributable to this query alone: its template's
     /// partial-match store, reported once per template on the template's
-    /// earliest live subscriber and 0 on the others (the live-edge table
-    /// is reported once, in [`MultiStats::snapshot_bytes`]).
+    /// earliest live subscriber and 0 on the others (the live edges are
+    /// reported once, in [`MultiStats::snapshot_bytes`]).
     pub store_bytes: usize,
 }
 
@@ -90,9 +88,12 @@ pub struct MultiStats {
     pub queries: Vec<QueryStats>,
     /// One entry per shared template, in template-creation order.
     pub templates: Vec<TemplateStats>,
-    /// Bytes of the registry's live-edge table (each live edge with its
-    /// admission number) — the whole point of the shared window is that
-    /// this appears once here instead of once per query.
+    /// Bytes of the registry's live edges: each one's window-queue entry
+    /// and its id → admission-number entry in the gate, `len ×
+    /// (size_of::<StreamEdge>() + size_of::<EdgeId>() + size_of::<u64>())`
+    /// (the gate's vertex-label table is not counted). The whole point of
+    /// the shared window is that this appears once here instead of once
+    /// per query.
     pub snapshot_bytes: usize,
     /// Arrivals the engine has seen since construction.
     pub edges_seen: u64,
@@ -111,7 +112,7 @@ pub struct MultiStats {
 }
 
 impl MultiStats {
-    /// Total bytes: the live-edge table once plus every query's own
+    /// Total bytes: the live edges once plus every query's own
     /// store (each template's store appears exactly once).
     pub fn space_bytes(&self) -> usize {
         self.snapshot_bytes + self.queries.iter().map(|q| q.store_bytes).sum::<usize>()
@@ -232,10 +233,11 @@ const EVENT_PAYLOAD_CAP: usize = 120;
 /// lifecycle, registration semantics, and the equivalence guarantee
 /// against independent engines.
 pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
-    window: SlidingWindow,
-    /// The live edges of the window, one copy for all queries; its
-    /// admission count is the registry's `edges_seen`.
-    live: LiveEdges,
+    /// The typed ingestion boundary and the shared window: every
+    /// arrival passes the gate before it can touch any engine, and the
+    /// gate holds the live edges, one copy for all queries. Its admission
+    /// count is the registry's `edges_seen`.
+    gate: IngestGate,
     /// One engine per distinct canonical plan.
     templates: BTreeMap<TemplateId, SharedTemplate<S>>,
     /// Every registered query, in id order.
@@ -248,9 +250,6 @@ pub struct MultiQueryEngine<S: MatchStore = MsTreeStore> {
     next_id: u64,
     id_stride: u64,
     next_template: u64,
-    /// The typed ingestion boundary: every arrival passes the gate before
-    /// it can touch the window, the live-edge table, or any engine.
-    gate: IngestGate,
     /// What a panic inside one template's per-arrival work becomes.
     fault_policy: FaultPolicy,
     /// Quarantined queries, in fault order.
@@ -274,51 +273,6 @@ struct BatchScratch {
     arrivals: Vec<StreamEdge>,
     /// One routed run's emissions, before fan-out.
     emitted: Vec<MatchRecord>,
-}
-
-/// The registry's live-edge table: every edge inside the shared window
-/// with its admission number — 1-based, in admission order, never
-/// reused. Every template's engine resolves stored edge ids through it
-/// ([`LiveEdgeView`]), and fan-out reads a match's emission floor from
-/// the numbers. Arrival numbers, not timestamps: equal timestamps are
-/// admissible, so only a number tells apart two arrivals a registration
-/// falls between.
-#[derive(Default)]
-struct LiveEdges {
-    edges: IdMap<EdgeId, (StreamEdge, u64)>,
-    /// Arrivals admitted since construction: the last number handed out.
-    admitted: u64,
-}
-
-impl LiveEdges {
-    /// Admits an arrival under the next admission number. A live
-    /// duplicate id is an owner bug (the gate rejects it) and panics.
-    fn insert(&mut self, e: StreamEdge) {
-        self.admitted += 1;
-        let prev = self.edges.insert(e.id, (e, self.admitted));
-        assert!(prev.is_none(), "duplicate edge id {:?}", e.id);
-    }
-
-    /// A match's emission floor: the smallest admission number among its
-    /// edges. They are all live while the match is delivered; a missing
-    /// one would read 0 and withhold the match from every late subscriber.
-    fn floor(&self, m: &MatchRecord) -> u64 {
-        let number = |id| self.edges.get(id).map_or(0, |&(_, n)| n);
-        m.edges().iter().map(number).min().unwrap_or(0)
-    }
-
-    /// Everything the table holds per live edge: the id key and the entry.
-    fn space_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.edges.len() * (size_of::<EdgeId>() + size_of::<(StreamEdge, u64)>())
-    }
-}
-
-impl LiveEdgeView for LiveEdges {
-    #[inline]
-    fn live_edge(&self, id: EdgeId) -> Option<&StreamEdge> {
-        self.edges.get(&id).map(|(e, _)| e)
-    }
 }
 
 /// Component-wise delta of two monotone counter snapshots.
@@ -379,7 +333,7 @@ impl<S: MatchStore> SharedTemplate<S> {
 
     /// Delivers the engine's reply `ms` to a routed run of `run_len`
     /// arrivals: per-subscriber epoch filtering against the emission
-    /// floors (read from `live` once per record, and only while some
+    /// floors (read from the gate once per record, and only while some
     /// subscriber is epoch-filtered), then one pushed handle per
     /// delivery — the engine's own record for the founder's edge order,
     /// the group's record (remapped once per burst, on first demand) for
@@ -388,7 +342,7 @@ impl<S: MatchStore> SharedTemplate<S> {
         &mut self,
         ms: &[MatchRecord],
         run_len: u64,
-        live: &LiveEdges,
+        live: &IngestGate,
         out: &mut Vec<(QueryId, MatchRecord)>,
     ) {
         self.routed += run_len;
@@ -447,8 +401,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     pub fn with_id_stride(window: u64, first: u64, stride: u64) -> Self {
         assert!(stride >= 1, "id stride must be positive");
         MultiQueryEngine {
-            window: SlidingWindow::new(window),
-            live: LiveEdges::default(),
+            gate: IngestGate::new(window, OrderPolicy::default()),
             templates: BTreeMap::new(),
             subscribers: BTreeMap::new(),
             by_fp: IdMap::default(),
@@ -456,7 +409,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             next_id: first,
             id_stride: stride,
             next_template: 0,
-            gate: IngestGate::new(window, OrderPolicy::default()),
             fault_policy: FaultPolicy::default(),
             faults: Vec::new(),
             tel: None,
@@ -664,13 +616,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
             };
             // A late joiner: its epoch is the arrival count now, so only
             // matches of later arrivals reach this subscriber.
-            let epoch = Some(self.live.admitted);
+            let epoch = Some(self.gate.stats().admitted);
             let remap: Vec<usize> = perm.iter().map(|&c| t.inv_perm[c]).collect();
             let identity = remap.iter().enumerate().all(|(s, &f)| s == f);
             t.subscribe(id, epoch, (!identity).then_some(remap));
             let sub = Subscriber {
                 template: tid,
-                seen_base: self.live.admitted,
+                seen_base: self.gate.stats().admitted,
                 stats_base: t.engine.stats(),
                 plan: (!identity).then_some(plan),
             };
@@ -682,7 +634,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let tid = self.fresh_template(plan, fp, &perm, id);
         let sub = Subscriber {
             template: tid,
-            seen_base: self.live.admitted,
+            seen_base: self.gate.stats().admitted,
             stats_base: EngineStats::default(),
             plan: None,
         };
@@ -823,7 +775,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
 
     /// [`MultiQueryEngine::advance`] with the ingestion boundary surfaced:
     /// an invalid arrival, out-of-order ones included, becomes a typed
-    /// [`IngestError`] with the window, the live-edge table and every
+    /// [`IngestError`] with the gate (window and live edges) and every
     /// engine untouched. Under [`FaultPolicy::Quarantine`] a
     /// panic inside one template's work quarantines that template — every
     /// subscriber gets one [`QueryFault`] (recorded in
@@ -854,13 +806,13 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 debug_assert!(removed, "faulted subscriber was registered");
                 self.tel_event(EventKind::Quarantine {
                     qid: qid.0,
-                    edge_seq: self.live.admitted,
+                    edge_seq: self.gate.stats().admitted,
                     payload: payload.chars().take(EVENT_PAYLOAD_CAP).collect(),
                 });
                 self.faults.push(QueryFault {
                     qid,
                     payload: payload.clone(),
-                    edge_seq: self.live.admitted,
+                    edge_seq: self.gate.stats().admitted,
                 });
             }
         }
@@ -934,21 +886,6 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         let mut sc = std::mem::take(&mut self.scratch);
         sc.expired.clear();
         sc.arrivals.clear();
-        // The gate admits edges unchanged, so the admitted arrivals are
-        // the batch's prefix before the first rejection.
-        let mut failure: Option<IngestError> = None;
-        let mut n_admitted = 0;
-        for &e in batch {
-            if let Err(err) = self.gate.admit(e) {
-                failure = Some(err);
-                break;
-            }
-            n_admitted += 1;
-        }
-        let admitted = &batch[..n_admitted];
-        if tel_t0.is_some() {
-            self.tel_record_keys(admitted);
-        }
         // Templates that panicked during THIS call: skipped for the rest
         // of it, torn down after it.
         let mut faulted: Vec<(TemplateId, String)> = Vec::new();
@@ -956,23 +893,35 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         // Window steps are cut as the window slides: an arrival that
         // expires something closes the step before it (only the first
         // step may start without expiries), exactly the steps of
-        // `SlidingWindow::advance_batch`. Steps never read the window, so
-        // running each as soon as it closes changes nothing.
-        for &a in admitted {
-            let before = sc.expired.len();
-            self.window.advance_into(a, &mut sc.expired);
-            if sc.expired.len() > before && !sc.arrivals.is_empty() {
-                let (exp, arr) = (&sc.expired[..before], &sc.arrivals[..]);
-                self.step(exp, arr, &mut sc.emitted, &mut faulted, &mut out);
-                sc.expired.drain(..before);
+        // `SlidingWindow::advance_batch`. The step runs before that
+        // arrival is admitted, so the edges it expires still resolve
+        // while the step's arrivals join them. A rejected arrival may
+        // close a step early; the step would have run anyway.
+        let mut failure: Option<IngestError> = None;
+        let mut n_admitted = 0;
+        for &e in batch {
+            if !sc.arrivals.is_empty() && self.gate.retires(e.ts.0) {
+                self.step(&sc.expired, &sc.arrivals, &mut sc.emitted, &mut faulted, &mut out);
+                sc.expired.clear();
                 sc.arrivals.clear();
             }
-            sc.arrivals.push(a);
+            let expired = &mut sc.expired;
+            if let Err(err) = self.gate.admit_with(e, |x| expired.push(x)) {
+                failure = Some(err);
+                break;
+            }
+            sc.arrivals.push(e);
+            n_admitted += 1;
         }
         if !sc.arrivals.is_empty() {
             self.step(&sc.expired, &sc.arrivals, &mut sc.emitted, &mut faulted, &mut out);
         }
         self.scratch = sc;
+        // The gate admits edges unchanged, so the admitted arrivals are
+        // the batch's prefix before the first rejection.
+        if tel_t0.is_some() {
+            self.tel_record_keys(&batch[..n_admitted]);
+        }
         self.quarantine(faulted);
         self.tel_finish(tel_t0, tel_arr, n_admitted as u64, &out);
         match failure {
@@ -981,11 +930,12 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         }
     }
 
-    /// One window step: routes `expired` to the templates holding
-    /// deletion positions for each signature, admits `arrivals` to the
-    /// live-edge table, then delivers them as same-signature runs to the
-    /// templates that can react and fans each emission burst (collected
-    /// in the `emitted` scratch) out to the template's subscribers.
+    /// One window step: routes `expired` (already retired by the gate) to
+    /// the templates holding deletion positions for each signature, then
+    /// delivers `arrivals` (already admitted) as same-signature runs to
+    /// the templates that can react and fans each emission burst
+    /// (collected in the `emitted` scratch) out to the template's
+    /// subscribers.
     fn step(
         &mut self,
         expired: &[StreamEdge],
@@ -1004,15 +954,11 @@ impl<S: MatchStore> MultiQueryEngine<S> {
                 };
                 Self::isolated(&mut self.templates, self.fault_policy, faulted, tid, work);
             }
-            self.live.edges.remove(&x.id);
         }
-        // The whole step enters the table before dispatch: engines only
+        // The whole step is in the gate before dispatch: engines only
         // resolve ids they have stored, so edges admitted ahead of their
         // own processing are invisible until their run is delivered.
-        for &a in arrivals {
-            self.live.insert(a);
-        }
-        let live = &self.live;
+        let live = &self.gate;
         for run in arrivals.chunk_by(|a, b| a.signature() == b.signature()) {
             for &tid in self.dispatch.get(&run[0].signature()).map_or(&[][..], Vec::as_slice) {
                 emitted.clear();
@@ -1073,7 +1019,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
     }
 
     /// Per-query counters (normalized — see [`QueryStats::stats`]) and
-    /// per-template counters, plus the live-edge table's bytes, counted
+    /// per-template counters, plus the live edges' bytes, counted
     /// once. Template store bytes appear once each, attributed to the
     /// template's earliest live subscriber.
     pub fn stats(&self) -> MultiStats {
@@ -1098,8 +1044,8 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         MultiStats {
             queries,
             templates,
-            snapshot_bytes: self.live.space_bytes(),
-            edges_seen: self.live.admitted,
+            snapshot_bytes: self.gate.live_edge_bytes(),
+            edges_seen: self.gate.stats().admitted,
             faults: self.faults.clone(),
             ingest: self.gate.stats(),
             shards: Vec::new(),
@@ -1120,7 +1066,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         // Arrivals since registration the dispatch index filtered out: an
         // independent engine would have processed and discarded them (no
         // candidate query edge, by construction of the index).
-        let unrouted = (self.live.admitted - sub.seen_base) - routed;
+        let unrouted = (self.gate.stats().admitted - sub.seen_base) - routed;
         stats.edges_processed += unrouted;
         stats.edges_discarded += unrouted;
         let first = t.slots.first().map(|s| s.id) == Some(id);
@@ -1148,7 +1094,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
         self.templates.get(&sub.template).map(|t| t.engine.live_match_count())
     }
 
-    /// Total bytes: the live-edge table once plus every template's store
+    /// Total bytes: the live edges once plus every template's store
     /// once (see [`MultiStats::space_bytes`]).
     pub fn space_bytes(&self) -> usize {
         self.stats().space_bytes()
@@ -1156,7 +1102,7 @@ impl<S: MatchStore> MultiQueryEngine<S> {
 
     /// Edges currently inside the shared window.
     pub fn window_len(&self) -> usize {
-        self.window.len()
+        self.gate.len()
     }
 
     /// Runs the full [`tcs_core::store::StoreAudit`] sweep over every
@@ -1303,7 +1249,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(multi.live_match_count(q0), Some(1));
         // ts=10 expires both pattern edges: the match disappears and the
-        // live-edge table shrinks with the window.
+        // live edges shrink with the window.
         multi.advance(open_edge(3, 1, 10));
         assert_eq!(multi.live_match_count(q0), Some(0));
         assert_eq!(multi.window_len(), 1);
@@ -1448,12 +1394,14 @@ mod tests {
         assert_eq!(shared.counters_of(q1), Some((3, 1)));
     }
 
-    /// The bytes the registry reports are exactly what its live-edge
-    /// table holds: with no template, the table is the whole state, and
-    /// it follows the window through every expiry.
+    /// The bytes the registry reports are exactly what its gate holds
+    /// per live edge: with no template, the live edges are the whole
+    /// state, and they follow the window through every expiry.
     #[test]
     fn live_edge_bytes_follow_the_window() {
-        let per_edge = std::mem::size_of::<EdgeId>() + std::mem::size_of::<(StreamEdge, u64)>();
+        use std::mem::size_of;
+        let per_edge = size_of::<StreamEdge>() + size_of::<EdgeId>() + size_of::<u64>();
+        assert_eq!(per_edge, 48);
         let mut multi: MultiQueryEngine = MultiQueryEngine::new(6);
         for id in 1..=60u64 {
             // Two arrivals per timestamp: the window holds 12 edges once
@@ -1464,6 +1412,12 @@ mod tests {
             assert_eq!(st.snapshot_bytes, multi.window_len() * per_edge, "after edge {id}");
         }
         assert_eq!(multi.window_len(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "window duration must be positive")]
+    fn zero_duration_window_panics() {
+        let _: MultiQueryEngine = MultiQueryEngine::new(0);
     }
 
     /// The founder owns the match that closes a prefix opened before a

@@ -9,12 +9,14 @@
 //! multipliers:
 //!
 //! * [`MultiQueryEngine`] — a dynamic query registry over **one** shared
-//!   [`SlidingWindow`](tcs_graph::SlidingWindow) and one live-edge table
-//!   (each live edge with its admission number, and nothing else). Every
-//!   registered query's engine resolves stored edge ids through the table
-//!   (the [`LiveEdgeView`](tcs_graph::LiveEdgeView) seam in `tcs-core`),
-//!   so the window is held once, not once per query. Like the paper's
-//!   method, the registry keeps no snapshot graph of the window.
+//!   window, held by its [`IngestGate`](tcs_core::IngestGate): an
+//!   admission-ordered edge queue plus, per live edge, its admission
+//!   number, and nothing else. The gate is also the registry's live-edge
+//!   table: every registered query's engine resolves stored edge ids
+//!   through it (the [`LiveEdgeView`](tcs_graph::LiveEdgeView) seam in
+//!   `tcs-core`), so each live edge is held once, not once per query.
+//!   Like the paper's method, the registry keeps no snapshot graph of the
+//!   window.
 //! * **Signature-routed dispatch** — per-edge work is proportional to the
 //!   queries that can actually react, not to the number registered (see
 //!   the dispatch-index lifecycle below).
@@ -52,7 +54,7 @@
 //! stream position `p` behaves exactly like a fresh independent
 //! [`TimingEngine`] that starts consuming the stream at `p`: edges
 //! already inside the window when it registers are *not* replayed into
-//! it (they can resolve through the live-edge table but never enter the
+//! it (they can resolve through the gate but never enter the
 //! newcomer's partial-match store, so they never appear in its matches).
 //! Unregistering drops the query's store immediately; its
 //! [`QueryId`] is never reused. Expiry routing to a query registered
@@ -77,8 +79,8 @@
 //! * **Late joiners stay exact.** A subscriber joining a warm template
 //!   records an emission *epoch*: the registry's arrival count at join.
 //!   Fan-out reads each match's emission *floor* — the smallest
-//!   admission number among its constituent edges — from the live-edge
-//!   table, once per match and only for templates with such a
+//!   admission number among its constituent edges — from the gate, once
+//!   per match and only for templates with such a
 //!   subscriber, and delivers the match to a late subscriber only if
 //!   `floor > epoch`. Admission numbers, not timestamps: two arrivals
 //!   with one timestamp can fall on either side of a registration. A late joiner therefore
@@ -125,7 +127,7 @@
 //! [`ShardedMultiEngine`] owns `n_shards` single-threaded
 //! [`MultiQueryEngine`]s. Each query is **homed** on exactly one shard
 //! (least-loaded at registration) and never migrates; each shard owns its
-//! own window + live-edge table holding only the edges routed to it, so
+//! own gate (window and live edges) holding only the edges routed to it, so
 //! shards share nothing and need no locks. The front-end keeps a per-signature
 //! shard-routing table (the union of its shards' dispatch indexes) and,
 //! during [`ShardedMultiEngine::process`], fans each edge out over

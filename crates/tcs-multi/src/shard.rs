@@ -6,7 +6,7 @@
 //! multi-tenant deployment has thousands of independent queries and
 //! machines with many cores. [`ShardedMultiEngine`] homes every query on
 //! exactly one shard (see the crate docs, "Shard ownership"), gives each
-//! shard its own window + live-edge table + dispatch index, and during
+//! shard its own gate (window and live edges) + dispatch index, and during
 //! [`ShardedMultiEngine::process`] streams **chunks** of edges over a
 //! bounded channel (`tcs_concurrent::chan`) to exactly the shards whose
 //! routing entry says some homed query can react: the dispatcher
@@ -656,7 +656,7 @@ impl<S: MatchStore> ShardedMultiEngine<S> {
     }
 
     /// Merged per-query stats across shards. Space is exact (each shard's
-    /// live-edge table appears once, per-query stores on top) and `edges_seen`
+    /// live edges appear once, per-query stores on top) and `edges_seen`
     /// is the front-end's own admitted-arrival count (per-shard counts
     /// would double-count signatures homed on several shards and miss
     /// edges no query reacts to). The report also carries every shard's
@@ -813,12 +813,13 @@ mod tests {
         assert!(st.space_bytes() >= st.snapshot_bytes);
     }
 
-    /// The merged live-edge bytes are the shards' tables, summed: each
+    /// The merged live-edge bytes are the shards' gates, summed: each
     /// shard holds exactly the routed edges still in its window.
     #[test]
     fn live_edge_bytes_sum_over_the_shards() {
-        let per_edge =
-            std::mem::size_of::<tcs_graph::EdgeId>() + std::mem::size_of::<(StreamEdge, u64)>();
+        use std::mem::size_of;
+        let per_edge = size_of::<StreamEdge>() + size_of::<tcs_graph::EdgeId>() + size_of::<u64>();
+        assert_eq!(per_edge, 48);
         let mut sharded: ShardedMultiEngine = ShardedMultiEngine::new(10, 2);
         for t in 0..4u16 {
             sharded.register(plan(t));

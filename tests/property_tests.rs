@@ -2,16 +2,18 @@
 //! Property-based tests (proptest) over the core invariants:
 //! timing-order closure laws, decomposition partition/validity, join-order
 //! prefix-connectivity, store equivalence under random operation
-//! sequences, and engine-vs-oracle equivalence on small random instances.
+//! sequences, engine-vs-oracle equivalence on small random instances, and
+//! the registry's batch path against its per-edge fold.
 
 use proptest::prelude::*;
 use tcs_core::decompose::{decompose, is_timing_sequence, tc_subqueries};
 use tcs_core::joinorder::{is_prefix_connected, order_by_joint_number};
 use tcs_core::plan::{PlanOptions, QueryPlan};
-use tcs_core::{IndependentStore, MsTreeStore, TimingEngine};
+use tcs_core::{IndependentStore, IngestError, IngestGate, MsTreeStore, OrderPolicy, TimingEngine};
 use tcs_graph::query::QueryEdge;
 use tcs_graph::window::SlidingWindow;
-use tcs_graph::{ELabel, QueryGraph, StreamEdge, VLabel};
+use tcs_graph::{ELabel, EdgeId, IdMap, LiveEdgeView, MatchRecord, QueryGraph, StreamEdge, VLabel};
+use tcs_multi::{MultiQueryEngine, QueryId};
 use tcs_subiso::SnapshotOracle;
 
 /// A connected random query: a random tree over `n_v` vertices plus a few
@@ -125,30 +127,70 @@ fn assert_audit_clean(violations: &[tcs_core::store::AuditViolation], store: &st
     );
 }
 
-/// Random small streams for engine-vs-oracle properties.
-fn arb_stream() -> impl Strategy<Value = Vec<StreamEdge>> {
+/// An id is reused only once its previous edge is this many ticks old:
+/// past every window the single-engine properties below draw (< 40), so
+/// to them every id is unique among live edges, while the registry
+/// property draws longer windows and meets live duplicates too.
+const REUSE_GAP: u64 = 40;
+
+/// A random stream and the batch cuts a registry consumes it in.
+#[derive(Clone, Debug)]
+struct RandomStream {
+    edges: Vec<StreamEdge>,
+    /// Batch lengths, summing to at least `edges.len()`.
+    cuts: Vec<usize>,
+}
+
+/// Random small streams for engine-vs-oracle and registry properties.
+/// About one arrival in three shares its predecessor's timestamp, one in
+/// twenty jumps ahead far enough to expire many edges at once, and one in
+/// five reuses the id of an edge at least [`REUSE_GAP`] ticks old.
+fn arb_stream() -> impl Strategy<Value = RandomStream> {
     (20usize..80, any::<u64>()).prop_map(|(n, seed)| {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                let src = rng.gen_range(0..5u32);
-                let mut dst = rng.gen_range(0..5u32);
-                while dst == src {
-                    dst = rng.gen_range(0..5u32);
-                }
-                StreamEdge::new(
-                    i as u64,
-                    src,
-                    (src % 3) as u16,
-                    dst,
-                    (dst % 3) as u16,
-                    0,
-                    i as u64 + 1,
-                )
-            })
-            .collect()
+        let mut ts = 0u64;
+        // id → timestamp of its newest edge.
+        let mut last_use: Vec<(u64, u64)> = Vec::new();
+        let mut edges = Vec::with_capacity(n);
+        for i in 0..n {
+            ts += match rng.gen_range(0..20u32) {
+                _ if ts == 0 => 1,
+                0..=5 => 0,
+                6 => rng.gen_range(10..40u64),
+                _ => rng.gen_range(1..3u64),
+            };
+            let free: Vec<usize> =
+                (0..last_use.len()).filter(|&k| last_use[k].1 + REUSE_GAP <= ts).collect();
+            let id = if !free.is_empty() && rng.gen_bool(0.2) {
+                // Half the time the youngest free id: its edge is the
+                // likeliest to be live, or to expire with this arrival.
+                let k = if rng.gen_bool(0.5) {
+                    free[free.len() - 1]
+                } else {
+                    free[rng.gen_range(0..free.len())]
+                };
+                last_use[k].1 = ts;
+                last_use[k].0
+            } else {
+                last_use.push((i as u64, ts));
+                i as u64
+            };
+            let src = rng.gen_range(0..5u32);
+            let mut dst = rng.gen_range(0..5u32);
+            while dst == src {
+                dst = rng.gen_range(0..5u32);
+            }
+            edges.push(StreamEdge::new(id, src, (src % 3) as u16, dst, (dst % 3) as u16, 0, ts));
+        }
+        let mut cuts = Vec::new();
+        let mut covered = 0;
+        while covered < n {
+            cuts.push(rng.gen_range(1..13usize));
+            covered += cuts[cuts.len() - 1];
+        }
+        RandomStream { edges, cuts }
     })
 }
 
@@ -171,7 +213,7 @@ proptest! {
         let mut w0 = SlidingWindow::new(window);
         let mut w1 = SlidingWindow::new(window);
         let mut w2 = SlidingWindow::new(window);
-        for &e in &stream {
+        for &e in &stream.edges {
             let expected = oracle.advance(&w0.advance(e));
             let mut a = ms.advance(&w1.advance(e));
             a.sort();
@@ -196,7 +238,7 @@ proptest! {
             TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
         let mut w = SlidingWindow::new(30);
         let mut snap = Snapshot::new();
-        for &e in &stream {
+        for &e in &stream.edges {
             let ev = w.advance(e);
             for x in &ev.expired {
                 snap.remove(x.id);
@@ -295,7 +337,7 @@ proptest! {
             TimingEngine::new(QueryPlan::build(q.clone(), PlanOptions::timing()));
         let mut w1 = SlidingWindow::new(window);
         let mut w2 = SlidingWindow::new(window);
-        for &e in &stream {
+        for &e in &stream.edges {
             let mut a = ms.advance(&w1.advance(e));
             a.sort();
             let mut b = ind.advance(&w2.advance(e));
@@ -323,9 +365,100 @@ proptest! {
             2,
             LockingMode::FineGrained,
         );
-        for chunk in stream.chunks(stream.len().div_ceil(3).max(1)) {
+        // This engine takes the raw stream, with no ingestion gate, and
+        // does not yet survive a reused id (it stalls; ROADMAP direction
+        // 8c): the audit runs on the stream with every id made unique.
+        let edges: Vec<StreamEdge> = stream
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| StreamEdge { id: EdgeId(i as u64), ..*e })
+            .collect();
+        for chunk in edges.chunks(edges.len().div_ceil(3).max(1)) {
             eng.run(chunk, window);
             assert_audit_clean(&eng.audit(), "cms-tree", 0);
+        }
+    }
+
+    /// The registry over random batch cuts equals its per-edge fold —
+    /// matches, rejections, counters, `window_len` and `snapshot_bytes` —
+    /// and a gate fed the same arrivals resolves exactly the ids that a
+    /// `SlidingWindow` plus an id map hold live.
+    #[test]
+    fn registry_over_batch_cuts_equals_per_edge_fold(
+        stream in arb_stream(),
+        q in arb_query(),
+        q2 in arb_query(),
+        window in 10u64..80,
+    ) {
+        let mut batched: MultiQueryEngine = MultiQueryEngine::new(window);
+        let mut folded: MultiQueryEngine = MultiQueryEngine::new(window);
+        let mut ids = Vec::new();
+        for q in [q, q2] {
+            let plan = QueryPlan::build(q, PlanOptions::timing());
+            let id = batched.register(plan.clone());
+            prop_assert_eq!(folded.register(plan), id);
+            ids.push(id);
+        }
+        let of = |out: &[(QueryId, MatchRecord)], q: QueryId| -> Vec<MatchRecord> {
+            out.iter().filter(|(x, _)| *x == q).map(|(_, m)| m.clone()).collect()
+        };
+        let mut gate = IngestGate::new(window, OrderPolicy::default());
+        let mut reference = SlidingWindow::new(window);
+        let mut live: IdMap<EdgeId, StreamEdge> = IdMap::default();
+        let mut seen: Vec<EdgeId> = Vec::new();
+        let mut rest = &stream.edges[..];
+        for &cut in &stream.cuts {
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            rest = tail;
+            let got = batched.try_advance_batch(batch);
+            let mut fold_out = Vec::new();
+            let mut fold_err = None;
+            for &e in batch {
+                // Ids are the only thing the stream can get wrong: a
+                // duplicate is an id still live after this arrival's
+                // expiries.
+                let bound = e.ts.0.checked_sub(window);
+                let dup = live.get(&e.id).is_some_and(|x| bound.is_none_or(|b| x.ts.0 > b));
+                prop_assert_eq!(gate.admit(e).is_err(), dup);
+                match folded.try_advance(e) {
+                    Ok(out) => fold_out.extend(out),
+                    Err(err) => {
+                        prop_assert!(dup);
+                        prop_assert_eq!(err, IngestError::DuplicateEdgeId { id: e.id });
+                        fold_err = Some(err);
+                        break;
+                    }
+                }
+                prop_assert!(!dup);
+                for x in reference.advance(e).expired {
+                    live.remove(&x.id);
+                }
+                live.insert(e.id, e);
+                seen.push(e.id);
+                for id in &seen {
+                    prop_assert_eq!(gate.live_edge(*id), live.get(id));
+                }
+            }
+            match (&got, fold_err) {
+                (Ok(out), None) => {
+                    for &q in &ids {
+                        prop_assert_eq!(of(out, q), of(&fold_out, q));
+                    }
+                }
+                (Err(a), Some(b)) => prop_assert_eq!(*a, b),
+                (a, b) => prop_assert!(false, "batch {:?} but fold {:?}", a, b),
+            }
+            for &q in &ids {
+                prop_assert_eq!(batched.counters_of(q), folded.counters_of(q));
+                prop_assert_eq!(batched.live_match_count(q), folded.live_match_count(q));
+            }
+            prop_assert_eq!(batched.window_len(), folded.window_len());
+            prop_assert_eq!(batched.window_len(), reference.len());
+            prop_assert_eq!(batched.stats().snapshot_bytes, folded.stats().snapshot_bytes);
+            prop_assert_eq!(batched.stats().snapshot_bytes, gate.live_edge_bytes());
+            prop_assert_eq!(batched.ingest_stats(), folded.ingest_stats());
+            prop_assert_eq!(batched.ingest_stats(), gate.stats());
         }
     }
 
